@@ -11,17 +11,17 @@ from .engine import (
     rounds_to_target,
     run_experiment,
 )
-from .federation import AlgoConfig, ClientState, ServerState
+from .federation import AlgoConfig, ClientStore, ServerState
 from .models import Batch, ModelSpec
 from .rng import RngStream, stream
-from .vectors import ParamVector, axpy, finite_diff_grad, weighted_mean
+from .vectors import ParamVector, finite_diff_grad, weighted_mean
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgoConfig",
     "Batch",
-    "ClientState",
+    "ClientStore",
     "ExperimentConfig",
     "FederatedDataset",
     "FederatedRun",
@@ -34,7 +34,6 @@ __all__ = [
     "RunSummary",
     "ServerState",
     "SyntheticConfig",
-    "axpy",
     "centralized_oracle",
     "finite_diff_grad",
     "rounds_to_target",

@@ -9,6 +9,7 @@ config/schema problem.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,9 +33,10 @@ from .federation import (
     AlgoConfig,
     ablation_from_code,
     FULL_ABLATION,
+    CLIENT_FIELDS,
     feddc_local_objective,
     feddc_local_objective_grad,
-    ClientState,
+    ClientStore,
     ServerState,
 )
 from .models import Batch, ModelSpec, init_params, loss_and_grad, mean_loss
@@ -68,7 +70,6 @@ _TOP_KEYS = frozenset(
         "target_accuracies",
         "stop_at_target",
         "out_dir",
-        "threads",
     }
 )
 _ALGO_KEYS = frozenset(
@@ -105,6 +106,12 @@ _PARTITION_KEYS = frozenset({"mode", "conc", "balance", "lognormal_var", "seed"}
 _MODEL_KEYS = frozenset(
     {"kind", "input_dim", "num_classes", "hidden_dims", "weight_decay"}
 )
+# Per dataset kind, the model a config gets for every field its model
+# section leaves out (hidden_dims defaults by model kind instead).
+_MODEL_DEFAULTS = {
+    "synthetic": {"kind": "logistic", "input_dim": 30, "num_classes": 5, "weight_decay": 0.0},
+    "mnist": {"kind": "mlp", "input_dim": 784, "num_classes": 10, "weight_decay": 0.001},
+}
 
 
 def _reject_unknown(section: dict, allowed, path: str) -> None:
@@ -117,28 +124,17 @@ def _reject_unknown(section: dict, allowed, path: str) -> None:
 
 
 def _build_model(section: dict, dataset_kind: str) -> ModelSpec:
-    if section is None:
-        # Sensible per-dataset defaults so minimal configs stay minimal.
-        if dataset_kind == "synthetic":
-            section = {"kind": "logistic", "input_dim": 30, "num_classes": 5}
-        else:
-            section = {
-                "kind": "mlp",
-                "input_dim": 784,
-                "num_classes": 10,
-                "hidden_dims": [200, 200],
-                "weight_decay": 0.001,
-            }
+    section = {} if section is None else section
     _reject_unknown(section, _MODEL_KEYS, "model")
-    kind = section.get("kind", "logistic" if dataset_kind == "synthetic" else "mlp")
-    hidden = section.get("hidden_dims", [] if kind == "logistic" else [200, 200])
+    m = {**_MODEL_DEFAULTS[dataset_kind], **section}
+    hidden = m.get("hidden_dims", [] if m["kind"] == "logistic" else [200, 200])
     try:
         return ModelSpec(
-            kind=kind,
-            input_dim=int(section.get("input_dim", 30 if dataset_kind == "synthetic" else 784)),
-            num_classes=int(section.get("num_classes", 5 if dataset_kind == "synthetic" else 10)),
+            kind=m["kind"],
+            input_dim=int(m["input_dim"]),
+            num_classes=int(m["num_classes"]),
             hidden_dims=tuple(int(h) for h in hidden),
-            weight_decay=float(section.get("weight_decay", 0.0)),
+            weight_decay=float(m["weight_decay"]),
         )
     except ParameterError as exc:
         raise ConfigError("model", str(exc)) from exc
@@ -220,6 +216,20 @@ def _build_dataset_cfg(section: dict, seed: int):
     raise ConfigError("dataset.kind", f"unknown dataset kind {kind!r}")
 
 
+def _resolved_dataset(ds) -> dict:
+    """The dataset section with every default filled in, in config keys."""
+    if isinstance(ds, SyntheticConfig):
+        keys = ("gamma1", "gamma2", "n_clients", "samples_per_client_mean", "seed")
+        return {"kind": "synthetic", **{k: getattr(ds, k) for k in keys}}
+    return {
+        "kind": "mnist",
+        **{k: getattr(ds, k) for k in _MNIST_FILES},
+        "n_clients": ds.n_clients,
+        "partition": dataclasses.asdict(ds.plan),
+        "subsample": ds.subsample,
+    }
+
+
 def _parse_ablation(value):
     if value is None:
         return FULL_ABLATION
@@ -287,7 +297,6 @@ def build_experiment(raw: dict):
             stop_at_target=(
                 None if cfg.get("stop_at_target") is None else float(cfg["stop_at_target"])
             ),
-            n_workers=int(cfg.get("threads", 1)),
         )
     except ParameterError as exc:
         raise ConfigError("<run>", str(exc)) from exc
@@ -312,7 +321,7 @@ def build_experiment(raw: dict):
             "hidden_dims": list(model.hidden_dims),
             "weight_decay": model.weight_decay,
         },
-        "dataset": cfg["dataset"],
+        "dataset": _resolved_dataset(dataset_cfg),
         "rounds": exp.rounds,
         "eval_every": exp.eval_every,
         "seed": exp.seed,
@@ -339,8 +348,6 @@ def _apply_overrides(raw: dict, args) -> dict:
         raw["rounds"] = args.rounds
     if args.participation is not None:
         raw.setdefault("algorithm", {})["participation"] = args.participation
-    if args.threads is not None:
-        raw["threads"] = args.threads
     if args.out is not None:
         raw["out_dir"] = args.out
     return raw
@@ -395,7 +402,6 @@ _MANIFEST_KEYS = frozenset(
         "seeds",
         "rounds",
         "eval_every",
-        "threads",
         "overrides",
     }
 )
@@ -432,7 +438,7 @@ def _expand_manifest(manifest: dict):
                 raw = presets.merge_under(
                     {"algorithm": {"name": algo}, "seed": seed}, raw
                 )
-                for field in ("rounds", "eval_every", "threads"):
+                for field in ("rounds", "eval_every"):
                     if field in manifest:
                         raw[field] = manifest[field]
                 raw.pop("out_dir", None)
@@ -593,16 +599,16 @@ def cmd_gradcheck(args) -> int:
     )
     dim = spec.param_count
     server = ServerState.fresh(params, n_clients=1, rng_seed=args.seed)
-    client = ClientState.fresh(0, params, args.batch)
-    client.theta = ParamVector(params.values + 0.05 * rng.gaussian(dim))
-    client.drift = ParamVector(0.1 * rng.gaussian(dim))
-    client.last_delta = ParamVector(0.02 * rng.gaussian(dim))
-    obj_grad = feddc_local_objective_grad(client, server, cfg, batch, spec)
+    clients = ClientStore([args.batch], dim, CLIENT_FIELDS["feddc"])
+    theta = ParamVector(params.values + 0.05 * rng.gaussian(dim))
+    clients.drift[0] = 0.1 * rng.gaussian(dim)
+    clients.last_delta[0] = 0.02 * rng.gaussian(dim)
+    obj_grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, spec)
     if args.corrupt_gradient:
         obj_grad = ParamVector(obj_grad.values + 1e-3)
     obj_oracle = finite_diff_grad(
-        lambda v: feddc_local_objective(client, server, cfg, batch, spec, theta=v),
-        client.theta,
+        lambda v: feddc_local_objective(v, clients, 0, server, cfg, batch, spec),
+        theta,
         1e-6,
     )
     objective_err = max_relative_error(obj_grad, obj_oracle)
@@ -660,7 +666,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--participation", type=float, default=None, help="override participation ratio"
     )
     run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--threads", type=int, default=None, help="client worker threads")
     run.add_argument(
         "--list-presets", action="store_true", help="print built-in preset names"
     )

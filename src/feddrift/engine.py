@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,9 @@ from .errors import (
     VersionError,
 )
 from .federation import (
+    CLIENT_FIELDS,
     AlgoConfig,
-    ClientState,
+    ClientStore,
     ServerState,
     apply_update,
     download_vectors,
@@ -76,7 +76,7 @@ CSV_HEADER = (
 )
 
 _CKPT_MAGIC = b"FDRC"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,6 @@ class ExperimentConfig:
     target_accuracies: tuple = ()
     seed: int = 0
     stop_at_target: float | None = None
-    n_workers: int = 1
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -121,8 +120,6 @@ class ExperimentConfig:
         object.__setattr__(self, "target_accuracies", targets)
         if self.stop_at_target is not None and not 0 < self.stop_at_target < 1:
             raise ParameterError("stop_at_target must lie in (0, 1) when given")
-        if self.n_workers < 1:
-            raise ParameterError("n_workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -191,13 +188,7 @@ def dataset_label(ds: FederatedDataset) -> str:
 
 
 class FederatedRun:
-    """One deterministic experiment: immutable config, mutable progress.
-
-    Client training inside a round may fan out to a thread pool; each
-    task reads only round-start snapshots and the aggregation folds the
-    gathered updates in client-id order, so the worker count cannot
-    change any result.
-    """
+    """One deterministic experiment: immutable config, mutable progress."""
 
     def __init__(self, cfg: ExperimentConfig, dataset: FederatedDataset | None = None):
         self.cfg = cfg
@@ -215,10 +206,11 @@ class FederatedRun:
         self._client_data = [ds.client_arrays(i) for i in range(ds.n_clients)]
         init = init_params(cfg.model, stream(cfg.seed, "global-init"))
         self.server = ServerState.fresh(init, ds.n_clients, cfg.seed)
-        self.clients = [
-            ClientState.fresh(i, init, len(ds.partitions[i]))
-            for i in range(ds.n_clients)
-        ]
+        self.clients = ClientStore(
+            [len(p) for p in ds.partitions],
+            cfg.model.param_count,
+            CLIENT_FIELDS[cfg.algo.algorithm],
+        )
         pooled = ds.pooled_indices()
         self._pool = (ds.train_inputs[pooled], ds.train_labels[pooled])
         self.records: list[RoundRecord] = []
@@ -234,7 +226,7 @@ class FederatedRun:
             self.cfg.seed, "batch-shuffle", client=client_id, round_index=self.server.round
         )
         return run_local_round(
-            self.clients[client_id], self.server, self.cfg.algo, x, y, rng, self.cfg.model
+            self.clients, client_id, self.server, self.cfg.algo, x, y, rng, self.cfg.model
         )
 
     def run_round(self) -> RoundRecord:
@@ -248,15 +240,11 @@ class FederatedRun:
                 t,
                 stream(cfg.seed, "participation", round_index=t),
             )
-            if cfg.n_workers > 1:
-                with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-                    updates = list(pool.map(self._train_one, active))
-            else:
-                updates = [self._train_one(i) for i in active]
+            updates = [self._train_one(i) for i in active]
             grad_var = gradient_variance_diagnostic(updates, self.server, cfg.algo)
             self.server = server_aggregate(self.server, updates, cfg.algo)
             for up in updates:
-                apply_update(self.clients[up.client_id], up)
+                apply_update(self.clients, up)
         except Exception as exc:
             raise RunError(f"round {t + 1}: {exc}") from exc
 
@@ -362,7 +350,7 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
     )
     init = init_params(cfg.model, stream(cfg.seed, "global-init"))
     server = ServerState.fresh(init, 1, cfg.seed)
-    client = ClientState.fresh(0, init, len(pooled))
+    client = ClientStore([len(pooled)], cfg.model.param_count)  # fedavg keeps no rows
     records = []
     fed_by_round = dict(fed_params) if fed_params is not None else None
     distances = [] if fed_params is not None else None
@@ -370,10 +358,9 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
         start = time.perf_counter()
         rng = stream(cfg.seed, "batch-shuffle", client=0, round_index=t)
         up = run_local_round(
-            client, server, algo, x, y, rng, cfg.model, step_budget=budget
+            client, 0, server, algo, x, y, rng, cfg.model, step_budget=budget
         )
         server = server_aggregate(server, [up], algo)
-        apply_update(client, up)
         rnum = server.round
         acc = loss = None
         if rnum % cfg.eval_every == 0 or rnum == cfg.rounds:
@@ -401,51 +388,41 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: versioned binary, JSON header + length-prefixed LE f64 vectors.
+# Checkpoints, format v2: magic, (version, header length), a JSON header,
+# then little-endian float64 blocks with no padding: the four server
+# vectors (P values each), then one (n_clients, P) block per client field
+# the header names. The file ends there; anything after it is an error.
 # ---------------------------------------------------------------------------
 
-
-def _write_vec(fh, vec: ParamVector):
-    data = vec.values.astype("<f8", copy=False).tobytes()
-    fh.write(struct.pack("<Q", len(vec)))
-    fh.write(data)
+_SERVER_VECTORS = ("global_params", "global_delta", "scaffold_c", "dyn_corrector")
 
 
-def _read_vec(fh, path) -> ParamVector:
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise LengthError(f"{path}: truncated vector length prefix")
-    (n,) = struct.unpack("<Q", raw)
-    data = fh.read(8 * n)
-    if len(data) != 8 * n:
-        raise LengthError(f"{path}: truncated vector payload ({len(data)} of {8 * n} bytes)")
-    return ParamVector(np.frombuffer(data, dtype="<f8"))
+def _read_block(fh, out: np.ndarray, path) -> None:
+    """Fill `out` from the file in one read, with no intermediate copy."""
+    want = out.nbytes
+    got = fh.readinto(memoryview(out).cast("B"))
+    if got != want:
+        raise LengthError(f"{path}: truncated checkpoint ({got} of {want} bytes in a block)")
 
 
-def checkpoint_save(path, server: ServerState, clients) -> None:
+def checkpoint_save(path, server: ServerState, clients: ClientStore) -> None:
     header = {
         "round": server.round,
         "n_clients": server.n_clients,
         "param_count": len(server.global_params),
         "rng_seed": server.rng_seed,
-        "client_ids": [c.client_id for c in clients],
-        "n_samples": [c.n_samples for c in clients],
+        "n_samples": clients.n_samples.tolist(),
+        "fields": list(clients.fields),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
         fh.write(blob)
-        for vec in (
-            server.global_params,
-            server.global_delta,
-            server.scaffold_c,
-            server.dyn_corrector,
-        ):
-            _write_vec(fh, vec)
-        for c in clients:
-            for vec in (c.theta, c.drift, c.last_delta, c.scaffold_c):
-                _write_vec(fh, vec)
+        for name in _SERVER_VECTORS:
+            fh.write(getattr(server, name).values.astype("<f8", copy=False))
+        for name in clients.fields:
+            fh.write(getattr(clients, name).astype("<f8", copy=False))
 
 
 def checkpoint_load(path):
@@ -467,29 +444,25 @@ def checkpoint_load(path):
             raise LengthError(f"{path}: truncated checkpoint header payload")
         try:
             header = json.loads(blob.decode("utf-8"))
-        except ValueError as exc:
+            param_count = int(header["param_count"])
+            clients = ClientStore(header["n_samples"], param_count, header["fields"])
+        except (ValueError, KeyError, TypeError, ParameterError) as exc:
             raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
-        server = ServerState(
-            global_params=_read_vec(fh, path),
-            global_delta=_read_vec(fh, path),
-            scaffold_c=_read_vec(fh, path),
-            dyn_corrector=_read_vec(fh, path),
-            round=int(header["round"]),
-            n_clients=int(header["n_clients"]),
-            rng_seed=int(header["rng_seed"]),
-        )
-        clients = []
-        for cid, n in zip(header["client_ids"], header["n_samples"]):
-            clients.append(
-                ClientState(
-                    client_id=int(cid),
-                    theta=_read_vec(fh, path),
-                    drift=_read_vec(fh, path),
-                    last_delta=_read_vec(fh, path),
-                    scaffold_c=_read_vec(fh, path),
-                    n_samples=int(n),
-                )
-            )
+        vectors = {}
+        for name in _SERVER_VECTORS:
+            vec = np.zeros(param_count)
+            _read_block(fh, vec, path)
+            vectors[name] = ParamVector._wrap(vec)
+        for name in clients.fields:
+            _read_block(fh, getattr(clients, name), path)
+        if fh.read(1):
+            raise LengthError(f"{path}: trailing bytes after the last checkpoint block")
+    server = ServerState(
+        **vectors,
+        round=int(header["round"]),
+        n_clients=int(header["n_clients"]),
+        rng_seed=int(header["rng_seed"]),
+    )
     return server, clients
 
 
@@ -504,6 +477,13 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
         raise FormatError(
             f"checkpoint holds {len(server.global_params)} parameters, "
             f"model expects {run.cfg.model.param_count}"
+        )
+    if not np.array_equal(clients.n_samples, run.clients.n_samples):
+        raise FormatError("checkpoint client sample counts differ from the run's partitions")
+    if clients.fields != run.clients.fields:
+        raise FormatError(
+            f"checkpoint holds client fields {list(clients.fields)}, "
+            f"{run.cfg.algo.algorithm} reads {list(run.clients.fields)}"
         )
     run.server = server
     run.clients = clients

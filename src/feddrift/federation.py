@@ -30,7 +30,6 @@ import numpy as np
 
 from . import models
 from .errors import (
-    DimensionError,
     EmptyAggregateError,
     ParameterError,
     PartitionError,
@@ -43,8 +42,9 @@ __all__ = [
     "ALGORITHMS",
     "ABLATION_TERMS",
     "FULL_ABLATION",
+    "CLIENT_FIELDS",
     "AlgoConfig",
-    "ClientState",
+    "ClientStore",
     "ServerState",
     "ClientUpdate",
     "ablation_from_code",
@@ -131,29 +131,38 @@ class AlgoConfig:
                 raise ParameterError("feddc requires alpha >= 0")
 
 
-@dataclass
-class ClientState:
-    """Per-client persistent state; inactive clients keep theirs stale."""
+# The per-client vectors each algorithm reads across rounds: feddc its
+# drift h_i and previous local update, feddyn its accumulated local
+# updates, scaffold its control variate c_i.
+CLIENT_FIELDS = {
+    "fedavg": (),
+    "fedprox": (),
+    "scaffold": ("scaffold_c",),
+    "feddyn": ("drift",),
+    "feddc": ("drift", "last_delta"),
+}
 
-    client_id: int
-    theta: ParamVector
-    drift: ParamVector        # feddc h_i; feddyn accumulated local updates
-    last_delta: ParamVector   # previous round's local update (feddc)
-    scaffold_c: ParamVector   # scaffold control variate c_i
-    n_samples: int
+# Store field -> the ClientUpdate attribute holding its next value.
+_NEXT_VALUE = {"drift": "drift_plus", "last_delta": "delta", "scaffold_c": "scaffold_c_plus"}
 
-    @classmethod
-    def fresh(cls, client_id: int, global_params: ParamVector, n_samples: int):
-        dim = len(global_params)
-        zero = ParamVector.zeros(dim)
-        return cls(
-            client_id=client_id,
-            theta=global_params,
-            drift=zero,
-            last_delta=zero,
-            scaffold_c=zero,
-            n_samples=int(n_samples),
-        )
+
+class ClientStore:
+    """Persistent state of every client, one row per client id.
+
+    Holds `n_samples` and one (n_clients, P) float64 array per field the
+    algorithm reads (see CLIENT_FIELDS). The arrays start as `np.zeros`,
+    whose pages stay unallocated until a row is written. Inactive
+    clients keep their rows stale.
+    """
+
+    def __init__(self, n_samples, param_count: int, fields=()):
+        unknown = set(fields) - set(_NEXT_VALUE)
+        if unknown:
+            raise ParameterError(f"unknown client fields {sorted(unknown)}")
+        self.fields = tuple(fields)
+        self.n_samples = np.array(n_samples, dtype=np.int64)
+        for name in self.fields:
+            setattr(self, name, np.zeros((self.n_samples.size, param_count)))
 
 
 @dataclass(frozen=True)
@@ -190,11 +199,13 @@ class ServerState:
 
 @dataclass(frozen=True)
 class ClientUpdate:
+    """One client's round result; state fields its algorithm does not keep are None."""
+
     client_id: int
     theta_plus: ParamVector
-    drift_plus: ParamVector
+    drift_plus: ParamVector | None
     delta: ParamVector
-    scaffold_c_plus: ParamVector
+    scaffold_c_plus: ParamVector | None
     n_samples: int
     k_steps: int
     bytes_up: int
@@ -212,8 +223,8 @@ def round_lr(cfg: AlgoConfig, round_index: int) -> float:
     return cfg.lr * cfg.lr_decay**round_index
 
 
-def _correction_terms(client: ClientState, server: ServerState, cfg: AlgoConfig,
-                      k_steps: int, lr_t: float):
+def _correction_terms(clients: ClientStore, client_id: int, server: ServerState,
+                      cfg: AlgoConfig, k_steps: int, lr_t: float):
     """Round-constant pieces of the per-step gradient.
 
     Returns (pull, anchor, extra): the step gradient is
@@ -231,86 +242,85 @@ def _correction_terms(client: ClientState, server: ServerState, cfg: AlgoConfig,
             return 0.0, None, None
         return cfg.mu, g, None
     if algo == "scaffold":
-        corr = server.scaffold_c.values - client.scaffold_c.values
+        corr = server.scaffold_c.values - clients.scaffold_c[client_id]
         return 0.0, None, (corr if corr.any() else None)
     if algo == "feddyn":
-        return cfg.alpha, g - client.drift.values, None
+        return cfg.alpha, g - clients.drift[client_id], None
     # feddc
     pull, anchor, extra = 0.0, None, None
     if "param_correction" in cfg.ablation and cfg.alpha != 0.0:
-        pull, anchor = cfg.alpha, g - client.drift.values
+        pull, anchor = cfg.alpha, g - clients.drift[client_id]
     if "grad_correction" in cfg.ablation:
-        corr = (client.last_delta.values - server.global_delta.values) / (k_steps * lr_t)
+        corr = (clients.last_delta[client_id] - server.global_delta.values) / (k_steps * lr_t)
         if corr.any():
             extra = corr
     return pull, anchor, extra
 
 
-def feddc_local_objective(client: ClientState, server: ServerState, cfg: AlgoConfig,
-                          batch: models.Batch, spec: ModelSpec,
-                          theta: ParamVector | None = None) -> float:
-    """Scalar value of the drift-corrected local objective at theta.
+def _feddc_terms(clients: ClientStore, client_id: int, server: ServerState,
+                 cfg: AlgoConfig):
+    if cfg.algorithm != "feddc":
+        raise ParameterError("the drift-corrected objective is defined for feddc only")
+    k = steps_per_round(int(clients.n_samples[client_id]), cfg)
+    return _correction_terms(clients, client_id, server, cfg, k, round_lr(cfg, server.round))
 
-    Used by gradient checks: its finite-difference gradient must match
+
+def feddc_local_objective(theta: ParamVector, clients: ClientStore, client_id: int,
+                          server: ServerState, cfg: AlgoConfig, batch: models.Batch,
+                          spec: ModelSpec) -> float:
+    """Value of the drift-corrected local objective at theta.
+
+    The objective is the empirical loss plus 0.5 * pull * |theta - anchor|^2
+    + theta . extra, so its gradient is the step gradient that
+    :func:`_correction_terms` defines. Used by gradient checks against
     :func:`feddc_local_objective_grad`.
     """
-    if cfg.algorithm != "feddc":
-        raise ParameterError("objective is defined for feddc only")
-    th = client.theta if theta is None else theta
-    value = models.mean_loss(spec, th, batch.inputs, batch.labels)
-    k = steps_per_round(client.n_samples, cfg)
-    lr_t = round_lr(cfg, server.round)
-    if "param_correction" in cfg.ablation and cfg.alpha != 0.0:
-        gap = th.values - (server.global_params.values - client.drift.values)
-        value += 0.5 * cfg.alpha * float(gap @ gap)
-    if "grad_correction" in cfg.ablation:
-        corr = (client.last_delta.values - server.global_delta.values) / (k * lr_t)
-        value += float(th.values @ corr)
+    pull, anchor, extra = _feddc_terms(clients, client_id, server, cfg)
+    value = models.mean_loss(spec, theta, batch.inputs, batch.labels)
+    if anchor is not None:
+        gap = theta.values - anchor
+        value += 0.5 * pull * float(gap @ gap)
+    if extra is not None:
+        value += float(theta.values @ extra)
     return value
 
 
-def feddc_local_objective_grad(client: ClientState, server: ServerState,
-                               cfg: AlgoConfig, batch: models.Batch,
-                               spec: ModelSpec) -> ParamVector:
-    """Gradient of the drift-corrected local objective at the client's theta."""
-    if cfg.algorithm != "feddc":
-        raise ParameterError("objective gradient is defined for feddc only")
-    if len(client.theta) != spec.param_count:
-        raise DimensionError(
-            f"client holds {len(client.theta)} parameters, model expects {spec.param_count}"
-        )
-    k = steps_per_round(client.n_samples, cfg)
-    lr_t = round_lr(cfg, server.round)
-    pull, anchor, extra = _correction_terms(client, server, cfg, k, lr_t)
-    _, grad = models.loss_and_grad(spec, client.theta, batch)
+def feddc_local_objective_grad(theta: ParamVector, clients: ClientStore, client_id: int,
+                               server: ServerState, cfg: AlgoConfig,
+                               batch: models.Batch, spec: ModelSpec) -> ParamVector:
+    """Gradient of the drift-corrected local objective at theta."""
+    pull, anchor, extra = _feddc_terms(clients, client_id, server, cfg)
+    _, grad = models.loss_and_grad(spec, theta, batch)
     out = grad.values.copy()
-    if anchor is not None and pull != 0.0:
-        out += pull * (client.theta.values - anchor)
+    if anchor is not None:
+        out += pull * (theta.values - anchor)
     if extra is not None:
         out += extra
     return ParamVector(out)
 
 
-def run_local_round(client: ClientState, server: ServerState, cfg: AlgoConfig,
-                    inputs: np.ndarray, labels: np.ndarray, rng: RngStream,
-                    spec: ModelSpec, step_budget: int | None = None) -> ClientUpdate:
+def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
+                    cfg: AlgoConfig, inputs: np.ndarray, labels: np.ndarray,
+                    rng: RngStream, spec: ModelSpec,
+                    step_budget: int | None = None) -> ClientUpdate:
     """K local SGD steps from the global snapshot; returns the upload.
 
     theta starts at the round-start global parameters. Minibatches come
     from a fresh shuffle per epoch drawn from `rng`. Round-start
-    snapshots (global parameters, drift, control variates, previous
+    snapshots (global parameters, the client's stored rows, previous
     deltas) stay frozen for all K steps. The drift accumulator advances
-    once per round by exactly the round's parameter update.
+    once per round by exactly the round's parameter update. The store
+    is only read; :func:`apply_update` writes the result.
     """
     n = inputs.shape[0]
     if n == 0:
-        raise PartitionError(f"client {client.client_id} has an empty partition")
+        raise PartitionError(f"client {client_id} has an empty partition")
     k_nominal = steps_per_round(n, cfg)
     k_steps = k_nominal if step_budget is None else int(step_budget)
     if k_steps < 1:
         raise ParameterError("step budget must be >= 1")
     lr_t = round_lr(cfg, server.round)
-    pull, anchor, extra = _correction_terms(client, server, cfg, k_nominal, lr_t)
+    pull, anchor, extra = _correction_terms(clients, client_id, server, cfg, k_nominal, lr_t)
 
     start = server.global_params.values
     theta = start.copy()
@@ -337,37 +347,31 @@ def run_local_round(client: ClientState, server: ServerState, cfg: AlgoConfig,
 
     theta_plus = ParamVector(theta)
     delta = ParamVector(theta - start)
-    if cfg.algorithm in ("feddc", "feddyn"):
-        drift_plus = client.drift + delta
-    else:
-        drift_plus = client.drift
-    if cfg.algorithm == "scaffold":
+    drift_plus = c_plus = None
+    if "drift" in clients.fields:
+        drift_plus = ParamVector._wrap(clients.drift[client_id] + delta.values)
+    if "scaffold_c" in clients.fields:
         c_plus = ParamVector(
-            client.scaffold_c.values
+            clients.scaffold_c[client_id]
             - server.scaffold_c.values
             - delta.values / (k_steps * lr_t)
         )
-        uploads = 2  # parameters plus the control-variate update
-    else:
-        c_plus = client.scaffold_c
-        uploads = 1  # feddc uploads theta+h pre-summed into one vector
     return ClientUpdate(
-        client_id=client.client_id,
+        client_id=client_id,
         theta_plus=theta_plus,
         drift_plus=drift_plus,
         delta=delta,
         scaffold_c_plus=c_plus,
         n_samples=n,
         k_steps=k_steps,
-        bytes_up=uploads * BYTES_PER_PARAM * len(theta_plus),
+        bytes_up=upload_vectors(cfg) * BYTES_PER_PARAM * len(theta_plus),
     )
 
 
-def apply_update(client: ClientState, update: ClientUpdate) -> None:
-    client.theta = update.theta_plus
-    client.drift = update.drift_plus
-    client.last_delta = update.delta
-    client.scaffold_c = update.scaffold_c_plus
+def apply_update(clients: ClientStore, update: ClientUpdate) -> None:
+    """Write one client's round result into its rows of the store."""
+    for name in clients.fields:
+        getattr(clients, name)[update.client_id] = getattr(update, _NEXT_VALUE[name]).values
 
 
 def _agg_weights(updates, cfg: AlgoConfig):
@@ -462,7 +466,11 @@ def gradient_variance_diagnostic(updates, server: ServerState, cfg: AlgoConfig):
 
 
 def upload_vectors(cfg: AlgoConfig) -> int:
-    """Vectors a client sends per round (scaffold also uploads its control)."""
+    """Vectors a client sends per round.
+
+    scaffold also uploads its control-variate update; feddc sends
+    theta + h pre-summed as one vector.
+    """
     return 2 if cfg.algorithm == "scaffold" else 1
 
 

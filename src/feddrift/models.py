@@ -26,7 +26,6 @@ __all__ = [
     "ModelSpec",
     "Batch",
     "init_params",
-    "forward",
     "loss_and_grad",
     "accuracy",
     "mean_loss",
@@ -146,17 +145,6 @@ def _forward_arrays(spec: ModelSpec, flat: np.ndarray, x: np.ndarray):
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def forward(spec: ModelSpec, params: ParamVector, batch: Batch) -> np.ndarray:
-    """Class probabilities, one row per sample, each summing to one."""
-    flat = _check_params(spec, params)
-    if batch.inputs.shape[1] != spec.input_dim:
-        raise DimensionError(
-            f"batch has {batch.inputs.shape[1]} features, model expects {spec.input_dim}"
-        )
-    _, logits = _forward_arrays(spec, flat, batch.inputs)
-    return np.exp(_log_softmax(logits))
 
 
 @lru_cache(maxsize=64)

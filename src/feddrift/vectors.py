@@ -21,7 +21,6 @@ from .errors import (
 
 __all__ = [
     "ParamVector",
-    "axpy",
     "weighted_mean",
     "finite_diff_grad",
     "max_relative_error",
@@ -82,9 +81,6 @@ class ParamVector:
     def __getitem__(self, idx):
         return self._values[idx]
 
-    def __iter__(self):
-        return iter(self._values)
-
     def __eq__(self, other):
         if not isinstance(other, ParamVector):
             return NotImplemented
@@ -117,26 +113,6 @@ class ParamVector:
         return ParamVector._wrap(self._values * float(scalar))
 
     __rmul__ = __mul__
-
-    def dot(self, other: "ParamVector") -> float:
-        if len(other) != len(self):
-            raise DimensionError(f"dot: length mismatch {len(self)} vs {len(other)}")
-        return float(self._values @ other._values)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._values))
-
-
-def axpy(a: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """Return ``a*x + y`` elementwise without modifying the inputs."""
-    if not np.isfinite(a):
-        raise ParameterError(f"axpy: scale factor must be finite, got {a!r}")
-    if len(x) != len(y):
-        raise DimensionError(f"axpy: length mismatch {len(x)} vs {len(y)}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = float(a) * x.values + y.values
-    _require_finite(out, "axpy")
-    return ParamVector._wrap(out)
 
 
 def weighted_mean(vs, ws) -> ParamVector:

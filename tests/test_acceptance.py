@@ -24,8 +24,9 @@ from feddrift.engine import (
     run_experiment,
 )
 from feddrift.federation import (
+    CLIENT_FIELDS,
     AlgoConfig,
-    ClientState,
+    ClientStore,
     ClientUpdate,
     ServerState,
     ablation_from_code,
@@ -285,17 +286,17 @@ class TestCriterion5Properties:
         init = init_params(spec, stream(51, "global-init"))
         server = ServerState.fresh(init, n_clients=2, rng_seed=51)
         dim = spec.param_count
-        client = ClientState.fresh(0, init, 4)
-        client.theta = ParamVector(init.values + 0.05 * rng.gaussian(dim))
-        client.drift = ParamVector(0.1 * rng.gaussian(dim))
-        client.last_delta = ParamVector(0.03 * rng.gaussian(dim))
+        clients = ClientStore([4], dim, CLIENT_FIELDS["feddc"])
+        theta = ParamVector(init.values + 0.05 * rng.gaussian(dim))
+        clients.drift[0] = 0.1 * rng.gaussian(dim)
+        clients.last_delta[0] = 0.03 * rng.gaussian(dim)
         x = rng.gaussian((4, spec.input_dim))
         y = (rng.uniform01(4) * spec.num_classes).astype(np.int64)
         batch = Batch(x, y)
-        grad = feddc_local_objective_grad(client, server, cfg, batch, spec)
+        grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, spec)
         oracle = finite_diff_grad(
-            lambda v: feddc_local_objective(client, server, cfg, batch, spec, theta=v),
-            client.theta,
+            lambda v: feddc_local_objective(v, clients, 0, server, cfg, batch, spec),
+            theta,
             1e-6,
         )
         err = max_relative_error(grad, oracle)
@@ -307,14 +308,14 @@ class TestCriterion5Properties:
         cfg = AlgoConfig("feddc", alpha=0.005, lr=0.1, local_epochs=2, batch_size=10)
         init = init_params(spec, stream(52, "global-init"))
         server = ServerState.fresh(init, 1, 52)
-        client = ClientState.fresh(0, init, 30)
+        clients = ClientStore([30], spec.param_count, CLIENT_FIELDS["feddc"])
         rng = stream(52, "testing")
         x = rng.gaussian((30, 30))
         y = (rng.uniform01(30) * 5).astype(np.int64)
         up = run_local_round(
-            client, server, cfg, x, y, stream(52, "batch-shuffle"), spec
+            clients, 0, server, cfg, x, y, stream(52, "batch-shuffle"), spec
         )
-        lhs = ParamVector(up.drift_plus.values - client.drift.values)
+        lhs = ParamVector(up.drift_plus.values - clients.drift[0])
         rhs = ParamVector(up.theta_plus.values - server.global_params.values)
         assert bits_equal(lhs, rhs)
         print("ACCEPTANCE 5b: drift bookkeeping h+-h == theta+-global bitwise: PASS")
@@ -326,14 +327,14 @@ class TestCriterion5Properties:
         server = ServerState.fresh(init, 3, 53)
         rng = stream(53, "testing")
         ups = []
+        clients = ClientStore([20] * 3, spec.param_count, CLIENT_FIELDS["feddc"])
         for i in range(3):
-            client = ClientState.fresh(i, init, 20)
-            client.drift = ParamVector(0.1 * rng.gaussian(spec.param_count))
+            clients.drift[i] = 0.1 * rng.gaussian(spec.param_count)
             x = rng.gaussian((20, 30))
             y = (rng.uniform01(20) * 5).astype(np.int64)
             ups.append(
                 run_local_round(
-                    client, server, cfg, x, y,
+                    clients, i, server, cfg, x, y,
                     stream(53, "batch-shuffle", client=i), spec,
                 )
             )
@@ -421,7 +422,7 @@ class TestCriterion5Properties:
         spec = LOGISTIC
         init = init_params(spec, stream(57, "global-init"))
         server = ServerState.fresh(init, 1, 57)
-        client = ClientState.fresh(0, init, 8)
+        clients = ClientStore([8], spec.param_count, CLIENT_FIELDS["feddc"])
         rng = stream(57, "testing")
         x = rng.gaussian((8, 30))
         y = (rng.uniform01(8) * 5).astype(np.int64)
@@ -430,8 +431,8 @@ class TestCriterion5Properties:
             AlgoConfig("feddc", alpha=0.0, lr=0.1),
             AlgoConfig("feddc", alpha=0.1, lr=0.1, ablation=ablation_from_code("le")),
         ):
-            got = feddc_local_objective_grad(client, server, cfg, batch, spec)
-            _, plain = loss_and_grad(spec, client.theta, batch)
+            got = feddc_local_objective_grad(init, clients, 0, server, cfg, batch, spec)
+            _, plain = loss_and_grad(spec, init, batch)
             assert bits_equal(got, plain)
         print("ACCEPTANCE 5g: feddc local gradient collapses to fedavg bitwise: PASS")
 

@@ -51,11 +51,13 @@ class TestRun:
         assert "best accuracy" in capsys.readouterr().out
 
     def test_unknown_field_exits_2_naming_it(self, tmp_path, capsys):
-        cfg = tiny_synth_config(tmp_path / "out", algorithm="feddc")
-        cfg["algorithm"]["alpha_"] = 1.0
-        cfg_path = write_json(tmp_path / "cfg.json", cfg)
-        assert main(["run", cfg_path]) == 2
-        assert "algorithm.alpha_" in capsys.readouterr().err
+        typo = tiny_synth_config(tmp_path / "out", algorithm="feddc")
+        typo["algorithm"]["alpha_"] = 1.0
+        removed = tiny_synth_config(tmp_path / "out", threads=2)
+        for cfg, name in ((typo, "algorithm.alpha_"), (removed, "threads")):
+            cfg_path = write_json(tmp_path / "cfg.json", cfg)
+            assert main(["run", cfg_path]) == 2
+            assert f"{name}: unknown field" in capsys.readouterr().err
 
     def test_unknown_top_level_field(self, tmp_path, capsys):
         cfg = tiny_synth_config(tmp_path / "out")
@@ -75,6 +77,14 @@ class TestRun:
         resolved = json.loads((out / "config.json").read_text())
         assert resolved["rounds"] == 2
         assert resolved["seed"] == 7
+        assert resolved["dataset"] == {
+            "kind": "synthetic",
+            "gamma1": 0.0,
+            "gamma2": 0.0,
+            "n_clients": 5,
+            "samples_per_client_mean": 30,
+            "seed": 7,
+        }
         lines = (out / "records.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 rounds
         assert lines[1].split(",")[3] == "7"
@@ -161,7 +171,7 @@ class TestDefaults:
         assert PRESETS["synthetic-10"]["dataset"]["gamma1"] == 1.0
 
     def test_named_dirichlet_partition_resolves(self):
-        exp, _ = build_experiment(
+        exp, resolved = build_experiment(
             {
                 "preset": "mnist-d2",
                 "algorithm": {"name": "fedavg"},
@@ -170,6 +180,28 @@ class TestDefaults:
         )
         assert exp.dataset.plan.mode == "dirichlet"
         assert exp.dataset.plan.conc == 0.3
+        ds = resolved["dataset"]
+        assert ds["train_images"] == exp.dataset.train_images
+        assert ds["test_labels"] == exp.dataset.test_labels
+        assert ds["n_clients"] == 100 and ds["subsample"] is None
+        assert ds["partition"] == {
+            "mode": "dirichlet", "conc": 0.3, "balance": "equal",
+            "lognormal_var": 0.3, "seed": 0,
+        }
+
+    def test_model_defaults_fill_a_partial_section(self):
+        mnist = {"algorithm": {"name": "fedavg"},
+                 "dataset": {"kind": "mnist", "data_dir": "/nonexistent"}}
+        bare, _ = build_experiment(mnist)
+        partial, _ = build_experiment({**mnist, "model": {"kind": "mlp"}})
+        assert bare.model == partial.model
+        assert partial.model.weight_decay == 1e-3
+        assert partial.model.hidden_dims == (200, 200)
+        synth, _ = build_experiment(
+            {"algorithm": {"name": "fedavg"}, "dataset": {"kind": "synthetic"},
+             "model": {"kind": "logistic"}}
+        )
+        assert synth.model.weight_decay == 0.0 and synth.model.input_dim == 30
 
     def test_ablation_codes_accepted(self):
         exp, _ = build_experiment(

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -106,22 +107,6 @@ class TestDeterminism:
         assert all(same_but_wall(a, b) for a, b in zip(recs1, recs2))
         assert sum1.rounds_to_target == sum2.rounds_to_target
 
-    def test_worker_count_does_not_change_results(self):
-        cfg1 = small_cfg("feddc", alpha=0.005, n_clients=6)
-        cfg4 = ExperimentConfig(
-            dataset=cfg1.dataset,
-            model=cfg1.model,
-            algo=cfg1.algo,
-            rounds=cfg1.rounds,
-            eval_every=cfg1.eval_every,
-            target_accuracies=cfg1.target_accuracies,
-            seed=cfg1.seed,
-            n_workers=4,
-        )
-        r1, _ = run_experiment(cfg1)
-        r4, _ = run_experiment(cfg4)
-        assert all(same_but_wall(a, b) for a, b in zip(r1, r4))
-
     def test_evaluation_does_not_mutate_state(self):
         cfg = small_cfg("feddc", alpha=0.005, rounds=4)
         plain = FederatedRun(cfg)
@@ -138,18 +123,19 @@ class TestDeterminism:
     def test_inactive_clients_keep_stale_state(self):
         cfg = small_cfg("feddc", alpha=0.005, n_clients=8, participation=0.25, rounds=3)
         run = FederatedRun(cfg)
-        before = {c.client_id: (c.theta, c.drift, c.last_delta) for c in run.clients}
+        run.run_round()
+        before = {f: getattr(run.clients, f).copy() for f in run.clients.fields}
         run.run_round()
         from feddrift.federation import sample_active_set
         from feddrift.rng import stream
 
         active = sample_active_set(
-            8, 0.25, 0, stream(cfg.seed, "participation", round_index=0)
+            8, 0.25, 1, stream(cfg.seed, "participation", round_index=1)
         )
-        for c in run.clients:
-            if c.client_id not in active:
-                assert c.theta is before[c.client_id][0]
-                assert c.drift is before[c.client_id][1]
+        for f, old in before.items():
+            new = getattr(run.clients, f)
+            for i in range(8):
+                assert np.array_equal(new[i], old[i]) == (i not in active), (f, i)
 
 
 class TestResume:
@@ -193,11 +179,36 @@ class TestResume:
         assert bits(server.global_params, run.server.global_params)
         assert bits(server.scaffold_c, run.server.scaffold_c)
         assert server.round == run.server.round
-        assert len(clients) == len(run.clients)
-        for a, b in zip(clients, run.clients):
-            assert bits(a.theta, b.theta)
-            assert bits(a.scaffold_c, b.scaffold_c)
-            assert a.n_samples == b.n_samples
+        assert clients.fields == run.clients.fields == ("scaffold_c",)
+        assert clients.scaffold_c.tobytes() == run.clients.scaffold_c.tobytes()
+        assert clients.scaffold_c.any()
+        assert np.array_equal(clients.n_samples, run.clients.n_samples)
+
+    @pytest.mark.parametrize(
+        "algorithm,kw,fields",
+        [
+            ("fedavg", {}, ()),
+            ("fedprox", {}, ()),
+            ("scaffold", {}, ("scaffold_c",)),
+            ("feddyn", {"alpha": 0.01}, ("drift",)),
+            ("feddc", {"alpha": 0.005}, ("drift", "last_delta")),
+        ],
+    )
+    def test_client_store_holds_only_what_the_algorithm_reads(
+        self, algorithm, kw, fields, tmp_path
+    ):
+        run = FederatedRun(small_cfg(algorithm, rounds=1, **kw))
+        run.run_round()
+        n, p = run.dataset.n_clients, LOGISTIC.param_count
+        assert run.clients.fields == fields
+        vectors = [v for k, v in vars(run.clients).items()
+                   if isinstance(v, np.ndarray) and k != "n_samples"]
+        assert sum(v.nbytes for v in vectors) == len(fields) * n * p * 8
+        path = tmp_path / "ckpt.bin"
+        checkpoint_save(path, run.server, run.clients)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        assert len(raw) == 12 + hlen + (4 + len(fields) * n) * p * 8
 
     def test_checkpoint_errors(self, tmp_path):
         cfg = small_cfg(rounds=1)
@@ -217,12 +228,38 @@ class TestResume:
         with pytest.raises(LengthError):
             checkpoint_load(truncated)
 
-        import struct
+        trailing = tmp_path / "long.bin"
+        trailing.write_bytes(raw + b"\0")
+        with pytest.raises(LengthError):
+            checkpoint_load(trailing)
 
-        bad_version = tmp_path / "version.bin"
-        bad_version.write_bytes(raw[:4] + struct.pack("<I", 99) + raw[8:])
-        with pytest.raises(VersionError):
-            checkpoint_load(bad_version)
+        for version in (1, 99):  # v1 held four vectors per client, theta among them
+            bad_version = tmp_path / "version.bin"
+            bad_version.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+            with pytest.raises(VersionError):
+                checkpoint_load(bad_version)
+
+        def with_header(**changes):
+            (hlen,) = struct.unpack("<I", raw[8:12])
+            header = {**json.loads(raw[12 : 12 + hlen]), **changes}
+            blob = json.dumps(header).encode()
+            out = tmp_path / "header.bin"
+            out.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+            return out
+
+        with pytest.raises(FormatError):
+            checkpoint_load(with_header(fields=["theta"]))
+        resized = run.clients.n_samples.tolist()
+        resized[0] += 1
+        with pytest.raises(FormatError, match="sample counts"):
+            checkpoint_restore(FederatedRun(cfg), with_header(n_samples=resized))
+
+        feddc = FederatedRun(small_cfg("feddc", rounds=1, alpha=0.005))
+        feddc.run_round()
+        feddc_path = tmp_path / "feddc.bin"
+        checkpoint_save(feddc_path, feddc.server, feddc.clients)
+        with pytest.raises(FormatError, match="fedavg"):
+            checkpoint_restore(FederatedRun(cfg), feddc_path)
 
 
 class TestTargets:

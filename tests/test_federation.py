@@ -3,8 +3,9 @@ import pytest
 
 from feddrift.errors import EmptyAggregateError, ParameterError
 from feddrift.federation import (
+    CLIENT_FIELDS,
     AlgoConfig,
-    ClientState,
+    ClientStore,
     ClientUpdate,
     ServerState,
     ablation_from_code,
@@ -43,17 +44,18 @@ def make_states(algorithm="feddc", n_clients=3, seed=0, n_samples=8, **kw):
     cfg = AlgoConfig(algorithm=algorithm, **kw)
     init = init_params(SPEC, stream(seed, "global-init"))
     server = ServerState.fresh(init, n_clients=n_clients, rng_seed=seed)
-    clients = [ClientState.fresh(i, init, n_samples) for i in range(n_clients)]
+    clients = ClientStore([n_samples] * n_clients, SPEC.param_count, CLIENT_FIELDS[algorithm])
     return cfg, server, clients
 
 
-def randomize_client(client, seed):
-    rng = stream(seed, "testing", client=client.client_id + 1)
-    dim = len(client.theta)
-    client.theta = ParamVector(rng.gaussian(dim))
-    client.drift = ParamVector(0.1 * rng.gaussian(dim))
-    client.last_delta = ParamVector(0.05 * rng.gaussian(dim))
-    return client
+def randomize_client(clients, i, seed):
+    """Random stored rows for client i; returns a random theta."""
+    rng = stream(seed, "testing", client=i + 1)
+    dim = SPEC.param_count
+    theta = ParamVector(rng.gaussian(dim))
+    clients.drift[i] = 0.1 * rng.gaussian(dim)
+    clients.last_delta[i] = 0.05 * rng.gaussian(dim)
+    return theta
 
 
 class TestAlgoConfig:
@@ -94,38 +96,41 @@ class TestLocalObjective:
         cfg, server, clients = make_states("feddc", alpha=0.0)
         x, y = make_data()
         batch = Batch(x, y)
-        got = feddc_local_objective_grad(clients[0], server, cfg, batch, SPEC)
-        _, plain = loss_and_grad(SPEC, clients[0].theta, batch)
+        got = feddc_local_objective_grad(
+            server.global_params, clients, 0, server, cfg, batch, SPEC
+        )
+        _, plain = loss_and_grad(SPEC, server.global_params, batch)
         assert bits(got, plain)
 
     def test_empirical_only_ablation_equals_fedavg_gradient_bitwise(self, bits):
         cfg, server, clients = make_states(
             "feddc", alpha=0.1, ablation=ablation_from_code("le")
         )
-        client = randomize_client(clients[0], 5)
+        theta = randomize_client(clients, 0, 5)
         x, y = make_data(seed=5)
         batch = Batch(x, y)
-        got = feddc_local_objective_grad(client, server, cfg, batch, SPEC)
-        _, plain = loss_and_grad(SPEC, client.theta, batch)
+        got = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, SPEC)
+        _, plain = loss_and_grad(SPEC, theta, batch)
         assert bits(got, plain)
 
     def test_param_correction_vanishes_at_anchor(self):
         cfg, server, clients = make_states("feddc", alpha=0.7)
-        client = clients[0]
-        client.drift = ParamVector(stream(3, "testing").gaussian(len(client.theta)))
-        client.theta = ParamVector(server.global_params.values - client.drift.values)
+        clients.drift[0] = stream(3, "testing").gaussian(SPEC.param_count)
+        theta = ParamVector(server.global_params.values - clients.drift[0])
         x, y = make_data(seed=3)
         batch = Batch(x, y)
-        with_pc = feddc_local_objective_grad(client, server, cfg, batch, SPEC)
+        with_pc = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, SPEC)
         cfg_no_pc = AlgoConfig(
             "feddc", alpha=0.7, ablation=ablation_from_code("lelg")
         )
-        without_pc = feddc_local_objective_grad(client, server, cfg_no_pc, batch, SPEC)
+        without_pc = feddc_local_objective_grad(
+            theta, clients, 0, server, cfg_no_pc, batch, SPEC
+        )
         assert np.array_equal(with_pc.values, without_pc.values)
 
     def test_gradient_matches_finite_differences(self):
         cfg, server, clients = make_states("feddc", alpha=0.3)
-        client = randomize_client(clients[0], 7)
+        theta = randomize_client(clients, 0, 7)
         server = ServerState.fresh(
             init_params(SPEC, stream(8, "global-init")), 3, 0
         )
@@ -134,10 +139,10 @@ class TestLocalObjective:
         )
         x, y = make_data(seed=9)
         batch = Batch(x, y)
-        grad = feddc_local_objective_grad(client, server, cfg, batch, SPEC)
+        grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, SPEC)
         oracle = finite_diff_grad(
-            lambda v: feddc_local_objective(client, server, cfg, batch, SPEC, theta=v),
-            client.theta,
+            lambda v: feddc_local_objective(v, clients, 0, server, cfg, batch, SPEC),
+            theta,
             1e-6,
         )
         assert max_relative_error(grad, oracle) < 1e-5
@@ -145,7 +150,9 @@ class TestLocalObjective:
     def test_wrong_algorithm_rejected(self):
         cfg, server, clients = make_states("fedavg")
         with pytest.raises(ParameterError):
-            feddc_local_objective_grad(clients[0], server, cfg, Batch(*make_data()), SPEC)
+            feddc_local_objective_grad(
+                server.global_params, clients, 0, server, cfg, Batch(*make_data()), SPEC
+            )
 
 
 class TestRunLocalRound:
@@ -155,7 +162,7 @@ class TestRunLocalRound:
             "fedavg", n_clients=1, seed=20, n_samples=6, local_epochs=1, batch_size=6, lr=0.2
         )
         rng = stream(20, "batch-shuffle", client=0, round_index=0)
-        up = run_local_round(clients[0], server, cfg, x, y, rng, SPEC)
+        up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
         order = stream(20, "batch-shuffle", client=0, round_index=0).permutation(6)
         _, g = loss_and_grad(SPEC, server.global_params, Batch(x[order], y[order]))
         want = ParamVector(server.global_params.values - 0.2 * g.values)
@@ -166,25 +173,26 @@ class TestRunLocalRound:
         x, y = make_data(seed=21)
         cfg, server, clients = make_states("feddc", alpha=0.05, seed=21)
         rng = stream(21, "batch-shuffle", client=0, round_index=0)
-        up = run_local_round(clients[0], server, cfg, x, y, rng, SPEC)
+        up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
         # h starts at zero, so the literal subtraction form holds bitwise.
-        lhs = ParamVector(up.drift_plus.values - clients[0].drift.values)
+        lhs = ParamVector(up.drift_plus.values - clients.drift[0])
         rhs = ParamVector(up.theta_plus.values - server.global_params.values)
         assert bits(lhs, rhs)
 
     def test_drift_bookkeeping_relation_any_round(self, bits):
         x, y = make_data(seed=22)
         cfg, server, clients = make_states("feddc", alpha=0.05, seed=22)
-        client = clients[0]
         for t in range(3):
             rng = stream(22, "batch-shuffle", client=0, round_index=t)
-            up = run_local_round(client, server, cfg, x, y, rng, SPEC)
-            assert bits(up.drift_plus, client.drift + up.delta)
+            up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
+            assert bits(up.drift_plus, ParamVector(clients.drift[0]) + up.delta)
             assert bits(
                 up.delta,
                 ParamVector(up.theta_plus.values - server.global_params.values),
             )
-            apply_update(client, up)
+            apply_update(clients, up)
+            assert bits(ParamVector(clients.drift[0]), up.drift_plus)
+            assert bits(ParamVector(clients.last_delta[0]), up.delta)
             server = server_aggregate(server, [up], cfg)
 
     def test_fedavg_like_algorithms_leave_drift_untouched(self):
@@ -192,15 +200,15 @@ class TestRunLocalRound:
         for algo in ("fedavg", "fedprox", "scaffold"):
             cfg, server, clients = make_states(algo, seed=23)
             rng = stream(23, "batch-shuffle", client=0, round_index=0)
-            up = run_local_round(clients[0], server, cfg, x, y, rng, SPEC)
-            assert up.drift_plus == ParamVector.zeros(len(up.theta_plus))
+            up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
+            assert "drift" not in clients.fields and up.drift_plus is None
 
     def test_deterministic(self, bits):
         x, y = make_data(seed=24)
         cfg, server, clients = make_states("feddc", alpha=0.1, seed=24)
         ups = [
             run_local_round(
-                clients[0], server, cfg, x, y,
+                clients, 0, server, cfg, x, y,
                 stream(24, "batch-shuffle", client=0, round_index=0), SPEC,
             )
             for _ in range(2)
@@ -212,7 +220,7 @@ class TestRunLocalRound:
         cfg, server, clients = make_states("fedavg")
         with pytest.raises(Exception, match="empty"):
             run_local_round(
-                clients[0], server, cfg,
+                clients, 0, server, cfg,
                 np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
                 stream(0, "batch-shuffle"), SPEC,
             )
@@ -221,11 +229,11 @@ class TestRunLocalRound:
         x, y = make_data(seed=25)
         cfg, server, clients = make_states("scaffold", seed=25)
         rng = stream(25, "batch-shuffle", client=0, round_index=0)
-        up = run_local_round(clients[0], server, cfg, x, y, rng, SPEC)
+        up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
         k = up.k_steps
         lr_t = round_lr(cfg, 0)
         want = ParamVector(
-            clients[0].scaffold_c.values
+            clients.scaffold_c[0]
             - server.scaffold_c.values
             - up.delta.values / (k * lr_t)
         )
@@ -235,10 +243,10 @@ class TestRunLocalRound:
         x, y = make_data(n=10, seed=26)
         cfg, server, clients = make_states("scaffold", n_clients=3, seed=26, n_samples=10)
         ups = []
-        for c in clients:
+        for i in range(len(clients.n_samples)):
             # Identical data and identical shuffle stream: same computation.
             rng = stream(26, "batch-shuffle", client=0, round_index=0)
-            ups.append(run_local_round(c, server, cfg, x, y, rng, SPEC))
+            ups.append(run_local_round(clients, i, server, cfg, x, y, rng, SPEC))
         assert ups[0].scaffold_c_plus == ups[1].scaffold_c_plus == ups[2].scaffold_c_plus
         new_server = server_aggregate(server, ups, cfg)
         # Full participation from zero controls: server c equals every client's c+.
@@ -254,15 +262,15 @@ class TestAggregate:
     def _updates(self, server, clients, cfg, seed=30):
         x, y = make_data(seed=seed)
         ups = []
-        for c in clients:
-            rng = stream(seed, "batch-shuffle", client=c.client_id, round_index=0)
-            ups.append(run_local_round(c, server, cfg, x, y, rng, SPEC))
+        for i in range(len(clients.n_samples)):
+            rng = stream(seed, "batch-shuffle", client=i, round_index=0)
+            ups.append(run_local_round(clients, i, server, cfg, x, y, rng, SPEC))
         return ups
 
     def test_feddc_aggregation_identity_bitwise(self, bits):
         cfg, server, clients = make_states("feddc", alpha=0.1, seed=30)
-        for c in clients:
-            randomize_client(c, 30)
+        for i in range(len(clients.n_samples)):
+            randomize_client(clients, i, 30)
         ups = self._updates(server, clients, cfg)
         new_server = server_aggregate(server, list(reversed(ups)), cfg)
         corrected = [u.theta_plus + u.drift_plus for u in ups]  # id-ascending
@@ -275,15 +283,14 @@ class TestAggregate:
 
     def test_feddc_single_client_sum_exact(self, bits):
         cfg, server, clients = make_states("feddc", alpha=0.1, n_clients=1, seed=31)
-        ups = self._updates(server, clients[:1], cfg, seed=31)
+        ups = self._updates(server, clients, cfg, seed=31)
         new_server = server_aggregate(server, ups, cfg)
         assert bits(new_server.global_params, ups[0].theta_plus + ups[0].drift_plus)
 
     def test_feddc_zero_drift_matches_fedavg_aggregation(self, bits):
-        cfg_dc, server, clients = make_states("feddc", alpha=0.0, seed=32, n_clients=2)
-        cfg_avg = AlgoConfig("fedavg")
+        cfg_dc, server, _ = make_states("feddc", alpha=0.0, seed=32, n_clients=2)
+        cfg_avg, _, clients = make_states("fedavg", seed=32, n_clients=2)
         ups = self._updates(server, clients, cfg_avg, seed=32)
-        dc_server = server_aggregate(server, ups, cfg_dc)
         avg_server = server_aggregate(server, ups, cfg_avg)
         # drift_plus differs per algorithm; rebuild feddc-style updates with h=0
         zero = ParamVector.zeros(len(server.global_params))
@@ -311,16 +318,16 @@ class TestAggregate:
         zero = ParamVector.zeros(len(server.global_params))
         ups = [
             ClientUpdate(
-                client_id=c.client_id,
+                client_id=i,
                 theta_plus=server.global_params,
-                drift_plus=c.drift,
+                drift_plus=zero,
                 delta=zero,
-                scaffold_c_plus=c.scaffold_c,
-                n_samples=c.n_samples,
-                k_steps=steps_per_round(c.n_samples, cfg),
+                scaffold_c_plus=zero,
+                n_samples=int(n),
+                k_steps=steps_per_round(int(n), cfg),
                 bytes_up=0,
             )
-            for c in clients
+            for i, n in enumerate(clients.n_samples)
         ]
         new_server = server_aggregate(server, ups, cfg)
         assert bits(new_server.global_params, server.global_params)
@@ -424,6 +431,6 @@ class TestCommunication:
         for algo, kw in (("fedavg", {}), ("feddc", {"alpha": 0.1})):
             cfg, server, clients = make_states(algo, seed=40, **kw)
             rng = stream(40, "batch-shuffle", client=0, round_index=0)
-            up = run_local_round(clients[0], server, cfg, x, y, rng, SPEC)
+            up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
             totals[algo] = up.bytes_up + download_vectors(cfg) * 8 * p
         assert 2 * totals["feddc"] == 3 * totals["fedavg"]

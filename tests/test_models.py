@@ -10,7 +10,6 @@ from feddrift.models import (
     Batch,
     ModelSpec,
     accuracy,
-    forward,
     init_params,
     loss_and_grad,
     mean_loss,
@@ -68,30 +67,41 @@ class TestInit:
 
 
 class TestForward:
+    """The forward pass, seen through the functions that evaluate it."""
+
     def test_zero_params_uniform(self):
         batch = random_batch(LOGISTIC, 6)
-        probs = forward(LOGISTIC, ParamVector.zeros(LOGISTIC.param_count), batch)
-        assert np.allclose(probs, 0.2, atol=1e-15)
+        zero = ParamVector.zeros(LOGISTIC.param_count)
+        for c in range(LOGISTIC.num_classes):
+            loss = mean_loss(LOGISTIC, zero, batch.inputs, np.full(6, c))
+            assert np.exp(-loss) == pytest.approx(0.2, abs=1e-15)
 
     def test_saturation(self):
         flat = np.zeros(LOGISTIC.param_count)
         flat[0 * 5 + 2] = 1e4  # weight feature 0 -> class 2
-        batch = Batch(np.array([[3.0] + [0.0] * 29]), np.array([2]))
-        probs = forward(LOGISTIC, ParamVector(flat), batch)
-        assert probs[0, 2] == pytest.approx(1.0, abs=1e-12)
-        assert np.isfinite(probs).all()
+        params = ParamVector(flat)
+        x = np.array([[3.0] + [0.0] * 29])
+        assert mean_loss(LOGISTIC, params, x, np.array([2])) == pytest.approx(0.0, abs=1e-12)
+        assert np.isfinite(mean_loss(LOGISTIC, params, x, np.array([0])))
+        assert accuracy(LOGISTIC, params, x, np.array([2])) == 1.0
 
     def test_rows_sum_to_one(self):
         params = init_params(SMALL_MLP, stream(3, "global-init"))
-        probs = forward(SMALL_MLP, params, random_batch(SMALL_MLP, 64, seed=4))
-        assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
-        assert np.all(probs >= 0)
+        batch = random_batch(SMALL_MLP, 64, seed=4)
+        for row in batch.inputs:
+            probs = [
+                np.exp(-mean_loss(SMALL_MLP, params, row[None, :], np.array([c])))
+                for c in range(SMALL_MLP.num_classes)
+            ]
+            assert abs(sum(probs) - 1.0) < 1e-9
 
     def test_dimension_mismatch(self):
+        batch = random_batch(LOGISTIC, 2)
+        for evaluate in (accuracy, mean_loss):
+            with pytest.raises(DimensionError):
+                evaluate(LOGISTIC, ParamVector.zeros(7), batch.inputs, batch.labels)
         with pytest.raises(DimensionError):
-            forward(LOGISTIC, ParamVector.zeros(7), random_batch(LOGISTIC, 2))
-        with pytest.raises(DimensionError):
-            forward(
+            loss_and_grad(
                 LOGISTIC,
                 ParamVector.zeros(LOGISTIC.param_count),
                 random_batch(SMALL_MLP, 2),
