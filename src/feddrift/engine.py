@@ -36,6 +36,7 @@ from .errors import (
     VersionError,
 )
 from .federation import (
+    BYTES_PER_PARAM,
     CLIENT_FIELDS,
     AlgoConfig,
     ClientStore,
@@ -251,7 +252,7 @@ class FederatedRun:
         round_number = self.server.round  # 1-based once aggregated
         param_count = len(self.server.global_params)
         bytes_up = sum(up.bytes_up for up in updates)
-        bytes_down = len(active) * download_vectors(cfg.algo) * 8 * param_count
+        bytes_down = len(active) * download_vectors(cfg.algo) * BYTES_PER_PARAM * param_count
 
         test_acc = train_loss = None
         if round_number % cfg.eval_every == 0 or round_number == cfg.rounds:
@@ -453,8 +454,15 @@ def checkpoint_load(path):
             vec = np.zeros(param_count)
             _read_block(fh, vec, path)
             vectors[name] = ParamVector._wrap(vec)
+        # Row by row, so rows saved as all-zero bits (clients that never
+        # trained) stay unallocated in the fresh store; -0.0 still loads.
+        row = np.empty(param_count)
         for name in clients.fields:
-            _read_block(fh, getattr(clients, name), path)
+            block = getattr(clients, name)
+            for i in range(block.shape[0]):
+                _read_block(fh, row, path)
+                if row.view(np.uint64).any():
+                    block[i] = row
         if fh.read(1):
             raise LengthError(f"{path}: trailing bytes after the last checkpoint block")
     server = ServerState(
@@ -477,6 +485,10 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
         raise FormatError(
             f"checkpoint holds {len(server.global_params)} parameters, "
             f"model expects {run.cfg.model.param_count}"
+        )
+    if server.rng_seed != run.cfg.seed:
+        raise FormatError(
+            f"checkpoint was saved with seed {server.rng_seed}, the run has seed {run.cfg.seed}"
         )
     if not np.array_equal(clients.n_samples, run.clients.n_samples):
         raise FormatError("checkpoint client sample counts differ from the run's partitions")

@@ -223,6 +223,11 @@ def round_lr(cfg: AlgoConfig, round_index: int) -> float:
     return cfg.lr * cfg.lr_decay**round_index
 
 
+def _implied_grad(delta: np.ndarray, k_steps: int, lr_t: float) -> np.ndarray:
+    """The mean step direction a round's update implies: -delta / (K * lr_t)."""
+    return -delta / (k_steps * lr_t)
+
+
 def _correction_terms(clients: ClientStore, client_id: int, server: ServerState,
                       cfg: AlgoConfig, k_steps: int, lr_t: float):
     """Round-constant pieces of the per-step gradient.
@@ -327,7 +332,7 @@ def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
     grad = np.empty_like(theta)
     layers = models._split(spec, theta)
     glayers = models._split(spec, grad)
-    loss_grad = models._loss_grad_views
+    grad_into = models._grad_into
     wd = spec.weight_decay
     bs = cfg.batch_size
     steps = 0
@@ -335,7 +340,7 @@ def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
         order = rng.permutation(n)
         xp, yp = inputs[order], labels[order]
         for lo in range(0, n, bs):
-            loss_grad(wd, layers, glayers, xp[lo : lo + bs], yp[lo : lo + bs])
+            grad_into(wd, layers, glayers, xp[lo : lo + bs], yp[lo : lo + bs])
             if anchor is not None:
                 grad += pull * (theta - anchor)
             if extra is not None:
@@ -354,7 +359,7 @@ def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
         c_plus = ParamVector(
             clients.scaffold_c[client_id]
             - server.scaffold_c.values
-            - delta.values / (k_steps * lr_t)
+            + _implied_grad(delta.values, k_steps, lr_t)
         )
     return ClientUpdate(
         client_id=client_id,
@@ -405,11 +410,11 @@ def server_aggregate(server: ServerState, updates, cfg: AlgoConfig) -> ServerSta
         new_global = weighted_mean([u.theta_plus for u in updates], ws)
     elif algo == "scaffold":
         new_global = server.global_params + global_delta
-        # c_i+ - c_i reconstructs from the upload: -c - delta / (K lr_t)
+        # c_i+ - c_i reconstructs from the upload: -c + the implied gradient
         lr_t = round_lr(cfg, server.round)
         c_deltas = [
             ParamVector(
-                -server.scaffold_c.values - u.delta.values / (u.k_steps * lr_t)
+                -server.scaffold_c.values + _implied_grad(u.delta.values, u.k_steps, lr_t)
             )
             for u in updates
         ]
@@ -460,9 +465,16 @@ def gradient_variance_diagnostic(updates, server: ServerState, cfg: AlgoConfig):
     if len(updates) < 2:
         return None
     lr_t = round_lr(cfg, server.round)
-    gs = np.stack([-u.delta.values / (u.k_steps * lr_t) for u in updates])
-    center = gs.mean(axis=0)
-    return float(np.mean(np.sum((gs - center) ** 2, axis=1)))
+
+    def implied(u):
+        return _implied_grad(u.delta.values, u.k_steps, lr_t)
+
+    # Two passes, no (n, P) stack; the sums run in the stacked form's order.
+    center = implied(updates[0])
+    for u in updates[1:]:
+        center += implied(u)
+    center /= len(updates)
+    return float(np.mean([float(np.sum((implied(u) - center) ** 2)) for u in updates]))
 
 
 def upload_vectors(cfg: AlgoConfig) -> int:

@@ -1,11 +1,13 @@
 """Differentiable classifiers over flat parameter vectors.
 
 Two architectures cover the reproducible experiments: a multiclass
-logistic model for the synthetic benchmark and a ReLU network with two
-hidden layers for image classification. Both expose forward
-probabilities, mean cross-entropy loss with optional L2 weight decay
-(weights only, never biases), and the exact analytic gradient of that
-loss packed into the same flat layout as the parameters.
+logistic model for the synthetic benchmark and a ReLU network for image
+classification. Each piece is defined once: the forward pass
+(`_forward`), the loss (`mean_loss`: mean cross-entropy plus optional L2
+weight decay on weights, never biases), the training kernel
+(`_grad_into`, which writes the exact analytic gradient of that loss in
+place, in the same flat layout as the parameters), and the input check
+that `loss_and_grad`, `accuracy` and `mean_loss` share.
 
 Flat layout, per layer in order: the (fan_in x fan_out) weight matrix in
 row-major order, then the fan_out bias entries.
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("logistic", "mlp")
+_CHUNK = 4096  # rows per forward pass when evaluating a slice
 
 
 @dataclass(frozen=True)
@@ -91,9 +94,6 @@ class Batch:
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "labels", y.astype(np.int64))
 
-    def __len__(self):
-        return self.inputs.shape[0]
-
 
 @lru_cache(maxsize=None)
 def _layout(spec: ModelSpec):
@@ -114,14 +114,6 @@ def _split(spec: ModelSpec, flat: np.ndarray):
     ]
 
 
-def _check_params(spec: ModelSpec, params: ParamVector) -> np.ndarray:
-    if len(params) != spec.param_count:
-        raise DimensionError(
-            f"model expects {spec.param_count} parameters, got {len(params)}"
-        )
-    return params.values
-
-
 def init_params(spec: ModelSpec, rng: RngStream) -> ParamVector:
     """Gaussian weights scaled by 1/sqrt(fan_in); zero biases."""
     flat = np.zeros(spec.param_count)
@@ -130,21 +122,16 @@ def init_params(spec: ModelSpec, rng: RngStream) -> ParamVector:
     return ParamVector._wrap(flat)
 
 
-def _forward_arrays(spec: ModelSpec, flat: np.ndarray, x: np.ndarray):
-    """Returns (activations, logits): activations[l] feeds layer l."""
+def _forward(layers, x: np.ndarray):
+    """(activations, logits) of the network whose (W, b) views are `layers`.
+
+    activations[l] is the input of layer l; every hidden layer is a ReLU.
+    """
     acts = [x]
-    z = None
-    layers = _split(spec, flat)
-    for li, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b
-        if li < len(layers) - 1:
-            acts.append(np.maximum(z, 0.0))
-    return acts, z
-
-
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    w, b = layers[-1]
+    return acts, acts[-1] @ w + b
 
 
 @lru_cache(maxsize=64)
@@ -154,35 +141,20 @@ def _rows(n: int) -> np.ndarray:
     return out
 
 
-def _loss_grad_views(wd: float, layers, glayers, x, y) -> float:
-    """Mean cross-entropy (+ decay on weights) and its gradient.
+def _grad_into(wd: float, layers, glayers, x, y) -> None:
+    """Gradient of :func:`mean_loss` on one batch, written into `glayers`.
 
-    The fused kernel every training path shares: `layers` and `glayers`
-    are the (W, b) views of the parameter and gradient buffers (see
-    :func:`_split`); the gradient lands in-place in `glayers`.
+    The kernel every training step runs, on the (W, b) views (see
+    :func:`_split`) of the parameter and gradient buffers. It computes no
+    loss value and trusts its inputs: the public functions check them.
     """
     n = x.shape[0]
-    depth = len(layers)
-    acts = [x]
-    a = x
-    for li in range(depth - 1):
-        w, b = layers[li]
-        a = np.maximum(a @ w + b, 0.0)
-        acts.append(a)
-    w_out, b_out = layers[-1]
-    z = a @ w_out + b_out
+    acts, z = _forward(layers, x)
     z -= z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    sums = ez.sum(axis=1, keepdims=True)
-    rows = _rows(n)
-    loss = float((np.log(sums[:, 0]) - z[rows, y]).mean())
-    if wd > 0.0:
-        loss += 0.5 * wd * sum(float((w * w).sum()) for w, _ in layers)
-
-    dz = ez
-    dz /= sums * n
-    dz[rows, y] -= 1.0 / n
-    for li in range(depth - 1, -1, -1):
+    dz = np.exp(z)
+    dz /= dz.sum(axis=1, keepdims=True) * n
+    dz[_rows(n), y] -= 1.0 / n
+    for li in range(len(layers) - 1, -1, -1):
         w, _b = layers[li]
         gw, gb = glayers[li]
         np.matmul(acts[li].T, dz, out=gw)
@@ -192,67 +164,59 @@ def _loss_grad_views(wd: float, layers, glayers, x, y) -> float:
         if li > 0:
             dz = dz @ w.T
             dz *= acts[li] > 0.0
-    return loss
 
 
-def _loss_grad_arrays(spec: ModelSpec, flat, x, y, grad_out=None):
-    """Array-level wrapper of the fused kernel over flat buffers."""
-    if grad_out is None:
-        grad_out = np.empty(spec.param_count)
-    loss = _loss_grad_views(
-        spec.weight_decay, _split(spec, flat), _split(spec, grad_out), x, y
-    )
-    return loss, grad_out
+def _check_inputs(spec: ModelSpec, params: ParamVector, inputs, labels):
+    """(flat parameters, inputs, labels) as arrays, once they fit the model."""
+    if len(params) != spec.param_count:
+        raise DimensionError(f"model expects {spec.param_count} parameters, got {len(params)}")
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(labels)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise DimensionError(f"inputs must have shape (n, {spec.input_dim}), got {x.shape}")
+    if y.shape != (x.shape[0],):
+        raise DimensionError(f"expected one label per input row, got shape {y.shape}")
+    if x.shape[0] == 0:
+        raise EmptyEvaluationError("evaluation over an empty slice")
+    lo, hi = int(y.min()), int(y.max())
+    if lo < 0 or hi >= spec.num_classes:
+        raise ParameterError(f"labels {lo}..{hi} out of range for {spec.num_classes} classes")
+    return params.values, x, y
 
 
 def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch):
-    """(loss, gradient) of mean cross-entropy plus weight decay."""
-    flat = _check_params(spec, params)
-    if batch.inputs.shape[1] != spec.input_dim:
-        raise DimensionError(
-            f"batch has {batch.inputs.shape[1]} features, model expects {spec.input_dim}"
-        )
-    if int(batch.labels.max()) >= spec.num_classes:
-        raise ParameterError(
-            f"label {int(batch.labels.max())} out of range for {spec.num_classes} classes"
-        )
-    loss, grad = _loss_grad_arrays(spec, flat, batch.inputs, batch.labels)
+    """(mean_loss, gradient) on one batch."""
+    x, y = batch.inputs, batch.labels
+    loss = mean_loss(spec, params, x, y)  # also checks the batch against the model
+    grad = np.empty(spec.param_count)
+    _grad_into(spec.weight_decay, _split(spec, params.values), _split(spec, grad), x, y)
     _require_finite(grad, "loss_and_grad")
     return loss, ParamVector._wrap(grad)
 
 
-def accuracy(spec: ModelSpec, params: ParamVector, inputs, labels, chunk: int = 4096) -> float:
+def accuracy(spec: ModelSpec, params: ParamVector, inputs, labels) -> float:
     """Top-1 accuracy; argmax ties resolve to the lowest class index."""
-    flat = _check_params(spec, params)
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise DimensionError("inputs and labels must align one row per sample")
-    if x.shape[0] == 0:
-        raise EmptyEvaluationError("accuracy over an empty slice")
+    flat, x, y = _check_inputs(spec, params, inputs, labels)
+    layers = _split(spec, flat)
     hits = 0
-    for lo in range(0, x.shape[0], chunk):
-        _, logits = _forward_arrays(spec, flat, x[lo : lo + chunk])
-        hits += int((np.argmax(logits, axis=1) == y[lo : lo + chunk]).sum())
+    for lo in range(0, x.shape[0], _CHUNK):
+        _, logits = _forward(layers, x[lo : lo + _CHUNK])
+        hits += int((np.argmax(logits, axis=1) == y[lo : lo + _CHUNK]).sum())
     return hits / x.shape[0]
 
 
-def mean_loss(spec: ModelSpec, params: ParamVector, inputs, labels, chunk: int = 4096) -> float:
-    """Mean cross-entropy plus weight decay over an arbitrary slice."""
-    flat = _check_params(spec, params)
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.shape[0] == 0:
-        raise EmptyEvaluationError("loss over an empty slice")
+def mean_loss(spec: ModelSpec, params: ParamVector, inputs, labels) -> float:
+    """Mean cross-entropy plus 0.5 * weight_decay * |weights|^2 over a slice."""
+    flat, x, y = _check_inputs(spec, params, inputs, labels)
+    layers = _split(spec, flat)
     total = 0.0
-    for lo in range(0, x.shape[0], chunk):
-        _, logits = _forward_arrays(spec, flat, x[lo : lo + chunk])
-        logp = _log_softmax(logits)
-        yc = y[lo : lo + chunk]
+    for lo in range(0, x.shape[0], _CHUNK):
+        _, z = _forward(layers, x[lo : lo + _CHUNK])
+        z = z - z.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        yc = y[lo : lo + _CHUNK]
         total += -float(logp[np.arange(yc.shape[0]), yc].sum())
     loss = total / x.shape[0]
     if spec.weight_decay > 0.0:
-        loss += 0.5 * spec.weight_decay * sum(
-            float((w * w).sum()) for w, _ in _split(spec, flat)
-        )
+        loss += 0.5 * spec.weight_decay * sum(float((w * w).sum()) for w, _ in layers)
     return loss

@@ -170,9 +170,13 @@ class TestResume:
         assert bits(resumed.server.global_params, straight.server.global_params)
 
     def test_checkpoint_round_trip_bitwise(self, tmp_path, bits):
-        cfg = small_cfg("scaffold", rounds=3)
+        cfg = small_cfg("scaffold", rounds=3, participation=0.6)
         run = FederatedRun(cfg)
         run.run_round()
+        rows = run.clients.scaffold_c
+        untrained = [i for i in range(len(rows)) if not rows[i].any()]
+        assert len(untrained) == 2  # 3 of 5 clients trained
+        rows[untrained[0]] = -0.0  # zero by value but not by bits: must load
         path = tmp_path / "ckpt.bin"
         checkpoint_save(path, run.server, run.clients)
         server, clients = checkpoint_load(path)
@@ -180,7 +184,9 @@ class TestResume:
         assert bits(server.scaffold_c, run.server.scaffold_c)
         assert server.round == run.server.round
         assert clients.fields == run.clients.fields == ("scaffold_c",)
-        assert clients.scaffold_c.tobytes() == run.clients.scaffold_c.tobytes()
+        assert clients.scaffold_c.tobytes() == rows.tobytes()
+        assert np.signbit(clients.scaffold_c[untrained[0]]).all()
+        assert not np.signbit(clients.scaffold_c[untrained[1]]).any()
         assert clients.scaffold_c.any()
         assert np.array_equal(clients.n_samples, run.clients.n_samples)
 
@@ -249,6 +255,8 @@ class TestResume:
 
         with pytest.raises(FormatError):
             checkpoint_load(with_header(fields=["theta"]))
+        with pytest.raises(FormatError, match="seed 1.*seed 0"):
+            checkpoint_restore(FederatedRun(cfg), with_header(rng_seed=1))
         resized = run.clients.n_samples.tolist()
         resized[0] += 1
         with pytest.raises(FormatError, match="sample counts"):

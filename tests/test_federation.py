@@ -404,6 +404,21 @@ class TestDiagnostics:
         want = float(np.sum((d / (4 * 0.1)) ** 2))
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 9, 130])
+    def test_matches_the_stacked_formula_bitwise(self, n):
+        # n = 2, 9 and 130 reach numpy's plain, unrolled and blocked sums.
+        cfg, server, _ = make_states("fedavg", lr=0.1)
+        rng = stream(n, "testing")
+        zero = ParamVector.zeros(300)
+        ups = [
+            ClientUpdate(i, zero, None, ParamVector(rng.gaussian(300)), None, 8, 3 + i % 4, 0)
+            for i in range(n)
+        ]
+        lr_t = round_lr(cfg, server.round)
+        gs = np.stack([-u.delta.values / (u.k_steps * lr_t) for u in ups])
+        want = float(np.mean(np.sum((gs - gs.mean(axis=0)) ** 2, axis=1)))
+        assert gradient_variance_diagnostic(ups, server, cfg).hex() == want.hex()
+
     def test_fewer_than_two_is_absent(self):
         cfg, server, _ = make_states("fedavg")
         ups = self._mk([np.array([1.0, 2.0])])

@@ -97,9 +97,12 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         batch = random_batch(LOGISTIC, 2)
+        narrow = np.zeros((2, 7))  # 7 features into the 30-input model
         for evaluate in (accuracy, mean_loss):
             with pytest.raises(DimensionError):
                 evaluate(LOGISTIC, ParamVector.zeros(7), batch.inputs, batch.labels)
+            with pytest.raises(DimensionError):
+                evaluate(LOGISTIC, ParamVector.zeros(LOGISTIC.param_count), narrow, batch.labels)
         with pytest.raises(DimensionError):
             loss_and_grad(
                 LOGISTIC,
