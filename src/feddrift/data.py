@@ -333,17 +333,22 @@ def partition(labels, n_clients: int, plan: PartitionPlan):
     for ci, c in enumerate(classes):
         idx = np.flatnonzero(y == c)
         order = stream(plan.seed, "partition-pool", client=ci).permutation(idx.shape[0])
-        pools.append(list(idx[order]))
-    stock = np.array([len(p) for p in pools], dtype=np.int64)
+        pools.append(idx[order])
+    # Class ci's undealt indices are pool[base[ci] : base[ci] + stock[ci]],
+    # dealt from the end.
+    pool = np.concatenate(pools)
+    stock = np.array([p.size for p in pools], dtype=np.int64)
+    base = np.cumsum(stock) - stock
 
     out = []
     for i in range(n_clients):
         ratios = stream(plan.seed, "partition-ratio", client=i).dirichlet(
             num_classes, plan.conc
         )
-        fill = stream(plan.seed, "partition-fill", client=i)
+        u = stream(plan.seed, "partition-fill", client=i).uniform01(int(quotas[i]))
         mine = np.empty(quotas[i], dtype=np.int64)
-        for j in range(quotas[i]):
+        j = 0
+        while j < u.size:
             avail = stock > 0
             p = ratios * avail
             total = p.sum()
@@ -353,8 +358,21 @@ def partition(labels, n_clients: int, plan: PartitionPlan):
                 p = avail / avail.sum()
             else:
                 p = p / total
-            c = fill.categorical(p)
-            mine[j] = pools[c].pop()
-            stock[c] -= 1
+            # Inverse CDF, one uniform per sample. The probabilities hold
+            # until a draw exhausts a class, so map draws in prefixes
+            # that end at such a draw. p is normalised a second time, as
+            # the per-sample draw always did: partitions depend on its bits.
+            cls = np.searchsorted(np.cumsum(p / p.sum()), u[j:], side="right")
+            cls = cls.clip(0, num_classes - 1)
+            taken = np.cumsum(cls[:, None] == np.arange(num_classes), axis=0)
+            taken = taken[np.arange(cls.size), cls]  # the k-th draw of its class, from 1
+            ends = np.flatnonzero(taken >= stock[cls])
+            m = ends[0] + 1 if ends.size else cls.size
+            cls, taken = cls[:m], taken[:m]
+            if (taken > stock[cls]).any():
+                raise PartitionError(f"client {i} drew from an exhausted class")
+            mine[j : j + m] = pool[base[cls] + stock[cls] - taken]
+            stock -= np.bincount(cls, minlength=num_classes)
+            j += m
         out.append(np.sort(mine))
     return out

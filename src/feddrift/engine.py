@@ -45,6 +45,7 @@ from .federation import (
     download_vectors,
     gradient_variance_diagnostic,
     run_local_round,
+    run_local_rounds,
     sample_active_set,
     server_aggregate,
     steps_per_round,
@@ -75,6 +76,11 @@ CSV_HEADER = (
     "round,algorithm,dataset,seed,test_accuracy,train_loss,"
     "bytes_up,bytes_down,grad_variance,wall_ms"
 )
+
+# Floats per stacked (clients x parameters) block of lockstep training:
+# an active group trains in chunks of at most max(1, BUDGET // P) clients,
+# so small models train whole groups at once and large ones one by one.
+BUDGET = 1 << 16
 
 _CKPT_MAGIC = b"FDRC"
 _CKPT_VERSION = 2
@@ -188,6 +194,18 @@ def dataset_label(ds: FederatedDataset) -> str:
     return src
 
 
+def lockstep_groups(ids, n_samples, cap: int) -> list:
+    """Clients `ids` grouped by sample count, each group cut into chunks of <= cap.
+
+    Groups keep the ascending order of `ids` and come in the order of
+    their smallest id.
+    """
+    groups = {}
+    for i in sorted(ids):
+        groups.setdefault(int(n_samples[i]), []).append(i)
+    return [g[lo : lo + cap] for g in groups.values() for lo in range(0, len(g), cap)]
+
+
 class FederatedRun:
     """One deterministic experiment: immutable config, mutable progress."""
 
@@ -221,13 +239,13 @@ class FederatedRun:
     def round(self) -> int:
         return self.server.round
 
-    def _train_one(self, client_id: int):
-        x, y = self._client_data[client_id]
-        rng = stream(
-            self.cfg.seed, "batch-shuffle", client=client_id, round_index=self.server.round
-        )
-        return run_local_round(
-            self.clients, client_id, self.server, self.cfg.algo, x, y, rng, self.cfg.model
+    def _train(self, ids) -> list:
+        """Train clients of equal size in lockstep; one update each."""
+        t = self.server.round
+        inputs, labels = zip(*(self._client_data[i] for i in ids))
+        rngs = [stream(self.cfg.seed, "batch-shuffle", client=i, round_index=t) for i in ids]
+        return run_local_rounds(
+            self.clients, ids, self.server, self.cfg.algo, inputs, labels, rngs, self.cfg.model
         )
 
     def run_round(self) -> RoundRecord:
@@ -241,7 +259,12 @@ class FederatedRun:
                 t,
                 stream(cfg.seed, "participation", round_index=t),
             )
-            updates = [self._train_one(i) for i in active]
+            cap = max(1, BUDGET // self.cfg.model.param_count)
+            updates = [
+                up
+                for ids in lockstep_groups(active, self.clients.n_samples, cap)
+                for up in self._train(ids)
+            ]
             grad_var = gradient_variance_diagnostic(updates, self.server, cfg.algo)
             self.server = server_aggregate(self.server, updates, cfg.algo)
             for up in updates:

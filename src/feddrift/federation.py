@@ -30,6 +30,7 @@ import numpy as np
 
 from . import models
 from .errors import (
+    DimensionError,
     EmptyAggregateError,
     ParameterError,
     PartitionError,
@@ -52,6 +53,7 @@ __all__ = [
     "round_lr",
     "feddc_local_objective",
     "feddc_local_objective_grad",
+    "run_local_rounds",
     "run_local_round",
     "server_aggregate",
     "apply_update",
@@ -228,15 +230,17 @@ def _implied_grad(delta: np.ndarray, k_steps: int, lr_t: float) -> np.ndarray:
     return -delta / (k_steps * lr_t)
 
 
-def _correction_terms(clients: ClientStore, client_id: int, server: ServerState,
+def _correction_terms(clients: ClientStore, ids, server: ServerState,
                       cfg: AlgoConfig, k_steps: int, lr_t: float):
-    """Round-constant pieces of the per-step gradient.
+    """Round-constant pieces of the per-step gradient of clients `ids`.
 
-    Returns (pull, anchor, extra): the step gradient is
-    g + pull * (theta - anchor) + extra, with either piece possibly
-    absent. Terms that are structurally off (ablated, zero coefficient,
-    or an exactly zero vector) are skipped rather than added, so the
-    remaining arithmetic is bit-identical to the plain-SGD path.
+    Returns (pull, anchor, extra): client c's step gradient is
+    g + pull * (theta - anchor[c]) + extra[c], where anchor and extra
+    are (len(ids), P) arrays, or None when the algorithm, its ablation
+    or a zero coefficient turns the term off. A row of `extra` that is
+    exactly zero is off for its client alone. Terms that are off are
+    skipped rather than added, so the remaining arithmetic is
+    bit-identical to the plain-SGD path.
     """
     g = server.global_params.values
     algo = cfg.algorithm
@@ -245,29 +249,32 @@ def _correction_terms(clients: ClientStore, client_id: int, server: ServerState,
     if algo == "fedprox":
         if cfg.mu == 0.0:
             return 0.0, None, None
-        return cfg.mu, g, None
+        return cfg.mu, np.broadcast_to(g, (len(ids), g.size)), None
     if algo == "scaffold":
-        corr = server.scaffold_c.values - clients.scaffold_c[client_id]
-        return 0.0, None, (corr if corr.any() else None)
+        return 0.0, None, server.scaffold_c.values - clients.scaffold_c[ids]
     if algo == "feddyn":
-        return cfg.alpha, g - clients.drift[client_id], None
+        return cfg.alpha, g - clients.drift[ids], None
     # feddc
     pull, anchor, extra = 0.0, None, None
     if "param_correction" in cfg.ablation and cfg.alpha != 0.0:
-        pull, anchor = cfg.alpha, g - clients.drift[client_id]
+        pull, anchor = cfg.alpha, g - clients.drift[ids]
     if "grad_correction" in cfg.ablation:
-        corr = (clients.last_delta[client_id] - server.global_delta.values) / (k_steps * lr_t)
-        if corr.any():
-            extra = corr
+        extra = (clients.last_delta[ids] - server.global_delta.values) / (k_steps * lr_t)
     return pull, anchor, extra
 
 
 def _feddc_terms(clients: ClientStore, client_id: int, server: ServerState,
                  cfg: AlgoConfig):
+    """(pull, anchor, extra) of one feddc client, each vector (P,) or None."""
     if cfg.algorithm != "feddc":
         raise ParameterError("the drift-corrected objective is defined for feddc only")
     k = steps_per_round(int(clients.n_samples[client_id]), cfg)
-    return _correction_terms(clients, client_id, server, cfg, k, round_lr(cfg, server.round))
+    pull, anchor, extra = _correction_terms(
+        clients, [client_id], server, cfg, k, round_lr(cfg, server.round)
+    )
+    anchor = None if anchor is None else anchor[0]
+    extra = extra[0] if extra is not None and extra[0].any() else None
+    return pull, anchor, extra
 
 
 def feddc_local_objective(theta: ParamVector, clients: ClientStore, client_id: int,
@@ -304,73 +311,116 @@ def feddc_local_objective_grad(theta: ParamVector, clients: ClientStore, client_
     return ParamVector(out)
 
 
-def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
-                    cfg: AlgoConfig, inputs: np.ndarray, labels: np.ndarray,
-                    rng: RngStream, spec: ModelSpec,
-                    step_budget: int | None = None) -> ClientUpdate:
-    """K local SGD steps from the global snapshot; returns the upload.
+def _local_sgd(theta, pull, anchor, extra, inputs, labels, rngs, spec: ModelSpec,
+               batch_size: int, k_steps: int, lr_t: float) -> None:
+    """k_steps SGD steps on every row of the (C, P) block `theta`, in place.
 
-    theta starts at the round-start global parameters. Minibatches come
-    from a fresh shuffle per epoch drawn from `rng`. Round-start
-    snapshots (global parameters, the client's stored rows, previous
-    deltas) stay frozen for all K steps. The drift accumulator advances
-    once per round by exactly the round's parameter update. The store
-    is only read; :func:`apply_update` writes the result.
+    Row c trains on inputs[c] and labels[c] and shuffles them with
+    rngs[c], one fresh permutation per epoch. `anchor` and `extra` are
+    (C, P) arrays or None (see :func:`_correction_terms`). A row of
+    `extra` that is exactly zero is skipped, not added: adding +0.0
+    would flip the sign bit of a -0.0 gradient entry.
     """
-    n = inputs.shape[0]
-    if n == 0:
-        raise PartitionError(f"client {client_id} has an empty partition")
-    k_nominal = steps_per_round(n, cfg)
-    k_steps = k_nominal if step_budget is None else int(step_budget)
-    if k_steps < 1:
-        raise ParameterError("step budget must be >= 1")
-    lr_t = round_lr(cfg, server.round)
-    pull, anchor, extra = _correction_terms(clients, client_id, server, cfg, k_nominal, lr_t)
-
-    start = server.global_params.values
-    theta = start.copy()
+    n = labels[0].shape[0]
+    xp = np.empty((len(inputs), *inputs[0].shape), dtype=inputs[0].dtype)
+    yp = np.empty((len(labels), n), dtype=labels[0].dtype)
     grad = np.empty_like(theta)
     layers = models._split(spec, theta)
     glayers = models._split(spec, grad)
     grad_into = models._grad_into
     wd = spec.weight_decay
-    bs = cfg.batch_size
+    has_extra = None if extra is None else extra.any(axis=1)[:, None]
     steps = 0
     while steps < k_steps:
-        order = rng.permutation(n)
-        xp, yp = inputs[order], labels[order]
-        for lo in range(0, n, bs):
-            grad_into(wd, layers, glayers, xp[lo : lo + bs], yp[lo : lo + bs])
+        for r, rng in enumerate(rngs):
+            order = rng.permutation(n)
+            inputs[r].take(order, axis=0, out=xp[r])
+            labels[r].take(order, out=yp[r])
+        for lo in range(0, n, batch_size):
+            batch = slice(lo, lo + batch_size)
+            grad_into(wd, layers, glayers, xp[:, batch], yp[:, batch])
             if anchor is not None:
                 grad += pull * (theta - anchor)
             if extra is not None:
-                grad += extra
+                np.add(grad, extra, out=grad, where=has_extra)
             theta -= lr_t * grad
             steps += 1
             if steps >= k_steps:
                 break
 
-    theta_plus = ParamVector(theta)
-    delta = ParamVector(theta - start)
+
+def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoConfig,
+                     inputs, labels, rngs, spec: ModelSpec,
+                     step_budget: int | None = None) -> list:
+    """K local SGD steps of clients `ids` in lockstep; one ClientUpdate each, in order.
+
+    The clients hold equally many samples: inputs[c] is client ids[c]'s
+    (n, input_dim) array, labels[c] its (n,) labels, and rngs[c] the
+    stream that shuffles them. Each client's update is bitwise the one
+    it would get training alone. theta starts at the round-start global
+    parameters. Round-start snapshots (global parameters, the clients'
+    stored rows, previous deltas) stay frozen for all K steps. The drift
+    accumulator advances once per round by exactly the round's parameter
+    update. The store is only read; :func:`apply_update` writes results.
+    """
+    ids = [int(i) for i in ids]
+    if not 0 < len(ids) == len(inputs) == len(labels) == len(rngs):
+        raise DimensionError(
+            f"{len(ids)} clients need as many inputs, labels and streams, "
+            f"got {len(inputs)}, {len(labels)} and {len(rngs)}"
+        )
+    n = inputs[0].shape[0]
+    if any(x.shape != inputs[0].shape for x in inputs) or any(y.shape != (n,) for y in labels):
+        raise DimensionError(f"clients {ids} need (n, d) inputs and (n,) labels of one size")
+    if n == 0:
+        raise PartitionError(f"clients {ids}: empty partitions")
+    k_nominal = steps_per_round(n, cfg)
+    k_steps = k_nominal if step_budget is None else int(step_budget)
+    if k_steps < 1:
+        raise ParameterError("step budget must be >= 1")
+    lr_t = round_lr(cfg, server.round)
+    pull, anchor, extra = _correction_terms(clients, ids, server, cfg, k_nominal, lr_t)
+    start = server.global_params.values
+    bytes_up = upload_vectors(cfg) * BYTES_PER_PARAM * start.size
+
+    theta = np.repeat(start[None], len(ids), axis=0)
+    _local_sgd(
+        theta, pull, anchor, extra, inputs, labels, rngs,
+        spec, cfg.batch_size, k_steps, lr_t,
+    )
+    delta = theta - start
     drift_plus = c_plus = None
     if "drift" in clients.fields:
-        drift_plus = ParamVector._wrap(clients.drift[client_id] + delta.values)
+        drift_plus = clients.drift[ids] + delta
     if "scaffold_c" in clients.fields:
-        c_plus = ParamVector(
-            clients.scaffold_c[client_id]
+        c_plus = (
+            clients.scaffold_c[ids]
             - server.scaffold_c.values
-            + _implied_grad(delta.values, k_steps, lr_t)
+            + _implied_grad(delta, k_steps, lr_t)
         )
-    return ClientUpdate(
-        client_id=client_id,
-        theta_plus=theta_plus,
-        drift_plus=drift_plus,
-        delta=delta,
-        scaffold_c_plus=c_plus,
-        n_samples=n,
-        k_steps=k_steps,
-        bytes_up=upload_vectors(cfg) * BYTES_PER_PARAM * len(theta_plus),
-    )
+    return [
+        ClientUpdate(
+            client_id=client_id,
+            theta_plus=ParamVector._wrap(theta[r]),
+            drift_plus=None if drift_plus is None else ParamVector._wrap(drift_plus[r]),
+            delta=ParamVector._wrap(delta[r]),
+            scaffold_c_plus=None if c_plus is None else ParamVector._wrap(c_plus[r]),
+            n_samples=n,
+            k_steps=k_steps,
+            bytes_up=bytes_up,
+        )
+        for r, client_id in enumerate(ids)
+    ]
+
+
+def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
+                    cfg: AlgoConfig, inputs: np.ndarray, labels: np.ndarray,
+                    rng: RngStream, spec: ModelSpec,
+                    step_budget: int | None = None) -> ClientUpdate:
+    """One client's :func:`run_local_rounds`: inputs (n, input_dim), labels (n,)."""
+    return run_local_rounds(
+        clients, [client_id], server, cfg, [inputs], [labels], [rng], spec, step_budget
+    )[0]
 
 
 def apply_update(clients: ClientStore, update: ClientUpdate) -> None:

@@ -6,11 +6,13 @@ classification. Each piece is defined once: the forward pass
 (`_forward`), the loss (`mean_loss`: mean cross-entropy plus optional L2
 weight decay on weights, never biases), the training kernel
 (`_grad_into`, which writes the exact analytic gradient of that loss in
-place, in the same flat layout as the parameters), and the input check
-that `loss_and_grad`, `accuracy` and `mean_loss` share.
+place, in the same flat layout as the parameters, for a stack of clients
+at once), and the input check that `loss_and_grad`, `accuracy` and
+`mean_loss` share.
 
 Flat layout, per layer in order: the (fan_in x fan_out) weight matrix in
-row-major order, then the fan_out bias entries.
+row-major order, then the fan_out bias entries. A (C, P) block holds C
+clients' parameters, one row each.
 """
 
 from __future__ import annotations
@@ -107,9 +109,15 @@ def _layout(spec: ModelSpec):
 
 
 def _split(spec: ModelSpec, flat: np.ndarray):
-    """Views (W, b) per layer into a flat array; no copies."""
+    """Views (W, b) per layer into flat parameters; no copies.
+
+    A (P,) vector gives (fan_in, fan_out) weights and (1, fan_out)
+    biases; a (C, P) block of C clients' parameters gives
+    (C, fan_in, fan_out) weights and (C, 1, fan_out) biases.
+    """
+    lead = flat.shape[:-1]
     return [
-        (flat[a:b].reshape(fi, fo), flat[b : b + fo])
+        (flat[..., a:b].reshape(*lead, fi, fo), flat[..., b : b + fo].reshape(*lead, 1, fo))
         for a, b, fi, fo in _layout(spec)
     ]
 
@@ -142,27 +150,29 @@ def _rows(n: int) -> np.ndarray:
 
 
 def _grad_into(wd: float, layers, glayers, x, y) -> None:
-    """Gradient of :func:`mean_loss` on one batch, written into `glayers`.
+    """Gradient of :func:`mean_loss` on one batch per client, written into `glayers`.
 
-    The kernel every training step runs, on the (W, b) views (see
-    :func:`_split`) of the parameter and gradient buffers. It computes no
+    The kernel every training step runs, on the (C, ...) views (see
+    :func:`_split`) of a (C, P) parameter block and its gradient block;
+    `x` is (C, b, input_dim) and `y` is (C, b). Client c's gradient is the
+    one its own batch gives, bit for bit whatever C is. It computes no
     loss value and trusts its inputs: the public functions check them.
     """
-    n = x.shape[0]
+    c, n = y.shape
     acts, z = _forward(layers, x)
-    z -= z.max(axis=1, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
     dz = np.exp(z)
-    dz /= dz.sum(axis=1, keepdims=True) * n
-    dz[_rows(n), y] -= 1.0 / n
+    dz /= dz.sum(axis=-1, keepdims=True) * n
+    dz[_rows(c)[:, None], _rows(n), y] -= 1.0 / n
     for li in range(len(layers) - 1, -1, -1):
         w, _b = layers[li]
         gw, gb = glayers[li]
-        np.matmul(acts[li].T, dz, out=gw)
+        np.matmul(acts[li].swapaxes(-1, -2), dz, out=gw)
         if wd > 0.0:
             gw += wd * w
-        dz.sum(axis=0, out=gb)
+        dz.sum(axis=-2, keepdims=True, out=gb)
         if li > 0:
-            dz = dz @ w.T
+            dz = dz @ w.swapaxes(-1, -2)
             dz *= acts[li] > 0.0
 
 
@@ -188,10 +198,12 @@ def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch):
     """(mean_loss, gradient) on one batch."""
     x, y = batch.inputs, batch.labels
     loss = mean_loss(spec, params, x, y)  # also checks the batch against the model
-    grad = np.empty(spec.param_count)
-    _grad_into(spec.weight_decay, _split(spec, params.values), _split(spec, grad), x, y)
-    _require_finite(grad, "loss_and_grad")
-    return loss, ParamVector._wrap(grad)
+    grad = np.empty((1, spec.param_count))
+    _grad_into(
+        spec.weight_decay, _split(spec, params.values[None]), _split(spec, grad), x[None], y[None]
+    )
+    _require_finite(grad[0], "loss_and_grad")
+    return loss, ParamVector._wrap(grad[0])
 
 
 def accuracy(spec: ModelSpec, params: ParamVector, inputs, labels) -> float:

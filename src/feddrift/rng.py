@@ -100,22 +100,6 @@ class RngStream:
             raise ParameterError(f"lognormal: mu must be finite, got {mu!r}")
         return self._gen.lognormal(mean=float(mu), sigma=float(np.sqrt(var)), size=size)
 
-    def categorical(self, ps) -> int:
-        """Index drawn with the given probabilities."""
-        p = np.asarray(ps, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise ParameterError("categorical: ps must be a nonempty 1-D vector")
-        if not np.isfinite(p).all() or (p < 0).any():
-            raise ParameterError(f"categorical: invalid probabilities {ps!r}")
-        total = p.sum()
-        if not np.isclose(total, 1.0, atol=1e-9):
-            raise ParameterError(
-                f"categorical: probabilities sum to {total!r}, expected 1"
-            )
-        # Inverse-CDF on a single uniform: one draw per call, cheap and exact.
-        u = self._gen.random()
-        return int(np.searchsorted(np.cumsum(p / total), u, side="right").clip(0, p.size - 1))
-
     def permutation(self, n: int) -> np.ndarray:
         if not (isinstance(n, (int, np.integer)) and n >= 0):
             raise ParameterError(f"permutation: n must be a nonnegative int, got {n!r}")

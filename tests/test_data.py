@@ -3,6 +3,7 @@ import pytest
 
 from feddrift.data import (
     DIRICHLET_NAMED,
+    _client_quotas,
     PartitionPlan,
     SyntheticConfig,
     generate_synthetic,
@@ -174,7 +175,57 @@ def fake_labels(n=60_000, num_classes=10, seed=0):
     return np.asarray(stream(seed, "testing").uniform01(n) * num_classes, dtype=np.int64)
 
 
+def per_sample_dirichlet(labels, n_clients, plan):
+    """The Dirichlet fill as one categorical draw per sample: the reference."""
+    y = np.asarray(labels)
+    quotas = _client_quotas(y.shape[0], n_clients, plan)
+    classes = np.unique(y)
+    pools = []
+    for ci, c in enumerate(classes):
+        idx = np.flatnonzero(y == c)
+        order = stream(plan.seed, "partition-pool", client=ci).permutation(idx.shape[0])
+        pools.append(list(idx[order]))
+    stock = np.array([len(p) for p in pools], dtype=np.int64)
+    out = []
+    for i in range(n_clients):
+        ratios = stream(plan.seed, "partition-ratio", client=i).dirichlet(
+            classes.shape[0], plan.conc
+        )
+        fill = stream(plan.seed, "partition-fill", client=i)
+        mine = np.empty(quotas[i], dtype=np.int64)
+        for j in range(quotas[i]):
+            avail = stock > 0
+            p = ratios * avail
+            total = p.sum()
+            p = avail / avail.sum() if total <= 0.0 else p / total
+            u = fill.uniform01()  # inverse CDF on one uniform
+            c = int(np.searchsorted(np.cumsum(p / p.sum()), u, side="right").clip(0, p.size - 1))
+            mine[j] = pools[c].pop()
+            stock[c] -= 1
+        out.append(np.sort(mine))
+    return out
+
+
 class TestPartition:
+    @pytest.mark.parametrize(
+        "n,n_clients,conc,balance,skew",
+        [
+            (3_000, 50, 0.05, "equal", False),
+            (6_000, 30, 0.3, "lognormal", False),
+            (2_000, 20, 0.6, "equal", True),
+            (1_500, 40, 0.003, "lognormal", True),  # ratios of 0: the uniform fallback
+        ],
+    )
+    def test_dirichlet_matches_per_sample_draws(self, n, n_clients, conc, balance, skew):
+        y = fake_labels(n, seed=11)
+        if skew:  # rare classes and gaps in the label values exhaust classes early
+            y = np.where(y < 7, 9, 3 * y)
+        plan = PartitionPlan(mode="dirichlet", conc=conc, balance=balance, seed=12)
+        got = partition(y, n_clients, plan)
+        want = per_sample_dirichlet(y, n_clients, plan)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_iid_equal_split(self):
         y = fake_labels(100)
         parts = partition(y, 10, PartitionPlan(mode="iid", seed=1))

@@ -51,27 +51,6 @@ def test_dirichlet_bad_params():
         s.dirichlet(3, -1.0)
 
 
-def test_categorical_degenerate():
-    s = RngStream(1, 1)
-    assert all(s.categorical([1.0, 0.0, 0.0]) == 0 for _ in range(20))
-    s2 = RngStream(1, 2)
-    assert all(s2.categorical([0.0, 0.0, 1.0]) == 2 for _ in range(20))
-
-
-def test_categorical_validates():
-    s = RngStream(0, 0)
-    with pytest.raises(ParameterError):
-        s.categorical([0.5, 0.6])
-    with pytest.raises(ParameterError):
-        s.categorical([-0.5, 1.5])
-    with pytest.raises(ParameterError):
-        s.categorical([])
-
-
-def test_categorical_frequencies():
-    s = RngStream(2, 2)
-    draws = np.array([s.categorical([0.2, 0.8]) for _ in range(2000)])
-    assert abs(draws.mean() - 0.8) < 0.05
 
 
 def test_lognormal():
