@@ -1,9 +1,9 @@
 """Command-line entry point: run experiments, sweeps, and gradient checks.
 
-Configs are strict JSON: any field outside the documented schema aborts
-with exit code 2 and the dotted path of the offender. Exit codes: 0
-success, 1 runtime failure (message carries the failing round), 2
-config/schema problem.
+Configs are strict JSON: a field outside the documented schema or a
+value of the wrong JSON type aborts with exit code 2 and the dotted
+path of the offender. Exit codes: 0 success, 1 runtime failure (message
+carries the failing round), 2 config/schema problem.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+import types
 import urllib.request
 
 from . import presets
@@ -27,12 +28,11 @@ from .engine import (
     write_records_csv,
     write_summary_json,
 )
-from .errors import ConfigError, FedDriftError, ParameterError, RunError
+from .errors import ConfigError, FedDriftError, ParameterError
 from .federation import (
     ALGORITHMS,
     AlgoConfig,
     ablation_from_code,
-    FULL_ABLATION,
     CLIENT_FIELDS,
     feddc_local_objective,
     feddc_local_objective_grad,
@@ -58,106 +58,152 @@ _MNIST_MIRRORS = (
     "https://storage.googleapis.com/cvdf-datasets/mnist/",
 )
 
-_TOP_KEYS = frozenset(
-    {
-        "preset",
-        "algorithm",
-        "dataset",
-        "model",
-        "rounds",
-        "eval_every",
-        "seed",
-        "target_accuracies",
-        "stop_at_target",
-        "out_dir",
-    }
-)
-_ALGO_KEYS = frozenset(
-    {
-        "name",
-        "lr",
-        "lr_decay",
-        "local_epochs",
-        "batch_size",
-        "participation",
-        "aggregation_weighting",
-        "mu",
-        "alpha",
-        "ablation",
-    }
-)
-_SYNTH_KEYS = frozenset(
-    {"kind", "gamma1", "gamma2", "n_clients", "samples_per_client_mean", "seed"}
-)
-_MNIST_KEYS = frozenset(
-    {
-        "kind",
-        "data_dir",
-        "train_images",
-        "train_labels",
-        "test_images",
-        "test_labels",
-        "n_clients",
-        "partition",
-        "subsample",
-    }
-)
-_PARTITION_KEYS = frozenset({"mode", "conc", "balance", "lognormal_var", "seed"})
-_MODEL_KEYS = frozenset(
-    {"kind", "input_dim", "num_classes", "hidden_dims", "weight_decay"}
-)
+# The config schema: each section's keys and their JSON types. An int
+# field takes integers, a float field any number (stored as a float),
+# neither takes a bool, and null is allowed only as `| None`, where the
+# dataclass the section builds accepts None.
+_TOP = {
+    "preset": str,
+    "algorithm": dict,
+    "dataset": dict,
+    "model": dict,
+    "rounds": int,
+    "eval_every": int,
+    "seed": int,
+    "target_accuracies": list[float],
+    "stop_at_target": float | None,
+    "out_dir": str,
+}
+_ALGORITHM = {
+    "name": str,
+    "lr": float,
+    "lr_decay": float,
+    "local_epochs": int,
+    "batch_size": int,
+    "participation": float,
+    "aggregation_weighting": str,
+    "mu": float,
+    "alpha": float | None,
+    "ablation": str | list[str],
+}
+_DATASET = {
+    "synthetic": {
+        "kind": str,
+        "gamma1": float,
+        "gamma2": float,
+        "n_clients": int,
+        "samples_per_client_mean": int,
+        "seed": int,
+    },
+    "mnist": {
+        "kind": str,
+        "data_dir": str,
+        **dict.fromkeys(_MNIST_FILES, str),
+        "n_clients": int,
+        "partition": dict,
+        "subsample": int | None,
+    },
+}
+_PARTITION = {
+    "mode": str,
+    "conc": float | None,
+    "balance": str,
+    "lognormal_var": float,
+    "seed": int,
+}
+_MODEL = {
+    "kind": str,
+    "input_dim": int,
+    "num_classes": int,
+    "hidden_dims": list[int],
+    "weight_decay": float,
+}
+_MANIFEST = {
+    "out_dir": str,
+    "settings": list[str | dict],
+    "algorithms": list[str],
+    "seeds": list[int],
+    "rounds": int,
+    "eval_every": int,
+    "overrides": dict,
+}
+
 # Per dataset kind, the model a config gets for every field its model
-# section leaves out (hidden_dims defaults by model kind instead).
+# section leaves out; an mlp's hidden_dims default to [200, 200].
 _MODEL_DEFAULTS = {
     "synthetic": {"kind": "logistic", "input_dim": 30, "num_classes": 5, "weight_decay": 0.0},
     "mnist": {"kind": "mlp", "input_dim": 784, "num_classes": 10, "weight_decay": 0.001},
 }
 
+_JSON_NAMES = {
+    type(None): "null",
+    bool: "boolean",
+    int: "integer",
+    float: "number",
+    str: "string",
+    list: "array",
+    dict: "object",
+}
 
-def _reject_unknown(section: dict, allowed, path: str) -> None:
+
+def _type_name(kind) -> str:
+    if isinstance(kind, types.UnionType):
+        return " or ".join(_type_name(k) for k in kind.__args__)
+    if isinstance(kind, types.GenericAlias):
+        return f"array of {_type_name(kind.__args__[0])}"
+    return _JSON_NAMES[kind]
+
+
+def _typed(value, kind, path: str):
+    """`value` if its JSON type is `kind`, a float field's as a float; else a ConfigError."""
+    for option in kind.__args__ if isinstance(kind, types.UnionType) else (kind,):
+        if isinstance(value, bool):  # an int to Python, never a number here
+            continue
+        if isinstance(option, types.GenericAlias):
+            if isinstance(value, list):
+                item = option.__args__[0]
+                return [_typed(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
+        elif option is float and isinstance(value, (int, float)):
+            try:
+                return float(value)
+            except OverflowError:
+                raise ConfigError(path, f"{value} is too large for a float") from None
+        elif isinstance(value, option):
+            return value
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    raise ConfigError(path, f"expected {_type_name(kind)}, got {got}")
+
+
+def _defaults(cls) -> dict:
+    """The field defaults of dataclass `cls`, by field name."""
+    fields = dataclasses.fields(cls)
+    return {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+
+
+def _read(section, schema: dict, path: str, defaults=None) -> dict:
+    """One config object's values by `schema`, over the `defaults` it names.
+
+    A key outside the schema or a value of the wrong JSON type raises a
+    ConfigError with its dotted path.
+    """
     if not isinstance(section, dict):
         raise ConfigError(path or "<root>", "expected a JSON object")
-    for key in section:
-        if key not in allowed:
-            dotted = f"{path}.{key}" if path else key
-            raise ConfigError(dotted, "unknown field")
+    values = {k: v for k, v in (defaults or {}).items() if k in schema}
+    for key, value in section.items():
+        where = f"{path}.{key}" if path else key
+        if key not in schema:
+            raise ConfigError(where, "unknown field")
+        values[key] = _typed(value, schema[key], where)
+    return values
 
 
-def _build_model(section: dict, dataset_kind: str) -> ModelSpec:
-    section = {} if section is None else section
-    _reject_unknown(section, _MODEL_KEYS, "model")
-    m = {**_MODEL_DEFAULTS[dataset_kind], **section}
-    hidden = m.get("hidden_dims", [] if m["kind"] == "logistic" else [200, 200])
+def _build(cls, values: dict, path: str, **extra):
+    """`cls` from the values named like its fields, and `extra`."""
+    names = {f.name for f in dataclasses.fields(cls)}
     try:
-        return ModelSpec(
-            kind=m["kind"],
-            input_dim=int(m["input_dim"]),
-            num_classes=int(m["num_classes"]),
-            hidden_dims=tuple(int(h) for h in hidden),
-            weight_decay=float(m["weight_decay"]),
-        )
+        return cls(**{**{k: v for k, v in values.items() if k in names}, **extra})
     except ParameterError as exc:
-        raise ConfigError("model", str(exc)) from exc
-
-
-def _build_partition_plan(section: dict, seed: int) -> PartitionPlan:
-    section = dict(section or {"mode": "iid"})
-    _reject_unknown(section, _PARTITION_KEYS, "dataset.partition")
-    mode = section.get("mode", "iid")
-    conc = section.get("conc")
-    if mode in DIRICHLET_NAMED:
-        conc = DIRICHLET_NAMED[mode] if conc is None else conc
-        mode = "dirichlet"
-    try:
-        return PartitionPlan(
-            mode=mode,
-            conc=None if conc is None else float(conc),
-            balance=section.get("balance", "equal"),
-            lognormal_var=float(section.get("lognormal_var", 0.3)),
-            seed=int(section.get("seed", seed)),
-        )
-    except ParameterError as exc:
-        raise ConfigError("dataset.partition", str(exc)) from exc
+        raise ConfigError(path, str(exc)) from exc
 
 
 def resolve_mnist_paths(section: dict) -> dict:
@@ -178,157 +224,71 @@ def resolve_mnist_paths(section: dict) -> dict:
     return paths
 
 
-def _build_dataset_cfg(section: dict, seed: int):
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError("dataset.kind", "missing required field")
-    kind = section["kind"]
+def _partition(section, seed: int):
+    p = _read(section, _PARTITION, "dataset.partition", {**_defaults(PartitionPlan), "seed": seed})
+    if p["mode"] in DIRICHLET_NAMED:
+        if p["conc"] is None:
+            p["conc"] = DIRICHLET_NAMED[p["mode"]]
+        p["mode"] = "dirichlet"
+    return _build(PartitionPlan, p, "dataset.partition"), p
+
+
+def _dataset(section: dict, seed: int):
+    kind = section.get("kind")
+    if not isinstance(kind, str) or kind not in _DATASET:
+        raise ConfigError("dataset.kind", f"expected one of {tuple(_DATASET)}, got {kind!r}")
     if kind == "synthetic":
-        _reject_unknown(section, _SYNTH_KEYS, "dataset")
-        try:
-            return SyntheticConfig(
-                gamma1=float(section.get("gamma1", 0.0)),
-                gamma2=float(section.get("gamma2", 0.0)),
-                n_clients=int(section.get("n_clients", 20)),
-                samples_per_client_mean=int(section.get("samples_per_client_mean", 200)),
-                seed=int(section.get("seed", seed)),
-            )
-        except ParameterError as exc:
-            raise ConfigError("dataset", str(exc)) from exc
-    if kind == "mnist":
-        _reject_unknown(section, _MNIST_KEYS, "dataset")
-        paths = resolve_mnist_paths(section)
-        try:
-            return MnistConfig(
-                train_images=paths["train_images"],
-                train_labels=paths["train_labels"],
-                test_images=paths["test_images"],
-                test_labels=paths["test_labels"],
-                n_clients=int(section.get("n_clients", 100)),
-                plan=_build_partition_plan(section.get("partition"), seed),
-                subsample=(
-                    None
-                    if section.get("subsample") is None
-                    else int(section["subsample"])
-                ),
-            )
-        except ParameterError as exc:
-            raise ConfigError("dataset", str(exc)) from exc
-    raise ConfigError("dataset.kind", f"unknown dataset kind {kind!r}")
+        d = _read(section, _DATASET[kind], "dataset", {**_defaults(SyntheticConfig), "seed": seed})
+        return _build(SyntheticConfig, d, "dataset"), d
+    d = _read(section, _DATASET[kind], "dataset", _defaults(MnistConfig))
+    plan, d["partition"] = _partition(d.get("partition", {}), seed)
+    d.update(resolve_mnist_paths(d))
+    d.pop("data_dir", None)
+    return _build(MnistConfig, d, "dataset", plan=plan), d
 
 
-def _resolved_dataset(ds) -> dict:
-    """The dataset section with every default filled in, in config keys."""
-    if isinstance(ds, SyntheticConfig):
-        keys = ("gamma1", "gamma2", "n_clients", "samples_per_client_mean", "seed")
-        return {"kind": "synthetic", **{k: getattr(ds, k) for k in keys}}
-    return {
-        "kind": "mnist",
-        **{k: getattr(ds, k) for k in _MNIST_FILES},
-        "n_clients": ds.n_clients,
-        "partition": dataclasses.asdict(ds.plan),
-        "subsample": ds.subsample,
-    }
+def _model(section, dataset_kind: str):
+    m = _read(section, _MODEL, "model", {**_defaults(ModelSpec), **_MODEL_DEFAULTS[dataset_kind]})
+    if m["kind"] == "mlp" and "hidden_dims" not in section:
+        m["hidden_dims"] = [200, 200]
+    return _build(ModelSpec, m, "model"), m
 
 
-def _parse_ablation(value):
-    if value is None:
-        return FULL_ABLATION
+def _algorithm(section: dict, dataset_kind: str):
+    a = _read(section, _ALGORITHM, "algorithm", _defaults(AlgoConfig))
+    if a.get("name") not in ALGORITHMS:
+        raise ConfigError("algorithm.name", f"expected one of {ALGORITHMS}, got {a.get('name')!r}")
+    if "alpha" not in section:
+        a["alpha"] = presets.default_alpha(a["name"], dataset_kind)
+    ablation = a["ablation"]
     try:
-        if isinstance(value, str):
-            return ablation_from_code(value)
-        return frozenset(str(v) for v in value)
+        a["ablation"] = sorted(
+            ablation_from_code(ablation) if isinstance(ablation, str) else set(ablation)
+        )
     except ParameterError as exc:
         raise ConfigError("algorithm.ablation", str(exc)) from exc
-
-
-def _build_algo(section: dict, dataset_kind: str) -> AlgoConfig:
-    _reject_unknown(section, _ALGO_KEYS, "algorithm")
-    if "name" not in section:
-        raise ConfigError("algorithm.name", "missing required field")
-    name = section["name"]
-    if name not in ALGORITHMS:
-        raise ConfigError(
-            "algorithm.name", f"unknown algorithm {name!r}; expected one of {ALGORITHMS}"
-        )
-    alpha = section.get("alpha", presets.default_alpha(name, dataset_kind))
-    try:
-        return AlgoConfig(
-            algorithm=name,
-            lr=float(section.get("lr", 0.1)),
-            lr_decay=float(section.get("lr_decay", 0.998)),
-            local_epochs=int(section.get("local_epochs", 5)),
-            batch_size=int(section.get("batch_size", 50)),
-            participation=float(section.get("participation", 1.0)),
-            aggregation_weighting=section.get("aggregation_weighting", "uniform"),
-            mu=float(section.get("mu", presets.DEFAULT_MU)),
-            alpha=None if alpha is None else float(alpha),
-            ablation=_parse_ablation(section.get("ablation")),
-        )
-    except ParameterError as exc:
-        raise ConfigError("algorithm", str(exc)) from exc
+    return _build(AlgoConfig, a, "algorithm", algorithm=a["name"]), a
 
 
 def build_experiment(raw: dict):
-    """Validate a config document and return (ExperimentConfig, resolved dict)."""
-    _reject_unknown(raw, _TOP_KEYS, "")
-    cfg = raw
-    if "preset" in raw:
-        base = presets.get_preset(raw["preset"])
-        cfg = presets.merge_under({k: v for k, v in raw.items() if k != "preset"}, base)
-    if "algorithm" not in cfg:
-        raise ConfigError("algorithm", "missing required section")
-    if "dataset" not in cfg:
-        raise ConfigError("dataset", "missing required section")
+    """Validate a config document and return (ExperimentConfig, resolved dict).
 
-    seed = int(cfg.get("seed", 0))
-    dataset_kind = cfg["dataset"].get("kind") if isinstance(cfg["dataset"], dict) else None
-    dataset_cfg = _build_dataset_cfg(cfg["dataset"], seed)
-    model = _build_model(cfg.get("model"), dataset_kind)
-    algo = _build_algo(dict(cfg["algorithm"]), dataset_kind)
-    try:
-        exp = ExperimentConfig(
-            dataset=dataset_cfg,
-            model=model,
-            algo=algo,
-            rounds=int(cfg.get("rounds", 100)),
-            eval_every=int(cfg.get("eval_every", 1)),
-            target_accuracies=tuple(cfg.get("target_accuracies", ())),
-            seed=seed,
-            stop_at_target=(
-                None if cfg.get("stop_at_target") is None else float(cfg["stop_at_target"])
-            ),
-        )
-    except ParameterError as exc:
-        raise ConfigError("<run>", str(exc)) from exc
-
-    resolved = {
-        "algorithm": {
-            "name": algo.algorithm,
-            "lr": algo.lr,
-            "lr_decay": algo.lr_decay,
-            "local_epochs": algo.local_epochs,
-            "batch_size": algo.batch_size,
-            "participation": algo.participation,
-            "aggregation_weighting": algo.aggregation_weighting,
-            "mu": algo.mu,
-            "alpha": algo.alpha,
-            "ablation": sorted(algo.ablation),
-        },
-        "model": {
-            "kind": model.kind,
-            "input_dim": model.input_dim,
-            "num_classes": model.num_classes,
-            "hidden_dims": list(model.hidden_dims),
-            "weight_decay": model.weight_decay,
-        },
-        "dataset": _resolved_dataset(dataset_cfg),
-        "rounds": exp.rounds,
-        "eval_every": exp.eval_every,
-        "seed": exp.seed,
-        "target_accuracies": list(exp.target_accuracies),
-        "stop_at_target": exp.stop_at_target,
-    }
-    return exp, resolved
+    The resolved dict holds every value read, defaults filled in: what
+    config.json echoes.
+    """
+    preset = _read(raw, _TOP, "").get("preset")
+    if preset is not None:
+        raw = presets.merge_under(raw, presets.get_preset(preset))
+    top = _read(raw, _TOP, "", {**_defaults(ExperimentConfig), "rounds": 100})
+    for section in ("algorithm", "dataset"):
+        if section not in top:
+            raise ConfigError(section, "missing required section")
+    dataset, top["dataset"] = _dataset(top["dataset"], top["seed"])
+    kind = top["dataset"]["kind"]
+    model, top["model"] = _model(top.get("model", {}), kind)
+    algo, top["algorithm"] = _algorithm(top["algorithm"], kind)
+    exp = _build(ExperimentConfig, top, "<run>", dataset=dataset, model=model, algo=algo)
+    return exp, {k: v for k, v in top.items() if k not in ("preset", "out_dir")}
 
 
 def _load_json(path):
@@ -342,15 +302,17 @@ def _load_json(path):
 
 
 def _apply_overrides(raw: dict, args) -> dict:
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.rounds is not None:
-        raw["rounds"] = args.rounds
+    flags = {"seed": args.seed, "rounds": args.rounds, "out_dir": args.out}
+    overrides = {k: v for k, v in flags.items() if v is not None}
     if args.participation is not None:
-        raw.setdefault("algorithm", {})["participation"] = args.participation
-    if args.out is not None:
-        raw["out_dir"] = args.out
-    return raw
+        overrides["algorithm"] = {"participation": args.participation}
+    return presets.merge_under(overrides, raw)
+
+
+def write_config_json(path, resolved: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(resolved, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _run_one(exp: ExperimentConfig, out_dir: str, resolved: dict):
@@ -366,9 +328,7 @@ def _run_one(exp: ExperimentConfig, out_dir: str, resolved: dict):
         exp.seed,
     )
     write_summary_json(os.path.join(out_dir, "summary.json"), summary)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_config_json(os.path.join(out_dir, "config.json"), resolved)
     return records, summary, label
 
 
@@ -380,11 +340,11 @@ def cmd_run(args) -> int:
     if not args.config:
         print("error: a config file is required (or --list-presets)", file=sys.stderr)
         return 2
-    raw = _apply_overrides(_load_json(args.config), args)
-    out_dir = raw.pop("out_dir", None)
+    raw = _load_json(args.config)
+    _read(raw, _TOP, "")  # the flags override a well-formed top level only
+    raw = _apply_overrides(raw, args)
     exp, resolved = build_experiment(raw)
-    if out_dir is None:
-        out_dir = os.path.join("runs", f"{exp.algo.algorithm}-s{exp.seed}")
+    out_dir = raw.get("out_dir") or os.path.join("runs", f"{exp.algo.algorithm}-s{exp.seed}")
     records, summary, label = _run_one(exp, out_dir, resolved)
     print(
         f"{exp.algo.algorithm} on {label} seed {exp.seed}: "
@@ -394,70 +354,47 @@ def cmd_run(args) -> int:
     return 0
 
 
-_MANIFEST_KEYS = frozenset(
-    {
-        "out_dir",
-        "settings",
-        "algorithms",
-        "seeds",
-        "rounds",
-        "eval_every",
-        "overrides",
-    }
-)
-
-
 def _expand_manifest(manifest: dict):
-    _reject_unknown(manifest, _MANIFEST_KEYS, "")
-    settings = manifest.get("settings", [])
-    algorithms = manifest.get("algorithms", [])
-    seeds = manifest.get("seeds", [0])
-    if not settings or not algorithms or not seeds:
+    """(out_dir, runs): each run (setting, algorithm, seed, exp, resolved).
+
+    Every combination is built, and so validated, before any runs.
+    """
+    m = _read(manifest, _MANIFEST, "", {"out_dir": "sweep", "seeds": [0]})
+    if not (m.get("settings") and m.get("algorithms") and m["seeds"]):
         raise ConfigError(
             "settings", "manifest needs nonempty settings, algorithms, and seeds"
         )
-    combos = []
+    pinned = {k: m[k] for k in ("rounds", "eval_every") if k in m}
+    runs = []
     seen = set()
-    for setting in settings:
+    for i, setting in enumerate(m["settings"]):
         if isinstance(setting, str):
             name, base = setting, presets.get_preset(setting)
         else:
-            if "name" not in setting:
-                raise ConfigError("settings", "inline settings need a name")
-            setting = dict(setting)
-            name, base = setting.pop("name"), setting
-        for algo in algorithms:
-            for seed in seeds:
+            base = dict(setting)
+            name = _typed(base.pop("name", None), str, f"settings[{i}].name")
+        base = presets.merge_under(m.get("overrides", {}), base)
+        base.pop("out_dir", None)
+        for algo in m["algorithms"]:
+            for seed in m["seeds"]:
                 key = (name, algo, seed)
                 if key in seen:
                     raise ConfigError(
                         "settings", f"duplicate combination {name}/{algo}/seed={seed}"
                     )
                 seen.add(key)
-                raw = presets.merge_under(manifest.get("overrides", {}), base)
                 raw = presets.merge_under(
-                    {"algorithm": {"name": algo}, "seed": seed}, raw
+                    {"algorithm": {"name": algo}, "seed": seed, **pinned}, base
                 )
-                for field in ("rounds", "eval_every"):
-                    if field in manifest:
-                        raw[field] = manifest[field]
-                raw.pop("out_dir", None)
-                combos.append((name, algo, seed, raw))
-    return combos
-
-
-def _first_target(exp: ExperimentConfig):
-    return exp.target_accuracies[0] if exp.target_accuracies else None
+                runs.append((name, algo, seed, *build_experiment(raw)))
+    return m["out_dir"], runs
 
 
 def cmd_sweep(args) -> int:
-    manifest = _load_json(args.manifest)
-    out_root = manifest.get("out_dir", "sweep")
-    combos = _expand_manifest(manifest)
+    out_root, runs = _expand_manifest(_load_json(args.manifest))
     rows = []
     failures = []
-    for name, algo, seed, raw in combos:
-        exp, resolved = build_experiment(raw)
+    for name, algo, seed, exp, resolved in runs:
         run_dir = os.path.join(out_root, name, f"{algo}-s{seed}")
         try:
             records, summary, _ = _run_one(exp, run_dir, resolved)
@@ -467,7 +404,7 @@ def cmd_sweep(args) -> int:
                 return 1
             failures.append((name, algo, seed, str(exc)))
             continue
-        target = _first_target(exp)
+        target = exp.target_accuracies[0] if exp.target_accuracies else None
         reached = rounds_to_target(records, target) if target is not None else None
         rows.append(
             {
@@ -704,13 +641,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FedDriftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FedDriftError, OSError) as exc:  # RunError names the failing round
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,8 +46,8 @@ _IDX_LABELS_MAGIC = 0x00000801
 class FederatedDataset:
     """Samples, labels, and the per-client index partition.
 
-    Train partitions are pairwise disjoint, each nonempty, and their
-    union is exactly the consumed sample pool; construction checks this.
+    Train partitions are pairwise disjoint, each nonempty, and together
+    they cover every training sample; construction checks this.
     """
 
     train_inputs: np.ndarray
@@ -71,6 +71,8 @@ class FederatedDataset:
             if seen[p].any():
                 raise PartitionError(f"client {i} overlaps another partition")
             seen[p] = True
+        if not seen.all():
+            raise PartitionError(f"sample {int(np.argmin(seen))} is in no partition")
 
     @property
     def n_clients(self) -> int:
@@ -79,10 +81,6 @@ class FederatedDataset:
     def client_arrays(self, i: int):
         idx = self.partitions[i]
         return self.train_inputs[idx], self.train_labels[idx]
-
-    def pooled_indices(self) -> np.ndarray:
-        """All assigned train indices, ascending."""
-        return np.sort(np.concatenate(self.partitions))
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,6 @@ class FederatedRun:
             raise DimensionError(
                 f"dataset has {ds.num_classes} classes, model only {cfg.model.num_classes}"
             )
-        self._client_data = [ds.client_arrays(i) for i in range(ds.n_clients)]
         init = init_params(cfg.model, stream(cfg.seed, "global-init"))
         self.server = ServerState.fresh(init, ds.n_clients, cfg.seed)
         self.clients = ClientStore(
@@ -230,8 +229,6 @@ class FederatedRun:
             cfg.model.param_count,
             CLIENT_FIELDS[cfg.algo.algorithm],
         )
-        pooled = ds.pooled_indices()
-        self._pool = (ds.train_inputs[pooled], ds.train_labels[pooled])
         self.records: list[RoundRecord] = []
         self.param_history: list = []
 
@@ -242,7 +239,7 @@ class FederatedRun:
     def _train(self, ids) -> list:
         """Train clients of equal size in lockstep; one update each."""
         t = self.server.round
-        inputs, labels = zip(*(self._client_data[i] for i in ids))
+        inputs, labels = zip(*(self.dataset.client_arrays(i) for i in ids))
         rngs = [stream(self.cfg.seed, "batch-shuffle", client=i, round_index=t) for i in ids]
         return run_local_rounds(
             self.clients, ids, self.server, self.cfg.algo, inputs, labels, rngs, self.cfg.model
@@ -304,8 +301,11 @@ class FederatedRun:
         )
 
     def evaluate_train_loss(self) -> float:
-        """Loss of the global model over the union of train partitions."""
-        return models.mean_loss(self.cfg.model, self.server.global_params, *self._pool)
+        """Loss of the global model over the training set, the union of the partitions."""
+        ds = self.dataset
+        return models.mean_loss(
+            self.cfg.model, self.server.global_params, ds.train_inputs, ds.train_labels
+        )
 
     def run_to_completion(self, keep_params: bool = False):
         cfg = self.cfg
@@ -360,8 +360,7 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
     parameter trajectories at matching rounds.
     """
     ds = dataset if dataset is not None else build_dataset(cfg.dataset)
-    pooled = ds.pooled_indices()
-    x, y = ds.train_inputs[pooled], ds.train_labels[pooled]
+    x, y = ds.train_inputs, ds.train_labels
     algo = AlgoConfig(
         "fedavg",
         lr=cfg.algo.lr,
@@ -374,7 +373,7 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
     )
     init = init_params(cfg.model, stream(cfg.seed, "global-init"))
     server = ServerState.fresh(init, 1, cfg.seed)
-    client = ClientStore([len(pooled)], cfg.model.param_count)  # fedavg keeps no rows
+    client = ClientStore([len(y)], cfg.model.param_count)  # fedavg keeps no rows
     records = []
     fed_by_round = dict(fed_params) if fed_params is not None else None
     distances = [] if fed_params is not None else None

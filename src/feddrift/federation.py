@@ -234,47 +234,52 @@ def _correction_terms(clients: ClientStore, ids, server: ServerState,
                       cfg: AlgoConfig, k_steps: int, lr_t: float):
     """Round-constant pieces of the per-step gradient of clients `ids`.
 
-    Returns (pull, anchor, extra): client c's step gradient is
+    Returns (pull, anchor, extra, has_extra): client c's step gradient is
     g + pull * (theta - anchor[c]) + extra[c], where anchor and extra
     are (len(ids), P) arrays, or None when the algorithm, its ablation
     or a zero coefficient turns the term off. A row of `extra` that is
-    exactly zero is off for its client alone. Terms that are off are
-    skipped rather than added, so the remaining arithmetic is
-    bit-identical to the plain-SGD path.
+    exactly zero is off for its client alone; `has_extra` masks it out.
+    Terms that are off are skipped rather than added, so the remaining
+    arithmetic is bit-identical to the plain-SGD path.
     """
     g = server.global_params.values
     algo = cfg.algorithm
-    if algo == "fedavg":
-        return 0.0, None, None
-    if algo == "fedprox":
-        if cfg.mu == 0.0:
-            return 0.0, None, None
-        return cfg.mu, np.broadcast_to(g, (len(ids), g.size)), None
-    if algo == "scaffold":
-        return 0.0, None, server.scaffold_c.values - clients.scaffold_c[ids]
-    if algo == "feddyn":
-        return cfg.alpha, g - clients.drift[ids], None
-    # feddc
     pull, anchor, extra = 0.0, None, None
-    if "param_correction" in cfg.ablation and cfg.alpha != 0.0:
+    if algo == "fedprox" and cfg.mu != 0.0:
+        pull, anchor = cfg.mu, np.broadcast_to(g, (len(ids), g.size))
+    elif algo == "scaffold":
+        extra = server.scaffold_c.values - clients.scaffold_c[ids]
+    elif algo == "feddyn":
         pull, anchor = cfg.alpha, g - clients.drift[ids]
-    if "grad_correction" in cfg.ablation:
-        extra = (clients.last_delta[ids] - server.global_delta.values) / (k_steps * lr_t)
-    return pull, anchor, extra
+    elif algo == "feddc":
+        if "param_correction" in cfg.ablation and cfg.alpha != 0.0:
+            pull, anchor = cfg.alpha, g - clients.drift[ids]
+        if "grad_correction" in cfg.ablation:
+            extra = (clients.last_delta[ids] - server.global_delta.values) / (k_steps * lr_t)
+    has_extra = None if extra is None else extra.any(axis=1)[:, None]
+    return pull, anchor, extra, has_extra
+
+
+def _add_terms(grad, theta, pull, anchor, extra, has_extra) -> None:
+    """grad += pull * (theta - anchor) + extra on (C, P) blocks, in place.
+
+    Terms that are off are skipped, and so are the rows of `extra` that
+    `has_extra` masks out: adding +0.0 would flip the sign bit of a -0.0
+    gradient entry. Training and the gradient check both step through here.
+    """
+    if anchor is not None:
+        grad += pull * (theta - anchor)
+    if extra is not None:
+        np.add(grad, extra, out=grad, where=has_extra)
 
 
 def _feddc_terms(clients: ClientStore, client_id: int, server: ServerState,
                  cfg: AlgoConfig):
-    """(pull, anchor, extra) of one feddc client, each vector (P,) or None."""
+    """The correction terms of one feddc client, as (1, P) blocks."""
     if cfg.algorithm != "feddc":
         raise ParameterError("the drift-corrected objective is defined for feddc only")
     k = steps_per_round(int(clients.n_samples[client_id]), cfg)
-    pull, anchor, extra = _correction_terms(
-        clients, [client_id], server, cfg, k, round_lr(cfg, server.round)
-    )
-    anchor = None if anchor is None else anchor[0]
-    extra = extra[0] if extra is not None and extra[0].any() else None
-    return pull, anchor, extra
+    return _correction_terms(clients, [client_id], server, cfg, k, round_lr(cfg, server.round))
 
 
 def feddc_local_objective(theta: ParamVector, clients: ClientStore, client_id: int,
@@ -287,39 +292,33 @@ def feddc_local_objective(theta: ParamVector, clients: ClientStore, client_id: i
     :func:`_correction_terms` defines. Used by gradient checks against
     :func:`feddc_local_objective_grad`.
     """
-    pull, anchor, extra = _feddc_terms(clients, client_id, server, cfg)
+    pull, anchor, extra, _ = _feddc_terms(clients, client_id, server, cfg)
     value = models.mean_loss(spec, theta, batch.inputs, batch.labels)
     if anchor is not None:
-        gap = theta.values - anchor
+        gap = theta.values - anchor[0]
         value += 0.5 * pull * float(gap @ gap)
     if extra is not None:
-        value += float(theta.values @ extra)
+        value += float(theta.values @ extra[0])
     return value
 
 
 def feddc_local_objective_grad(theta: ParamVector, clients: ClientStore, client_id: int,
                                server: ServerState, cfg: AlgoConfig,
                                batch: models.Batch, spec: ModelSpec) -> ParamVector:
-    """Gradient of the drift-corrected local objective at theta."""
-    pull, anchor, extra = _feddc_terms(clients, client_id, server, cfg)
+    """Gradient of the drift-corrected local objective at theta, as training assembles it."""
     _, grad = models.loss_and_grad(spec, theta, batch)
-    out = grad.values.copy()
-    if anchor is not None:
-        out += pull * (theta.values - anchor)
-    if extra is not None:
-        out += extra
-    return ParamVector(out)
+    out = grad.values[None].copy()
+    _add_terms(out, theta.values[None], *_feddc_terms(clients, client_id, server, cfg))
+    return ParamVector(out[0])
 
 
-def _local_sgd(theta, pull, anchor, extra, inputs, labels, rngs, spec: ModelSpec,
+def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
                batch_size: int, k_steps: int, lr_t: float) -> None:
     """k_steps SGD steps on every row of the (C, P) block `theta`, in place.
 
     Row c trains on inputs[c] and labels[c] and shuffles them with
-    rngs[c], one fresh permutation per epoch. `anchor` and `extra` are
-    (C, P) arrays or None (see :func:`_correction_terms`). A row of
-    `extra` that is exactly zero is skipped, not added: adding +0.0
-    would flip the sign bit of a -0.0 gradient entry.
+    rngs[c], one fresh permutation per epoch. `terms` are the
+    (pull, anchor, extra, has_extra) of :func:`_correction_terms`.
     """
     n = labels[0].shape[0]
     xp = np.empty((len(inputs), *inputs[0].shape), dtype=inputs[0].dtype)
@@ -329,7 +328,6 @@ def _local_sgd(theta, pull, anchor, extra, inputs, labels, rngs, spec: ModelSpec
     glayers = models._split(spec, grad)
     grad_into = models._grad_into
     wd = spec.weight_decay
-    has_extra = None if extra is None else extra.any(axis=1)[:, None]
     steps = 0
     while steps < k_steps:
         for r, rng in enumerate(rngs):
@@ -339,10 +337,7 @@ def _local_sgd(theta, pull, anchor, extra, inputs, labels, rngs, spec: ModelSpec
         for lo in range(0, n, batch_size):
             batch = slice(lo, lo + batch_size)
             grad_into(wd, layers, glayers, xp[:, batch], yp[:, batch])
-            if anchor is not None:
-                grad += pull * (theta - anchor)
-            if extra is not None:
-                np.add(grad, extra, out=grad, where=has_extra)
+            _add_terms(grad, theta, *terms)
             theta -= lr_t * grad
             steps += 1
             if steps >= k_steps:
@@ -379,15 +374,12 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
     if k_steps < 1:
         raise ParameterError("step budget must be >= 1")
     lr_t = round_lr(cfg, server.round)
-    pull, anchor, extra = _correction_terms(clients, ids, server, cfg, k_nominal, lr_t)
+    terms = _correction_terms(clients, ids, server, cfg, k_nominal, lr_t)
     start = server.global_params.values
     bytes_up = upload_vectors(cfg) * BYTES_PER_PARAM * start.size
 
     theta = np.repeat(start[None], len(ids), axis=0)
-    _local_sgd(
-        theta, pull, anchor, extra, inputs, labels, rngs,
-        spec, cfg.batch_size, k_steps, lr_t,
-    )
+    _local_sgd(theta, terms, inputs, labels, rngs, spec, cfg.batch_size, k_steps, lr_t)
     delta = theta - start
     drift_plus = c_plus = None
     if "drift" in clients.fields:

@@ -83,9 +83,7 @@ PRESETS = {
     ),
 }
 
-# Hyperparameters the benchmarks fix per algorithm: the proximal weight,
-# and the penalty weights by dataset family.
-DEFAULT_MU = 1e-4
+# The penalty weights the benchmarks fix per algorithm, by dataset family.
 DEFAULT_FEDDYN_ALPHA = 0.01
 DEFAULT_FEDDC_ALPHA = {"synthetic": 0.005, "mnist": 0.1}
 

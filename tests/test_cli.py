@@ -1,11 +1,13 @@
+import copy
 import json
 
 import pytest
 
+from feddrift import cli
 from feddrift.cli import build_experiment, main
 from feddrift.engine import CSV_HEADER
 from feddrift.errors import ConfigError
-from feddrift.presets import PRESETS
+from feddrift.presets import PRESETS, merge_under
 
 
 def tiny_synth_config(out_dir, algorithm="fedavg", **extra):
@@ -118,6 +120,77 @@ class TestRun:
         )
         assert main(["run", cfg_path]) == 2
         assert "FEDDRIFT_DATA_DIR" in capsys.readouterr().err
+
+
+# (command, change to a valid document, field the error names): each value
+# has the wrong JSON type. The last two were once read as 2 and 1.
+WRONG_TYPES = [
+    ("run", {"algorithm": {"lr": "fast"}}, "algorithm.lr"),
+    ("run", {"dataset": {"n_clients": None}}, "dataset.n_clients"),
+    ("run", {"model": {"kind": "mlp", "hidden_dims": 5}}, "model.hidden_dims"),
+    ("run", {"rounds": "ten"}, "rounds"),
+    ("run", {"algorithm": ["fedavg"]}, "algorithm"),
+    ("run", {"target_accuracies": "0.5"}, "target_accuracies"),
+    ("run", {"algorithm": {"name": "feddc", "ablation": 5}}, "algorithm.ablation"),
+    ("sweep", {"seeds": 0}, "seeds"),
+    ("run", {"algorithm": {"local_epochs": 2.7}}, "algorithm.local_epochs"),
+    ("run", {"algorithm": {"batch_size": True}}, "algorithm.batch_size"),
+]
+
+
+@pytest.mark.parametrize("command,change,field", WRONG_TYPES, ids=[f for _, _, f in WRONG_TYPES])
+def test_wrongly_typed_value_exits_2_naming_its_field(tmp_path, capsys, command, change, field):
+    out = tmp_path / "out"
+    base = tiny_synth_config(out)
+    if command == "sweep":
+        base = {"out_dir": str(out), "settings": ["synthetic-00"], "algorithms": ["fedavg"]}
+    path = write_json(tmp_path / "doc.json", merge_under(change, base))
+    assert main([command, path]) == 2
+    assert f"error: {field}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# One value of every JSON kind, and some edge values of those kinds.
+JSON_VALUES = [None, True, False, 0, 3, -1, 10**400, 0.5, float("nan"), "", "x",
+               [], [1], ["x"], [None], {}, {"x": 1}]
+SYNTH_DOC = {"dataset": {"kind": "synthetic"}, "algorithm": {"name": "feddc"}}
+MNIST_DOC = {"dataset": {"kind": "mnist", "data_dir": "/nonexistent", "partition": {}},
+             "algorithm": {"name": "feddyn"}, "model": {}}
+MANIFEST_DOC = {"settings": [{"name": "s", "dataset": {"kind": "synthetic"}}],
+                "algorithms": ["fedavg"]}
+# (reader, valid document, path to a section, the section's schema)
+SECTIONS = [
+    (build_experiment, SYNTH_DOC, (), cli._TOP),
+    (build_experiment, SYNTH_DOC, ("algorithm",), cli._ALGORITHM),
+    (build_experiment, SYNTH_DOC, ("dataset",), cli._DATASET["synthetic"]),
+    (build_experiment, MNIST_DOC, ("dataset",), cli._DATASET["mnist"]),
+    (build_experiment, MNIST_DOC, ("dataset", "partition"), cli._PARTITION),
+    (build_experiment, MNIST_DOC, ("model",), cli._MODEL),
+    (cli._expand_manifest, MANIFEST_DOC, (), cli._MANIFEST),
+    (cli._expand_manifest, MANIFEST_DOC, ("settings", 0), {"name": str}),
+]
+
+
+@pytest.mark.parametrize("read,doc,path,schema", SECTIONS, ids=[
+    "top", "algorithm", "synthetic", "mnist", "partition", "model", "manifest", "setting",
+])
+def test_any_json_value_at_any_key_is_read_or_a_config_error(read, doc, path, schema):
+    read(copy.deepcopy(doc))
+    failures = []
+    for key in schema:
+        for value in JSON_VALUES:
+            changed = copy.deepcopy(doc)
+            section = changed
+            for step in path:
+                section = section[step]
+            section[key] = value
+            try:
+                read(changed)
+            except ConfigError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the failure under test
+                failures.append(f"{key}={value!r}: {type(exc).__name__}: {exc}")
+    assert not failures
 
 
 class TestDefaults:
@@ -265,6 +338,15 @@ class TestSweep:
     def test_empty_manifest(self, tmp_path, capsys):
         path = self.manifest(tmp_path, algorithms=[])
         assert main(["sweep", path]) == 2
+
+    def test_every_combination_is_checked_before_any_runs(self, tmp_path, capsys):
+        self.manifest(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["settings"].append({"name": "bad", "dataset": {"kind": "synthetic", "gamma1": -1}})
+        path = write_json(tmp_path / "manifest.json", manifest)
+        assert main(["sweep", path]) == 2
+        assert "dataset: gamma1 must be a nonnegative real" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_duplicate_combination(self, tmp_path, capsys):
         path = self.manifest(tmp_path, algorithms=["fedavg", "fedavg"])

@@ -4,6 +4,7 @@ import pytest
 from feddrift.data import (
     DIRICHLET_NAMED,
     _client_quotas,
+    FederatedDataset,
     PartitionPlan,
     SyntheticConfig,
     generate_synthetic,
@@ -89,6 +90,22 @@ class TestSynthetic:
             SyntheticConfig(n_clients=0)
         with pytest.raises(ParameterError):
             SyntheticConfig(gamma1=-0.5)
+
+
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        (([0, 1], [2, 4]), "sample 3 is in no partition"),
+        (([0, 1, 2], [2, 3, 4]), "client 1 overlaps"),
+        (([0, 1, 2], [3, 4, 5]), "client 1 holds out-of-range"),
+        (([0, 1, 2, 3, 4], []), "client 1 has an empty partition"),
+    ],
+)
+def test_dataset_partitions_cover_every_sample_once(parts, message):
+    x = np.zeros((5, 2))
+    with pytest.raises(PartitionError, match=message):
+        FederatedDataset(x, np.zeros(5, dtype=np.int64), x, np.zeros(5, dtype=np.int64),
+                         partitions=parts, num_classes=2)
 
 
 class TestIdx:

@@ -1,10 +1,15 @@
-"""Golden outputs: pinned digests of records.csv and summary.json.
+"""Golden outputs: pinned digests of records.csv, summary.json and config.json.
 
-Each case runs one preset for five rounds (seed 0) and hashes the two
+Each run case runs one preset for five rounds (seed 0) and hashes two
 output files: records.csv without its wall_ms column, which is the one
 field outside the determinism contract, and summary.json as written.
 The digests were taken from the per-client training loop, so they are
 the oracle that any faster training path must reproduce bit for bit.
+
+Each config case resolves one preset for one algorithm (the mnist
+presets with a fixed data_dir that does not exist) and hashes the
+config.json it echoes; the digests were taken from the config layer
+that listed every key and default by hand.
 
 To regenerate after an intended change of results:
 
@@ -25,6 +30,7 @@ from feddrift.engine import (
     write_summary_json,
 )
 from feddrift.federation import ALGORITHMS
+from feddrift.presets import PRESETS
 
 SETTINGS = ("synthetic-00", "synthetic-10", "synthetic-01")
 PARTICIPATIONS = (1.0, 0.5)
@@ -64,6 +70,45 @@ GOLDEN = {
     ("synthetic-01", "feddc", 0.5): ("e73ac3f93cd476d2291d9ad3bcc708151aa7fff466822319a3852445397ea1cd", "13ac2c82d75a4ecb99e3b40c40bc6dacba0e5eba5d73462236aa4367fbc0edde"),
 }
 
+# (preset, algorithm) -> config.json digest
+CONFIG_GOLDEN = {
+    ("synthetic-00", "fedavg"): "24bba9bf5c5bca5d769cbd322dbf3fdda34f77aa1da145993b04d06d558db52b",
+    ("synthetic-00", "fedprox"): "7d33e652e67bb4ce9ee6d2c5138eb66de803a6af69b65e6f3a0efc234508fd70",
+    ("synthetic-00", "scaffold"): "6a06331fcc84894e4cb8acfe4cf4a259e74b0434744af72f18b37fdf0b3692f2",
+    ("synthetic-00", "feddyn"): "fceefeffd1cbe49c3c7154ab35be6e3fd005a94915a4eff9572ab78810bcd180",
+    ("synthetic-00", "feddc"): "335b5a57d77c76f87da016b72ba238157a59346e5078b173f9213c3a986cabe4",
+    ("synthetic-10", "fedavg"): "2140f448767e2a1a38d6beb061b267f1e1b5325540f8593e583747c2298aef91",
+    ("synthetic-10", "fedprox"): "20c46d6d5156654d7d33fb3a6163ba9fc5c2d356b916850969e222fe2de3c57a",
+    ("synthetic-10", "scaffold"): "2658924f465bebf99d57ba9c51204337f172a63c98b7f482dd2f38124b69dc04",
+    ("synthetic-10", "feddyn"): "3845df1e21b803172b30e8b1ec5c5d56003c24a2f1054e0f07405b14c281b57d",
+    ("synthetic-10", "feddc"): "ab6ed93eb5db4c505e69c387ccb18c2d8782e70258145eab966813dfa283f04d",
+    ("synthetic-01", "fedavg"): "9f92adf11dd40b12668d6c8d16e0d9e31d6e2dfd20e95e6c4407179b66cc7f47",
+    ("synthetic-01", "fedprox"): "40efb7b1b38e2c028851c747bd6a61b6aa4112dc6a96dd93a74e0a2d25a71213",
+    ("synthetic-01", "scaffold"): "3cd7f641fdc14265fce0f19b91a76e374f4cee88212ec9f9900596594d3bc025",
+    ("synthetic-01", "feddyn"): "faddfa3793f6d2fadccdcc7143e434a63b2cd638d789e3e5500a70a25d3fc17c",
+    ("synthetic-01", "feddc"): "7cac03e8cf534460bb4ce3a945bda05ca9fc3cdc3380def61248047212dcac55",
+    ("mnist-iid", "fedavg"): "4bb1cbfd1cacba6e16287386a660189367aad31e837656b506769aa79da3d7f2",
+    ("mnist-iid", "fedprox"): "4d25c9f23289177f236a1be4cdd33e87d18a9c5acbf35fd43da9a41c995ff21a",
+    ("mnist-iid", "scaffold"): "869317f8f461573a7d0b4cb49e0f6c065f7ad4c32d04e383f4d62bbeee6bbb5f",
+    ("mnist-iid", "feddyn"): "95fcc91a172fae5abb063472514e6c44da4dfbf390210db2e7ffd9000f75342c",
+    ("mnist-iid", "feddc"): "7d3812df62d85549c188cc3f151c69a627df8fff0bbdaecaf62f0ed76dd47ed4",
+    ("mnist-d1", "fedavg"): "bd6622592f2118654aecd1fe39a9362b671f8a8b60a47dfbf8d1aa9406e9c6dd",
+    ("mnist-d1", "fedprox"): "44c1cf54011756547f20d10c0c17d68561a93435d09f2149db48499b72715682",
+    ("mnist-d1", "scaffold"): "d3b10ae5478c3c97d0c1516580318d131770530dc0deeef3c6a1a002de0ae1ca",
+    ("mnist-d1", "feddyn"): "34f62aeba89a9ab315fdd15c98b0bcfbe8ca96f0e1b5ab73262df1034802f429",
+    ("mnist-d1", "feddc"): "9c7fdf1da200a0f5ceacc41b65d533cd8ce66f69e8ff3bb3a686ad053c66b47b",
+    ("mnist-d2", "fedavg"): "ae375376a0afa10a8d6dbb1e9a5c457308c741fe4bc47fdc97710cc35fd75fb7",
+    ("mnist-d2", "fedprox"): "536c3ee609619e2e0c4743c1bb3481efd184d16f67bab60452e340a252db6cce",
+    ("mnist-d2", "scaffold"): "becdf372caa4030a865fb5c3d7b33d53b0d5a77bd95b971dec8fd228341cffad",
+    ("mnist-d2", "feddyn"): "1f9df1d47c416839e425f3ea586130e23c10d1b1eca7b89cf631fae2146a6753",
+    ("mnist-d2", "feddc"): "1de60fe76640b343271b445979039738b8500d4c15701c1cf2540f38957e103b",
+    ("unbalanced-0.3", "fedavg"): "2eb328fc0830769f1380c004cb007c9a0f230f9feebeec5e10b50a67fcfde0de",
+    ("unbalanced-0.3", "fedprox"): "54366c5ede10e5b6d57f3b9c7fcc9a127921710e2a14fe018690fe9e699e57be",
+    ("unbalanced-0.3", "scaffold"): "5f43b1a018abb40a16159bb6d9fb4fe5dbed80ad848393299d8818613ed8d498",
+    ("unbalanced-0.3", "feddyn"): "09416ec3f23c36f4ce254c57c1cec8a4ab22a0916ccd06c9600afe3b41794d15",
+    ("unbalanced-0.3", "feddc"): "5d56e8da86943e09acf6b3c4fc52f8d62be743350e7fc4d9cfa5195ab3913b34",
+}
+
 
 def _outputs(setting, algorithm, participation, out_dir):
     exp, _ = cli.build_experiment({
@@ -79,6 +124,16 @@ def _outputs(setting, algorithm, participation, out_dir):
     write_records_csv(records_path, records, algorithm, dataset_label(ds), exp.seed)
     write_summary_json(summary_path, summary)
     return _digest_without_wall_ms(records_path), _digest(summary_path)
+
+
+def _config_digest(preset, algorithm, out_dir):
+    raw = {"preset": preset, "algorithm": {"name": algorithm}}
+    if PRESETS[preset]["dataset"]["kind"] == "mnist":
+        raw["dataset"] = {"data_dir": "/nonexistent/mnist"}
+    _, resolved = cli.build_experiment(raw)
+    path = os.path.join(out_dir, "config.json")
+    cli.write_config_json(path, resolved)
+    return _digest(path)
 
 
 def _digest(path):
@@ -103,6 +158,11 @@ def test_outputs_match_golden_digests(setting, algorithm, participation, tmp_pat
     assert got == GOLDEN[(setting, algorithm, participation)]
 
 
+@pytest.mark.parametrize("preset,algorithm", [(p, a) for p in PRESETS for a in ALGORITHMS])
+def test_config_json_matches_golden_digests(preset, algorithm, tmp_path):
+    assert _config_digest(preset, algorithm, tmp_path) == CONFIG_GOLDEN[(preset, algorithm)]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -111,3 +171,6 @@ if __name__ == "__main__":
             setting, algorithm, participation = case
             records, summary = _outputs(*case, tmp)
             print(f'    ("{setting}", "{algorithm}", {participation}): ("{records}", "{summary}"),')
+        for preset in PRESETS:
+            for algorithm in ALGORITHMS:
+                print(f'    ("{preset}", "{algorithm}"): "{_config_digest(preset, algorithm, tmp)}",')
