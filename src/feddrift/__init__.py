@@ -11,10 +11,10 @@ from .engine import (
     rounds_to_target,
     run_experiment,
 )
-from .federation import AlgoConfig, ClientStore, ServerState
+from .federation import AlgoConfig, ClientStore, ServerState, weighted_mean
 from .models import Batch, ModelSpec
 from .rng import RngStream, stream
-from .vectors import ParamVector, finite_diff_grad, weighted_mean
+from .vectors import ParamVector, finite_diff_grad
 
 __version__ = "0.1.0"
 

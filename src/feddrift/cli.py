@@ -41,7 +41,7 @@ from .federation import (
 )
 from .models import Batch, ModelSpec, init_params, loss_and_grad, mean_loss
 from .rng import stream
-from .vectors import ParamVector, finite_diff_grad, max_relative_error
+from .vectors import finite_diff_grad, max_relative_error
 
 DATA_DIR_ENV = "FEDDRIFT_DATA_DIR"
 GRADCHECK_TOLERANCE = 1e-5
@@ -525,7 +525,7 @@ def cmd_gradcheck(args) -> int:
 
     _, grad = loss_and_grad(spec, params, batch)
     if args.corrupt_gradient:
-        grad = ParamVector(grad.values + 1e-3)
+        grad = grad + 1e-3
     oracle = finite_diff_grad(
         lambda v: mean_loss(spec, v, batch.inputs, batch.labels), params, 1e-5
     )
@@ -537,12 +537,12 @@ def cmd_gradcheck(args) -> int:
     dim = spec.param_count
     server = ServerState.fresh(params, n_clients=1, rng_seed=args.seed)
     clients = ClientStore([args.batch], dim, CLIENT_FIELDS["feddc"])
-    theta = ParamVector(params.values + 0.05 * rng.gaussian(dim))
+    theta = params + 0.05 * rng.gaussian(dim)
     clients.drift[0] = 0.1 * rng.gaussian(dim)
     clients.last_delta[0] = 0.02 * rng.gaussian(dim)
     obj_grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, spec)
     if args.corrupt_gradient:
-        obj_grad = ParamVector(obj_grad.values + 1e-3)
+        obj_grad = obj_grad + 1e-3
     obj_oracle = finite_diff_grad(
         lambda v: feddc_local_objective(v, clients, 0, server, cfg, batch, spec),
         theta,

@@ -227,7 +227,8 @@ def load_mnist_idx(images_path, labels_path):
     if ln != n:
         raise ConsistencyError(f"{n} images but {ln} labels")
     pixels = np.frombuffer(img, dtype=np.uint8, offset=16)
-    inputs = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
+    inputs = pixels.astype(np.float64).reshape(n, rows * cols)
+    inputs /= 255.0  # in place: one float64 copy of the pixels
     labels = np.frombuffer(lab, dtype=np.uint8, offset=8).astype(np.int64)
     return inputs, labels
 

@@ -11,9 +11,10 @@ the determinism contract.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .errors import (
 from .federation import (
     BYTES_PER_PARAM,
     CLIENT_FIELDS,
+    SERVER_VECTORS,
     AlgoConfig,
     ClientStore,
     ServerState,
@@ -49,10 +51,10 @@ from .federation import (
     sample_active_set,
     server_aggregate,
     steps_per_round,
+    upload_vectors,
 )
 from .models import ModelSpec, init_params
 from .rng import stream
-from .vectors import ParamVector
 
 __all__ = [
     "MnistConfig",
@@ -76,11 +78,6 @@ CSV_HEADER = (
     "round,algorithm,dataset,seed,test_accuracy,train_loss,"
     "bytes_up,bytes_down,grad_variance,wall_ms"
 )
-
-# Floats per stacked (clients x parameters) block of lockstep training:
-# an active group trains in chunks of at most max(1, BUDGET // P) clients,
-# so small models train whole groups at once and large ones one by one.
-BUDGET = 1 << 16
 
 _CKPT_MAGIC = b"FDRC"
 _CKPT_VERSION = 2
@@ -155,8 +152,8 @@ def build_dataset(dataset_cfg) -> FederatedDataset:
     if isinstance(dataset_cfg, MnistConfig):
         x, y = load_mnist_idx(dataset_cfg.train_images, dataset_cfg.train_labels)
         xt, yt = load_mnist_idx(dataset_cfg.test_images, dataset_cfg.test_labels)
-        if dataset_cfg.subsample is not None:
-            x, y = x[: dataset_cfg.subsample], y[: dataset_cfg.subsample]
+        if dataset_cfg.subsample is not None:  # copies, so the full decode is freed
+            x, y = x[: dataset_cfg.subsample].copy(), y[: dataset_cfg.subsample].copy()
         parts = partition(y, dataset_cfg.n_clients, dataset_cfg.plan)
         plan = dataset_cfg.plan
         return FederatedDataset(
@@ -194,18 +191,6 @@ def dataset_label(ds: FederatedDataset) -> str:
     return src
 
 
-def lockstep_groups(ids, n_samples, cap: int) -> list:
-    """Clients `ids` grouped by sample count, each group cut into chunks of <= cap.
-
-    Groups keep the ascending order of `ids` and come in the order of
-    their smallest id.
-    """
-    groups = {}
-    for i in sorted(ids):
-        groups.setdefault(int(n_samples[i]), []).append(i)
-    return [g[lo : lo + cap] for g in groups.values() for lo in range(0, len(g), cap)]
-
-
 class FederatedRun:
     """One deterministic experiment: immutable config, mutable progress."""
 
@@ -236,18 +221,14 @@ class FederatedRun:
     def round(self) -> int:
         return self.server.round
 
-    def _train(self, ids) -> list:
-        """Train clients of equal size in lockstep; one update each."""
-        t = self.server.round
-        inputs, labels = zip(*(self.dataset.client_arrays(i) for i in ids))
-        rngs = [stream(self.cfg.seed, "batch-shuffle", client=i, round_index=t) for i in ids]
-        return run_local_rounds(
-            self.clients, ids, self.server, self.cfg.algo, inputs, labels, rngs, self.cfg.model
-        )
-
     def run_round(self) -> RoundRecord:
         cfg = self.cfg
         t = self.server.round
+
+        def client_data(i):
+            x, y = self.dataset.client_arrays(i)
+            return x, y, stream(cfg.seed, "batch-shuffle", client=i, round_index=t)
+
         start = time.perf_counter()
         try:
             active = sample_active_set(
@@ -256,23 +237,19 @@ class FederatedRun:
                 t,
                 stream(cfg.seed, "participation", round_index=t),
             )
-            cap = max(1, BUDGET // self.cfg.model.param_count)
-            updates = [
-                up
-                for ids in lockstep_groups(active, self.clients.n_samples, cap)
-                for up in self._train(ids)
-            ]
-            grad_var = gradient_variance_diagnostic(updates, self.server, cfg.algo)
-            self.server = server_aggregate(self.server, updates, cfg.algo)
-            for up in updates:
-                apply_update(self.clients, up)
+            update = run_local_rounds(
+                self.clients, active, self.server, cfg.algo, client_data, cfg.model
+            )
+            grad_var = gradient_variance_diagnostic(update, self.server, cfg.algo)
+            self.server = server_aggregate(self.server, update, cfg.algo)
+            apply_update(self.clients, update)
         except Exception as exc:
             raise RunError(f"round {t + 1}: {exc}") from exc
 
         round_number = self.server.round  # 1-based once aggregated
-        param_count = len(self.server.global_params)
-        bytes_up = sum(up.bytes_up for up in updates)
-        bytes_down = len(active) * download_vectors(cfg.algo) * BYTES_PER_PARAM * param_count
+        vector_bytes = len(active) * BYTES_PER_PARAM * self.server.global_params.size
+        bytes_up = upload_vectors(cfg.algo) * vector_bytes
+        bytes_down = download_vectors(cfg.algo) * vector_bytes
 
         test_acc = train_loss = None
         if round_number % cfg.eval_every == 0 or round_number == cfg.rounds:
@@ -355,19 +332,13 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
     cfg.rounds rounds of round(mean K_i) SGD steps each, with the same
     initialization stream, learning-rate schedule, and evaluation
     cadence as the federated run. When `fed_params` (pairs of
-    (round, ParamVector) from a federated run sharing the seed) is
+    (round, global parameters) from a federated run sharing the seed) is
     given, also returns the L2 distance series between the two
     parameter trajectories at matching rounds.
     """
     ds = dataset if dataset is not None else build_dataset(cfg.dataset)
     x, y = ds.train_inputs, ds.train_labels
-    algo = AlgoConfig(
-        "fedavg",
-        lr=cfg.algo.lr,
-        lr_decay=cfg.algo.lr_decay,
-        local_epochs=cfg.algo.local_epochs,
-        batch_size=cfg.algo.batch_size,
-    )
+    algo = replace(cfg.algo, algorithm="fedavg")
     budget = max(
         1, round(float(np.mean([steps_per_round(p.size, algo) for p in ds.partitions])))
     )
@@ -383,7 +354,7 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
         up = run_local_round(
             client, 0, server, algo, x, y, rng, cfg.model, step_budget=budget
         )
-        server = server_aggregate(server, [up], algo)
+        server = server_aggregate(server, up, algo)
         rnum = server.round
         acc = loss = None
         if rnum % cfg.eval_every == 0 or rnum == cfg.rounds:
@@ -392,7 +363,7 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
             )
             loss = models.mean_loss(cfg.model, server.global_params, x, y)
             if distances is not None and rnum in fed_by_round:
-                gap = fed_by_round[rnum].values - server.global_params.values
+                gap = fed_by_round[rnum] - server.global_params
                 distances.append((rnum, float(np.linalg.norm(gap))))
         records.append(
             RoundRecord(
@@ -417,9 +388,6 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
 # the header names. The file ends there; anything after it is an error.
 # ---------------------------------------------------------------------------
 
-_SERVER_VECTORS = ("global_params", "global_delta", "scaffold_c", "dyn_corrector")
-
-
 def _read_block(fh, out: np.ndarray, path) -> None:
     """Fill `out` from the file in one read, with no intermediate copy."""
     want = out.nbytes
@@ -429,23 +397,35 @@ def _read_block(fh, out: np.ndarray, path) -> None:
 
 
 def checkpoint_save(path, server: ServerState, clients: ClientStore) -> None:
+    """Write a checkpoint to `path` + ".tmp", then rename it over `path`.
+
+    A save that fails partway leaves an earlier checkpoint at `path`
+    intact and removes its temp file. The rename guards against a crash
+    of this process; the file is not fsynced.
+    """
     header = {
         "round": server.round,
         "n_clients": server.n_clients,
-        "param_count": len(server.global_params),
+        "param_count": server.global_params.size,
         "rng_seed": server.rng_seed,
         "n_samples": clients.n_samples.tolist(),
         "fields": list(clients.fields),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
-        fh.write(blob)
-        for name in _SERVER_VECTORS:
-            fh.write(getattr(server, name).values.astype("<f8", copy=False))
-        for name in clients.fields:
-            fh.write(getattr(clients, name).astype("<f8", copy=False))
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
+            fh.write(blob)
+            for name in SERVER_VECTORS:
+                fh.write(getattr(server, name).astype("<f8", copy=False))
+            for name in clients.fields:
+                fh.write(getattr(clients, name).astype("<f8", copy=False))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def checkpoint_load(path):
@@ -471,11 +451,9 @@ def checkpoint_load(path):
             clients = ClientStore(header["n_samples"], param_count, header["fields"])
         except (ValueError, KeyError, TypeError, ParameterError) as exc:
             raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
-        vectors = {}
-        for name in _SERVER_VECTORS:
-            vec = np.zeros(param_count)
+        vectors = {name: np.zeros(param_count) for name in SERVER_VECTORS}
+        for vec in vectors.values():
             _read_block(fh, vec, path)
-            vectors[name] = ParamVector._wrap(vec)
         # Row by row, so rows saved as all-zero bits (clients that never
         # trained) stay unallocated in the fresh store; -0.0 still loads.
         row = np.empty(param_count)
@@ -503,9 +481,9 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
         raise FormatError(
             f"checkpoint holds {server.n_clients} clients, run has {run.dataset.n_clients}"
         )
-    if len(server.global_params) != run.cfg.model.param_count:
+    if server.global_params.size != run.cfg.model.param_count:
         raise FormatError(
-            f"checkpoint holds {len(server.global_params)} parameters, "
+            f"checkpoint holds {server.global_params.size} parameters, "
             f"model expects {run.cfg.model.param_count}"
         )
     if server.rng_seed != run.cfg.seed:

@@ -34,10 +34,11 @@ from .errors import (
     EmptyAggregateError,
     ParameterError,
     PartitionError,
+    WeightError,
 )
 from .models import ModelSpec
 from .rng import RngStream
-from .vectors import ParamVector, weighted_mean
+from .vectors import _require_finite
 
 __all__ = [
     "ALGORITHMS",
@@ -47,7 +48,9 @@ __all__ = [
     "AlgoConfig",
     "ClientStore",
     "ServerState",
-    "ClientUpdate",
+    "RoundUpdate",
+    "lockstep_groups",
+    "weighted_mean",
     "ablation_from_code",
     "steps_per_round",
     "round_lr",
@@ -77,6 +80,11 @@ _ABLATION_CODES = {
 }
 
 BYTES_PER_PARAM = 8  # float64 on the wire
+
+# Floats per stacked (clients x parameters) block of lockstep training:
+# an active group trains in chunks of at most max(1, BUDGET // P) clients,
+# so small models train whole groups at once and large ones one by one.
+BUDGET = 1 << 16
 
 
 def ablation_from_code(code: str) -> frozenset:
@@ -144,8 +152,8 @@ CLIENT_FIELDS = {
     "feddc": ("drift", "last_delta"),
 }
 
-# Store field -> the ClientUpdate attribute holding its next value.
-_NEXT_VALUE = {"drift": "drift_plus", "last_delta": "delta", "scaffold_c": "scaffold_c_plus"}
+# Store field -> the RoundUpdate block holding its next value.
+_NEXT_VALUE = {"drift": "drift_plus", "last_delta": "delta", "scaffold_c": "c_plus"}
 
 
 class ClientStore:
@@ -167,6 +175,9 @@ class ClientStore:
             setattr(self, name, np.zeros((self.n_samples.size, param_count)))
 
 
+SERVER_VECTORS = ("global_params", "global_delta", "scaffold_c", "dyn_corrector")
+
+
 @dataclass(frozen=True)
 class ServerState:
     """Round-start snapshot of everything the server owns.
@@ -174,49 +185,61 @@ class ServerState:
     Beyond the aggregate parameters this also carries the feddyn server
     corrector (the cited method folds a running penalty-state into the
     global model) and the total client count scaffold's control update
-    scales by.
+    scales by. The four SERVER_VECTORS are finite (P,) float64 arrays;
+    the state adopts the arrays it is given and marks them read-only.
+    This is the one finiteness check of a run: once per init, per
+    aggregate and per restore.
     """
 
-    global_params: ParamVector
-    global_delta: ParamVector
-    scaffold_c: ParamVector
-    dyn_corrector: ParamVector
+    global_params: np.ndarray
+    global_delta: np.ndarray
+    scaffold_c: np.ndarray
+    dyn_corrector: np.ndarray
     round: int
     n_clients: int
     rng_seed: int
 
+    def __post_init__(self):
+        shape = np.shape(self.global_params)
+        for name in SERVER_VECTORS:
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.ndim != 1 or arr.size == 0 or arr.shape != shape:
+                raise DimensionError(f"ServerState.{name}: shape {arr.shape}, expected {shape} > 0")
+            _require_finite(arr, f"ServerState.{name}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     @classmethod
-    def fresh(cls, global_params: ParamVector, n_clients: int, rng_seed: int):
-        zero = ParamVector.zeros(len(global_params))
-        return cls(
-            global_params=global_params,
-            global_delta=zero,
-            scaffold_c=zero,
-            dyn_corrector=zero,
-            round=0,
-            n_clients=int(n_clients),
-            rng_seed=int(rng_seed),
-        )
+    def fresh(cls, global_params, n_clients: int, rng_seed: int):
+        zero = np.zeros(np.shape(global_params))
+        return cls(global_params, global_delta=zero, scaffold_c=zero, dyn_corrector=zero,
+                   round=0, n_clients=int(n_clients), rng_seed=int(rng_seed))
 
 
 @dataclass(frozen=True)
-class ClientUpdate:
-    """One client's round result; state fields its algorithm does not keep are None."""
+class RoundUpdate:
+    """One round's client results, one row per client in ascending id order.
 
-    client_id: int
-    theta_plus: ParamVector
-    drift_plus: ParamVector | None
-    delta: ParamVector
-    scaffold_c_plus: ParamVector | None
-    n_samples: int
-    k_steps: int
-    bytes_up: int
+    `ids`, `n_samples` and `k_steps` are (C,) integer arrays; `theta`
+    (the local parameters), `delta` (theta minus the round-start global
+    parameters), `drift_plus` (the next drift h_i) and `c_plus` (the next
+    scaffold control) are (C, P) blocks. A block the algorithm does not
+    keep is None.
+    """
+
+    ids: np.ndarray
+    n_samples: np.ndarray
+    k_steps: np.ndarray
+    theta: np.ndarray
+    delta: np.ndarray
+    drift_plus: np.ndarray | None
+    c_plus: np.ndarray | None
 
 
 def steps_per_round(n_samples: int, cfg: AlgoConfig) -> int:
     """K = local_epochs * ceil(n_i / batch_size), per client."""
     if n_samples < 1:
-        raise PartitionError("client has no samples")
+        raise PartitionError("a client with an empty partition has no steps")
     return cfg.local_epochs * math.ceil(n_samples / cfg.batch_size)
 
 
@@ -242,20 +265,20 @@ def _correction_terms(clients: ClientStore, ids, server: ServerState,
     Terms that are off are skipped rather than added, so the remaining
     arithmetic is bit-identical to the plain-SGD path.
     """
-    g = server.global_params.values
+    g = server.global_params
     algo = cfg.algorithm
     pull, anchor, extra = 0.0, None, None
     if algo == "fedprox" and cfg.mu != 0.0:
         pull, anchor = cfg.mu, np.broadcast_to(g, (len(ids), g.size))
     elif algo == "scaffold":
-        extra = server.scaffold_c.values - clients.scaffold_c[ids]
+        extra = server.scaffold_c - clients.scaffold_c[ids]
     elif algo == "feddyn":
         pull, anchor = cfg.alpha, g - clients.drift[ids]
     elif algo == "feddc":
         if "param_correction" in cfg.ablation and cfg.alpha != 0.0:
             pull, anchor = cfg.alpha, g - clients.drift[ids]
         if "grad_correction" in cfg.ablation:
-            extra = (clients.last_delta[ids] - server.global_delta.values) / (k_steps * lr_t)
+            extra = (clients.last_delta[ids] - server.global_delta) / (k_steps * lr_t)
     has_extra = None if extra is None else extra.any(axis=1)[:, None]
     return pull, anchor, extra, has_extra
 
@@ -282,10 +305,10 @@ def _feddc_terms(clients: ClientStore, client_id: int, server: ServerState,
     return _correction_terms(clients, [client_id], server, cfg, k, round_lr(cfg, server.round))
 
 
-def feddc_local_objective(theta: ParamVector, clients: ClientStore, client_id: int,
+def feddc_local_objective(theta, clients: ClientStore, client_id: int,
                           server: ServerState, cfg: AlgoConfig, batch: models.Batch,
                           spec: ModelSpec) -> float:
-    """Value of the drift-corrected local objective at theta.
+    """Value of the drift-corrected local objective at theta, a (P,) array.
 
     The objective is the empirical loss plus 0.5 * pull * |theta - anchor|^2
     + theta . extra, so its gradient is the step gradient that
@@ -295,21 +318,20 @@ def feddc_local_objective(theta: ParamVector, clients: ClientStore, client_id: i
     pull, anchor, extra, _ = _feddc_terms(clients, client_id, server, cfg)
     value = models.mean_loss(spec, theta, batch.inputs, batch.labels)
     if anchor is not None:
-        gap = theta.values - anchor[0]
+        gap = theta - anchor[0]
         value += 0.5 * pull * float(gap @ gap)
     if extra is not None:
-        value += float(theta.values @ extra[0])
+        value += float(theta @ extra[0])
     return value
 
 
-def feddc_local_objective_grad(theta: ParamVector, clients: ClientStore, client_id: int,
+def feddc_local_objective_grad(theta, clients: ClientStore, client_id: int,
                                server: ServerState, cfg: AlgoConfig,
-                               batch: models.Batch, spec: ModelSpec) -> ParamVector:
+                               batch: models.Batch, spec: ModelSpec) -> np.ndarray:
     """Gradient of the drift-corrected local objective at theta, as training assembles it."""
     _, grad = models.loss_and_grad(spec, theta, batch)
-    out = grad.values[None].copy()
-    _add_terms(out, theta.values[None], *_feddc_terms(clients, client_id, server, cfg))
-    return ParamVector(out[0])
+    _add_terms(grad[None], theta[None], *_feddc_terms(clients, client_id, server, cfg))
+    return grad
 
 
 def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
@@ -344,134 +366,156 @@ def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
                 break
 
 
-def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoConfig,
-                     inputs, labels, rngs, spec: ModelSpec,
-                     step_budget: int | None = None) -> list:
-    """K local SGD steps of clients `ids` in lockstep; one ClientUpdate each, in order.
+def lockstep_groups(ids, n_samples, cap: int) -> list:
+    """Clients `ids` grouped by sample count, each group cut into chunks of <= cap.
 
-    The clients hold equally many samples: inputs[c] is client ids[c]'s
-    (n, input_dim) array, labels[c] its (n,) labels, and rngs[c] the
-    stream that shuffles them. Each client's update is bitwise the one
-    it would get training alone. theta starts at the round-start global
-    parameters. Round-start snapshots (global parameters, the clients'
-    stored rows, previous deltas) stay frozen for all K steps. The drift
-    accumulator advances once per round by exactly the round's parameter
-    update. The store is only read; :func:`apply_update` writes results.
+    Groups keep the ascending order of `ids` and come in the order of
+    their smallest id.
     """
-    ids = [int(i) for i in ids]
-    if not 0 < len(ids) == len(inputs) == len(labels) == len(rngs):
-        raise DimensionError(
-            f"{len(ids)} clients need as many inputs, labels and streams, "
-            f"got {len(inputs)}, {len(labels)} and {len(rngs)}"
-        )
-    n = inputs[0].shape[0]
-    if any(x.shape != inputs[0].shape for x in inputs) or any(y.shape != (n,) for y in labels):
-        raise DimensionError(f"clients {ids} need (n, d) inputs and (n,) labels of one size")
-    if n == 0:
-        raise PartitionError(f"clients {ids}: empty partitions")
-    k_nominal = steps_per_round(n, cfg)
-    k_steps = k_nominal if step_budget is None else int(step_budget)
-    if k_steps < 1:
-        raise ParameterError("step budget must be >= 1")
-    lr_t = round_lr(cfg, server.round)
-    terms = _correction_terms(clients, ids, server, cfg, k_nominal, lr_t)
-    start = server.global_params.values
-    bytes_up = upload_vectors(cfg) * BYTES_PER_PARAM * start.size
+    groups = {}
+    for i in sorted(ids):
+        groups.setdefault(int(n_samples[i]), []).append(i)
+    return [g[lo : lo + cap] for g in groups.values() for lo in range(0, len(g), cap)]
 
-    theta = np.repeat(start[None], len(ids), axis=0)
-    _local_sgd(theta, terms, inputs, labels, rngs, spec, cfg.batch_size, k_steps, lr_t)
-    delta = theta - start
-    drift_plus = c_plus = None
-    if "drift" in clients.fields:
-        drift_plus = clients.drift[ids] + delta
-    if "scaffold_c" in clients.fields:
-        c_plus = (
-            clients.scaffold_c[ids]
-            - server.scaffold_c.values
-            + _implied_grad(delta, k_steps, lr_t)
-        )
-    return [
-        ClientUpdate(
-            client_id=client_id,
-            theta_plus=ParamVector._wrap(theta[r]),
-            drift_plus=None if drift_plus is None else ParamVector._wrap(drift_plus[r]),
-            delta=ParamVector._wrap(delta[r]),
-            scaffold_c_plus=None if c_plus is None else ParamVector._wrap(c_plus[r]),
-            n_samples=n,
-            k_steps=k_steps,
-            bytes_up=bytes_up,
-        )
-        for r, client_id in enumerate(ids)
-    ]
+
+def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoConfig,
+                     client_data, spec: ModelSpec,
+                     step_budget: int | None = None) -> RoundUpdate:
+    """K local SGD steps for every client in `ids`: the round's RoundUpdate.
+
+    client_data(i) gives client i's (inputs (n, input_dim), labels (n,),
+    shuffle stream). Clients of equal stored sample count train in
+    lockstep as one stacked block, in chunks of at most
+    max(1, BUDGET // P) clients (see :func:`lockstep_groups`), and
+    client_data is called chunk by chunk. Each row is bitwise the one
+    its client would get training alone. theta starts at the round-start
+    global parameters. Round-start snapshots (global parameters, the
+    clients' stored rows, previous deltas) stay frozen for all K steps.
+    The drift accumulator advances once per round by exactly the round's
+    parameter update. The store is only read; :func:`apply_update`
+    writes results.
+    """
+    ids = sorted(int(i) for i in ids)
+    if not ids:
+        raise DimensionError("a round needs at least one client")
+    start = server.global_params
+    lr_t = round_lr(cfg, server.round)
+    shape = (len(ids), start.size)
+    theta, delta = np.empty(shape), np.empty(shape)
+    drift_plus = np.empty(shape) if "drift" in clients.fields else None
+    c_plus = np.empty(shape) if "scaffold_c" in clients.fields else None
+    n_samples, k_steps = np.empty(len(ids), dtype=np.int64), np.empty(len(ids), dtype=np.int64)
+    for chunk in lockstep_groups(ids, clients.n_samples, max(1, BUDGET // start.size)):
+        inputs, labels, rngs = zip(*(client_data(i) for i in chunk))
+        n = inputs[0].shape[0]
+        if any(x.shape != inputs[0].shape for x in inputs) or any(y.shape != (n,) for y in labels):
+            raise DimensionError(f"clients {chunk} need (n, d) inputs and (n,) labels of one size")
+        k_nominal = steps_per_round(n, cfg)
+        k = k_nominal if step_budget is None else int(step_budget)
+        if k < 1:
+            raise ParameterError("step budget must be >= 1")
+        terms = _correction_terms(clients, chunk, server, cfg, k_nominal, lr_t)
+        block = np.repeat(start[None], len(chunk), axis=0)
+        _local_sgd(block, terms, inputs, labels, rngs, spec, cfg.batch_size, k, lr_t)
+        rows = np.searchsorted(ids, chunk)
+        theta[rows] = block
+        block -= start  # now the round's update, in place
+        delta[rows] = block
+        if drift_plus is not None:
+            h = clients.drift[chunk]
+            h += block
+            drift_plus[rows] = h
+        if c_plus is not None:
+            c = clients.scaffold_c[chunk]
+            c -= server.scaffold_c
+            c += _implied_grad(block, k, lr_t)
+            c_plus[rows] = c
+        n_samples[rows] = n
+        k_steps[rows] = k
+    return RoundUpdate(np.array(ids), n_samples, k_steps, theta, delta, drift_plus, c_plus)
 
 
 def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
                     cfg: AlgoConfig, inputs: np.ndarray, labels: np.ndarray,
                     rng: RngStream, spec: ModelSpec,
-                    step_budget: int | None = None) -> ClientUpdate:
+                    step_budget: int | None = None) -> RoundUpdate:
     """One client's :func:`run_local_rounds`: inputs (n, input_dim), labels (n,)."""
     return run_local_rounds(
-        clients, [client_id], server, cfg, [inputs], [labels], [rng], spec, step_budget
-    )[0]
+        clients, [client_id], server, cfg, lambda _: (inputs, labels, rng), spec, step_budget
+    )
 
 
-def apply_update(clients: ClientStore, update: ClientUpdate) -> None:
-    """Write one client's round result into its rows of the store."""
+def apply_update(clients: ClientStore, update: RoundUpdate) -> None:
+    """Write a round's results into the store, one indexed assignment per field."""
     for name in clients.fields:
-        getattr(clients, name)[update.client_id] = getattr(update, _NEXT_VALUE[name]).values
+        getattr(clients, name)[update.ids] = getattr(update, _NEXT_VALUE[name])
 
 
-def _agg_weights(updates, cfg: AlgoConfig):
-    if cfg.aggregation_weighting == "by_samples":
-        return [float(u.n_samples) for u in updates]
-    return [1.0] * len(updates)
+def weighted_mean(block, ws) -> np.ndarray:
+    """Weighted mean of the rows of a (C, P) block, reproducible bit-for-bit.
 
-
-def server_aggregate(server: ServerState, updates, cfg: AlgoConfig) -> ServerState:
-    """Fold the round's updates into the next server state.
-
-    Updates are folded in ascending client-id order regardless of the
-    order they arrived in, so concurrent client execution cannot change
-    the result.
+    The value is sum_c (w_c / sum(ws)) * block[c], computed as a
+    sequential row-order fold of the w_c * block[c] followed by one
+    division by sum(ws). Two exactness guarantees follow from this
+    arrangement plus an explicit short-circuit: a block of
+    bitwise-identical rows averages to exactly that row (returned as a
+    copy), and scaling every weight by a common factor leaves the output
+    bits unchanged (weight sums are folded in the same order).
     """
-    updates = sorted(updates, key=lambda u: u.client_id)
-    if not updates:
-        raise EmptyAggregateError("server_aggregate with no client updates")
-    ws = _agg_weights(updates, cfg)
-    deltas = [u.delta for u in updates]
+    block = np.asarray(block, dtype=np.float64)
+    warr = np.asarray(ws, dtype=np.float64)
+    if block.ndim != 2 or warr.shape != block.shape[:1]:
+        raise DimensionError(f"weighted_mean: {block.shape} block with {warr.shape} weights")
+    if block.shape[0] == 0:
+        raise EmptyAggregateError("weighted_mean of an empty block")
+    total = 0.0
+    for w in warr:
+        total += float(w)
+    if not (np.isfinite(warr).all() and (warr >= 0).all() and total > 0.0):
+        raise WeightError(f"weights must be finite, nonnegative and not all zero, got {warr}")
+
+    base = block[0]
+    if not any((row - base).any() for row in block[1:]):
+        return base.copy()
+    acc = warr[0] * base
+    for w, row in zip(warr[1:], block[1:]):
+        acc += w * row
+    acc /= total
+    return acc
+
+
+def server_aggregate(server: ServerState, update: RoundUpdate, cfg: AlgoConfig) -> ServerState:
+    """Fold a round's update into the next server state.
+
+    The rows are folded in their ascending client-id order, so the
+    order clients trained in cannot change the result.
+    """
+    if cfg.aggregation_weighting == "by_samples":
+        ws = update.n_samples.astype(np.float64)
+    else:
+        ws = np.ones(len(update.ids))
     algo = cfg.algorithm
 
-    global_delta = weighted_mean(deltas, ws)
+    global_delta = weighted_mean(update.delta, ws)
     scaffold_c = server.scaffold_c
     dyn_corrector = server.dyn_corrector
 
     if algo == "feddc":
-        corrected = [u.theta_plus + u.drift_plus for u in updates]
-        new_global = weighted_mean(corrected, ws)
+        new_global = weighted_mean(update.theta + update.drift_plus, ws)
     elif algo in ("fedavg", "fedprox"):
-        new_global = weighted_mean([u.theta_plus for u in updates], ws)
+        new_global = weighted_mean(update.theta, ws)
     elif algo == "scaffold":
         new_global = server.global_params + global_delta
         # c_i+ - c_i reconstructs from the upload: -c + the implied gradient
         lr_t = round_lr(cfg, server.round)
-        c_deltas = [
-            ParamVector(
-                -server.scaffold_c.values + _implied_grad(u.delta.values, u.k_steps, lr_t)
-            )
-            for u in updates
-        ]
-        mean_cd = weighted_mean(c_deltas, [1.0] * len(c_deltas))
-        scale = len(updates) / server.n_clients
-        scaffold_c = ParamVector(server.scaffold_c.values + scale * mean_cd.values)
+        c_deltas = -server.scaffold_c + _implied_grad(update.delta, update.k_steps[:, None], lr_t)
+        mean_cd = weighted_mean(c_deltas, np.ones(len(update.ids)))
+        scale = len(update.ids) / server.n_clients
+        scaffold_c = server.scaffold_c + scale * mean_cd
     elif algo == "feddyn":
-        scale = cfg.alpha * len(updates) / server.n_clients
-        dyn_corrector = ParamVector(
-            server.dyn_corrector.values - scale * global_delta.values
-        )
-        mean_theta = weighted_mean([u.theta_plus for u in updates], ws)
-        new_global = ParamVector(
-            mean_theta.values - dyn_corrector.values / cfg.alpha
-        )
+        scale = cfg.alpha * len(update.ids) / server.n_clients
+        dyn_corrector = server.dyn_corrector - scale * global_delta
+        new_global = weighted_mean(update.theta, ws) - dyn_corrector / cfg.alpha
     else:  # pragma: no cover - exhaustive over ALGORITHMS
         raise ParameterError(f"unknown algorithm {algo!r}")
 
@@ -495,28 +539,28 @@ def sample_active_set(n_clients: int, participation: float, round_index: int,
     return sorted(int(i) for i in rng.permutation(n_clients)[:count])
 
 
-def gradient_variance_diagnostic(updates, server: ServerState, cfg: AlgoConfig):
-    """Empirical variance of implied local gradients, or None if < 2 updates.
+def gradient_variance_diagnostic(update: RoundUpdate, server: ServerState, cfg: AlgoConfig):
+    """Empirical variance of implied local gradients, or None if < 2 rows.
 
     Each client's round update implies an average step direction
     g_i = -delta_i / (K_i * lr_t); the diagnostic is the mean squared
     distance of the g_i from their mean. Recorded per round, never
     asserted against a closed-form bound.
     """
-    updates = sorted(updates, key=lambda u: u.client_id)
-    if len(updates) < 2:
+    n = len(update.ids)
+    if n < 2:
         return None
     lr_t = round_lr(cfg, server.round)
 
-    def implied(u):
-        return _implied_grad(u.delta.values, u.k_steps, lr_t)
+    def implied(r):
+        return _implied_grad(update.delta[r], update.k_steps[r], lr_t)
 
     # Two passes, no (n, P) stack; the sums run in the stacked form's order.
-    center = implied(updates[0])
-    for u in updates[1:]:
-        center += implied(u)
-    center /= len(updates)
-    return float(np.mean([float(np.sum((implied(u) - center) ** 2)) for u in updates]))
+    center = implied(0)
+    for r in range(1, n):
+        center += implied(r)
+    center /= n
+    return float(np.mean([float(np.sum((implied(r) - center) ** 2)) for r in range(n)]))
 
 
 def upload_vectors(cfg: AlgoConfig) -> int:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DimensionError, EmptyEvaluationError, ParameterError
 from .rng import RngStream
-from .vectors import ParamVector, _require_finite
 
 __all__ = [
     "ModelSpec",
@@ -122,12 +121,12 @@ def _split(spec: ModelSpec, flat: np.ndarray):
     ]
 
 
-def init_params(spec: ModelSpec, rng: RngStream) -> ParamVector:
-    """Gaussian weights scaled by 1/sqrt(fan_in); zero biases."""
+def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
+    """(P,) parameters: Gaussian weights scaled by 1/sqrt(fan_in); zero biases."""
     flat = np.zeros(spec.param_count)
     for (fi, fo), (w, _b) in zip(spec.layer_dims, _split(spec, flat)):
         w[...] = rng.gaussian((fi, fo)) / np.sqrt(fi)
-    return ParamVector._wrap(flat)
+    return flat
 
 
 def _forward(layers, x: np.ndarray):
@@ -176,10 +175,11 @@ def _grad_into(wd: float, layers, glayers, x, y) -> None:
             dz *= acts[li] > 0.0
 
 
-def _check_inputs(spec: ModelSpec, params: ParamVector, inputs, labels):
+def _check_inputs(spec: ModelSpec, params, inputs, labels):
     """(flat parameters, inputs, labels) as arrays, once they fit the model."""
-    if len(params) != spec.param_count:
-        raise DimensionError(f"model expects {spec.param_count} parameters, got {len(params)}")
+    flat = np.asarray(params, dtype=np.float64)
+    if flat.shape != (spec.param_count,):
+        raise DimensionError(f"model expects {spec.param_count} parameters, got {flat.shape}")
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
@@ -191,22 +191,18 @@ def _check_inputs(spec: ModelSpec, params: ParamVector, inputs, labels):
     lo, hi = int(y.min()), int(y.max())
     if lo < 0 or hi >= spec.num_classes:
         raise ParameterError(f"labels {lo}..{hi} out of range for {spec.num_classes} classes")
-    return params.values, x, y
+    return flat, x, y
 
 
-def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch):
-    """(mean_loss, gradient) on one batch."""
-    x, y = batch.inputs, batch.labels
-    loss = mean_loss(spec, params, x, y)  # also checks the batch against the model
+def loss_and_grad(spec: ModelSpec, params, batch: Batch):
+    """(mean_loss, gradient) on one batch; the gradient is a (P,) array."""
+    flat, x, y = _check_inputs(spec, params, batch.inputs, batch.labels)
     grad = np.empty((1, spec.param_count))
-    _grad_into(
-        spec.weight_decay, _split(spec, params.values[None]), _split(spec, grad), x[None], y[None]
-    )
-    _require_finite(grad[0], "loss_and_grad")
-    return loss, ParamVector._wrap(grad[0])
+    _grad_into(spec.weight_decay, _split(spec, flat[None]), _split(spec, grad), x[None], y[None])
+    return mean_loss(spec, flat, x, y), grad[0]
 
 
-def accuracy(spec: ModelSpec, params: ParamVector, inputs, labels) -> float:
+def accuracy(spec: ModelSpec, params, inputs, labels) -> float:
     """Top-1 accuracy; argmax ties resolve to the lowest class index."""
     flat, x, y = _check_inputs(spec, params, inputs, labels)
     layers = _split(spec, flat)
@@ -217,7 +213,7 @@ def accuracy(spec: ModelSpec, params: ParamVector, inputs, labels) -> float:
     return hits / x.shape[0]
 
 
-def mean_loss(spec: ModelSpec, params: ParamVector, inputs, labels) -> float:
+def mean_loss(spec: ModelSpec, params, inputs, labels) -> float:
     """Mean cross-entropy plus 0.5 * weight_decay * |weights|^2 over a slice."""
     flat, x, y = _check_inputs(spec, params, inputs, labels)
     layers = _split(spec, flat)

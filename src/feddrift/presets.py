@@ -1,8 +1,9 @@
 """Built-in experiment presets, named after the benchmark settings.
 
 Presets are partial run configs merged underneath a user config: any key
-the user supplies wins. Keeping them as code makes the shipped defaults
-testable and the binary self-contained.
+the user supplies wins. A preset holds only what differs from the
+config defaults (see `cli.build_experiment`), except the synthetic
+`model.num_classes`, which the benchmark reads.
 """
 
 from __future__ import annotations
@@ -10,22 +11,6 @@ from __future__ import annotations
 import copy
 
 from .errors import ConfigError
-
-_SYNTHETIC_ALGO = {
-    "lr": 0.1,
-    "lr_decay": 0.998,
-    "local_epochs": 10,
-    "batch_size": 10,
-    "participation": 1.0,
-}
-
-_MNIST_ALGO = {
-    "lr": 0.1,
-    "lr_decay": 0.998,
-    "local_epochs": 5,
-    "batch_size": 50,
-    "participation": 1.0,
-}
 
 
 def _synthetic(gamma1, gamma2):
@@ -37,16 +22,8 @@ def _synthetic(gamma1, gamma2):
             "n_clients": 20,
             "samples_per_client_mean": 200,
         },
-        "model": {
-            "kind": "logistic",
-            "input_dim": 30,
-            "num_classes": 5,
-            "weight_decay": 0.0,
-        },
-        "algorithm": dict(_SYNTHETIC_ALGO),
-        "rounds": 100,
-        "eval_every": 1,
-        "target_accuracies": [],
+        "model": {"num_classes": 5},
+        "algorithm": {"local_epochs": 10, "batch_size": 10},
     }
 
 
@@ -57,14 +34,6 @@ def _mnist(partition):
             "n_clients": 100,
             "partition": partition,
         },
-        "model": {
-            "kind": "mlp",
-            "input_dim": 784,
-            "num_classes": 10,
-            "hidden_dims": [200, 200],
-            "weight_decay": 0.001,
-        },
-        "algorithm": dict(_MNIST_ALGO),
         "rounds": 200,
         "eval_every": 5,
         "target_accuracies": [0.98],

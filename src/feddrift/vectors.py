@@ -1,27 +1,17 @@
-"""Flat parameter vectors and the deterministic arithmetic used on them.
+"""The finiteness check, a frozen vector type, and the finite-difference gradient oracle.
 
-Every piece of federated state (model parameters, drift accumulators,
-control variates, update deltas) is a :class:`ParamVector`: an immutable,
-fixed-length array of finite float64 values. Keeping the currency this
-small makes bit-level reproducibility claims checkable: two runs agree
-iff their vectors agree bitwise.
+Federated state itself is plain float64 arrays: (P,) vectors and (C, P)
+blocks of one row per client.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    EmptyAggregateError,
-    NumericError,
-    ParameterError,
-    WeightError,
-)
+from .errors import DimensionError, NumericError, ParameterError
 
 __all__ = [
     "ParamVector",
-    "weighted_mean",
     "finite_diff_grad",
     "max_relative_error",
 ]
@@ -36,12 +26,7 @@ def _require_finite(arr: np.ndarray, context: str) -> None:
 
 
 class ParamVector:
-    """Immutable 1-D float64 vector with a fixed positive length.
-
-    The backing array is marked read-only, so instances can be shared
-    freely across threads. All element-wise operations require equal
-    lengths and reject non-finite results.
-    """
+    """Read-only copy of a finite 1-D float64 vector of positive length."""
 
     __slots__ = ("_values",)
 
@@ -55,131 +40,32 @@ class ParamVector:
         arr.flags.writeable = False
         self._values = arr
 
-    @classmethod
-    def zeros(cls, length: int) -> "ParamVector":
-        if length < 1:
-            raise DimensionError("a ParamVector must have positive length")
-        return cls(np.zeros(length))
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "ParamVector":
-        """Adopt ``arr`` without copying; caller hands over ownership."""
-        out = object.__new__(cls)
-        _require_finite(arr, "ParamVector")
-        arr.flags.writeable = False
-        out._values = arr
-        return out
-
     @property
     def values(self) -> np.ndarray:
         """Read-only view of the underlying float64 array."""
         return self._values
 
-    def __len__(self) -> int:
-        return self._values.size
 
-    def __getitem__(self, idx):
-        return self._values[idx]
-
-    def __eq__(self, other):
-        if not isinstance(other, ParamVector):
-            return NotImplemented
-        return bool(np.array_equal(self._values, other._values))
-
-    def __hash__(self):
-        return hash((self._values.size, self._values.tobytes()))
-
-    def __repr__(self):
-        return f"ParamVector(len={self._values.size})"
-
-    def _binary(self, other, op, opname: str) -> "ParamVector":
-        if not isinstance(other, ParamVector):
-            return NotImplemented
-        if len(other) != len(self):
-            raise DimensionError(
-                f"{opname}: length mismatch {len(self)} vs {len(other)}"
-            )
-        return ParamVector._wrap(op(self._values, other._values))
-
-    def __add__(self, other):
-        return self._binary(other, np.add, "add")
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract, "sub")
-
-    def __mul__(self, scalar):
-        if not np.isfinite(scalar):
-            raise ParameterError(f"scale factor must be finite, got {scalar!r}")
-        return ParamVector._wrap(self._values * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def weighted_mean(vs, ws) -> ParamVector:
-    """Weighted mean of vectors, reproducible bit-for-bit.
-
-    The value is sum_i (w_i / sum(ws)) * v_i, computed as a sequential
-    index-ascending fold of the w_i * v_i followed by one division by
-    sum(ws). Two exactness guarantees follow from this arrangement plus
-    an explicit short-circuit: a list of bitwise-identical vectors
-    averages to exactly that vector, and scaling every weight by a
-    common factor leaves the output bits unchanged (weight sums are
-    folded in the same order). Callers needing a fixed reduction order
-    across workers must gather first and pass vectors in that order.
-    """
-    vs = list(vs)
-    ws = list(ws)
-    if not vs:
-        raise EmptyAggregateError("weighted_mean of an empty list")
-    if len(ws) != len(vs):
-        raise DimensionError(
-            f"weighted_mean: {len(vs)} vectors but {len(ws)} weights"
-        )
-    length = len(vs[0])
-    for v in vs[1:]:
-        if len(v) != length:
-            raise DimensionError(
-                f"weighted_mean: vector length mismatch {length} vs {len(v)}"
-            )
-    warr = np.asarray(ws, dtype=np.float64)
-    if not np.isfinite(warr).all() or (warr < 0).any():
-        raise WeightError(f"weights must be finite and nonnegative, got {ws}")
-    total = 0.0
-    for w in warr:
-        total += float(w)
-    if total <= 0.0:
-        raise WeightError(f"weight sum must be positive, got {total}")
-
-    base = vs[0].values
-    if not any((v.values - base).any() for v in vs[1:]):
-        return vs[0]
-    acc = warr[0] * base
-    for w, v in zip(warr[1:], vs[1:]):
-        acc += w * v.values
-    out = acc / total
-    _require_finite(out, "weighted_mean")
-    return ParamVector._wrap(out)
-
-
-def finite_diff_grad(f, x: ParamVector, h: float) -> ParamVector:
-    """Central-difference gradient of a scalar function, one probe per axis.
+def finite_diff_grad(f, x, h: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a (P,) array, one probe per axis.
 
     The step along coordinate j is scaled to h * max(1, |x_j|), which
     balances truncation against round-off for both small and large
     coordinates. Intended as an independent oracle for analytic
-    gradients, so it deliberately shares no code with them.
+    gradients, so it deliberately shares no code with them. f must not
+    keep or change the array it is given.
     """
     if not (np.isfinite(h) and h > 0):
         raise ParameterError(f"finite_diff_grad: step must be positive, got {h!r}")
-    base = x.values
-    grad = np.empty(len(x))
+    base = np.asarray(x, dtype=np.float64)
+    grad = np.empty(base.size)
     probe = base.copy()
-    for j in range(len(x)):
+    for j in range(base.size):
         step = h * max(1.0, abs(base[j]))
         probe[j] = base[j] + step
-        f_plus = float(f(ParamVector(probe)))
+        f_plus = float(f(probe))
         probe[j] = base[j] - step
-        f_minus = float(f(ParamVector(probe)))
+        f_minus = float(f(probe))
         probe[j] = base[j]
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise NumericError(
@@ -187,14 +73,16 @@ def finite_diff_grad(f, x: ParamVector, h: float) -> ParamVector:
             )
         grad[j] = (f_plus - f_minus) / (2.0 * step)
     _require_finite(grad, "finite_diff_grad")
-    return ParamVector._wrap(grad)
+    return grad
 
 
-def max_relative_error(approx: ParamVector, exact: ParamVector) -> float:
+def max_relative_error(approx, exact) -> float:
     """max_j |approx_j - exact_j| / max(1, |exact_j|)."""
-    if len(approx) != len(exact):
+    approx = np.asarray(approx, dtype=np.float64)
+    exact = np.asarray(exact, dtype=np.float64)
+    if approx.shape != exact.shape:
         raise DimensionError(
-            f"max_relative_error: length mismatch {len(approx)} vs {len(exact)}"
+            f"max_relative_error: shape mismatch {approx.shape} vs {exact.shape}"
         )
-    denom = np.maximum(1.0, np.abs(exact.values))
-    return float(np.max(np.abs(approx.values - exact.values) / denom))
+    denom = np.maximum(1.0, np.abs(exact))
+    return float(np.max(np.abs(approx - exact) / denom))

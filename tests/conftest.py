@@ -3,12 +3,11 @@ import os
 import numpy as np
 import pytest
 
-from feddrift.vectors import ParamVector
 
-
-def bits_equal(a: ParamVector, b: ParamVector) -> bool:
-    """Bit-level equality, stricter than == (distinguishes -0.0 from 0.0)."""
-    return a.values.tobytes() == b.values.tobytes()
+def bits_equal(a, b) -> bool:
+    """Bit-level equality of two float64 arrays, stricter than == (distinguishes -0.0 from 0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture

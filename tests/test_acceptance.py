@@ -27,24 +27,21 @@ from feddrift.federation import (
     CLIENT_FIELDS,
     AlgoConfig,
     ClientStore,
-    ClientUpdate,
+    RoundUpdate,
     ServerState,
     ablation_from_code,
     download_vectors,
     feddc_local_objective,
     feddc_local_objective_grad,
     run_local_round,
+    run_local_rounds,
     server_aggregate,
     steps_per_round,
+    weighted_mean,
 )
 from feddrift.models import Batch, ModelSpec, init_params, loss_and_grad, mean_loss
 from feddrift.rng import stream
-from feddrift.vectors import (
-    ParamVector,
-    finite_diff_grad,
-    max_relative_error,
-    weighted_mean,
-)
+from feddrift.vectors import finite_diff_grad, max_relative_error
 
 LOGISTIC = ModelSpec("logistic", 30, 5)
 SEEDS = (0, 1, 2)
@@ -287,7 +284,7 @@ class TestCriterion5Properties:
         server = ServerState.fresh(init, n_clients=2, rng_seed=51)
         dim = spec.param_count
         clients = ClientStore([4], dim, CLIENT_FIELDS["feddc"])
-        theta = ParamVector(init.values + 0.05 * rng.gaussian(dim))
+        theta = init + 0.05 * rng.gaussian(dim)
         clients.drift[0] = 0.1 * rng.gaussian(dim)
         clients.last_delta[0] = 0.03 * rng.gaussian(dim)
         x = rng.gaussian((4, spec.input_dim))
@@ -315,8 +312,8 @@ class TestCriterion5Properties:
         up = run_local_round(
             clients, 0, server, cfg, x, y, stream(52, "batch-shuffle"), spec
         )
-        lhs = ParamVector(up.drift_plus.values - clients.drift[0])
-        rhs = ParamVector(up.theta_plus.values - server.global_params.values)
+        lhs = up.drift_plus[0] - clients.drift[0]
+        rhs = up.theta[0] - server.global_params
         assert bits_equal(lhs, rhs)
         print("ACCEPTANCE 5b: drift bookkeeping h+-h == theta+-global bitwise: PASS")
 
@@ -326,23 +323,16 @@ class TestCriterion5Properties:
         init = init_params(spec, stream(53, "global-init"))
         server = ServerState.fresh(init, 3, 53)
         rng = stream(53, "testing")
-        ups = []
+        data = []
         clients = ClientStore([20] * 3, spec.param_count, CLIENT_FIELDS["feddc"])
         for i in range(3):
             clients.drift[i] = 0.1 * rng.gaussian(spec.param_count)
             x = rng.gaussian((20, 30))
             y = (rng.uniform01(20) * 5).astype(np.int64)
-            ups.append(
-                run_local_round(
-                    clients, i, server, cfg, x, y,
-                    stream(53, "batch-shuffle", client=i), spec,
-                )
-            )
-        new_server = server_aggregate(server, ups, cfg)
-        oracle = weighted_mean(
-            [u.theta_plus + u.drift_plus for u in sorted(ups, key=lambda u: u.client_id)],
-            [1.0] * 3,
-        )
+            data.append((x, y, stream(53, "batch-shuffle", client=i)))
+        up = run_local_rounds(clients, [0, 1, 2], server, cfg, data.__getitem__, spec)
+        new_server = server_aggregate(server, up, cfg)
+        oracle = weighted_mean(up.theta + up.drift_plus, [1.0] * 3)
         assert bits_equal(new_server.global_params, oracle)
         print("ACCEPTANCE 5c: aggregation identity bitwise: PASS")
 
@@ -357,13 +347,12 @@ class TestCriterion5Properties:
             cfg = AlgoConfig(algo, lr=0.1, local_epochs=1, batch_size=10, **kw)
             init = init_params(LOGISTIC, stream(54, "global-init"))
             server = ServerState.fresh(init, 4, 54)
-            zero = ParamVector.zeros(len(init))
-            ups = [
-                ClientUpdate(i, server.global_params, zero, zero, zero, 20,
-                             steps_per_round(20, cfg), 0)
-                for i in range(4)
-            ]
-            new_server = server_aggregate(server, ups, cfg)
+            zero = np.zeros((4, init.size))
+            up = RoundUpdate(
+                np.arange(4), np.full(4, 20), np.full(4, steps_per_round(20, cfg)),
+                np.tile(server.global_params, (4, 1)), zero, zero, zero,
+            )
+            new_server = server_aggregate(server, up, cfg)
             assert bits_equal(new_server.global_params, server.global_params), algo
         print("ACCEPTANCE 5d: stationarity under zero deltas bitwise: PASS")
 
@@ -442,7 +431,7 @@ class TestCriterion5Properties:
             x = rng.gaussian((7, spec.input_dim))
             y = (rng.uniform01(7) * spec.num_classes).astype(np.int64)
             loss, _ = loss_and_grad(
-                spec, ParamVector.zeros(spec.param_count), Batch(x, y)
+                spec, np.zeros(spec.param_count), Batch(x, y)
             )
             assert abs(loss - np.log(spec.num_classes)) < 1e-12
         print("ACCEPTANCE 5h: loss at zero params == ln(C) within 1e-12: PASS")

@@ -7,6 +7,7 @@ from feddrift import cli
 from feddrift.cli import build_experiment, main
 from feddrift.engine import CSV_HEADER
 from feddrift.errors import ConfigError
+from feddrift.models import ModelSpec
 from feddrift.presets import PRESETS, merge_under
 
 
@@ -225,23 +226,35 @@ class TestDefaults:
 
     def test_mnist_presets_carry_benchmark_hyperparameters(self):
         for name in ("mnist-iid", "mnist-d1", "mnist-d2", "unbalanced-0.3"):
-            algo = PRESETS[name]["algorithm"]
-            assert algo["lr"] == 0.1
-            assert algo["lr_decay"] == 0.998
-            assert algo["batch_size"] == 50
-            assert algo["local_epochs"] == 5
-            assert PRESETS[name]["model"]["weight_decay"] == 0.001
+            exp, _ = build_experiment({
+                "preset": name,
+                "algorithm": {"name": "feddc"},
+                "dataset": {"data_dir": "/nonexistent"},
+            })
+            algo = exp.algo
+            assert (algo.lr, algo.lr_decay, algo.batch_size, algo.local_epochs) == (
+                0.1, 0.998, 50, 5
+            )
+            assert algo.participation == 1.0
+            assert exp.model == ModelSpec("mlp", 784, 10, (200, 200), weight_decay=0.001)
+            assert (exp.rounds, exp.eval_every, exp.target_accuracies) == (200, 5, (0.98,))
+            assert exp.dataset.n_clients == 100
         assert PRESETS["mnist-d1"]["dataset"]["partition"] == {"mode": "d1"}
         assert PRESETS["unbalanced-0.3"]["dataset"]["partition"]["balance"] == "lognormal"
 
     def test_synthetic_preset_hyperparameters(self):
-        algo = PRESETS["synthetic-00"]["algorithm"]
-        assert algo["batch_size"] == 10
-        assert algo["local_epochs"] == 10
-        assert algo["lr"] == 0.1
-        assert PRESETS["synthetic-00"]["dataset"]["n_clients"] == 20
-        assert PRESETS["synthetic-01"]["dataset"]["gamma2"] == 1.0
-        assert PRESETS["synthetic-10"]["dataset"]["gamma1"] == 1.0
+        for name, gammas in (("synthetic-00", (0.0, 0.0)), ("synthetic-10", (1.0, 0.0)),
+                             ("synthetic-01", (0.0, 1.0))):
+            exp, _ = build_experiment({"preset": name, "algorithm": {"name": "fedavg"}})
+            algo = exp.algo
+            assert (algo.lr, algo.lr_decay, algo.batch_size, algo.local_epochs) == (
+                0.1, 0.998, 10, 10
+            )
+            assert algo.participation == 1.0
+            assert exp.model == ModelSpec("logistic", 30, 5)
+            assert (exp.rounds, exp.eval_every, exp.target_accuracies) == (100, 1, ())
+            assert (exp.dataset.gamma1, exp.dataset.gamma2) == gammas
+            assert exp.dataset.n_clients == 20
 
     def test_named_dirichlet_partition_resolves(self):
         exp, resolved = build_experiment(

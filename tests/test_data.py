@@ -21,7 +21,6 @@ from feddrift.errors import (
 )
 from feddrift.models import Batch, ModelSpec, accuracy, loss_and_grad
 from feddrift.rng import stream
-from feddrift.vectors import ParamVector
 
 
 def train_centrally(ds, epochs=300, lr=1.0, seed=99):
@@ -30,9 +29,9 @@ def train_centrally(ds, epochs=300, lr=1.0, seed=99):
     theta = np.zeros(spec.param_count)
     batch = Batch(ds.train_inputs, ds.train_labels)
     for _ in range(epochs):
-        _, g = loss_and_grad(spec, ParamVector(theta), batch)
-        theta -= lr * g.values
-    return spec, ParamVector(theta)
+        _, g = loss_and_grad(spec, theta, batch)
+        theta -= lr * g
+    return spec, theta
 
 
 class TestSynthetic:

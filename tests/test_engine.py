@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,9 @@ from feddrift.errors import (
     EmptyEvaluationError,
     FormatError,
     LengthError,
+    NumericError,
     ParameterError,
+    RunError,
     VersionError,
 )
 from feddrift.federation import AlgoConfig
@@ -118,7 +123,7 @@ class TestDeterminism:
             rb = noisy.run_round()
             noisy.evaluate_accuracy()
             assert same_but_wall(ra, rb)
-        assert plain.server.global_params == noisy.server.global_params
+        assert np.array_equal(plain.server.global_params, noisy.server.global_params)
 
     def test_inactive_clients_keep_stale_state(self):
         cfg = small_cfg("feddc", alpha=0.005, n_clients=8, participation=0.25, rounds=3)
@@ -136,6 +141,23 @@ class TestDeterminism:
             new = getattr(run.clients, f)
             for i in range(8):
                 assert np.array_equal(new[i], old[i]) == (i not in active), (f, i)
+
+
+class TestDivergence:
+    def test_diverging_round_names_its_round(self):
+        """A non-finite aggregate fails at the server's one finiteness check."""
+        cfg = ExperimentConfig(
+            dataset=SyntheticConfig(n_clients=3, samples_per_client_mean=20, seed=0),
+            model=LOGISTIC,
+            algo=AlgoConfig("fedavg", lr=1e308, local_epochs=5, batch_size=10),
+            rounds=3,
+        )
+        run = FederatedRun(cfg)
+        with np.errstate(all="ignore"), pytest.raises(RunError, match="round 1: ") as info:
+            run.run_round()
+        assert isinstance(info.value.__cause__, NumericError)
+        assert "ServerState.global_params" in str(info.value)
+        assert run.round == 0 and not run.records  # the run keeps its last good state
 
 
 class TestResume:
@@ -268,6 +290,29 @@ class TestResume:
         checkpoint_save(feddc_path, feddc.server, feddc.clients)
         with pytest.raises(FormatError, match="fedavg"):
             checkpoint_restore(FederatedRun(cfg), feddc_path)
+
+
+    def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        run = FederatedRun(small_cfg("feddc", rounds=2, alpha=0.005))
+        run.run_round()
+        path = tmp_path / "ckpt.bin"
+        checkpoint_save(path, run.server, run.clients)
+        saved = path.read_bytes()
+        run.run_round()
+
+        class FullDisk:
+            """A client field whose bytes cannot be written."""
+
+            def astype(self, *args, **kwargs):
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(run.clients, "last_delta", FullDisk())
+        with pytest.raises(OSError, match="no space"):
+            checkpoint_save(path, run.server, run.clients)
+        assert path.read_bytes() == saved
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+        server, _ = checkpoint_load(path)
+        assert server.round == 1
 
 
 class TestTargets:
@@ -428,6 +473,53 @@ class TestMnistPath:
         recs, _ = run_experiment(cfg)
         assert len(recs) == 2
 
+    def test_subsampled_train_set_owns_its_data(self, tiny_idx_pair):
+        """A subsample copies its rows, so the full decoded set can be freed."""
+        img, lab, x, y = tiny_idx_pair
+        ds = build_dataset(
+            MnistConfig(str(img), str(lab), str(img), str(lab), n_clients=2, subsample=30)
+        )
+        for arr in (ds.train_inputs, ds.train_labels):
+            assert arr.flags.owndata and arr.shape[0] == 30
+        assert np.array_equal(ds.train_inputs, x[:30]) and np.array_equal(ds.train_labels, y[:30])
+
     def test_labels(self):
         ds = build_dataset(SyntheticConfig(gamma1=1.0, gamma2=0.0, seed=1))
         assert dataset_label(ds) == "synthetic(1;0)"
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer wraps program functions by name; each must exist."""
+
+    def _tracing(self):
+        name = "perfbench_tracing"
+        if name not in sys.modules:
+            path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+            spec = importlib.util.spec_from_file_location(name, path)
+            sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[name])
+        return sys.modules[name]
+
+    def test_instrument_wraps_existing_names_and_close_restores_them(self):
+        import feddrift.engine as engine_module
+
+        tracing = self._tracing()
+        before = (engine_module.run_local_round, engine_module.FederatedRun.run_round)
+        tracer = tracing.Tracer()
+        tracing.instrument(tracer)
+        assert engine_module.run_local_round is not before[0]
+        tracer.close()
+        assert (engine_module.run_local_round, engine_module.FederatedRun.run_round) == before
+
+    def test_traced_two_round_run(self):
+        tracing = self._tracing()
+        tracer = tracing.Tracer()
+        records, _ = tracer.trace(lambda: run_experiment(small_cfg("feddc", rounds=2, alpha=0.005)), 1)
+        assert [r.round for r in records] == [1, 2]
+        names = {span.name for span in tracer.spans}
+        assert {"engine.init", "engine.round", "federation.aggregate",
+                "federation.apply_update", "federation.grad_variance",
+                "vectors.weighted_mean", "models.eval_accuracy"} <= names
+        layers = tracer.layer_metrics(1)
+        assert layers["federation.bytes_up"] == sum(r.bytes_up for r in records)
+        assert layers["engine.client_state_mb"] > 0

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from feddrift.errors import EmptyAggregateError, ParameterError
+from feddrift.errors import DimensionError, EmptyAggregateError, NumericError, ParameterError
 from feddrift.federation import (
     CLIENT_FIELDS,
     AlgoConfig,
     ClientStore,
-    ClientUpdate,
+    RoundUpdate,
     ServerState,
     ablation_from_code,
     apply_update,
@@ -16,19 +18,16 @@ from feddrift.federation import (
     gradient_variance_diagnostic,
     round_lr,
     run_local_round,
+    run_local_rounds,
     sample_active_set,
     server_aggregate,
     steps_per_round,
     upload_vectors,
+    weighted_mean,
 )
 from feddrift.models import Batch, ModelSpec, init_params, loss_and_grad
 from feddrift.rng import stream
-from feddrift.vectors import (
-    ParamVector,
-    finite_diff_grad,
-    max_relative_error,
-    weighted_mean,
-)
+from feddrift.vectors import finite_diff_grad, max_relative_error
 
 SPEC = ModelSpec("logistic", input_dim=3, num_classes=2)
 
@@ -48,11 +47,19 @@ def make_states(algorithm="feddc", n_clients=3, seed=0, n_samples=8, **kw):
     return cfg, server, clients
 
 
+def block_update(theta, delta, k_steps=1, n_samples=8, drift_plus=None, c_plus=None):
+    """A RoundUpdate of clients 0..C-1 from (C, P) rows."""
+    theta = np.array(theta, dtype=np.float64)
+    c = len(theta)
+    return RoundUpdate(np.arange(c), np.full(c, n_samples), np.full(c, k_steps), theta,
+                       np.array(delta, dtype=np.float64), drift_plus, c_plus)
+
+
 def randomize_client(clients, i, seed):
     """Random stored rows for client i; returns a random theta."""
     rng = stream(seed, "testing", client=i + 1)
     dim = SPEC.param_count
-    theta = ParamVector(rng.gaussian(dim))
+    theta = rng.gaussian(dim)
     clients.drift[i] = 0.1 * rng.gaussian(dim)
     clients.last_delta[i] = 0.05 * rng.gaussian(dim)
     return theta
@@ -116,7 +123,7 @@ class TestLocalObjective:
     def test_param_correction_vanishes_at_anchor(self):
         cfg, server, clients = make_states("feddc", alpha=0.7)
         clients.drift[0] = stream(3, "testing").gaussian(SPEC.param_count)
-        theta = ParamVector(server.global_params.values - clients.drift[0])
+        theta = server.global_params - clients.drift[0]
         x, y = make_data(seed=3)
         batch = Batch(x, y)
         with_pc = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, SPEC)
@@ -126,16 +133,14 @@ class TestLocalObjective:
         without_pc = feddc_local_objective_grad(
             theta, clients, 0, server, cfg_no_pc, batch, SPEC
         )
-        assert np.array_equal(with_pc.values, without_pc.values)
+        assert np.array_equal(with_pc, without_pc)
 
     def test_gradient_matches_finite_differences(self):
         cfg, server, clients = make_states("feddc", alpha=0.3)
         theta = randomize_client(clients, 0, 7)
-        server = ServerState.fresh(
-            init_params(SPEC, stream(8, "global-init")), 3, 0
-        )
-        object.__setattr__(
-            server, "global_delta", ParamVector(0.02 * stream(9, "testing").gaussian(8))
+        server = replace(
+            ServerState.fresh(init_params(SPEC, stream(8, "global-init")), 3, 0),
+            global_delta=0.02 * stream(9, "testing").gaussian(8),
         )
         x, y = make_data(seed=9)
         batch = Batch(x, y)
@@ -165,9 +170,8 @@ class TestRunLocalRound:
         up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
         order = stream(20, "batch-shuffle", client=0, round_index=0).permutation(6)
         _, g = loss_and_grad(SPEC, server.global_params, Batch(x[order], y[order]))
-        want = ParamVector(server.global_params.values - 0.2 * g.values)
-        assert bits(up.theta_plus, want)
-        assert up.k_steps == 1
+        assert bits(up.theta[0], server.global_params - 0.2 * g)
+        assert up.k_steps.tolist() == [1]
 
     def test_drift_bookkeeping_first_round_literal(self, bits):
         x, y = make_data(seed=21)
@@ -175,9 +179,7 @@ class TestRunLocalRound:
         rng = stream(21, "batch-shuffle", client=0, round_index=0)
         up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
         # h starts at zero, so the literal subtraction form holds bitwise.
-        lhs = ParamVector(up.drift_plus.values - clients.drift[0])
-        rhs = ParamVector(up.theta_plus.values - server.global_params.values)
-        assert bits(lhs, rhs)
+        assert bits(up.drift_plus[0] - clients.drift[0], up.theta[0] - server.global_params)
 
     def test_drift_bookkeeping_relation_any_round(self, bits):
         x, y = make_data(seed=22)
@@ -185,15 +187,12 @@ class TestRunLocalRound:
         for t in range(3):
             rng = stream(22, "batch-shuffle", client=0, round_index=t)
             up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
-            assert bits(up.drift_plus, ParamVector(clients.drift[0]) + up.delta)
-            assert bits(
-                up.delta,
-                ParamVector(up.theta_plus.values - server.global_params.values),
-            )
+            assert bits(up.drift_plus[0], clients.drift[0] + up.delta[0])
+            assert bits(up.delta[0], up.theta[0] - server.global_params)
             apply_update(clients, up)
-            assert bits(ParamVector(clients.drift[0]), up.drift_plus)
-            assert bits(ParamVector(clients.last_delta[0]), up.delta)
-            server = server_aggregate(server, [up], cfg)
+            assert bits(clients.drift[0], up.drift_plus[0])
+            assert bits(clients.last_delta[0], up.delta[0])
+            server = server_aggregate(server, up, cfg)
 
     def test_fedavg_like_algorithms_leave_drift_untouched(self):
         x, y = make_data(seed=23)
@@ -213,7 +212,7 @@ class TestRunLocalRound:
             )
             for _ in range(2)
         ]
-        assert bits(ups[0].theta_plus, ups[1].theta_plus)
+        assert bits(ups[0].theta, ups[1].theta)
         assert bits(ups[0].delta, ups[1].delta)
 
     def test_empty_partition(self):
@@ -230,81 +229,93 @@ class TestRunLocalRound:
         cfg, server, clients = make_states("scaffold", seed=25)
         rng = stream(25, "batch-shuffle", client=0, round_index=0)
         up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
-        k = up.k_steps
+        k = int(up.k_steps[0])
         lr_t = round_lr(cfg, 0)
-        want = ParamVector(
-            clients.scaffold_c[0]
-            - server.scaffold_c.values
-            - up.delta.values / (k * lr_t)
-        )
-        assert bits(up.scaffold_c_plus, want)
+        want = clients.scaffold_c[0] - server.scaffold_c - up.delta[0] / (k * lr_t)
+        assert bits(up.c_plus[0], want)
 
-    def test_scaffold_identical_clients_agree_after_round_one(self):
+    def test_scaffold_identical_clients_agree_after_round_one(self, bits):
         x, y = make_data(n=10, seed=26)
         cfg, server, clients = make_states("scaffold", n_clients=3, seed=26, n_samples=10)
-        ups = []
-        for i in range(len(clients.n_samples)):
+
+        def same_data(_):
             # Identical data and identical shuffle stream: same computation.
-            rng = stream(26, "batch-shuffle", client=0, round_index=0)
-            ups.append(run_local_round(clients, i, server, cfg, x, y, rng, SPEC))
-        assert ups[0].scaffold_c_plus == ups[1].scaffold_c_plus == ups[2].scaffold_c_plus
-        new_server = server_aggregate(server, ups, cfg)
+            return x, y, stream(26, "batch-shuffle", client=0, round_index=0)
+
+        up = run_local_rounds(clients, [2, 0, 1], server, cfg, same_data, SPEC)
+        assert up.ids.tolist() == [0, 1, 2]
+        assert bits(up.c_plus[0], up.c_plus[1]) and bits(up.c_plus[1], up.c_plus[2])
+        new_server = server_aggregate(server, up, cfg)
         # Full participation from zero controls: server c equals every client's c+.
-        assert new_server.scaffold_c == ups[0].scaffold_c_plus
+        assert np.array_equal(new_server.scaffold_c, up.c_plus[0])
+
+
+class TestServerState:
+    def test_arrays_are_read_only(self):
+        _, server, _ = make_states("feddc", alpha=0.1)
+        for name in ("global_params", "global_delta", "scaffold_c", "dyn_corrector"):
+            arr = getattr(server, name)
+            assert arr.dtype == np.float64 and arr.shape == (SPEC.param_count,)
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_rejects_non_finite_or_misshapen_vectors(self):
+        _, server, _ = make_states("fedavg")
+        p = SPEC.param_count
+        for bad in (np.nan, np.inf, -np.inf):
+            vec = np.zeros(p)
+            vec[3] = bad
+            with pytest.raises(NumericError, match="global_delta.*index 3"):
+                replace(server, global_delta=vec)
+        for shape in ((p + 1,), (1, p), ()):
+            with pytest.raises(DimensionError, match="scaffold_c"):
+                replace(server, scaffold_c=np.zeros(shape))
+        with pytest.raises(DimensionError):
+            ServerState.fresh(np.zeros(0), 1, 0)
 
 
 class TestAggregate:
     def test_empty(self):
         cfg, server, _ = make_states("fedavg")
+        p = SPEC.param_count
         with pytest.raises(EmptyAggregateError):
-            server_aggregate(server, [], cfg)
+            server_aggregate(server, block_update(np.empty((0, p)), np.empty((0, p))), cfg)
 
-    def _updates(self, server, clients, cfg, seed=30):
+    def _update(self, server, clients, cfg, seed=30, ids=None):
         x, y = make_data(seed=seed)
-        ups = []
-        for i in range(len(clients.n_samples)):
-            rng = stream(seed, "batch-shuffle", client=i, round_index=0)
-            ups.append(run_local_round(clients, i, server, cfg, x, y, rng, SPEC))
-        return ups
+
+        def data(i):
+            return x, y, stream(seed, "batch-shuffle", client=i, round_index=0)
+
+        ids = range(len(clients.n_samples)) if ids is None else ids
+        return run_local_rounds(clients, ids, server, cfg, data, SPEC)
 
     def test_feddc_aggregation_identity_bitwise(self, bits):
         cfg, server, clients = make_states("feddc", alpha=0.1, seed=30)
         for i in range(len(clients.n_samples)):
             randomize_client(clients, i, 30)
-        ups = self._updates(server, clients, cfg)
-        new_server = server_aggregate(server, list(reversed(ups)), cfg)
-        corrected = [u.theta_plus + u.drift_plus for u in ups]  # id-ascending
+        up = self._update(server, clients, cfg, ids=[2, 1, 0])
+        assert up.ids.tolist() == [0, 1, 2]  # rows in ascending id order, whatever the input
+        new_server = server_aggregate(server, up, cfg)
+        corrected = up.theta + up.drift_plus
         assert bits(new_server.global_params, weighted_mean(corrected, [1.0] * 3))
-        assert bits(
-            new_server.global_delta,
-            weighted_mean([u.delta for u in ups], [1.0] * 3),
-        )
+        assert bits(new_server.global_delta, weighted_mean(up.delta, [1.0] * 3))
         assert new_server.round == 1
 
     def test_feddc_single_client_sum_exact(self, bits):
         cfg, server, clients = make_states("feddc", alpha=0.1, n_clients=1, seed=31)
-        ups = self._updates(server, clients, cfg, seed=31)
-        new_server = server_aggregate(server, ups, cfg)
-        assert bits(new_server.global_params, ups[0].theta_plus + ups[0].drift_plus)
+        up = self._update(server, clients, cfg, seed=31)
+        new_server = server_aggregate(server, up, cfg)
+        assert bits(new_server.global_params, up.theta[0] + up.drift_plus[0])
 
-    def test_feddc_zero_drift_matches_fedavg_aggregation(self, bits):
+    def test_feddc_zero_drift_matches_fedavg_aggregation(self):
         cfg_dc, server, _ = make_states("feddc", alpha=0.0, seed=32, n_clients=2)
         cfg_avg, _, clients = make_states("fedavg", seed=32, n_clients=2)
-        ups = self._updates(server, clients, cfg_avg, seed=32)
-        avg_server = server_aggregate(server, ups, cfg_avg)
-        # drift_plus differs per algorithm; rebuild feddc-style updates with h=0
-        zero = ParamVector.zeros(len(server.global_params))
-        ups_dc = [
-            ClientUpdate(
-                u.client_id, u.theta_plus, zero, u.delta, u.scaffold_c_plus,
-                u.n_samples, u.k_steps, u.bytes_up,
-            )
-            for u in ups
-        ]
-        dc_server = server_aggregate(server, ups_dc, cfg_dc)
-        assert np.array_equal(
-            dc_server.global_params.values, avg_server.global_params.values
-        )
+        up = self._update(server, clients, cfg_avg, seed=32)
+        avg_server = server_aggregate(server, up, cfg_avg)
+        # drift_plus differs per algorithm; aggregate the fedavg rows feddc-style with h=0
+        dc_server = server_aggregate(server, replace(up, drift_plus=np.zeros_like(up.theta)), cfg_dc)
+        assert np.array_equal(dc_server.global_params, avg_server.global_params)
 
     @pytest.mark.parametrize("algo,kw", [
         ("fedavg", {}),
@@ -315,49 +326,32 @@ class TestAggregate:
     ])
     def test_stationarity_zero_deltas_bitwise(self, algo, kw, bits):
         cfg, server, clients = make_states(algo, n_clients=4, seed=33, **kw)
-        zero = ParamVector.zeros(len(server.global_params))
-        ups = [
-            ClientUpdate(
-                client_id=i,
-                theta_plus=server.global_params,
-                drift_plus=zero,
-                delta=zero,
-                scaffold_c_plus=zero,
-                n_samples=int(n),
-                k_steps=steps_per_round(int(n), cfg),
-                bytes_up=0,
-            )
-            for i, n in enumerate(clients.n_samples)
-        ]
-        new_server = server_aggregate(server, ups, cfg)
+        zero = np.zeros((4, SPEC.param_count))
+        up = block_update(
+            np.tile(server.global_params, (4, 1)), zero,
+            k_steps=steps_per_round(8, cfg), drift_plus=zero, c_plus=zero,
+        )
+        new_server = server_aggregate(server, up, cfg)
         assert bits(new_server.global_params, server.global_params)
 
     def test_by_samples_weighting(self):
         cfg = AlgoConfig("fedavg", aggregation_weighting="by_samples")
-        init = ParamVector([0.0, 0.0])
-        server = ServerState.fresh(init, n_clients=2, rng_seed=0)
-        ups = [
-            ClientUpdate(0, ParamVector([1.0, 0.0]), init, init, init, 100, 1, 0),
-            ClientUpdate(1, ParamVector([0.0, 1.0]), init, init, init, 300, 1, 0),
-        ]
-        out = server_aggregate(server, ups, cfg)
-        assert np.allclose(out.global_params.values, [0.25, 0.75])
+        server = ServerState.fresh(np.zeros(2), n_clients=2, rng_seed=0)
+        up = block_update([[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)), n_samples=[100, 300])
+        out = server_aggregate(server, up, cfg)
+        assert np.allclose(out.global_params, [0.25, 0.75])
 
     def test_feddyn_server_state_formula(self):
         cfg, server, clients = make_states("feddyn", alpha=0.5, n_clients=2, seed=34)
         init = server.global_params
-        d0 = ParamVector(np.full(len(init), 0.1))
-        d1 = ParamVector(np.full(len(init), 0.3))
-        ups = [
-            ClientUpdate(0, init + d0, d0, d0, init, 8, 1, 0),
-            ClientUpdate(1, init + d1, d1, d1, init, 8, 1, 0),
-        ]
-        out = server_aggregate(server, ups, cfg)
+        d = np.stack([np.full(len(init), 0.1), np.full(len(init), 0.3)])
+        up = block_update(init + d, d, drift_plus=d)
+        out = server_aggregate(server, up, cfg)
         mean_delta = 0.2
         want_corrector = -0.5 * (2 / 2) * mean_delta
-        assert np.allclose(out.dyn_corrector.values, want_corrector)
-        want_params = init.values + mean_delta - want_corrector / 0.5
-        assert np.allclose(out.global_params.values, want_params)
+        assert np.allclose(out.dyn_corrector, want_corrector)
+        want_params = init + mean_delta - want_corrector / 0.5
+        assert np.allclose(out.global_params, want_params)
 
 
 class TestSampling:
@@ -385,22 +379,19 @@ class TestSampling:
 
 class TestDiagnostics:
     def _mk(self, deltas, k=4):
-        zero = ParamVector.zeros(len(deltas[0]))
-        return [
-            ClientUpdate(i, zero, zero, ParamVector(d), zero, 8, k, 0)
-            for i, d in enumerate(deltas)
-        ]
+        deltas = np.array(deltas, dtype=np.float64)
+        return block_update(np.zeros_like(deltas), deltas, k_steps=k)
 
     def test_identical_deltas_zero_variance(self):
         cfg, server, _ = make_states("fedavg")
-        ups = self._mk([np.array([0.5, -0.5])] * 3)
-        assert gradient_variance_diagnostic(ups, server, cfg) == 0.0
+        up = self._mk([np.array([0.5, -0.5])] * 3)
+        assert gradient_variance_diagnostic(up, server, cfg) == 0.0
 
     def test_opposite_deltas_hand_value(self):
         cfg, server, _ = make_states("fedavg", lr=0.1)
         d = np.array([0.3, -0.4])
-        ups = self._mk([d, -d], k=4)
-        got = gradient_variance_diagnostic(ups, server, cfg)
+        up = self._mk([d, -d], k=4)
+        got = gradient_variance_diagnostic(up, server, cfg)
         want = float(np.sum((d / (4 * 0.1)) ** 2))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -409,20 +400,16 @@ class TestDiagnostics:
         # n = 2, 9 and 130 reach numpy's plain, unrolled and blocked sums.
         cfg, server, _ = make_states("fedavg", lr=0.1)
         rng = stream(n, "testing")
-        zero = ParamVector.zeros(300)
-        ups = [
-            ClientUpdate(i, zero, None, ParamVector(rng.gaussian(300)), None, 8, 3 + i % 4, 0)
-            for i in range(n)
-        ]
+        up = self._mk(rng.gaussian((n, 300)), k=3 + np.arange(n) % 4)
         lr_t = round_lr(cfg, server.round)
-        gs = np.stack([-u.delta.values / (u.k_steps * lr_t) for u in ups])
+        gs = np.stack([-up.delta[i] / (int(up.k_steps[i]) * lr_t) for i in range(n)])
         want = float(np.mean(np.sum((gs - gs.mean(axis=0)) ** 2, axis=1)))
-        assert gradient_variance_diagnostic(ups, server, cfg).hex() == want.hex()
+        assert gradient_variance_diagnostic(up, server, cfg).hex() == want.hex()
 
     def test_fewer_than_two_is_absent(self):
         cfg, server, _ = make_states("fedavg")
-        ups = self._mk([np.array([1.0, 2.0])])
-        assert gradient_variance_diagnostic(ups, server, cfg) is None
+        up = self._mk([np.array([1.0, 2.0])])
+        assert gradient_variance_diagnostic(up, server, cfg) is None
 
 
 class TestCommunication:
@@ -440,12 +427,9 @@ class TestCommunication:
         assert download_vectors(mk("scaffold")) == 2
 
     def test_feddc_bytes_are_1_5x_fedavg_exactly(self):
-        x, y = make_data(seed=40)
         p = SPEC.param_count
         totals = {}
         for algo, kw in (("fedavg", {}), ("feddc", {"alpha": 0.1})):
-            cfg, server, clients = make_states(algo, seed=40, **kw)
-            rng = stream(40, "batch-shuffle", client=0, round_index=0)
-            up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
-            totals[algo] = up.bytes_up + download_vectors(cfg) * 8 * p
+            cfg = AlgoConfig(algo, **kw)
+            totals[algo] = (upload_vectors(cfg) + download_vectors(cfg)) * 8 * p
         assert 2 * totals["feddc"] == 3 * totals["fedavg"]

@@ -1,18 +1,20 @@
 """Lockstep training equals training each client alone, bit for bit.
 
-`run_local_rounds` trains a group of equal-size clients as one stacked
-(C, P) block; `run_local_round` is its one-client call. Every field of
-every update must match between the two, sign bits included.
+`run_local_rounds` trains a round's whole active set, each group of
+equal-size clients as stacked (C, P) blocks, and returns one RoundUpdate;
+`run_local_round` is its one-client call. Every row of every block must
+match the one-client result, sign bits included.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feddrift.engine import lockstep_groups
+from feddrift import federation
 from feddrift.errors import DimensionError
 from feddrift.federation import (
     ALGORITHMS,
@@ -21,12 +23,12 @@ from feddrift.federation import (
     ClientStore,
     ServerState,
     ablation_from_code,
+    lockstep_groups,
     run_local_round,
     run_local_rounds,
 )
 from feddrift.models import ModelSpec, _split, init_params
 from feddrift.rng import stream
-from feddrift.vectors import ParamVector
 
 SPECS = {
     "logistic": ModelSpec("logistic", 6, 4),
@@ -36,7 +38,7 @@ ABLATION_CODES = ("le", "lelg", "lelp", "lelglp")
 
 
 def _bits(v):
-    return None if v is None else v.values.tobytes()
+    return None if v is None else v.tobytes()
 
 
 def _scenario(algorithm, code, model, sizes, batch_size, epochs, round_index,
@@ -50,13 +52,13 @@ def _scenario(algorithm, code, model, sizes, batch_size, epochs, round_index,
                      mu=0.01, **kw)
     rng = np.random.default_rng(seed)
     p = spec.param_count
-    start = init_params(spec, stream(seed, "global-init")).values.copy()
+    start = init_params(spec, stream(seed, "global-init"))
     for _w, b in _split(spec, start):
         b[...] = -0.0  # sign bits of zeros take part in every comparison
     server = replace(
-        ServerState.fresh(ParamVector(start), len(sizes), seed),
-        global_delta=ParamVector(0.01 * rng.standard_normal(p)),
-        scaffold_c=ParamVector(0.1 * rng.standard_normal(p)),
+        ServerState.fresh(start, len(sizes), seed),
+        global_delta=0.01 * rng.standard_normal(p),
+        scaffold_c=0.1 * rng.standard_normal(p),
         round=round_index,
     )
     store = ClientStore(sizes, p, CLIENT_FIELDS[algorithm])
@@ -65,9 +67,9 @@ def _scenario(algorithm, code, model, sizes, batch_size, epochs, round_index,
     if zero_extra:
         # Client 0's gradient-correction or control term is exactly zero.
         if "scaffold_c" in store.fields:
-            store.scaffold_c[0] = server.scaffold_c.values
+            store.scaffold_c[0] = server.scaffold_c
         if "last_delta" in store.fields:
-            store.last_delta[0] = server.global_delta.values
+            store.last_delta[0] = server.global_delta
     data = []
     for n in sizes:
         x = rng.standard_normal((n, spec.input_dim))
@@ -88,35 +90,38 @@ def _scenario(algorithm, code, model, sizes, batch_size, epochs, round_index,
     cap=st.sampled_from([1, 2, 64]),
     step_budget=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 2**16),
+    draw=st.data(),
 )
 def test_lockstep_groups_equal_one_client_rounds(algorithm, code, model, sizes, batch_size,
                                                  epochs, round_index, zero_extra, cap,
-                                                 step_budget, seed):
+                                                 step_budget, seed, draw):
     cfg, spec, server, store, data = _scenario(
         algorithm, code, model, sizes, batch_size, epochs, round_index, zero_extra, seed
+    )
+    active = draw.draw(
+        st.lists(st.sampled_from(range(len(sizes))), min_size=1, unique=True), label="active"
     )
 
     def rng(i):
         return stream(seed, "batch-shuffle", client=i, round_index=round_index)
 
     alone = [
-        run_local_round(store, i, server, cfg, x, y, rng(i), spec, step_budget)
-        for i, (x, y) in enumerate(data)
+        run_local_round(store, i, server, cfg, *data[i], rng(i), spec, step_budget)
+        for i in sorted(active)
     ]
-    together = {}
-    for ids in lockstep_groups(range(len(sizes)), store.n_samples, cap):
-        ups = run_local_rounds(
-            store, ids, server, cfg, [data[i][0] for i in ids], [data[i][1] for i in ids],
-            [rng(i) for i in ids], spec, step_budget,
+    # The chunk cap is max(1, BUDGET // P) clients.
+    with mock.patch.object(federation, "BUDGET", cap * spec.param_count):
+        block = run_local_rounds(
+            store, active, server, cfg, lambda i: (*data[i], rng(i)), spec, step_budget
         )
-        assert [u.client_id for u in ups] == ids
-        together.update((u.client_id, u) for u in ups)
-    assert sorted(together) == list(range(len(sizes)))
-    for a in alone:
-        b = together[a.client_id]
-        for field in ("theta_plus", "delta", "drift_plus", "scaffold_c_plus"):
-            assert _bits(getattr(a, field)) == _bits(getattr(b, field)), field
-        assert (a.n_samples, a.k_steps, a.bytes_up) == (b.n_samples, b.k_steps, b.bytes_up)
+    assert block.ids.tolist() == sorted(active)
+    for r, one in enumerate(alone):
+        for field in ("theta", "delta", "drift_plus", "c_plus"):
+            row = getattr(block, field)
+            assert _bits(getattr(one, field)) == _bits(None if row is None else row[r]), field
+        assert (one.ids[0], one.n_samples[0], one.k_steps[0]) == (
+            block.ids[r], block.n_samples[r], block.k_steps[r]
+        )
 
 
 def test_a_zero_term_stays_off_for_its_client_alone():
@@ -124,17 +129,16 @@ def test_a_zero_term_stays_off_for_its_client_alone():
     cfg, spec, server, store, data = _scenario(
         "scaffold", "lelglp", "mlp", [5, 5, 5], 2, 1, 1, True, 3
     )
-    ids = [0, 1, 2]
-    ups = run_local_rounds(
-        store, ids, server, cfg, [x for x, _ in data], [y for _, y in data],
-        [stream(3, "batch-shuffle", client=i, round_index=1) for i in ids], spec,
+    up = run_local_rounds(
+        store, [0, 1, 2], server, cfg,
+        lambda i: (*data[i], stream(3, "batch-shuffle", client=i, round_index=1)), spec,
     )
     plain = replace(cfg, algorithm="fedavg")
     alone = run_local_round(
         ClientStore([5], spec.param_count), 0, server, plain, *data[0],
         stream(3, "batch-shuffle", client=0, round_index=1), spec,
     )
-    assert _bits(ups[0].theta_plus) == _bits(alone.theta_plus)
+    assert _bits(up.theta[0]) == _bits(alone.theta[0])
 
 
 def test_lockstep_groups_by_size_in_id_order():
@@ -150,14 +154,16 @@ def test_group_shapes_are_checked():
     )
     x = [d[0] for d in data]
     y = [d[1] for d in data]
-    rngs = [stream(0, "batch-shuffle", client=i) for i in range(2)]
+
+    def run(xs, ys, ids=(0, 1)):
+        def client_data(i):
+            return xs[i], ys[i], stream(0, "batch-shuffle", client=i)
+
+        return run_local_rounds(store, ids, server, cfg, client_data, spec)
+
     with pytest.raises(DimensionError):
-        run_local_rounds(store, [0, 1], server, cfg, x[:1], y, rngs, spec)
+        run(x, [y[0], y[1][:4]])
     with pytest.raises(DimensionError):
-        run_local_rounds(store, [0, 1], server, cfg, x, y, rngs[:1], spec)
+        run([x[0], x[1][:, :5]], y)
     with pytest.raises(DimensionError):
-        run_local_rounds(store, [0, 1], server, cfg, x, [y[0], y[1][:4]], rngs, spec)
-    with pytest.raises(DimensionError):
-        run_local_rounds(store, [0, 1], server, cfg, [x[0], x[1][:, :5]], y, rngs, spec)
-    with pytest.raises(DimensionError):
-        run_local_rounds(store, [], server, cfg, [], [], [], spec)
+        run(x, y, ids=[])
