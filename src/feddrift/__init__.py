@@ -12,15 +12,14 @@ from .engine import (
     run_experiment,
 )
 from .federation import AlgoConfig, ClientStore, ServerState, weighted_mean
-from .models import Batch, ModelSpec
-from .rng import RngStream, stream
+from .models import ModelSpec
+from .rng import stream
 from .vectors import ParamVector, finite_diff_grad
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgoConfig",
-    "Batch",
     "ClientStore",
     "ExperimentConfig",
     "FederatedDataset",
@@ -29,7 +28,6 @@ __all__ = [
     "ModelSpec",
     "ParamVector",
     "PartitionPlan",
-    "RngStream",
     "RoundRecord",
     "RunSummary",
     "ServerState",

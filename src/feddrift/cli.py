@@ -39,8 +39,8 @@ from .federation import (
     ClientStore,
     ServerState,
 )
-from .models import Batch, ModelSpec, init_params, loss_and_grad, mean_loss
-from .rng import stream
+from .models import ModelSpec, init_params, loss_and_grad, mean_loss
+from .rng import MAX_SEED, stream
 from .vectors import finite_diff_grad, max_relative_error
 
 DATA_DIR_ENV = "FEDDRIFT_DATA_DIR"
@@ -197,6 +197,12 @@ def _read(section, schema: dict, path: str, defaults=None) -> dict:
     return values
 
 
+def _check_seed(value: int, path: str) -> None:
+    """A ConfigError naming `path` unless `value` can key a stream."""
+    if not 0 <= value < MAX_SEED:
+        raise ConfigError(path, f"expected a seed in [0, 2**64), got {value}")
+
+
 def _build(cls, values: dict, path: str, **extra):
     """`cls` from the values named like its fields, and `extra`."""
     names = {f.name for f in dataclasses.fields(cls)}
@@ -226,6 +232,7 @@ def resolve_mnist_paths(section: dict) -> dict:
 
 def _partition(section, seed: int):
     p = _read(section, _PARTITION, "dataset.partition", {**_defaults(PartitionPlan), "seed": seed})
+    _check_seed(p["seed"], "dataset.partition.seed")
     if p["mode"] in DIRICHLET_NAMED:
         if p["conc"] is None:
             p["conc"] = DIRICHLET_NAMED[p["mode"]]
@@ -239,6 +246,7 @@ def _dataset(section: dict, seed: int):
         raise ConfigError("dataset.kind", f"expected one of {tuple(_DATASET)}, got {kind!r}")
     if kind == "synthetic":
         d = _read(section, _DATASET[kind], "dataset", {**_defaults(SyntheticConfig), "seed": seed})
+        _check_seed(d["seed"], "dataset.seed")
         return _build(SyntheticConfig, d, "dataset"), d
     d = _read(section, _DATASET[kind], "dataset", _defaults(MnistConfig))
     plan, d["partition"] = _partition(d.get("partition", {}), seed)
@@ -280,6 +288,7 @@ def build_experiment(raw: dict):
     if preset is not None:
         raw = presets.merge_under(raw, presets.get_preset(preset))
     top = _read(raw, _TOP, "", {**_defaults(ExperimentConfig), "rounds": 100})
+    _check_seed(top["seed"], "seed")
     for section in ("algorithm", "dataset"):
         if section not in top:
             raise ConfigError(section, "missing required section")
@@ -364,6 +373,8 @@ def _expand_manifest(manifest: dict):
         raise ConfigError(
             "settings", "manifest needs nonempty settings, algorithms, and seeds"
         )
+    for i, seed in enumerate(m["seeds"]):
+        _check_seed(seed, f"seeds[{i}]")
     pinned = {k: m[k] for k in ("rounds", "eval_every") if k in m}
     runs = []
     seen = set()
@@ -519,15 +530,14 @@ def cmd_gradcheck(args) -> int:
         return 2
     rng = stream(args.seed, "testing")
     params = init_params(spec, stream(args.seed, "global-init"))
-    x = rng.gaussian((args.batch, spec.input_dim))
-    y = (rng.uniform01(args.batch) * spec.num_classes).astype(int)
-    batch = Batch(x, y)
+    x = rng.standard_normal((args.batch, spec.input_dim))
+    y = (rng.random(args.batch) * spec.num_classes).astype(int)
 
-    _, grad = loss_and_grad(spec, params, batch)
+    _, grad = loss_and_grad(spec, params, x, y)
     if args.corrupt_gradient:
         grad = grad + 1e-3
     oracle = finite_diff_grad(
-        lambda v: mean_loss(spec, v, batch.inputs, batch.labels), params, 1e-5
+        lambda v: mean_loss(spec, v, x, y), params, 1e-5
     )
     model_err = max_relative_error(grad, oracle)
 
@@ -537,14 +547,14 @@ def cmd_gradcheck(args) -> int:
     dim = spec.param_count
     server = ServerState.fresh(params, n_clients=1, rng_seed=args.seed)
     clients = ClientStore([args.batch], dim, CLIENT_FIELDS["feddc"])
-    theta = params + 0.05 * rng.gaussian(dim)
-    clients.drift[0] = 0.1 * rng.gaussian(dim)
-    clients.last_delta[0] = 0.02 * rng.gaussian(dim)
-    obj_grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, spec)
+    theta = params + 0.05 * rng.standard_normal(dim)
+    clients.drift[0] = 0.1 * rng.standard_normal(dim)
+    clients.last_delta[0] = 0.02 * rng.standard_normal(dim)
+    obj_grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, spec)
     if args.corrupt_gradient:
         obj_grad = obj_grad + 1e-3
     obj_oracle = finite_diff_grad(
-        lambda v: feddc_local_objective(v, clients, 0, server, cfg, batch, spec),
+        lambda v: feddc_local_objective(v, clients, 0, server, cfg, x, y, spec),
         theta,
         1e-6,
     )

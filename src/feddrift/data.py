@@ -47,7 +47,8 @@ class FederatedDataset:
     """Samples, labels, and the per-client index partition.
 
     Train partitions are pairwise disjoint, each nonempty, and together
-    they cover every training sample; construction checks this.
+    they cover every training sample; train and test labels are integer
+    class indices in [0, num_classes). Construction checks both.
     """
 
     train_inputs: np.ndarray
@@ -59,6 +60,10 @@ class FederatedDataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("train_labels", "test_labels"):
+            y = np.asarray(getattr(self, name))
+            if not np.issubdtype(y.dtype, np.integer) or ((y < 0) | (y >= self.num_classes)).any():
+                raise ParameterError(f"{name} must be integer class indices < {self.num_classes}")
         parts = tuple(np.asarray(p, dtype=np.int64) for p in self.partitions)
         object.__setattr__(self, "partitions", parts)
         n = self.train_inputs.shape[0]
@@ -131,11 +136,11 @@ def _client_label_model(cfg: SyntheticConfig, client: int):
     """
     c, d = cfg.num_classes, cfg.input_dim
     base = stream(cfg.seed, "synthetic-model", client=0)
-    theta = base.gaussian((c, d))
-    b = base.gaussian(c)
+    theta = base.standard_normal((c, d))
+    b = base.standard_normal(c)
     if cfg.gamma1 > 0.0:
         personal = stream(cfg.seed, "synthetic-model", client=client + 1)
-        mu = float(personal.gaussian()) * math.sqrt(cfg.gamma1)
+        mu = float(personal.standard_normal()) * math.sqrt(cfg.gamma1)
         theta = theta + mu
         b = b + mu
     return theta, b
@@ -156,13 +161,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> FederatedDataset:
     offset = 0
     for i in range(cfg.n_clients):
         theta, b = _client_label_model(cfg, i)
-        shift = stream(cfg.seed, "synthetic-shift", client=i).gaussian(d) * math.sqrt(
-            cfg.gamma2
-        )
-        x = shift + stream(cfg.seed, "synthetic-train", client=i).gaussian((n_per, d))
-        xt = shift + stream(cfg.seed, "synthetic-test", client=i).gaussian(
-            (n_test_per, d)
-        )
+        shift = stream(cfg.seed, "synthetic-shift", client=i).standard_normal(d)
+        shift *= math.sqrt(cfg.gamma2)
+        x = shift + stream(cfg.seed, "synthetic-train", client=i).standard_normal((n_per, d))
+        xt = shift + stream(cfg.seed, "synthetic-test", client=i).standard_normal((n_test_per, d))
         train_x.append(x)
         train_y.append(np.argmax(x @ theta.T + b, axis=1))
         test_x.append(xt)
@@ -288,7 +290,8 @@ def _client_quotas(n: int, m: int, plan: PartitionPlan) -> np.ndarray:
     if plan.balance == "equal":
         base, extra = divmod(n, m)
         return np.array([base + (1 if i < extra else 0) for i in range(m)], dtype=np.int64)
-    draws = stream(plan.seed, "partition-balance").lognormal(0.0, plan.lognormal_var, m)
+    sigma = np.sqrt(plan.lognormal_var)
+    draws = stream(plan.seed, "partition-balance").lognormal(0.0, sigma, m)
     target = n * draws / draws.sum()
     sizes = np.maximum(1, np.floor(target).astype(np.int64))
     # Largest-remainder rounding, never dropping a client below one sample.
@@ -342,9 +345,9 @@ def partition(labels, n_clients: int, plan: PartitionPlan):
     out = []
     for i in range(n_clients):
         ratios = stream(plan.seed, "partition-ratio", client=i).dirichlet(
-            num_classes, plan.conc
+            np.full(num_classes, plan.conc)
         )
-        u = stream(plan.seed, "partition-fill", client=i).uniform01(int(quotas[i]))
+        u = stream(plan.seed, "partition-fill", client=i).random(int(quotas[i]))
         mine = np.empty(quotas[i], dtype=np.int64)
         j = 0
         while j < u.size:

@@ -54,7 +54,7 @@ from .federation import (
     upload_vectors,
 )
 from .models import ModelSpec, init_params
-from .rng import stream
+from .rng import MAX_SEED, stream
 
 __all__ = [
     "MnistConfig",
@@ -81,6 +81,9 @@ CSV_HEADER = (
 
 _CKPT_MAGIC = b"FDRC"
 _CKPT_VERSION = 2
+# The checkpoint header's integers, each in [its lower bound, 2**64).
+_CKPT_INTS = {"round": 0, "n_clients": 1, "param_count": 1, "rng_seed": 0}
+_CLIENT_FIELD_NAMES = frozenset(f for fields in CLIENT_FIELDS.values() for f in fields)
 
 
 @dataclass(frozen=True)
@@ -428,8 +431,27 @@ def checkpoint_save(path, server: ServerState, clients: ClientStore) -> None:
             os.remove(tmp)
 
 
+def _checked_header(blob: bytes, path) -> dict:
+    """The checkpoint header, once each value has its JSON type and range."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        for key, lo in _CKPT_INTS.items():
+            if type(header[key]) is not int or not lo <= header[key] < MAX_SEED:
+                raise ValueError(f"{key} = {header[key]!r}, expected an integer in [{lo}, 2**64)")
+        counts, fields = header["n_samples"], header["fields"]
+        if not (isinstance(counts, list) and len(counts) == header["n_clients"]
+                and all(type(n) is int and n >= 0 for n in counts)):
+            raise ValueError(f"n_samples = {counts!r}, expected {header['n_clients']} counts")
+        if not (isinstance(fields, list) and all(f in _CLIENT_FIELD_NAMES for f in fields)
+                and len(set(fields)) == len(fields)):
+            raise ValueError(f"fields = {fields!r}, expected distinct client field names")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
+    return header
+
+
 def checkpoint_load(path):
-    """Returns (server, clients) exactly as saved."""
+    """Returns (server, clients) exactly as saved; checks the header and size first."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
@@ -445,12 +467,14 @@ def checkpoint_load(path):
         blob = fh.read(hlen)
         if len(blob) != hlen:
             raise LengthError(f"{path}: truncated checkpoint header payload")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-            param_count = int(header["param_count"])
-            clients = ClientStore(header["n_samples"], param_count, header["fields"])
-        except (ValueError, KeyError, TypeError, ParameterError) as exc:
-            raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
+        header = _checked_header(blob, path)
+        param_count = header["param_count"]
+        rows = len(SERVER_VECTORS) + header["n_clients"] * len(header["fields"])
+        want = 12 + hlen + rows * param_count * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != want:
+            raise LengthError(f"{path}: checkpoint header implies {want} bytes, file holds {size}")
+        clients = ClientStore(header["n_samples"], param_count, header["fields"])
         vectors = {name: np.zeros(param_count) for name in SERVER_VECTORS}
         for vec in vectors.values():
             _read_block(fh, vec, path)
@@ -463,13 +487,11 @@ def checkpoint_load(path):
                 _read_block(fh, row, path)
                 if row.view(np.uint64).any():
                     block[i] = row
-        if fh.read(1):
-            raise LengthError(f"{path}: trailing bytes after the last checkpoint block")
     server = ServerState(
         **vectors,
-        round=int(header["round"]),
-        n_clients=int(header["n_clients"]),
-        rng_seed=int(header["rng_seed"]),
+        round=header["round"],
+        n_clients=header["n_clients"],
+        rng_seed=header["rng_seed"],
     )
     return server, clients
 

@@ -37,7 +37,6 @@ from .errors import (
     WeightError,
 )
 from .models import ModelSpec
-from .rng import RngStream
 from .vectors import _require_finite
 
 __all__ = [
@@ -306,7 +305,7 @@ def _feddc_terms(clients: ClientStore, client_id: int, server: ServerState,
 
 
 def feddc_local_objective(theta, clients: ClientStore, client_id: int,
-                          server: ServerState, cfg: AlgoConfig, batch: models.Batch,
+                          server: ServerState, cfg: AlgoConfig, inputs, labels,
                           spec: ModelSpec) -> float:
     """Value of the drift-corrected local objective at theta, a (P,) array.
 
@@ -316,7 +315,7 @@ def feddc_local_objective(theta, clients: ClientStore, client_id: int,
     :func:`feddc_local_objective_grad`.
     """
     pull, anchor, extra, _ = _feddc_terms(clients, client_id, server, cfg)
-    value = models.mean_loss(spec, theta, batch.inputs, batch.labels)
+    value = models.mean_loss(spec, theta, inputs, labels)
     if anchor is not None:
         gap = theta - anchor[0]
         value += 0.5 * pull * float(gap @ gap)
@@ -327,9 +326,9 @@ def feddc_local_objective(theta, clients: ClientStore, client_id: int,
 
 def feddc_local_objective_grad(theta, clients: ClientStore, client_id: int,
                                server: ServerState, cfg: AlgoConfig,
-                               batch: models.Batch, spec: ModelSpec) -> np.ndarray:
+                               inputs, labels, spec: ModelSpec) -> np.ndarray:
     """Gradient of the drift-corrected local objective at theta, as training assembles it."""
-    _, grad = models.loss_and_grad(spec, theta, batch)
+    _, grad = models.loss_and_grad(spec, theta, inputs, labels)
     _add_terms(grad[None], theta[None], *_feddc_terms(clients, client_id, server, cfg))
     return grad
 
@@ -437,7 +436,7 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
 
 def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
                     cfg: AlgoConfig, inputs: np.ndarray, labels: np.ndarray,
-                    rng: RngStream, spec: ModelSpec,
+                    rng: np.random.Generator, spec: ModelSpec,
                     step_budget: int | None = None) -> RoundUpdate:
     """One client's :func:`run_local_rounds`: inputs (n, input_dim), labels (n,)."""
     return run_local_rounds(
@@ -530,7 +529,7 @@ def server_aggregate(server: ServerState, update: RoundUpdate, cfg: AlgoConfig) 
 
 
 def sample_active_set(n_clients: int, participation: float, round_index: int,
-                      rng: RngStream) -> list:
+                      rng: np.random.Generator) -> list:
     """Sorted ids of this round's active clients, uniform without replacement."""
     if not (0 < participation <= 1):
         raise ParameterError(f"participation must be in (0, 1], got {participation!r}")

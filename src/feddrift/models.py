@@ -23,11 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, EmptyEvaluationError, ParameterError
-from .rng import RngStream
 
 __all__ = [
     "ModelSpec",
-    "Batch",
     "init_params",
     "loss_and_grad",
     "accuracy",
@@ -72,30 +70,6 @@ class ModelSpec:
         return sum((fi + 1) * fo for fi, fo in self.layer_dims)
 
 
-@dataclass(frozen=True)
-class Batch:
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.inputs, dtype=np.float64)
-        y = np.asarray(self.labels)
-        if x.ndim != 2:
-            raise DimensionError(f"batch inputs must be 2-D, got shape {x.shape}")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise DimensionError(
-                f"batch labels must be 1-D with one entry per row, got {y.shape}"
-            )
-        if x.shape[0] < 1:
-            raise DimensionError("a batch holds at least one sample")
-        if not np.issubdtype(y.dtype, np.integer):
-            raise ParameterError("labels must be integer class indices")
-        if (y < 0).any():
-            raise ParameterError("labels must be nonnegative class indices")
-        object.__setattr__(self, "inputs", x)
-        object.__setattr__(self, "labels", y.astype(np.int64))
-
-
 @lru_cache(maxsize=None)
 def _layout(spec: ModelSpec):
     """(start, split, fan_in, fan_out) per layer, cached per spec."""
@@ -121,11 +95,11 @@ def _split(spec: ModelSpec, flat: np.ndarray):
     ]
 
 
-def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
+def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """(P,) parameters: Gaussian weights scaled by 1/sqrt(fan_in); zero biases."""
     flat = np.zeros(spec.param_count)
     for (fi, fo), (w, _b) in zip(spec.layer_dims, _split(spec, flat)):
-        w[...] = rng.gaussian((fi, fo)) / np.sqrt(fi)
+        w[...] = rng.standard_normal((fi, fo)) / np.sqrt(fi)
     return flat
 
 
@@ -188,15 +162,17 @@ def _check_inputs(spec: ModelSpec, params, inputs, labels):
         raise DimensionError(f"expected one label per input row, got shape {y.shape}")
     if x.shape[0] == 0:
         raise EmptyEvaluationError("evaluation over an empty slice")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ParameterError(f"labels must be integer class indices, got {y.dtype}")
     lo, hi = int(y.min()), int(y.max())
     if lo < 0 or hi >= spec.num_classes:
         raise ParameterError(f"labels {lo}..{hi} out of range for {spec.num_classes} classes")
     return flat, x, y
 
 
-def loss_and_grad(spec: ModelSpec, params, batch: Batch):
+def loss_and_grad(spec: ModelSpec, params, inputs, labels):
     """(mean_loss, gradient) on one batch; the gradient is a (P,) array."""
-    flat, x, y = _check_inputs(spec, params, batch.inputs, batch.labels)
+    flat, x, y = _check_inputs(spec, params, inputs, labels)
     grad = np.empty((1, spec.param_count))
     _grad_into(spec.weight_decay, _split(spec, flat[None]), _split(spec, grad), x[None], y[None])
     return mean_loss(spec, flat, x, y), grad[0]

@@ -39,7 +39,7 @@ from feddrift.federation import (
     steps_per_round,
     weighted_mean,
 )
-from feddrift.models import Batch, ModelSpec, init_params, loss_and_grad, mean_loss
+from feddrift.models import ModelSpec, init_params, loss_and_grad, mean_loss
 from feddrift.rng import stream
 from feddrift.vectors import finite_diff_grad, max_relative_error
 
@@ -267,12 +267,11 @@ class TestCriterion5Properties:
         rng = stream(50, "testing")
         for spec in specs:
             params = init_params(spec, stream(50, "global-init"))
-            x = rng.gaussian((4, spec.input_dim))
-            y = (rng.uniform01(4) * spec.num_classes).astype(np.int64)
-            batch = Batch(x, y)
-            _, grad = loss_and_grad(spec, params, batch)
+            x = rng.standard_normal((4, spec.input_dim))
+            y = (rng.random(4) * spec.num_classes).astype(np.int64)
+            _, grad = loss_and_grad(spec, params, x, y)
             oracle = finite_diff_grad(
-                lambda v: mean_loss(spec, v, batch.inputs, batch.labels), params, 1e-5
+                lambda v: mean_loss(spec, v, x, y), params, 1e-5
             )
             err = max_relative_error(grad, oracle)
             assert err < 1e-5, f"{spec.kind}: gradient error {err:.2e}"
@@ -284,15 +283,14 @@ class TestCriterion5Properties:
         server = ServerState.fresh(init, n_clients=2, rng_seed=51)
         dim = spec.param_count
         clients = ClientStore([4], dim, CLIENT_FIELDS["feddc"])
-        theta = init + 0.05 * rng.gaussian(dim)
-        clients.drift[0] = 0.1 * rng.gaussian(dim)
-        clients.last_delta[0] = 0.03 * rng.gaussian(dim)
-        x = rng.gaussian((4, spec.input_dim))
-        y = (rng.uniform01(4) * spec.num_classes).astype(np.int64)
-        batch = Batch(x, y)
-        grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, spec)
+        theta = init + 0.05 * rng.standard_normal(dim)
+        clients.drift[0] = 0.1 * rng.standard_normal(dim)
+        clients.last_delta[0] = 0.03 * rng.standard_normal(dim)
+        x = rng.standard_normal((4, spec.input_dim))
+        y = (rng.random(4) * spec.num_classes).astype(np.int64)
+        grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, spec)
         oracle = finite_diff_grad(
-            lambda v: feddc_local_objective(v, clients, 0, server, cfg, batch, spec),
+            lambda v: feddc_local_objective(v, clients, 0, server, cfg, x, y, spec),
             theta,
             1e-6,
         )
@@ -307,8 +305,8 @@ class TestCriterion5Properties:
         server = ServerState.fresh(init, 1, 52)
         clients = ClientStore([30], spec.param_count, CLIENT_FIELDS["feddc"])
         rng = stream(52, "testing")
-        x = rng.gaussian((30, 30))
-        y = (rng.uniform01(30) * 5).astype(np.int64)
+        x = rng.standard_normal((30, 30))
+        y = (rng.random(30) * 5).astype(np.int64)
         up = run_local_round(
             clients, 0, server, cfg, x, y, stream(52, "batch-shuffle"), spec
         )
@@ -326,9 +324,9 @@ class TestCriterion5Properties:
         data = []
         clients = ClientStore([20] * 3, spec.param_count, CLIENT_FIELDS["feddc"])
         for i in range(3):
-            clients.drift[i] = 0.1 * rng.gaussian(spec.param_count)
-            x = rng.gaussian((20, 30))
-            y = (rng.uniform01(20) * 5).astype(np.int64)
+            clients.drift[i] = 0.1 * rng.standard_normal(spec.param_count)
+            x = rng.standard_normal((20, 30))
+            y = (rng.random(20) * 5).astype(np.int64)
             data.append((x, y, stream(53, "batch-shuffle", client=i)))
         up = run_local_rounds(clients, [0, 1, 2], server, cfg, data.__getitem__, spec)
         new_server = server_aggregate(server, up, cfg)
@@ -388,7 +386,7 @@ class TestCriterion5Properties:
 
     def test_dirichlet_partitions_disjoint_and_ordered_entropy(self):
         rng = stream(56, "testing")
-        labels = (rng.uniform01(30_000) * 10).astype(np.int64)
+        labels = (rng.random(30_000) * 10).astype(np.int64)
 
         def mean_entropy(conc, seed):
             parts = partition(
@@ -413,26 +411,23 @@ class TestCriterion5Properties:
         server = ServerState.fresh(init, 1, 57)
         clients = ClientStore([8], spec.param_count, CLIENT_FIELDS["feddc"])
         rng = stream(57, "testing")
-        x = rng.gaussian((8, 30))
-        y = (rng.uniform01(8) * 5).astype(np.int64)
-        batch = Batch(x, y)
+        x = rng.standard_normal((8, 30))
+        y = (rng.random(8) * 5).astype(np.int64)
         for cfg in (
             AlgoConfig("feddc", alpha=0.0, lr=0.1),
             AlgoConfig("feddc", alpha=0.1, lr=0.1, ablation=ablation_from_code("le")),
         ):
-            got = feddc_local_objective_grad(init, clients, 0, server, cfg, batch, spec)
-            _, plain = loss_and_grad(spec, init, batch)
+            got = feddc_local_objective_grad(init, clients, 0, server, cfg, x, y, spec)
+            _, plain = loss_and_grad(spec, init, x, y)
             assert bits_equal(got, plain)
         print("ACCEPTANCE 5g: feddc local gradient collapses to fedavg bitwise: PASS")
 
     def test_zero_params_loss_is_log_num_classes(self):
         for spec in (LOGISTIC, ModelSpec("mlp", 6, 3, hidden_dims=(4,))):
             rng = stream(58, "testing")
-            x = rng.gaussian((7, spec.input_dim))
-            y = (rng.uniform01(7) * spec.num_classes).astype(np.int64)
-            loss, _ = loss_and_grad(
-                spec, np.zeros(spec.param_count), Batch(x, y)
-            )
+            x = rng.standard_normal((7, spec.input_dim))
+            y = (rng.random(7) * spec.num_classes).astype(np.int64)
+            loss, _ = loss_and_grad(spec, np.zeros(spec.param_count), x, y)
             assert abs(loss - np.log(spec.num_classes)) < 1e-12
         print("ACCEPTANCE 5h: loss at zero params == ln(C) within 1e-12: PASS")
 

@@ -151,6 +151,28 @@ def test_wrongly_typed_value_exits_2_naming_its_field(tmp_path, capsys, command,
     assert not out.exists()
 
 
+# (change to a valid document, field the error names): each seed is an
+# integer outside the [0, 2**64) range that streams are keyed by.
+BAD_SEEDS = [
+    ({"seed": -1}, "seed"),
+    ({"seed": 2**64}, "seed"),
+    ({"dataset": {"seed": -3}}, "dataset.seed"),
+    ({"dataset": {"partition": {"seed": 2**64}}}, "dataset.partition.seed"),
+]
+
+
+@pytest.mark.parametrize("change,field", BAD_SEEDS, ids=["-1", "2**64", "dataset", "partition"])
+def test_seed_out_of_range_exits_2_naming_its_field(tmp_path, capsys, change, field):
+    out = tmp_path / "out"
+    base = tiny_synth_config(out)
+    if field == "dataset.partition.seed":
+        base["dataset"] = {"kind": "mnist", "data_dir": "/nonexistent"}
+    path = write_json(tmp_path / "doc.json", merge_under(change, base))
+    assert main(["run", path]) == 2
+    assert f"error: {field}: expected a seed in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # One value of every JSON kind, and some edge values of those kinds.
 JSON_VALUES = [None, True, False, 0, 3, -1, 10**400, 0.5, float("nan"), "", "x",
                [], [1], ["x"], [None], {}, {"x": 1}]
@@ -359,6 +381,12 @@ class TestSweep:
         path = write_json(tmp_path / "manifest.json", manifest)
         assert main(["sweep", path]) == 2
         assert "dataset: gamma1 must be a nonnegative real" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_bad_seed_is_checked_before_any_runs(self, tmp_path, capsys):
+        path = self.manifest(tmp_path, seeds=[0, -1])
+        assert main(["sweep", path]) == 2
+        assert "error: seeds[1]: expected a seed in [0, 2**64)" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
     def test_duplicate_combination(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from feddrift.errors import (
     ParameterError,
     PartitionError,
 )
-from feddrift.models import Batch, ModelSpec, accuracy, loss_and_grad
+from feddrift.models import ModelSpec, accuracy, loss_and_grad
 from feddrift.rng import stream
 
 
@@ -27,9 +29,8 @@ def train_centrally(ds, epochs=300, lr=1.0, seed=99):
     """Independent plain-SGD oracle: full-batch descent on the pooled data."""
     spec = ModelSpec("logistic", ds.train_inputs.shape[1], ds.num_classes)
     theta = np.zeros(spec.param_count)
-    batch = Batch(ds.train_inputs, ds.train_labels)
     for _ in range(epochs):
-        _, g = loss_and_grad(spec, theta, batch)
+        _, g = loss_and_grad(spec, theta, ds.train_inputs, ds.train_labels)
         theta -= lr * g
     return spec, theta
 
@@ -105,6 +106,22 @@ def test_dataset_partitions_cover_every_sample_once(parts, message):
     with pytest.raises(PartitionError, match=message):
         FederatedDataset(x, np.zeros(5, dtype=np.int64), x, np.zeros(5, dtype=np.int64),
                          partitions=parts, num_classes=2)
+
+
+@pytest.mark.parametrize(
+    "train,test,message",
+    [
+        ([0, -1, 1], [0, 1], "train_labels must be integer class indices < 2"),
+        ([0, 1, 1], [0, 2], "test_labels must be integer class indices < 2"),
+        ([0.0, 1.0, 1.0], [0, 1], "train_labels must be integer class indices < 2"),
+    ],
+    ids=["train=-1", "test=2", "float"],
+)
+def test_dataset_labels_are_class_indices(train, test, message):
+    x = np.zeros((3, 2))
+    with pytest.raises(ParameterError, match=message):
+        FederatedDataset(x, np.array(train), x[:2], np.array(test),
+                         partitions=([0, 1, 2],), num_classes=2)
 
 
 class TestIdx:
@@ -188,7 +205,7 @@ def test_real_mnist_counts_when_available():
 
 
 def fake_labels(n=60_000, num_classes=10, seed=0):
-    return np.asarray(stream(seed, "testing").uniform01(n) * num_classes, dtype=np.int64)
+    return np.asarray(stream(seed, "testing").random(n) * num_classes, dtype=np.int64)
 
 
 def per_sample_dirichlet(labels, n_clients, plan):
@@ -205,7 +222,7 @@ def per_sample_dirichlet(labels, n_clients, plan):
     out = []
     for i in range(n_clients):
         ratios = stream(plan.seed, "partition-ratio", client=i).dirichlet(
-            classes.shape[0], plan.conc
+            np.full(classes.shape[0], plan.conc)
         )
         fill = stream(plan.seed, "partition-fill", client=i)
         mine = np.empty(quotas[i], dtype=np.int64)
@@ -214,7 +231,7 @@ def per_sample_dirichlet(labels, n_clients, plan):
             p = ratios * avail
             total = p.sum()
             p = avail / avail.sum() if total <= 0.0 else p / total
-            u = fill.uniform01()  # inverse CDF on one uniform
+            u = fill.random()  # inverse CDF on one uniform
             c = int(np.searchsorted(np.cumsum(p / p.sum()), u, side="right").clip(0, p.size - 1))
             mine[j] = pools[c].pop()
             stock[c] -= 1
@@ -241,6 +258,26 @@ class TestPartition:
         want = per_sample_dirichlet(y, n_clients, plan)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_partition_digest(self):
+        """The partitions' bits, pinned independently of the reference loop above.
+
+        Covers iid, Dirichlet (conc 1e-3 reaches the uniform fallback) and
+        lognormal plans. The digest was generated with numpy 2.4.6.
+        """
+        y = np.arange(3_000) * 7919 % 10
+        plans = [PartitionPlan("iid", seed=3)]
+        plans += [PartitionPlan("dirichlet", conc=c, seed=5) for c in (0.3, 0.05, 1e-3)]
+        plans += [
+            PartitionPlan("iid", balance="lognormal", lognormal_var=v, seed=7) for v in (0.3, 0.7)
+        ]
+        plans.append(PartitionPlan("dirichlet", conc=0.3, balance="lognormal", seed=9))
+        h = hashlib.sha256()
+        for plan in plans:
+            for n_clients in (7, 100):
+                for p in partition(y, n_clients, plan):
+                    h.update(p.tobytes())
+        assert h.hexdigest() == "eac1a2d4d79c24f624867a3f1c680140ad4dd9e4b6ec9b151c0d18fdfe9adb45"
 
     def test_iid_equal_split(self):
         y = fake_labels(100)

@@ -40,6 +40,27 @@ from feddrift.models import ModelSpec
 
 LOGISTIC = ModelSpec("logistic", 30, 5)
 
+# (header change, error) for a fedavg checkpoint of 5 clients. A header
+# value of the wrong type or range is a FormatError; a size the file
+# does not have is a LengthError, raised before anything is allocated.
+BAD_HEADERS = [
+    ({"param_count": -1}, FormatError),
+    ({"param_count": 10**15}, LengthError),
+    ({"param_count": 2.5}, FormatError),
+    ({"round": -1}, FormatError),
+    ({"rng_seed": -5}, FormatError),
+    ({"n_clients": 7, "n_samples": [30, 30]}, FormatError),
+]
+
+
+def rewrite_header(raw: bytes, out: Path, **changes) -> Path:
+    """Write checkpoint bytes `raw` to `out` with some header values changed."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = {**json.loads(raw[12 : 12 + hlen]), **changes}
+    blob = json.dumps(header).encode()
+    out.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+    return out
+
 
 def small_cfg(algorithm="fedavg", rounds=6, seed=0, n_clients=5, participation=1.0, **kw):
     return ExperimentConfig(
@@ -268,12 +289,7 @@ class TestResume:
                 checkpoint_load(bad_version)
 
         def with_header(**changes):
-            (hlen,) = struct.unpack("<I", raw[8:12])
-            header = {**json.loads(raw[12 : 12 + hlen]), **changes}
-            blob = json.dumps(header).encode()
-            out = tmp_path / "header.bin"
-            out.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
-            return out
+            return rewrite_header(raw, tmp_path / "header.bin", **changes)
 
         with pytest.raises(FormatError):
             checkpoint_load(with_header(fields=["theta"]))
@@ -291,6 +307,17 @@ class TestResume:
         with pytest.raises(FormatError, match="fedavg"):
             checkpoint_restore(FederatedRun(cfg), feddc_path)
 
+    @pytest.mark.parametrize("changes,error", BAD_HEADERS, ids=[
+        "param_count=-1", "param_count=1e15", "param_count=2.5", "round=-1", "rng_seed=-5",
+        "n_clients=7",
+    ])
+    def test_checkpoint_header_checked_before_allocation(self, tmp_path, changes, error):
+        run = FederatedRun(small_cfg(rounds=1))
+        run.run_round()
+        path = tmp_path / "ckpt.bin"
+        checkpoint_save(path, run.server, run.clients)
+        with pytest.raises(error, match="checkpoint header"):
+            checkpoint_load(rewrite_header(path.read_bytes(), path, **changes))
 
     def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
         run = FederatedRun(small_cfg("feddc", rounds=2, alpha=0.005))

@@ -25,7 +25,7 @@ from feddrift.federation import (
     upload_vectors,
     weighted_mean,
 )
-from feddrift.models import Batch, ModelSpec, init_params, loss_and_grad
+from feddrift.models import ModelSpec, init_params, loss_and_grad
 from feddrift.rng import stream
 from feddrift.vectors import finite_diff_grad, max_relative_error
 
@@ -34,7 +34,7 @@ SPEC = ModelSpec("logistic", input_dim=3, num_classes=2)
 
 def make_data(n=8, seed=0):
     rng = stream(seed, "testing")
-    x = rng.gaussian((n, 3))
+    x = rng.standard_normal((n, 3))
     y = (x[:, 0] > 0).astype(np.int64)
     return x, y
 
@@ -59,9 +59,9 @@ def randomize_client(clients, i, seed):
     """Random stored rows for client i; returns a random theta."""
     rng = stream(seed, "testing", client=i + 1)
     dim = SPEC.param_count
-    theta = rng.gaussian(dim)
-    clients.drift[i] = 0.1 * rng.gaussian(dim)
-    clients.last_delta[i] = 0.05 * rng.gaussian(dim)
+    theta = rng.standard_normal(dim)
+    clients.drift[i] = 0.1 * rng.standard_normal(dim)
+    clients.last_delta[i] = 0.05 * rng.standard_normal(dim)
     return theta
 
 
@@ -102,11 +102,10 @@ class TestLocalObjective:
     def test_alpha_zero_and_no_history_equals_plain_gradient(self, bits):
         cfg, server, clients = make_states("feddc", alpha=0.0)
         x, y = make_data()
-        batch = Batch(x, y)
         got = feddc_local_objective_grad(
-            server.global_params, clients, 0, server, cfg, batch, SPEC
+            server.global_params, clients, 0, server, cfg, x, y, SPEC
         )
-        _, plain = loss_and_grad(SPEC, server.global_params, batch)
+        _, plain = loss_and_grad(SPEC, server.global_params, x, y)
         assert bits(got, plain)
 
     def test_empirical_only_ablation_equals_fedavg_gradient_bitwise(self, bits):
@@ -115,23 +114,21 @@ class TestLocalObjective:
         )
         theta = randomize_client(clients, 0, 5)
         x, y = make_data(seed=5)
-        batch = Batch(x, y)
-        got = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, SPEC)
-        _, plain = loss_and_grad(SPEC, theta, batch)
+        got = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC)
+        _, plain = loss_and_grad(SPEC, theta, x, y)
         assert bits(got, plain)
 
     def test_param_correction_vanishes_at_anchor(self):
         cfg, server, clients = make_states("feddc", alpha=0.7)
-        clients.drift[0] = stream(3, "testing").gaussian(SPEC.param_count)
+        clients.drift[0] = stream(3, "testing").standard_normal(SPEC.param_count)
         theta = server.global_params - clients.drift[0]
         x, y = make_data(seed=3)
-        batch = Batch(x, y)
-        with_pc = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, SPEC)
+        with_pc = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC)
         cfg_no_pc = AlgoConfig(
             "feddc", alpha=0.7, ablation=ablation_from_code("lelg")
         )
         without_pc = feddc_local_objective_grad(
-            theta, clients, 0, server, cfg_no_pc, batch, SPEC
+            theta, clients, 0, server, cfg_no_pc, x, y, SPEC
         )
         assert np.array_equal(with_pc, without_pc)
 
@@ -140,13 +137,12 @@ class TestLocalObjective:
         theta = randomize_client(clients, 0, 7)
         server = replace(
             ServerState.fresh(init_params(SPEC, stream(8, "global-init")), 3, 0),
-            global_delta=0.02 * stream(9, "testing").gaussian(8),
+            global_delta=0.02 * stream(9, "testing").standard_normal(8),
         )
         x, y = make_data(seed=9)
-        batch = Batch(x, y)
-        grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, batch, SPEC)
+        grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC)
         oracle = finite_diff_grad(
-            lambda v: feddc_local_objective(v, clients, 0, server, cfg, batch, SPEC),
+            lambda v: feddc_local_objective(v, clients, 0, server, cfg, x, y, SPEC),
             theta,
             1e-6,
         )
@@ -156,7 +152,7 @@ class TestLocalObjective:
         cfg, server, clients = make_states("fedavg")
         with pytest.raises(ParameterError):
             feddc_local_objective_grad(
-                server.global_params, clients, 0, server, cfg, Batch(*make_data()), SPEC
+                server.global_params, clients, 0, server, cfg, *make_data(), SPEC
             )
 
 
@@ -169,7 +165,7 @@ class TestRunLocalRound:
         rng = stream(20, "batch-shuffle", client=0, round_index=0)
         up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
         order = stream(20, "batch-shuffle", client=0, round_index=0).permutation(6)
-        _, g = loss_and_grad(SPEC, server.global_params, Batch(x[order], y[order]))
+        _, g = loss_and_grad(SPEC, server.global_params, x[order], y[order])
         assert bits(up.theta[0], server.global_params - 0.2 * g)
         assert up.k_steps.tolist() == [1]
 
@@ -400,7 +396,7 @@ class TestDiagnostics:
         # n = 2, 9 and 130 reach numpy's plain, unrolled and blocked sums.
         cfg, server, _ = make_states("fedavg", lr=0.1)
         rng = stream(n, "testing")
-        up = self._mk(rng.gaussian((n, 300)), k=3 + np.arange(n) % 4)
+        up = self._mk(rng.standard_normal((n, 300)), k=3 + np.arange(n) % 4)
         lr_t = round_lr(cfg, server.round)
         gs = np.stack([-up.delta[i] / (int(up.k_steps[i]) * lr_t) for i in range(n)])
         want = float(np.mean(np.sum((gs - gs.mean(axis=0)) ** 2, axis=1)))

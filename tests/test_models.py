@@ -7,7 +7,6 @@ from feddrift.errors import (
     ParameterError,
 )
 from feddrift.models import (
-    Batch,
     ModelSpec,
     accuracy,
     init_params,
@@ -23,10 +22,10 @@ SMALL_MLP = ModelSpec("mlp", input_dim=20, num_classes=3, hidden_dims=(8,))
 
 def random_batch(spec, n, seed=0):
     rng = stream(seed, "testing")
-    x = rng.gaussian((n, spec.input_dim))
-    logits = rng.gaussian((n, spec.num_classes))
+    x = rng.standard_normal((n, spec.input_dim))
+    logits = rng.standard_normal((n, spec.num_classes))
     y = np.argmax(logits, axis=1).astype(np.int64)
-    return Batch(x, y)
+    return x, y
 
 
 class TestSpec:
@@ -70,10 +69,10 @@ class TestForward:
     """The forward pass, seen through the functions that evaluate it."""
 
     def test_zero_params_uniform(self):
-        batch = random_batch(LOGISTIC, 6)
+        x, _ = random_batch(LOGISTIC, 6)
         zero = np.zeros(LOGISTIC.param_count)
         for c in range(LOGISTIC.num_classes):
-            loss = mean_loss(LOGISTIC, zero, batch.inputs, np.full(6, c))
+            loss = mean_loss(LOGISTIC, zero, x, np.full(6, c))
             assert np.exp(-loss) == pytest.approx(0.2, abs=1e-15)
 
     def test_saturation(self):
@@ -87,8 +86,8 @@ class TestForward:
 
     def test_rows_sum_to_one(self):
         params = init_params(SMALL_MLP, stream(3, "global-init"))
-        batch = random_batch(SMALL_MLP, 64, seed=4)
-        for row in batch.inputs:
+        x, _ = random_batch(SMALL_MLP, 64, seed=4)
+        for row in x:
             probs = [
                 np.exp(-mean_loss(SMALL_MLP, params, row[None, :], np.array([c])))
                 for c in range(SMALL_MLP.num_classes)
@@ -96,27 +95,21 @@ class TestForward:
             assert abs(sum(probs) - 1.0) < 1e-9
 
     def test_dimension_mismatch(self):
-        batch = random_batch(LOGISTIC, 2)
+        x, y = random_batch(LOGISTIC, 2)
         narrow = np.zeros((2, 7))  # 7 features into the 30-input model
-        for evaluate in (accuracy, mean_loss):
+        for evaluate in (accuracy, mean_loss, loss_and_grad):
             with pytest.raises(DimensionError):
-                evaluate(LOGISTIC, np.zeros(7), batch.inputs, batch.labels)
+                evaluate(LOGISTIC, np.zeros(7), x, y)
             with pytest.raises(DimensionError):
-                evaluate(LOGISTIC, np.zeros(LOGISTIC.param_count), narrow, batch.labels)
+                evaluate(LOGISTIC, np.zeros(LOGISTIC.param_count), narrow, y)
         with pytest.raises(DimensionError):
-            loss_and_grad(
-                LOGISTIC,
-                np.zeros(LOGISTIC.param_count),
-                random_batch(SMALL_MLP, 2),
-            )
+            loss_and_grad(LOGISTIC, np.zeros(LOGISTIC.param_count), *random_batch(SMALL_MLP, 2))
 
 
 class TestLossAndGrad:
     def test_zero_params_loss_is_log_c(self):
         for spec in (LOGISTIC, SMALL_MLP):
-            loss, _ = loss_and_grad(
-                spec, np.zeros(spec.param_count), random_batch(spec, 9)
-            )
+            loss, _ = loss_and_grad(spec, np.zeros(spec.param_count), *random_batch(spec, 9))
             assert abs(loss - np.log(spec.num_classes)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -131,32 +124,25 @@ class TestLossAndGrad:
     )
     def test_gradient_matches_finite_differences(self, spec):
         params = init_params(spec, stream(11, "global-init"))
-        batch = random_batch(spec, 3, seed=12)
-        _, grad = loss_and_grad(spec, params, batch)
-        oracle = finite_diff_grad(
-            lambda v: mean_loss(spec, v, batch.inputs, batch.labels), params, 1e-5
-        )
+        x, y = random_batch(spec, 3, seed=12)
+        _, grad = loss_and_grad(spec, params, x, y)
+        oracle = finite_diff_grad(lambda v: mean_loss(spec, v, x, y), params, 1e-5)
         assert max_relative_error(grad, oracle) < 1e-5
 
     def test_duplicated_batch_mean_invariance(self):
-        batch = random_batch(LOGISTIC, 5, seed=13)
-        doubled = Batch(
-            np.vstack([batch.inputs, batch.inputs]),
-            np.concatenate([batch.labels, batch.labels]),
-        )
+        x, y = random_batch(LOGISTIC, 5, seed=13)
         params = init_params(LOGISTIC, stream(13, "global-init"))
-        l1, g1 = loss_and_grad(LOGISTIC, params, batch)
-        l2, g2 = loss_and_grad(LOGISTIC, params, doubled)
+        l1, g1 = loss_and_grad(LOGISTIC, params, x, y)
+        l2, g2 = loss_and_grad(LOGISTIC, params, np.vstack([x, x]), np.concatenate([y, y]))
         assert l1 == pytest.approx(l2, rel=1e-14, abs=1e-15)
         assert np.allclose(g1, g2, rtol=1e-13, atol=1e-15)
 
     def test_permutation_invariance(self):
-        batch = random_batch(SMALL_MLP, 16, seed=14)
+        x, y = random_batch(SMALL_MLP, 16, seed=14)
         perm = stream(14, "testing").permutation(16)
-        shuffled = Batch(batch.inputs[perm], batch.labels[perm])
         params = init_params(SMALL_MLP, stream(14, "global-init"))
-        l1, g1 = loss_and_grad(SMALL_MLP, params, batch)
-        l2, g2 = loss_and_grad(SMALL_MLP, params, shuffled)
+        l1, g1 = loss_and_grad(SMALL_MLP, params, x, y)
+        l2, g2 = loss_and_grad(SMALL_MLP, params, x[perm], y[perm])
         assert abs(l1 - l2) < 1e-12
         assert np.max(np.abs(g1 - g2)) < 1e-12
 
@@ -166,15 +152,14 @@ class TestLossAndGrad:
         flat = np.zeros(base.param_count)
         flat[: 4 * 3] = 2.0  # weights
         flat[4 * 3 :] = 5.0  # biases, must not contribute
-        batch = Batch(np.zeros((1, 4)), np.array([0]))
-        l0, _ = loss_and_grad(base, flat, batch)
-        l1, _ = loss_and_grad(decayed, flat, batch)
+        x, y = np.zeros((1, 4)), np.array([0])
+        l0, _ = loss_and_grad(base, flat, x, y)
+        l1, _ = loss_and_grad(decayed, flat, x, y)
         assert l1 - l0 == pytest.approx(0.5 / 2 * (4.0 * 12), rel=1e-12)
 
     def test_label_out_of_range(self):
-        batch = Batch(np.zeros((1, 30)), np.array([5]))
         with pytest.raises(ParameterError):
-            loss_and_grad(LOGISTIC, np.zeros(LOGISTIC.param_count), batch)
+            loss_and_grad(LOGISTIC, np.zeros(LOGISTIC.param_count), np.zeros((1, 30)), [5])
 
 
 class TestAccuracy:
@@ -184,7 +169,7 @@ class TestAccuracy:
         spec = ModelSpec("logistic", 3, 2)
         theta = init_params(spec, stream(21, "global-init"))
         for _ in range(300):
-            _, g = loss_and_grad(spec, theta, Batch(x, y))
+            _, g = loss_and_grad(spec, theta, x, y)
             theta -= 0.5 * g
         assert accuracy(spec, theta, x, y) == 1.0
 
@@ -205,7 +190,7 @@ class TestAccuracy:
         for _ in range(500):
             order = shuffle.permutation(4)
             for i in order:
-                _, g = loss_and_grad(spec, theta, Batch(x[i : i + 1], y[i : i + 1]))
+                _, g = loss_and_grad(spec, theta, x[i : i + 1], y[i : i + 1])
                 theta -= 0.1 * g
         assert accuracy(spec, theta, x, y) == 1.0
 
@@ -219,15 +204,20 @@ class TestAccuracy:
             )
 
 
-class TestBatch:
+class TestCheckInputs:
+    """The one input check that loss_and_grad, accuracy and mean_loss share."""
+
     def test_validation(self):
-        with pytest.raises(DimensionError):
-            Batch(np.zeros(3), np.array([0]))
-        with pytest.raises(DimensionError):
-            Batch(np.zeros((2, 3)), np.array([0]))
-        with pytest.raises(DimensionError):
-            Batch(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-        with pytest.raises(ParameterError):
-            Batch(np.zeros((1, 3)), np.array([0.5]))
-        with pytest.raises(ParameterError):
-            Batch(np.zeros((1, 3)), np.array([-1]))
+        spec = ModelSpec("logistic", 3, 2)
+        zero = np.zeros(spec.param_count)
+        for evaluate in (loss_and_grad, accuracy, mean_loss):
+            with pytest.raises(DimensionError):
+                evaluate(spec, zero, np.zeros(3), np.array([0]))
+            with pytest.raises(DimensionError):
+                evaluate(spec, zero, np.zeros((2, 3)), np.array([0]))
+            with pytest.raises(EmptyEvaluationError):
+                evaluate(spec, zero, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+            with pytest.raises(ParameterError):
+                evaluate(spec, zero, np.zeros((1, 3)), np.array([0.5]))
+            with pytest.raises(ParameterError):
+                evaluate(spec, zero, np.zeros((1, 3)), np.array([-1]))
