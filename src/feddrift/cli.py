@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import os
+import statistics
 import sys
 import types
 import urllib.request
@@ -23,7 +24,6 @@ from .engine import (
     MnistConfig,
     build_dataset,
     dataset_label,
-    rounds_to_target,
     run_experiment,
     write_records_csv,
     write_summary_json,
@@ -403,12 +403,12 @@ def _expand_manifest(manifest: dict):
 
 def cmd_sweep(args) -> int:
     out_root, runs = _expand_manifest(_load_json(args.manifest))
-    rows = []
+    rows = []  # (setting, algorithm, seed, best accuracy, target, rounds to target)
     failures = []
     for name, algo, seed, exp, resolved in runs:
         run_dir = os.path.join(out_root, name, f"{algo}-s{seed}")
         try:
-            records, summary, _ = _run_one(exp, run_dir, resolved)
+            _, summary, _ = _run_one(exp, run_dir, resolved)
         except FedDriftError as exc:
             if not args.keep_going:
                 print(f"error: {name}/{algo}/seed={seed}: {exc}", file=sys.stderr)
@@ -416,17 +416,8 @@ def cmd_sweep(args) -> int:
             failures.append((name, algo, seed, str(exc)))
             continue
         target = exp.target_accuracies[0] if exp.target_accuracies else None
-        reached = rounds_to_target(records, target) if target is not None else None
-        rows.append(
-            {
-                "setting": name,
-                "algorithm": algo,
-                "seed": seed,
-                "best_accuracy": summary.best_accuracy,
-                "target": target,
-                "rounds_to_target": reached,
-            }
-        )
+        reached = summary.rounds_to_target.get(target)
+        rows.append((name, algo, seed, summary.best_accuracy, target, reached))
         print(
             f"{name} {algo} seed={seed}: best={summary.best_accuracy:.4f}"
             + (f" target@{target:g}: {reached if reached is not None else '>budget'}"
@@ -438,72 +429,56 @@ def cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
-def _median(values):
-    vals = sorted(values)
-    n = len(vals)
-    if n == 0:
-        return None
-    mid = n // 2
-    return vals[mid] if n % 2 else 0.5 * (vals[mid - 1] + vals[mid])
+def _cell(value, fmt=str) -> str:
+    return "" if value is None else fmt(value)
+
+
+def _median_reached(rows):
+    """The median rounds-to-target of the rows that reached it, else None."""
+    reached = [row[5] for row in rows if row[5] is not None]
+    return statistics.median(reached) if reached else None
 
 
 def _write_sweep_tables(out_root: str, rows) -> None:
+    """table.csv: one line per run, with its speedup over fedavg on its seed;
+    table.md: per setting and algorithm, the medians over seeds."""
     os.makedirs(out_root, exist_ok=True)
-    header = "setting,algorithm,seed,best_accuracy,target,rounds_to_target,speedup_vs_fedavg"
-    baseline = {
-        (r["setting"], r["seed"]): r["rounds_to_target"]
-        for r in rows
-        if r["algorithm"] == "fedavg"
-    }
+    groups = {}  # (setting, algorithm) -> its rows; runs come grouped, so in run order
+    for row in rows:
+        groups.setdefault(row[:2], []).append(row)
 
-    def speedup(row):
-        base = baseline.get((row["setting"], row["seed"]))
-        mine = row["rounds_to_target"]
-        if base is None or mine is None:
-            return None
-        return base / mine
-
-    lines = [header]
-    for r in rows:
-        s = speedup(r)
-        lines.append(
-            ",".join(
-                [
-                    r["setting"],
-                    r["algorithm"],
-                    str(r["seed"]),
-                    repr(r["best_accuracy"]),
-                    "" if r["target"] is None else repr(r["target"]),
-                    "" if r["rounds_to_target"] is None else str(r["rounds_to_target"]),
-                    "" if s is None else f"{s:.2f}",
-                ]
+    lines = ["setting,algorithm,seed,best_accuracy,target,rounds_to_target,speedup_vs_fedavg"]
+    for (setting, _), mine in groups.items():
+        baseline = {row[2]: row[5] for row in groups.get((setting, "fedavg"), [])}
+        for _, algo, seed, best, target, reached in mine:
+            base = baseline.get(seed)
+            speedup = None if base is None or reached is None else base / reached
+            lines.append(
+                ",".join(
+                    [
+                        setting,
+                        algo,
+                        str(seed),
+                        repr(best),
+                        _cell(target, repr),
+                        _cell(reached),
+                        _cell(speedup, "{:.2f}".format),
+                    ]
+                )
             )
-        )
     with open(os.path.join(out_root, "table.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
     md = []
-    settings = sorted({r["setting"] for r in rows})
-    for setting in settings:
+    for setting in sorted({setting for setting, _ in groups}):
         md.append(f"## {setting}\n")
         md.append("| Algorithm | Best Acc (median) | R# (median) | Speedup vs fedavg |")
         md.append("|---|---|---|---|")
-        algos = sorted({r["algorithm"] for r in rows if r["setting"] == setting})
-        base_rounds = _median(
-            [
-                r["rounds_to_target"]
-                for r in rows
-                if r["setting"] == setting
-                and r["algorithm"] == "fedavg"
-                and r["rounds_to_target"] is not None
-            ]
-        )
-        for algo in algos:
-            mine = [r for r in rows if r["setting"] == setting and r["algorithm"] == algo]
-            acc = _median([r["best_accuracy"] for r in mine])
-            rounds = _median(
-                [r["rounds_to_target"] for r in mine if r["rounds_to_target"] is not None]
-            )
+        base_rounds = _median_reached(groups.get((setting, "fedavg"), []))
+        for algo in sorted(algo for s, algo in groups if s == setting):
+            mine = groups[(setting, algo)]
+            acc = statistics.median(row[3] for row in mine)
+            rounds = _median_reached(mine)
             if rounds is None:
                 r_txt, s_txt = ">budget", "-"
             else:
@@ -516,7 +491,15 @@ def _write_sweep_tables(out_root: str, rows) -> None:
 
 
 def cmd_gradcheck(args) -> int:
-    hidden = tuple(int(h) for h in args.hidden.split(",") if h) if args.hidden else ()
+    try:
+        hidden = tuple(int(h) for h in args.hidden.split(",") if h)
+    except ValueError:
+        raise ConfigError(
+            "--hidden", f"expected comma-separated integers, got {args.hidden!r}"
+        ) from None
+    if args.batch < 1:
+        raise ConfigError("--batch", f"expected a positive integer, got {args.batch}")
+    _check_seed(args.seed, "--seed")
     try:
         spec = ModelSpec(
             kind=args.model,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class FederatedDataset:
 
     Train partitions are pairwise disjoint, each nonempty, and together
     they cover every training sample; train and test labels are integer
-    class indices in [0, num_classes). Construction checks both.
+    class indices in [0, num_classes). Construction checks both. `label`
+    names the dataset in records.csv.
     """
 
     train_inputs: np.ndarray
@@ -57,7 +58,7 @@ class FederatedDataset:
     test_labels: np.ndarray
     partitions: tuple
     num_classes: int
-    meta: dict = field(default_factory=dict)
+    label: str = "custom"
 
     def __post_init__(self):
         for name in ("train_labels", "test_labels"):
@@ -92,11 +93,17 @@ class FederatedDataset:
 class SyntheticConfig:
     """Linear-argmax data: y = argmax(theta_i @ x + b_i) per client.
 
-    gamma1 spreads the per-client label models (each client's (theta_i,
-    b_i) is drawn around a client-specific mean mu_i ~ N(0, gamma1));
     gamma2 shifts each client's input distribution by a per-coordinate
-    mean ~ N(0, gamma2). Both are variances. gamma1 == 0 means every
-    client shares one label model drawn once.
+    mean ~ N(0, gamma2). gamma1 is meant to spread the per-client label
+    models: each client's (theta_i, b_i) is one shared core plus its own
+    scalar mu_i ~ N(0, gamma1) added to every entry. Both are variances.
+
+    gamma1 has no effect on the data. mu_i adds the same amount to every
+    class logit, and argmax cancels it, so any gamma1 generates the
+    bitwise gamma1 == 0 data at every gamma2: the "synthetic-10" preset
+    trains the homogeneous task of "synthetic-00". FedProx's generator
+    (arXiv:1812.06127) draws each entry from N(u_k, 1) instead, which
+    does move the labels.
     """
 
     gamma1: float = 0.0
@@ -179,13 +186,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> FederatedDataset:
         test_labels=np.concatenate(test_y).astype(np.int64),
         partitions=tuple(parts),
         num_classes=cfg.num_classes,
-        meta={
-            "source": "synthetic",
-            "gamma1": cfg.gamma1,
-            "gamma2": cfg.gamma2,
-            "n_clients": cfg.n_clients,
-            "seed": cfg.seed,
-        },
+        # Semicolon, not comma: the label becomes a CSV cell.
+        label=f"synthetic({cfg.gamma1:g};{cfg.gamma2:g})",
     )
 
 

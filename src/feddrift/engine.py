@@ -157,41 +157,25 @@ def build_dataset(dataset_cfg) -> FederatedDataset:
         xt, yt = load_mnist_idx(dataset_cfg.test_images, dataset_cfg.test_labels)
         if dataset_cfg.subsample is not None:  # copies, so the full decode is freed
             x, y = x[: dataset_cfg.subsample].copy(), y[: dataset_cfg.subsample].copy()
-        parts = partition(y, dataset_cfg.n_clients, dataset_cfg.plan)
         plan = dataset_cfg.plan
+        tag = "iid" if plan.mode == "iid" else f"d{plan.conc:g}"
+        if plan.balance == "lognormal":
+            tag += "-unbalanced"
         return FederatedDataset(
             train_inputs=x,
             train_labels=y,
             test_inputs=xt,
             test_labels=yt,
-            partitions=tuple(parts),
+            partitions=tuple(partition(y, dataset_cfg.n_clients, plan)),
             num_classes=int(max(y.max(), yt.max())) + 1,
-            meta={
-                "source": "mnist",
-                "mode": plan.mode,
-                "conc": plan.conc,
-                "balance": plan.balance,
-                "n_clients": dataset_cfg.n_clients,
-                "seed": plan.seed,
-            },
+            label=f"mnist-{tag}",
         )
     raise ParameterError(f"unsupported dataset config {type(dataset_cfg).__name__}")
 
 
 def dataset_label(ds: FederatedDataset) -> str:
-    meta = ds.meta
-    src = meta.get("source", "custom")
-    if "name" in meta:
-        return str(meta["name"])
-    if src == "synthetic":
-        # Semicolon, not comma: the label becomes a CSV cell.
-        return f"synthetic({meta.get('gamma1', 0):g};{meta.get('gamma2', 0):g})"
-    if src == "mnist":
-        tag = "iid" if meta.get("mode") == "iid" else f"d{meta.get('conc'):g}"
-        if meta.get("balance") == "lognormal":
-            tag += "-unbalanced"
-        return f"mnist-{tag}"
-    return src
+    """The dataset's name in records.csv."""
+    return ds.label
 
 
 class FederatedRun:
@@ -218,7 +202,6 @@ class FederatedRun:
             CLIENT_FIELDS[cfg.algo.algorithm],
         )
         self.records: list[RoundRecord] = []
-        self.param_history: list = []
 
     @property
     def round(self) -> int:
@@ -249,50 +232,23 @@ class FederatedRun:
         except Exception as exc:
             raise RunError(f"round {t + 1}: {exc}") from exc
 
-        round_number = self.server.round  # 1-based once aggregated
         vector_bytes = len(active) * BYTES_PER_PARAM * self.server.global_params.size
-        bytes_up = upload_vectors(cfg.algo) * vector_bytes
-        bytes_down = download_vectors(cfg.algo) * vector_bytes
-
-        test_acc = train_loss = None
-        if round_number % cfg.eval_every == 0 or round_number == cfg.rounds:
-            test_acc = self.evaluate_accuracy()
-            train_loss = self.evaluate_train_loss()
-        wall_ms = int(round((time.perf_counter() - start) * 1000))
-        rec = RoundRecord(
-            round=round_number,
-            test_accuracy=test_acc,
-            train_loss=train_loss,
-            bytes_up=bytes_up,
-            bytes_down=bytes_down,
+        rec = _record(
+            cfg,
+            self.server,
+            self.dataset,
+            start,
+            bytes_up=upload_vectors(cfg.algo) * vector_bytes,
+            bytes_down=download_vectors(cfg.algo) * vector_bytes,
             grad_variance=grad_var,
-            wall_ms=wall_ms,
         )
         self.records.append(rec)
         return rec
 
-    def evaluate_accuracy(self) -> float:
-        """Top-1 accuracy of the global model on the pooled test set."""
-        return models.accuracy(
-            self.cfg.model,
-            self.server.global_params,
-            self.dataset.test_inputs,
-            self.dataset.test_labels,
-        )
-
-    def evaluate_train_loss(self) -> float:
-        """Loss of the global model over the training set, the union of the partitions."""
-        ds = self.dataset
-        return models.mean_loss(
-            self.cfg.model, self.server.global_params, ds.train_inputs, ds.train_labels
-        )
-
-    def run_to_completion(self, keep_params: bool = False):
+    def run_to_completion(self):
         cfg = self.cfg
         while self.server.round < cfg.rounds:
             rec = self.run_round()
-            if keep_params and rec.test_accuracy is not None:
-                self.param_history.append((rec.round, self.server.global_params))
             if (
                 cfg.stop_at_target is not None
                 and rec.test_accuracy is not None
@@ -300,6 +256,30 @@ class FederatedRun:
             ):
                 break
         return self.records, summarize(self.records, cfg.target_accuracies)
+
+
+def _record(cfg: ExperimentConfig, server: ServerState, ds: FederatedDataset, start: float,
+            bytes_up: int = 0, bytes_down: int = 0, grad_variance=None) -> RoundRecord:
+    """The record of the round `server` has just aggregated, begun at `start`.
+
+    On the rounds the evaluation cadence names, and always on the last,
+    it holds the global model's top-1 accuracy on the pooled test set
+    and its loss over the training set, the union of the partitions.
+    """
+    test_acc = train_loss = None
+    if server.round % cfg.eval_every == 0 or server.round == cfg.rounds:
+        params = server.global_params
+        test_acc = models.accuracy(cfg.model, params, ds.test_inputs, ds.test_labels)
+        train_loss = models.mean_loss(cfg.model, params, ds.train_inputs, ds.train_labels)
+    return RoundRecord(
+        round=server.round,
+        test_accuracy=test_acc,
+        train_loss=train_loss,
+        bytes_up=bytes_up,
+        bytes_down=bytes_down,
+        grad_variance=grad_variance,
+        wall_ms=int(round((time.perf_counter() - start) * 1000)),
+    )
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: FederatedDataset | None = None):
@@ -333,55 +313,36 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
 
     Runs one pseudo-client over the union of all partitions for
     cfg.rounds rounds of round(mean K_i) SGD steps each, with the same
-    initialization stream, learning-rate schedule, and evaluation
-    cadence as the federated run. When `fed_params` (pairs of
-    (round, global parameters) from a federated run sharing the seed) is
-    given, also returns the L2 distance series between the two
-    parameter trajectories at matching rounds.
+    initialization stream, learning-rate schedule, evaluation cadence
+    and records as the federated run. `fed_params`, when given, pairs
+    rounds with a federated run's global parameters (collected by the
+    caller, stepping `FederatedRun.run_round` under the same seed); the
+    second result is then the L2 distance between the two parameter
+    trajectories at each of those rounds, else None.
     """
     ds = dataset if dataset is not None else build_dataset(cfg.dataset)
-    x, y = ds.train_inputs, ds.train_labels
     algo = replace(cfg.algo, algorithm="fedavg")
     budget = max(
         1, round(float(np.mean([steps_per_round(p.size, algo) for p in ds.partitions])))
     )
     init = init_params(cfg.model, stream(cfg.seed, "global-init"))
     server = ServerState.fresh(init, 1, cfg.seed)
-    client = ClientStore([len(y)], cfg.model.param_count)  # fedavg keeps no rows
-    records = []
-    fed_by_round = dict(fed_params) if fed_params is not None else None
-    distances = [] if fed_params is not None else None
+    client = ClientStore([len(ds.train_labels)], cfg.model.param_count)  # fedavg keeps no rows
+    fed_by_round = dict(fed_params or ())
+    records, distances = [], []
     for t in range(cfg.rounds):
         start = time.perf_counter()
         rng = stream(cfg.seed, "batch-shuffle", client=0, round_index=t)
         up = run_local_round(
-            client, 0, server, algo, x, y, rng, cfg.model, step_budget=budget
+            client, 0, server, algo, ds.train_inputs, ds.train_labels, rng, cfg.model,
+            step_budget=budget,
         )
         server = server_aggregate(server, up, algo)
-        rnum = server.round
-        acc = loss = None
-        if rnum % cfg.eval_every == 0 or rnum == cfg.rounds:
-            acc = models.accuracy(
-                cfg.model, server.global_params, ds.test_inputs, ds.test_labels
-            )
-            loss = models.mean_loss(cfg.model, server.global_params, x, y)
-            if distances is not None and rnum in fed_by_round:
-                gap = fed_by_round[rnum] - server.global_params
-                distances.append((rnum, float(np.linalg.norm(gap))))
-        records.append(
-            RoundRecord(
-                round=rnum,
-                test_accuracy=acc,
-                train_loss=loss,
-                bytes_up=0,
-                bytes_down=0,
-                grad_variance=None,
-                wall_ms=int(round((time.perf_counter() - start) * 1000)),
-            )
-        )
-    if distances is not None:
-        return records, distances
-    return records, None
+        records.append(_record(cfg, server, ds, start))
+        if server.round in fed_by_round:
+            gap = fed_by_round[server.round] - server.global_params
+            distances.append((server.round, float(np.linalg.norm(gap))))
+    return records, distances if fed_params is not None else None
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,10 @@ def stream_id_for(purpose: str, client: int = 0, round_index: int = 0) -> int:
 
 def stream(seed: int, purpose: str, client: int = 0, round_index: int = 0) -> np.random.Generator:
     """The stream owned by (purpose, client, round) under a run seed."""
-    if not 0 <= int(seed) < MAX_SEED:
+    # Checked before int(seed), which would map 1.5 or True to seed 1.
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < MAX_SEED:
         raise ParameterError(f"seed must be a 64-bit unsigned int, got {seed!r}")
     key = (int(seed) << 64) | stream_id_for(purpose, client, round_index)
     return np.random.Generator(np.random.Philox(key=key))

@@ -419,6 +419,20 @@ class TestGradCheck:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--model", "mlp", "--hidden", "5,x"], "error: --hidden: expected comma-separated"),
+            (["--batch", "-1"], "error: --batch: expected a positive integer, got -1"),
+            (["--batch", "0"], "error: --batch: expected a positive integer, got 0"),
+            (["--seed", "-1"], "error: --seed: expected a seed in [0, 2**64), got -1"),
+        ],
+        ids=["hidden-not-an-int", "batch-negative", "batch-zero", "seed-negative"],
+    )
+    def test_bad_flag_exits_2_naming_it(self, flags, message, capsys):
+        assert main(["gradcheck", *flags]) == 2
+        assert message in capsys.readouterr().err
+
     def test_corrupted_gradient_fails(self, capsys):
         code = main(
             ["gradcheck", "--model", "logistic", "--batch", "3", "--corrupt-gradient"]

@@ -71,6 +71,10 @@ class TestSynthetic:
         assert np.array_equal(hom.train_labels, het.train_labels)
         assert np.array_equal(hom.train_inputs, het.train_inputs)
 
+    def test_non_integer_seed_is_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            generate_synthetic(SyntheticConfig(seed=2.7))
+
     def test_homogeneous_centrally_learnable(self):
         ds = generate_synthetic(SyntheticConfig(gamma1=0.0, gamma2=0.0, seed=3))
         spec, params = train_centrally(ds)

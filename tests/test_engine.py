@@ -36,7 +36,7 @@ from feddrift.errors import (
     VersionError,
 )
 from feddrift.federation import AlgoConfig
-from feddrift.models import ModelSpec
+from feddrift.models import ModelSpec, accuracy, mean_loss
 
 LOGISTIC = ModelSpec("logistic", 30, 5)
 
@@ -137,12 +137,18 @@ class TestDeterminism:
         cfg = small_cfg("feddc", alpha=0.005, rounds=4)
         plain = FederatedRun(cfg)
         noisy = FederatedRun(cfg)
+        ds = noisy.dataset
+
+        def evaluate():
+            params = noisy.server.global_params
+            accuracy(cfg.model, params, ds.test_inputs, ds.test_labels)
+            mean_loss(cfg.model, params, ds.train_inputs, ds.train_labels)
+
         for _ in range(4):
             ra = plain.run_round()
-            noisy.evaluate_accuracy()
-            noisy.evaluate_train_loss()
+            evaluate()
             rb = noisy.run_round()
-            noisy.evaluate_accuracy()
+            evaluate()
             assert same_but_wall(ra, rb)
         assert np.array_equal(plain.server.global_params, noisy.server.global_params)
 
@@ -393,6 +399,11 @@ class TestTargets:
         assert recs[-1].test_accuracy >= 0.5
 
 
+def trajectory(run):
+    """(round, global parameters) after each of the run's rounds."""
+    return [(run.run_round().round, run.server.global_params) for _ in range(run.cfg.rounds)]
+
+
 class TestCentralizedOracle:
     def test_single_client_run_is_bitwise_identical(self, bits):
         cfg = ExperimentConfig(
@@ -403,8 +414,7 @@ class TestCentralizedOracle:
             seed=3,
         )
         run = FederatedRun(cfg)
-        run.run_to_completion(keep_params=True)
-        records, distances = centralized_oracle(cfg, fed_params=run.param_history)
+        records, distances = centralized_oracle(cfg, fed_params=trajectory(run))
         assert distances and all(d == 0.0 for _, d in distances)
         assert records[-1].test_accuracy == run.records[-1].test_accuracy
 
@@ -426,9 +436,7 @@ class TestCentralizedOracle:
 
     def test_distance_series_finite(self):
         cfg = small_cfg("feddc", alpha=0.005, rounds=4)
-        run = FederatedRun(cfg)
-        run.run_to_completion(keep_params=True)
-        _, distances = centralized_oracle(cfg, fed_params=run.param_history)
+        _, distances = centralized_oracle(cfg, fed_params=trajectory(FederatedRun(cfg)))
         assert len(distances) == 4
         assert all(np.isfinite(d) for _, d in distances)
 

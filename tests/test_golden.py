@@ -11,12 +11,21 @@ presets with a fixed data_dir that does not exist) and hashes the
 config.json it echoes; the digests were taken from the config layer
 that listed every key and default by hand.
 
+The sweep case runs a small manifest (two presets and one inline
+setting with a target, all five algorithms, two seeds, five rounds)
+through `feddrift sweep` and hashes the table.csv and table.md it
+writes; the digests were taken from the sweep that recomputed
+rounds-to-target from the records and had its own median.
+
 To regenerate after an intended change of results:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import os
 
 import pytest
@@ -109,6 +118,35 @@ CONFIG_GOLDEN = {
     ("unbalanced-0.3", "feddc"): "5d56e8da86943e09acf6b3c4fc52f8d62be743350e7fc4d9cfa5195ab3913b34",
 }
 
+# A sweep whose inline setting reaches its target on some seeds and not
+# others, so the tables hold empty cells, even-count medians and speedups.
+SWEEP_MANIFEST = {
+    "settings": [
+        "synthetic-00",
+        "synthetic-01",
+        {
+            "name": "inline",
+            "dataset": {
+                "kind": "synthetic",
+                "gamma2": 1.0,
+                "n_clients": 6,
+                "samples_per_client_mean": 40,
+            },
+            "target_accuracies": [0.4],
+        },
+    ],
+    "algorithms": list(ALGORITHMS),
+    "seeds": [0, 1],
+    "rounds": ROUNDS,
+    "overrides": {"algorithm": {"local_epochs": 1}},
+}
+
+# (table.csv digest, table.md digest)
+SWEEP_GOLDEN = (
+    "d60d87571e2396c1ee339d2ca70de6382cb95d82ae305d096e3ced6985a742db",
+    "04e46a8e5a9e9a7f97ffb0edb7100a985df06af87a78f0e2c537fa3c86b2eba0",
+)
+
 
 def _outputs(setting, algorithm, participation, out_dir):
     exp, _ = cli.build_experiment({
@@ -134,6 +172,16 @@ def _config_digest(preset, algorithm, out_dir):
     path = os.path.join(out_dir, "config.json")
     cli.write_config_json(path, resolved)
     return _digest(path)
+
+
+def _sweep_digests(out_dir):
+    out = os.path.join(out_dir, "sweep")
+    manifest = os.path.join(out_dir, "manifest.json")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump({**SWEEP_MANIFEST, "out_dir": out}, fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sweep", manifest]) == 0
+    return _digest(os.path.join(out, "table.csv")), _digest(os.path.join(out, "table.md"))
 
 
 def _digest(path):
@@ -163,6 +211,10 @@ def test_config_json_matches_golden_digests(preset, algorithm, tmp_path):
     assert _config_digest(preset, algorithm, tmp_path) == CONFIG_GOLDEN[(preset, algorithm)]
 
 
+def test_sweep_tables_match_golden_digests(tmp_path):
+    assert _sweep_digests(tmp_path) == SWEEP_GOLDEN
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -174,3 +226,5 @@ if __name__ == "__main__":
         for preset in PRESETS:
             for algorithm in ALGORITHMS:
                 print(f'    ("{preset}", "{algorithm}"): "{_config_digest(preset, algorithm, tmp)}",')
+        csv_digest, md_digest = _sweep_digests(tmp)
+        print(f'    "{csv_digest}",\n    "{md_digest}",')

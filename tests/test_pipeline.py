@@ -32,7 +32,7 @@ def digits_dataset(n_clients=10, plan=None, seed=60):
         test_labels=y[n_train:],
         partitions=tuple(parts),
         num_classes=10,
-        meta={"source": "digits", "name": "digits"},
+        label="digits",
     )
 
 

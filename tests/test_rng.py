@@ -74,6 +74,17 @@ def test_stream_id_validation():
     stream((1 << 64) - 1, "testing")
 
 
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(2.0)], ids=["float", "bool", "numpy-float"])
+def test_stream_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        stream(seed, "testing")
+
+
+def test_numpy_integer_seed_keys_the_same_stream():
+    a = stream(np.uint64(7), "testing").standard_normal(4)
+    assert a.tobytes() == stream(7, "testing").standard_normal(4).tobytes()
+
+
 def test_purpose_keying_matches_manual_id():
     a = stream(7, "batch-shuffle", client=3, round_index=11)
     key = (7 << 64) | stream_id_for("batch-shuffle", 3, 11)
