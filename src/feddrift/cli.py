@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import statistics
 import sys
@@ -31,9 +32,9 @@ from .engine import (
 from .errors import ConfigError, FedDriftError, ParameterError
 from .federation import (
     ALGORITHMS,
+    RULES,
     AlgoConfig,
     ablation_from_code,
-    CLIENT_FIELDS,
     feddc_local_objective,
     feddc_local_objective_grad,
     ClientStore,
@@ -267,7 +268,7 @@ def _algorithm(section: dict, dataset_kind: str):
     if a.get("name") not in ALGORITHMS:
         raise ConfigError("algorithm.name", f"expected one of {ALGORITHMS}, got {a.get('name')!r}")
     if "alpha" not in section:
-        a["alpha"] = presets.default_alpha(a["name"], dataset_kind)
+        a["alpha"] = presets.DEFAULT_ALPHA[dataset_kind].get(a["name"])
     ablation = a["ablation"]
     try:
         a["ablation"] = sorted(
@@ -295,6 +296,13 @@ def build_experiment(raw: dict):
     dataset, top["dataset"] = _dataset(top["dataset"], top["seed"])
     kind = top["dataset"]["kind"]
     model, top["model"] = _model(top.get("model", {}), kind)
+    if isinstance(dataset, SyntheticConfig):  # MNIST's shape is known only once loaded
+        if model.input_dim != dataset.input_dim:
+            raise ConfigError("model.input_dim", f"expected the synthetic data's "
+                              f"{dataset.input_dim} features, got {model.input_dim}")
+        if model.num_classes < dataset.num_classes:
+            raise ConfigError("model.num_classes", f"expected at least the synthetic data's "
+                              f"{dataset.num_classes} classes, got {model.num_classes}")
     algo, top["algorithm"] = _algorithm(top["algorithm"], kind)
     exp = _build(ExperimentConfig, top, "<run>", dataset=dataset, model=model, algo=algo)
     return exp, {k: v for k, v in top.items() if k not in ("preset", "out_dir")}
@@ -363,6 +371,11 @@ def cmd_run(args) -> int:
     return 0
 
 
+# Characters a sweep setting's name may not hold: they would split its
+# table.csv cell or table.md row, or lead its run directory elsewhere.
+_NAME_BANNED = ",|/\\\n\r"
+
+
 def _expand_manifest(manifest: dict):
     """(out_dir, runs): each run (setting, algorithm, seed, exp, resolved).
 
@@ -384,6 +397,11 @@ def _expand_manifest(manifest: dict):
         else:
             base = dict(setting)
             name = _typed(base.pop("name", None), str, f"settings[{i}].name")
+            if name in ("", ".", "..") or any(c in name for c in _NAME_BANNED):
+                raise ConfigError(
+                    f"settings[{i}].name",
+                    f"{name!r} cannot name a table row and a run directory",
+                )
         base = presets.merge_under(m.get("overrides", {}), base)
         base.pop("out_dir", None)
         for algo in m["algorithms"]:
@@ -433,15 +451,15 @@ def _cell(value, fmt=str) -> str:
     return "" if value is None else fmt(value)
 
 
-def _median_reached(rows):
-    """The median rounds-to-target of the rows that reached it, else None."""
-    reached = [row[5] for row in rows if row[5] is not None]
-    return statistics.median(reached) if reached else None
+def _median_rounds(rows):
+    """The median rounds-to-target over the rows, a run that missed it counting as +inf."""
+    return statistics.median(math.inf if row[5] is None else row[5] for row in rows)
 
 
 def _write_sweep_tables(out_root: str, rows) -> None:
     """table.csv: one line per run, with its speedup over fedavg on its seed;
-    table.md: per setting and algorithm, the medians over seeds."""
+    table.md: per setting and algorithm, the medians over seeds, and the
+    speedup of the rounds median over fedavg's when both reached the target."""
     os.makedirs(out_root, exist_ok=True)
     groups = {}  # (setting, algorithm) -> its rows; runs come grouped, so in run order
     for row in rows:
@@ -474,16 +492,14 @@ def _write_sweep_tables(out_root: str, rows) -> None:
         md.append(f"## {setting}\n")
         md.append("| Algorithm | Best Acc (median) | R# (median) | Speedup vs fedavg |")
         md.append("|---|---|---|---|")
-        base_rounds = _median_reached(groups.get((setting, "fedavg"), []))
+        fedavg = groups.get((setting, "fedavg"))
+        base_rounds = _median_rounds(fedavg) if fedavg else math.inf
         for algo in sorted(algo for s, algo in groups if s == setting):
             mine = groups[(setting, algo)]
             acc = statistics.median(row[3] for row in mine)
-            rounds = _median_reached(mine)
-            if rounds is None:
-                r_txt, s_txt = ">budget", "-"
-            else:
-                r_txt = f"{rounds:g}"
-                s_txt = f"{base_rounds / rounds:.2f}x" if base_rounds else "-"
+            rounds = _median_rounds(mine)
+            r_txt = f"{rounds:g}" if rounds < math.inf else ">budget"
+            s_txt = f"{base_rounds / rounds:.2f}x" if max(base_rounds, rounds) < math.inf else "-"
             md.append(f"| {algo} | {acc:.4f} | {r_txt} | {s_txt} |")
         md.append("")
     with open(os.path.join(out_root, "table.md"), "w", encoding="utf-8") as fh:
@@ -529,7 +545,7 @@ def cmd_gradcheck(args) -> int:
     )
     dim = spec.param_count
     server = ServerState.fresh(params, n_clients=1, rng_seed=args.seed)
-    clients = ClientStore([args.batch], dim, CLIENT_FIELDS["feddc"])
+    clients = ClientStore([args.batch], dim, RULES["feddc"].fields)
     theta = params + 0.05 * rng.standard_normal(dim)
     clients.drift[0] = 0.1 * rng.standard_normal(dim)
     clients.last_delta[0] = 0.02 * rng.standard_normal(dim)

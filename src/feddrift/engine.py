@@ -38,20 +38,19 @@ from .errors import (
 )
 from .federation import (
     BYTES_PER_PARAM,
-    CLIENT_FIELDS,
+    NEXT_VALUE,
+    RULES,
     SERVER_VECTORS,
     AlgoConfig,
     ClientStore,
     ServerState,
     apply_update,
-    download_vectors,
     gradient_variance_diagnostic,
     run_local_round,
     run_local_rounds,
     sample_active_set,
     server_aggregate,
     steps_per_round,
-    upload_vectors,
 )
 from .models import ModelSpec, init_params
 from .rng import MAX_SEED, stream
@@ -83,7 +82,6 @@ _CKPT_MAGIC = b"FDRC"
 _CKPT_VERSION = 2
 # The checkpoint header's integers, each in [its lower bound, 2**64).
 _CKPT_INTS = {"round": 0, "n_clients": 1, "param_count": 1, "rng_seed": 0}
-_CLIENT_FIELD_NAMES = frozenset(f for fields in CLIENT_FIELDS.values() for f in fields)
 
 
 @dataclass(frozen=True)
@@ -199,7 +197,7 @@ class FederatedRun:
         self.clients = ClientStore(
             [len(p) for p in ds.partitions],
             cfg.model.param_count,
-            CLIENT_FIELDS[cfg.algo.algorithm],
+            RULES[cfg.algo.algorithm].fields,
         )
         self.records: list[RoundRecord] = []
 
@@ -233,13 +231,14 @@ class FederatedRun:
             raise RunError(f"round {t + 1}: {exc}") from exc
 
         vector_bytes = len(active) * BYTES_PER_PARAM * self.server.global_params.size
+        rule = RULES[cfg.algo.algorithm]
         rec = _record(
             cfg,
             self.server,
             self.dataset,
             start,
-            bytes_up=upload_vectors(cfg.algo) * vector_bytes,
-            bytes_down=download_vectors(cfg.algo) * vector_bytes,
+            bytes_up=rule.up * vector_bytes,
+            bytes_down=rule.down * vector_bytes,
             grad_variance=grad_var,
         )
         self.records.append(rec)
@@ -327,7 +326,7 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
     )
     init = init_params(cfg.model, stream(cfg.seed, "global-init"))
     server = ServerState.fresh(init, 1, cfg.seed)
-    client = ClientStore([len(ds.train_labels)], cfg.model.param_count)  # fedavg keeps no rows
+    client = ClientStore([len(ds.train_labels)], cfg.model.param_count, RULES["fedavg"].fields)
     fed_by_round = dict(fed_params or ())
     records, distances = [], []
     for t in range(cfg.rounds):
@@ -403,7 +402,7 @@ def _checked_header(blob: bytes, path) -> dict:
         if not (isinstance(counts, list) and len(counts) == header["n_clients"]
                 and all(type(n) is int and n >= 0 for n in counts)):
             raise ValueError(f"n_samples = {counts!r}, expected {header['n_clients']} counts")
-        if not (isinstance(fields, list) and all(f in _CLIENT_FIELD_NAMES for f in fields)
+        if not (isinstance(fields, list) and all(f in NEXT_VALUE for f in fields)
                 and len(set(fields)) == len(fields)):
             raise ValueError(f"fields = {fields!r}, expected distinct client field names")
     except (ValueError, KeyError, TypeError) as exc:

@@ -24,6 +24,7 @@ optima. Its two correction terms can be ablated independently.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,10 +41,11 @@ from .models import ModelSpec
 from .vectors import _require_finite
 
 __all__ = [
+    "RULES",
     "ALGORITHMS",
     "ABLATION_TERMS",
     "FULL_ABLATION",
-    "CLIENT_FIELDS",
+    "NEXT_VALUE",
     "AlgoConfig",
     "ClientStore",
     "ServerState",
@@ -61,11 +63,24 @@ __all__ = [
     "apply_update",
     "sample_active_set",
     "gradient_variance_diagnostic",
-    "upload_vectors",
-    "download_vectors",
 ]
 
-ALGORITHMS = ("fedavg", "fedprox", "scaffold", "feddyn", "feddc")
+# What each algorithm keeps and moves: the per-client vectors it reads
+# across rounds, and how many P-vectors a client sends (up) and receives
+# (down) per round. feddc keeps its drift h_i and previous local update,
+# sends theta + h pre-summed as one vector and receives the global
+# parameters and the previous global delta; feddyn keeps its accumulated
+# local updates; scaffold keeps its control variate c_i and moves it, or
+# its update, beside the parameters both ways.
+Rule = namedtuple("Rule", "fields up down")
+RULES = {
+    "fedavg": Rule((), up=1, down=1),
+    "fedprox": Rule((), up=1, down=1),
+    "scaffold": Rule(("scaffold_c",), up=2, down=2),
+    "feddyn": Rule(("drift",), up=1, down=1),
+    "feddc": Rule(("drift", "last_delta"), up=1, down=2),
+}
+ALGORITHMS = tuple(RULES)
 ABLATION_TERMS = ("empirical", "grad_correction", "param_correction")
 FULL_ABLATION = frozenset(ABLATION_TERMS)
 
@@ -140,32 +155,22 @@ class AlgoConfig:
                 raise ParameterError("feddc requires alpha >= 0")
 
 
-# The per-client vectors each algorithm reads across rounds: feddc its
-# drift h_i and previous local update, feddyn its accumulated local
-# updates, scaffold its control variate c_i.
-CLIENT_FIELDS = {
-    "fedavg": (),
-    "fedprox": (),
-    "scaffold": ("scaffold_c",),
-    "feddyn": ("drift",),
-    "feddc": ("drift", "last_delta"),
-}
-
-# Store field -> the RoundUpdate block holding its next value.
-_NEXT_VALUE = {"drift": "drift_plus", "last_delta": "delta", "scaffold_c": "c_plus"}
+# Client field -> the RoundUpdate block holding its next value. Its keys
+# are every field a ClientStore or a checkpoint may hold.
+NEXT_VALUE = {"drift": "drift_plus", "last_delta": "delta", "scaffold_c": "c_plus"}
 
 
 class ClientStore:
     """Persistent state of every client, one row per client id.
 
     Holds `n_samples` and one (n_clients, P) float64 array per field the
-    algorithm reads (see CLIENT_FIELDS). The arrays start as `np.zeros`,
+    algorithm reads (its RULES fields). The arrays start as `np.zeros`,
     whose pages stay unallocated until a row is written. Inactive
     clients keep their rows stale.
     """
 
     def __init__(self, n_samples, param_count: int, fields=()):
-        unknown = set(fields) - set(_NEXT_VALUE)
+        unknown = set(fields) - set(NEXT_VALUE)
         if unknown:
             raise ParameterError(f"unknown client fields {sorted(unknown)}")
         self.fields = tuple(fields)
@@ -247,7 +252,7 @@ def round_lr(cfg: AlgoConfig, round_index: int) -> float:
     return cfg.lr * cfg.lr_decay**round_index
 
 
-def _implied_grad(delta: np.ndarray, k_steps: int, lr_t: float) -> np.ndarray:
+def _implied_grad(delta: np.ndarray, k_steps, lr_t: float) -> np.ndarray:
     """The mean step direction a round's update implies: -delta / (K * lr_t)."""
     return -delta / (k_steps * lr_t)
 
@@ -447,7 +452,7 @@ def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
 def apply_update(clients: ClientStore, update: RoundUpdate) -> None:
     """Write a round's results into the store, one indexed assignment per field."""
     for name in clients.fields:
-        getattr(clients, name)[update.ids] = getattr(update, _NEXT_VALUE[name])
+        getattr(clients, name)[update.ids] = getattr(update, NEXT_VALUE[name])
 
 
 def weighted_mean(block, ws) -> np.ndarray:
@@ -549,33 +554,7 @@ def gradient_variance_diagnostic(update: RoundUpdate, server: ServerState, cfg: 
     n = len(update.ids)
     if n < 2:
         return None
-    lr_t = round_lr(cfg, server.round)
-
-    def implied(r):
-        return _implied_grad(update.delta[r], update.k_steps[r], lr_t)
-
-    # Two passes, no (n, P) stack; the sums run in the stacked form's order.
-    center = implied(0)
-    for r in range(1, n):
-        center += implied(r)
-    center /= n
-    return float(np.mean([float(np.sum((implied(r) - center) ** 2)) for r in range(n)]))
-
-
-def upload_vectors(cfg: AlgoConfig) -> int:
-    """Vectors a client sends per round.
-
-    scaffold also uploads its control-variate update; feddc sends
-    theta + h pre-summed as one vector.
-    """
-    return 2 if cfg.algorithm == "scaffold" else 1
-
-
-def download_vectors(cfg: AlgoConfig) -> int:
-    """Vectors a client receives per round.
-
-    feddc ships the global parameters and the previous global delta;
-    scaffold ships the parameters and the server control variate; the
-    rest ship parameters only.
-    """
-    return 2 if cfg.algorithm in ("feddc", "scaffold") else 1
+    g = _implied_grad(update.delta, update.k_steps[:, None], round_lr(cfg, server.round))
+    g -= g.sum(axis=0) / n
+    np.square(g, out=g)  # in place, like the centring: no second (C, P) block
+    return float(np.mean(g.sum(axis=1)))

@@ -52,9 +52,12 @@ PRESETS = {
     ),
 }
 
-# The penalty weights the benchmarks fix per algorithm, by dataset family.
-DEFAULT_FEDDYN_ALPHA = 0.01
-DEFAULT_FEDDC_ALPHA = {"synthetic": 0.005, "mnist": 0.1}
+# The penalty weight alpha the benchmarks fix, by dataset kind, then
+# algorithm; the algorithms absent here take no alpha.
+DEFAULT_ALPHA = {
+    "synthetic": {"feddyn": 0.01, "feddc": 0.005},
+    "mnist": {"feddyn": 0.01, "feddc": 0.1},
+}
 
 
 def get_preset(name: str) -> dict:
@@ -73,10 +76,3 @@ def merge_under(user: dict, defaults: dict) -> dict:
             out[key] = copy.deepcopy(value)
     return out
 
-
-def default_alpha(algorithm: str, dataset_kind: str):
-    if algorithm == "feddyn":
-        return DEFAULT_FEDDYN_ALPHA
-    if algorithm == "feddc":
-        return DEFAULT_FEDDC_ALPHA.get(dataset_kind, DEFAULT_FEDDC_ALPHA["mnist"])
-    return None

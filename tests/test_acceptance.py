@@ -24,13 +24,12 @@ from feddrift.engine import (
     run_experiment,
 )
 from feddrift.federation import (
-    CLIENT_FIELDS,
+    RULES,
     AlgoConfig,
     ClientStore,
     RoundUpdate,
     ServerState,
     ablation_from_code,
-    download_vectors,
     feddc_local_objective,
     feddc_local_objective_grad,
     run_local_round,
@@ -245,7 +244,7 @@ class TestCriterion4CommunicationAccounting:
             cfg = synth_cfg(algo, 0, rounds=2, **kw)
             recs, _ = run_experiment(cfg)
             for r in recs:
-                down_vecs = download_vectors(cfg.algo)
+                down_vecs = RULES[cfg.algo.algorithm].down
                 assert r.bytes_down == 20 * down_vecs * 8 * p
                 assert r.bytes_up == 20 * 8 * p
             totals[algo] = sum(r.bytes_up + r.bytes_down for r in recs)
@@ -282,7 +281,7 @@ class TestCriterion5Properties:
         init = init_params(spec, stream(51, "global-init"))
         server = ServerState.fresh(init, n_clients=2, rng_seed=51)
         dim = spec.param_count
-        clients = ClientStore([4], dim, CLIENT_FIELDS["feddc"])
+        clients = ClientStore([4], dim, RULES["feddc"].fields)
         theta = init + 0.05 * rng.standard_normal(dim)
         clients.drift[0] = 0.1 * rng.standard_normal(dim)
         clients.last_delta[0] = 0.03 * rng.standard_normal(dim)
@@ -303,7 +302,7 @@ class TestCriterion5Properties:
         cfg = AlgoConfig("feddc", alpha=0.005, lr=0.1, local_epochs=2, batch_size=10)
         init = init_params(spec, stream(52, "global-init"))
         server = ServerState.fresh(init, 1, 52)
-        clients = ClientStore([30], spec.param_count, CLIENT_FIELDS["feddc"])
+        clients = ClientStore([30], spec.param_count, RULES["feddc"].fields)
         rng = stream(52, "testing")
         x = rng.standard_normal((30, 30))
         y = (rng.random(30) * 5).astype(np.int64)
@@ -322,7 +321,7 @@ class TestCriterion5Properties:
         server = ServerState.fresh(init, 3, 53)
         rng = stream(53, "testing")
         data = []
-        clients = ClientStore([20] * 3, spec.param_count, CLIENT_FIELDS["feddc"])
+        clients = ClientStore([20] * 3, spec.param_count, RULES["feddc"].fields)
         for i in range(3):
             clients.drift[i] = 0.1 * rng.standard_normal(spec.param_count)
             x = rng.standard_normal((20, 30))
@@ -409,7 +408,7 @@ class TestCriterion5Properties:
         spec = LOGISTIC
         init = init_params(spec, stream(57, "global-init"))
         server = ServerState.fresh(init, 1, 57)
-        clients = ClientStore([8], spec.param_count, CLIENT_FIELDS["feddc"])
+        clients = ClientStore([8], spec.param_count, RULES["feddc"].fields)
         rng = stream(57, "testing")
         x = rng.standard_normal((8, 30))
         y = (rng.random(8) * 5).astype(np.int64)

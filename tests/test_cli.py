@@ -1,6 +1,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from feddrift import cli
@@ -121,6 +122,21 @@ class TestRun:
         )
         assert main(["run", cfg_path]) == 2
         assert "FEDDRIFT_DATA_DIR" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model,field",
+        [({"input_dim": 7}, "model.input_dim"), ({"num_classes": 3}, "model.num_classes")],
+    )
+    def test_model_that_misfits_the_synthetic_data_exits_2(self, tmp_path, capsys, model, field):
+        out = tmp_path / "out"
+        cfg_path = write_json(tmp_path / "cfg.json", tiny_synth_config(out, model=model))
+        assert main(["run", cfg_path]) == 2
+        assert f"error: {field}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_may_have_more_classes_than_the_data(self, tmp_path):
+        exp, _ = build_experiment(tiny_synth_config(tmp_path, model={"num_classes": 7}))
+        assert exp.model.num_classes == 7
 
 
 # (command, change to a valid document, field the error names): each value
@@ -393,6 +409,70 @@ class TestSweep:
         path = self.manifest(tmp_path, algorithms=["fedavg", "fedavg"])
         assert main(["sweep", path]) == 2
         assert "duplicate" in capsys.readouterr().err
+
+    def with_setting(self, tmp_path, setting, first=False, **kw):
+        """The tiny manifest plus one more inline setting, first or second."""
+        self.manifest(tmp_path, **kw)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        tiny = manifest["settings"][0]
+        manifest["settings"] = [setting, tiny] if first else [tiny, setting]
+        return write_json(tmp_path / "manifest.json", manifest)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a,b", "a|b", "a/b", "../up", "a\\b", "a\nb"])
+    def test_setting_name_is_checked_before_any_runs(self, tmp_path, capsys, name):
+        setting = {"name": name, "dataset": {"kind": "synthetic", "n_clients": 4}}
+        assert main(["sweep", self.with_setting(tmp_path, setting)]) == 2
+        assert "error: settings[1].name: " in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+    def test_model_shape_is_checked_before_any_runs(self, tmp_path, capsys):
+        setting = {"name": "wide", "dataset": {"kind": "synthetic"}, "model": {"input_dim": 7}}
+        assert main(["sweep", self.with_setting(tmp_path, setting)]) == 2
+        assert "error: model.input_dim: " in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def diverging(self, tmp_path):
+        setting = {
+            "name": "boom",
+            "dataset": {"kind": "synthetic", "n_clients": 3, "samples_per_client_mean": 20},
+            "algorithm": {"lr": 1e308},
+        }
+        return self.with_setting(tmp_path, setting, first=True, algorithms=["fedavg"], rounds=2)
+
+    def test_keep_going_finishes_the_other_runs(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            assert main(["sweep", self.diverging(tmp_path), "--keep-going"]) == 1
+        err = capsys.readouterr().err
+        assert "FAILED boom/fedavg/seed=0: round 1: " in err
+        sweep = tmp_path / "sweep"
+        assert (sweep / "tiny" / "fedavg-s0" / "records.csv").exists()
+        table = (sweep / "table.csv").read_text().splitlines()
+        assert [line.split(",")[:3] for line in table[1:]] == [["tiny", "fedavg", "0"]]
+        assert "## tiny" in (sweep / "table.md").read_text()
+
+    def test_failing_run_stops_the_sweep(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            assert main(["sweep", self.diverging(tmp_path)]) == 1
+        assert "error: boom/fedavg/seed=0: round 1: " in capsys.readouterr().err
+        sweep = tmp_path / "sweep"
+        assert not (sweep / "tiny").exists()
+        assert not (sweep / "table.csv").exists() and not (sweep / "table.md").exists()
+
+    def test_rounds_median_counts_a_miss(self, tmp_path):
+        # fedavg reaches the target on all three seeds, feddc on one and
+        # scaffold on two: feddc's median is a miss, scaffold's is not.
+        rounds = {"fedavg": (4, 4, 4), "feddc": (2, None, None), "scaffold": (3, None, 3)}
+        rows = [("s", algo, seed, 0.5, 0.9, r)
+                for algo, rs in rounds.items() for seed, r in enumerate(rs)]
+        cli._write_sweep_tables(str(tmp_path), rows)
+        md = (tmp_path / "table.md").read_text().splitlines()
+        assert "| fedavg | 0.5000 | 4 | 1.00x |" in md
+        assert "| feddc | 0.5000 | >budget | - |" in md
+        assert "| scaffold | 0.5000 | 3 | 1.33x |" in md
+        csv = (tmp_path / "table.csv").read_text().splitlines()
+        assert "s,feddc,0,0.5,0.9,2,2.00" in csv  # per seed, a reached run keeps its speedup
+        assert "s,feddc,1,0.5,0.9,," in csv
 
 
 class TestGradCheck:

@@ -5,14 +5,15 @@ import pytest
 
 from feddrift.errors import DimensionError, EmptyAggregateError, NumericError, ParameterError
 from feddrift.federation import (
-    CLIENT_FIELDS,
+    ALGORITHMS,
+    NEXT_VALUE,
+    RULES,
     AlgoConfig,
     ClientStore,
     RoundUpdate,
     ServerState,
     ablation_from_code,
     apply_update,
-    download_vectors,
     feddc_local_objective,
     feddc_local_objective_grad,
     gradient_variance_diagnostic,
@@ -22,7 +23,6 @@ from feddrift.federation import (
     sample_active_set,
     server_aggregate,
     steps_per_round,
-    upload_vectors,
     weighted_mean,
 )
 from feddrift.models import ModelSpec, init_params, loss_and_grad
@@ -43,7 +43,7 @@ def make_states(algorithm="feddc", n_clients=3, seed=0, n_samples=8, **kw):
     cfg = AlgoConfig(algorithm=algorithm, **kw)
     init = init_params(SPEC, stream(seed, "global-init"))
     server = ServerState.fresh(init, n_clients=n_clients, rng_seed=seed)
-    clients = ClientStore([n_samples] * n_clients, SPEC.param_count, CLIENT_FIELDS[algorithm])
+    clients = ClientStore([n_samples] * n_clients, SPEC.param_count, RULES[algorithm].fields)
     return cfg, server, clients
 
 
@@ -400,7 +400,9 @@ class TestDiagnostics:
         lr_t = round_lr(cfg, server.round)
         gs = np.stack([-up.delta[i] / (int(up.k_steps[i]) * lr_t) for i in range(n)])
         want = float(np.mean(np.sum((gs - gs.mean(axis=0)) ** 2, axis=1)))
+        before = up.delta.copy()
         assert gradient_variance_diagnostic(up, server, cfg).hex() == want.hex()
+        assert np.array_equal(up.delta, before)  # the update is only read
 
     def test_fewer_than_two_is_absent(self):
         cfg, server, _ = make_states("fedavg")
@@ -408,24 +410,36 @@ class TestDiagnostics:
         assert gradient_variance_diagnostic(up, server, cfg) is None
 
 
+class TestRules:
+    def test_algorithms_keep_their_order(self):
+        assert ALGORITHMS == ("fedavg", "fedprox", "scaffold", "feddyn", "feddc")
+
+    def test_client_fields_per_algorithm(self):
+        assert {a: RULES[a].fields for a in ALGORITHMS} == {
+            "fedavg": (),
+            "fedprox": (),
+            "scaffold": ("scaffold_c",),
+            "feddyn": ("drift",),
+            "feddc": ("drift", "last_delta"),
+        }
+        # every field an algorithm keeps has a next value in a RoundUpdate
+        assert {f for rule in RULES.values() for f in rule.fields} == set(NEXT_VALUE)
+
+
 class TestCommunication:
     def test_upload_and_download_vector_counts(self):
-        mk = lambda algo, **kw: AlgoConfig(algo, **kw)
-        assert upload_vectors(mk("fedavg")) == 1
-        assert upload_vectors(mk("fedprox")) == 1
-        assert upload_vectors(mk("feddyn", alpha=0.1)) == 1
-        assert upload_vectors(mk("feddc", alpha=0.1)) == 1
-        assert upload_vectors(mk("scaffold")) == 2
-        assert download_vectors(mk("fedavg")) == 1
-        assert download_vectors(mk("fedprox")) == 1
-        assert download_vectors(mk("feddyn", alpha=0.1)) == 1
-        assert download_vectors(mk("feddc", alpha=0.1)) == 2
-        assert download_vectors(mk("scaffold")) == 2
+        assert RULES["fedavg"].up == 1
+        assert RULES["fedprox"].up == 1
+        assert RULES["feddyn"].up == 1
+        assert RULES["feddc"].up == 1
+        assert RULES["scaffold"].up == 2
+        assert RULES["fedavg"].down == 1
+        assert RULES["fedprox"].down == 1
+        assert RULES["feddyn"].down == 1
+        assert RULES["feddc"].down == 2
+        assert RULES["scaffold"].down == 2
 
     def test_feddc_bytes_are_1_5x_fedavg_exactly(self):
         p = SPEC.param_count
-        totals = {}
-        for algo, kw in (("fedavg", {}), ("feddc", {"alpha": 0.1})):
-            cfg = AlgoConfig(algo, **kw)
-            totals[algo] = (upload_vectors(cfg) + download_vectors(cfg)) * 8 * p
+        totals = {a: (RULES[a].up + RULES[a].down) * 8 * p for a in ("fedavg", "feddc")}
         assert 2 * totals["feddc"] == 3 * totals["fedavg"]

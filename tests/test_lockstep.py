@@ -18,7 +18,7 @@ from feddrift import federation
 from feddrift.errors import DimensionError
 from feddrift.federation import (
     ALGORITHMS,
-    CLIENT_FIELDS,
+    RULES,
     AlgoConfig,
     ClientStore,
     ServerState,
@@ -61,7 +61,7 @@ def _scenario(algorithm, code, model, sizes, batch_size, epochs, round_index,
         scaffold_c=0.1 * rng.standard_normal(p),
         round=round_index,
     )
-    store = ClientStore(sizes, p, CLIENT_FIELDS[algorithm])
+    store = ClientStore(sizes, p, RULES[algorithm].fields)
     for name in store.fields:
         getattr(store, name)[:] = 0.05 * rng.standard_normal((len(sizes), p))
     if zero_extra:
