@@ -333,10 +333,11 @@ def write_config_json(path, resolved: dict) -> None:
 
 
 def _run_one(exp: ExperimentConfig, out_dir: str, resolved: dict):
-    os.makedirs(out_dir, exist_ok=True)
+    """Train one run, then write its outputs; a run that fails writes nothing."""
     dataset = build_dataset(exp.dataset)
     records, summary = run_experiment(exp, dataset=dataset)
     label = dataset_label(dataset)
+    os.makedirs(out_dir, exist_ok=True)
     write_records_csv(
         os.path.join(out_dir, "records.csv"),
         records,

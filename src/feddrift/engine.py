@@ -215,17 +215,20 @@ class FederatedRun:
 
         start = time.perf_counter()
         try:
-            active = sample_active_set(
-                self.dataset.n_clients,
-                cfg.algo.participation,
-                t,
-                stream(cfg.seed, "participation", round_index=t),
-            )
-            update = run_local_rounds(
-                self.clients, active, self.server, cfg.algo, client_data, cfg.model
-            )
-            grad_var = gradient_variance_diagnostic(update, self.server, cfg.algo)
-            self.server = server_aggregate(self.server, update, cfg.algo)
+            # A diverging round overflows without warnings: ServerState is
+            # the one finiteness check, and the error names the round.
+            with np.errstate(over="ignore", invalid="ignore"):
+                active = sample_active_set(
+                    self.dataset.n_clients,
+                    cfg.algo.participation,
+                    t,
+                    stream(cfg.seed, "participation", round_index=t),
+                )
+                update = run_local_rounds(
+                    self.clients, active, self.server, cfg.algo, client_data, cfg.model
+                )
+                grad_var = gradient_variance_diagnostic(update, self.server, cfg.algo)
+                self.server = server_aggregate(self.server, update, cfg.algo)
             apply_update(self.clients, update)
         except Exception as exc:
             raise RunError(f"round {t + 1}: {exc}") from exc
@@ -332,11 +335,12 @@ def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
     for t in range(cfg.rounds):
         start = time.perf_counter()
         rng = stream(cfg.seed, "batch-shuffle", client=0, round_index=t)
-        up = run_local_round(
-            client, 0, server, algo, ds.train_inputs, ds.train_labels, rng, cfg.model,
-            step_budget=budget,
-        )
-        server = server_aggregate(server, up, algo)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in FederatedRun.run_round
+            up = run_local_round(
+                client, 0, server, algo, ds.train_inputs, ds.train_labels, rng, cfg.model,
+                step_budget=budget,
+            )
+            server = server_aggregate(server, up, algo)
         records.append(_record(cfg, server, ds, start))
         if server.round in fed_by_round:
             gap = fed_by_round[server.round] - server.global_params

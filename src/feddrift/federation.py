@@ -98,6 +98,8 @@ BYTES_PER_PARAM = 8  # float64 on the wire
 # Floats per stacked (clients x parameters) block of lockstep training:
 # an active group trains in chunks of at most max(1, BUDGET // P) clients,
 # so small models train whole groups at once and large ones one by one.
+# A chunk of C clients applies each step's update in column tiles of at
+# most max(1, BUDGET // C) columns, which stay in cache.
 BUDGET = 1 << 16
 
 
@@ -265,9 +267,10 @@ def _correction_terms(clients: ClientStore, ids, server: ServerState,
     g + pull * (theta - anchor[c]) + extra[c], where anchor and extra
     are (len(ids), P) arrays, or None when the algorithm, its ablation
     or a zero coefficient turns the term off. A row of `extra` that is
-    exactly zero is off for its client alone; `has_extra` masks it out.
-    Terms that are off are skipped rather than added, so the remaining
-    arithmetic is bit-identical to the plain-SGD path.
+    exactly zero is off for its client alone; `has_extra` masks it out,
+    and is None when every row is on. Terms that are off are skipped
+    rather than added, so the remaining arithmetic is bit-identical to
+    the plain-SGD path.
     """
     g = server.global_params
     algo = cfg.algorithm
@@ -283,21 +286,33 @@ def _correction_terms(clients: ClientStore, ids, server: ServerState,
             pull, anchor = cfg.alpha, g - clients.drift[ids]
         if "grad_correction" in cfg.ablation:
             extra = (clients.last_delta[ids] - server.global_delta) / (k_steps * lr_t)
-    has_extra = None if extra is None else extra.any(axis=1)[:, None]
+    has_extra = None
+    if extra is not None:
+        on = extra.any(axis=1)
+        if not on.any():
+            extra = None
+        elif not on.all():
+            has_extra = on[:, None]
     return pull, anchor, extra, has_extra
 
 
-def _add_terms(grad, theta, pull, anchor, extra, has_extra) -> None:
-    """grad += pull * (theta - anchor) + extra on (C, P) blocks, in place.
+def _add_terms(grad, theta, pull, anchor, extra, has_extra, scratch) -> None:
+    """grad += pull * (theta - anchor) + extra on (C, w) blocks, in place.
 
-    Terms that are off are skipped, and so are the rows of `extra` that
-    `has_extra` masks out: adding +0.0 would flip the sign bit of a -0.0
-    gradient entry. Training and the gradient check both step through here.
+    `scratch` is a (C, w) buffer for the pull term. Terms that are off
+    are skipped, and so are the rows of `extra` that `has_extra` masks
+    out: adding +0.0 would flip the sign bit of a -0.0 gradient entry.
+    Training and the gradient check both step through here.
     """
     if anchor is not None:
-        grad += pull * (theta - anchor)
+        np.subtract(theta, anchor, out=scratch)
+        scratch *= pull
+        grad += scratch
     if extra is not None:
-        np.add(grad, extra, out=grad, where=has_extra)
+        if has_extra is None:
+            grad += extra
+        else:
+            np.add(grad, extra, out=grad, where=has_extra)
 
 
 def _feddc_terms(clients: ClientStore, client_id: int, server: ServerState,
@@ -334,7 +349,8 @@ def feddc_local_objective_grad(theta, clients: ClientStore, client_id: int,
                                inputs, labels, spec: ModelSpec) -> np.ndarray:
     """Gradient of the drift-corrected local objective at theta, as training assembles it."""
     _, grad = models.loss_and_grad(spec, theta, inputs, labels)
-    _add_terms(grad[None], theta[None], *_feddc_terms(clients, client_id, server, cfg))
+    terms = _feddc_terms(clients, client_id, server, cfg)
+    _add_terms(grad[None], theta[None], *terms, np.empty((1, grad.size)))
     return grad
 
 
@@ -345,15 +361,28 @@ def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
     Row c trains on inputs[c] and labels[c] and shuffles them with
     rngs[c], one fresh permutation per epoch. `terms` are the
     (pull, anchor, extra, has_extra) of :func:`_correction_terms`.
+    After the gradient kernel, a step adds weight decay and the terms
+    and updates theta one column tile of at most BUDGET floats at a
+    time (see :func:`models._tiles`), through one scratch tile, so
+    every pass over a tile runs in cache.
     """
-    n = labels[0].shape[0]
-    xp = np.empty((len(inputs), *inputs[0].shape), dtype=inputs[0].dtype)
-    yp = np.empty((len(labels), n), dtype=labels[0].dtype)
+    c, n = len(labels), labels[0].shape[0]
+    xp = np.empty((c, *inputs[0].shape), dtype=inputs[0].dtype)
+    yp = np.empty((c, n), dtype=labels[0].dtype)
     grad = np.empty_like(theta)
     layers = models._split(spec, theta)
     glayers = models._split(spec, grad)
-    grad_into = models._grad_into
+    grad_into, decay_into = models._grad_into, models._decay_into
     wd = spec.weight_decay
+    pull, anchor, extra, has_extra = terms
+    width = max(1, BUDGET // c)
+    scratch = np.empty((c, min(width, theta.shape[1])))
+    tiles = [
+        (grad[:, lo:hi], theta[:, lo:hi], scratch[:, : hi - lo], decayed,
+         None if anchor is None else anchor[:, lo:hi],
+         None if extra is None else extra[:, lo:hi])
+        for lo, hi, decayed in models._tiles(spec, width)
+    ]
     steps = 0
     while steps < k_steps:
         for r, rng in enumerate(rngs):
@@ -362,9 +391,13 @@ def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
             labels[r].take(order, out=yp[r])
         for lo in range(0, n, batch_size):
             batch = slice(lo, lo + batch_size)
-            grad_into(wd, layers, glayers, xp[:, batch], yp[:, batch])
-            _add_terms(grad, theta, *terms)
-            theta -= lr_t * grad
+            grad_into(layers, glayers, xp[:, batch], yp[:, batch])
+            for g, th, tmp, decayed, an, ex in tiles:
+                if decayed:
+                    decay_into(wd, g, th, tmp)
+                _add_terms(g, th, pull, an, ex, has_extra, tmp)
+                np.multiply(g, lr_t, out=tmp)
+                th -= tmp
             steps += 1
             if steps >= k_steps:
                 break

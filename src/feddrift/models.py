@@ -5,10 +5,11 @@ logistic model for the synthetic benchmark and a ReLU network for image
 classification. Each piece is defined once: the forward pass
 (`_forward`), the loss (`mean_loss`: mean cross-entropy plus optional L2
 weight decay on weights, never biases), the training kernel
-(`_grad_into`, which writes the exact analytic gradient of that loss in
-place, in the same flat layout as the parameters, for a stack of clients
-at once), and the input check that `loss_and_grad`, `accuracy` and
-`mean_loss` share.
+(`_grad_into`, which writes the exact analytic gradient of the
+cross-entropy in place, in the same flat layout as the parameters, for a
+stack of clients at once), the weight-decay gradient (`_decay_into`,
+added over the weight ranges of `_tiles`), and the input check that
+`loss_and_grad`, `accuracy` and `mean_loss` share.
 
 Flat layout, per layer in order: the (fan_in x fan_out) weight matrix in
 row-major order, then the fan_out bias entries. A (C, P) block holds C
@@ -122,14 +123,43 @@ def _rows(n: int) -> np.ndarray:
     return out
 
 
-def _grad_into(wd: float, layers, glayers, x, y) -> None:
-    """Gradient of :func:`mean_loss` on one batch per client, written into `glayers`.
+@lru_cache(maxsize=64)
+def _tiles(spec: ModelSpec, width: int):
+    """Column ranges (lo, hi, decayed) covering the P columns, each at most `width` wide.
+
+    With weight decay on, no range straddles a weight/bias boundary and
+    `decayed` marks the ranges of weights; without it, it is False.
+    """
+    if spec.weight_decay > 0.0:
+        spans = [s for a, b, _fi, fo in _layout(spec) for s in ((a, b, True), (b, b + fo, False))]
+    else:
+        spans = [(0, spec.param_count, False)]
+    return tuple(
+        (lo, min(lo + width, hi), decayed)
+        for a, hi, decayed in spans
+        for lo in range(a, hi, width)
+    )
+
+
+def _decay_into(wd: float, grad, theta, scratch) -> None:
+    """grad += wd * theta in place, through `scratch` of their shape.
+
+    The weight-decay gradient of :func:`mean_loss`, for the decayed
+    ranges of :func:`_tiles` only.
+    """
+    np.multiply(theta, wd, out=scratch)
+    grad += scratch
+
+
+def _grad_into(layers, glayers, x, y) -> None:
+    """Cross-entropy gradient on one batch per client, written into `glayers`.
 
     The kernel every training step runs, on the (C, ...) views (see
     :func:`_split`) of a (C, P) parameter block and its gradient block;
     `x` is (C, b, input_dim) and `y` is (C, b). Client c's gradient is the
-    one its own batch gives, bit for bit whatever C is. It computes no
-    loss value and trusts its inputs: the public functions check them.
+    one its own batch gives, bit for bit whatever C is. Weight decay is
+    left to :func:`_decay_into`. It computes no loss value and trusts its
+    inputs: the public functions check them.
     """
     c, n = y.shape
     acts, z = _forward(layers, x)
@@ -141,8 +171,6 @@ def _grad_into(wd: float, layers, glayers, x, y) -> None:
         w, _b = layers[li]
         gw, gb = glayers[li]
         np.matmul(acts[li].swapaxes(-1, -2), dz, out=gw)
-        if wd > 0.0:
-            gw += wd * w
         dz.sum(axis=-2, keepdims=True, out=gb)
         if li > 0:
             dz = dz @ w.swapaxes(-1, -2)
@@ -174,7 +202,10 @@ def loss_and_grad(spec: ModelSpec, params, inputs, labels):
     """(mean_loss, gradient) on one batch; the gradient is a (P,) array."""
     flat, x, y = _check_inputs(spec, params, inputs, labels)
     grad = np.empty((1, spec.param_count))
-    _grad_into(spec.weight_decay, _split(spec, flat[None]), _split(spec, grad), x[None], y[None])
+    _grad_into(_split(spec, flat[None]), _split(spec, grad), x[None], y[None])
+    for lo, hi, decayed in _tiles(spec, spec.param_count):
+        if decayed:
+            _decay_into(spec.weight_decay, grad[0, lo:hi], flat[lo:hi], np.empty(hi - lo))
     return mean_loss(spec, flat, x, y), grad[0]
 
 

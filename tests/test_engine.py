@@ -180,7 +180,7 @@ class TestDivergence:
             rounds=3,
         )
         run = FederatedRun(cfg)
-        with np.errstate(all="ignore"), pytest.raises(RunError, match="round 1: ") as info:
+        with pytest.raises(RunError, match="round 1: ") as info:
             run.run_round()
         assert isinstance(info.value.__cause__, NumericError)
         assert "ServerState.global_params" in str(info.value)

@@ -3,7 +3,9 @@
 `run_local_rounds` trains a round's whole active set, each group of
 equal-size clients as stacked (C, P) blocks, and returns one RoundUpdate;
 `run_local_round` is its one-client call. Every row of every block must
-match the one-client result, sign bits included.
+match the one-client result, sign bits included. Each step applies its
+weight decay, correction terms and update in column tiles; every tiling
+must match one whole-width pass per term.
 """
 
 from dataclasses import replace
@@ -27,7 +29,7 @@ from feddrift.federation import (
     run_local_round,
     run_local_rounds,
 )
-from feddrift.models import ModelSpec, _split, init_params
+from feddrift.models import ModelSpec, _grad_into, _split, _tiles, init_params
 from feddrift.rng import stream
 
 SPECS = {
@@ -124,6 +126,71 @@ def test_lockstep_groups_equal_one_client_rounds(algorithm, code, model, sizes, 
         )
 
 
+def _whole_width_sgd(theta, terms, inputs, labels, rngs, spec, batch_size, k_steps, lr_t):
+    """`federation._local_sgd` with one whole-width pass per term and step: the oracle."""
+    pull, anchor, extra, _ = terms
+    on = None if extra is None else extra.any(axis=1)[:, None]
+    n = labels[0].shape[0]
+    grad = np.empty_like(theta)
+    layers, glayers = _split(spec, theta), _split(spec, grad)
+    steps = 0
+    while steps < k_steps:
+        orders = [rng.permutation(n) for rng in rngs]
+        xp = np.stack([x[order] for x, order in zip(inputs, orders)])
+        yp = np.stack([y[order] for y, order in zip(labels, orders)])
+        for lo in range(0, n, batch_size):
+            _grad_into(layers, glayers, xp[:, lo : lo + batch_size], yp[:, lo : lo + batch_size])
+            if spec.weight_decay > 0.0:
+                for (w, _b), (gw, _gb) in zip(layers, glayers):
+                    gw += spec.weight_decay * w
+            if anchor is not None:
+                grad += pull * (theta - anchor)
+            if extra is not None:
+                np.add(grad, extra, out=grad, where=on)
+            theta -= lr_t * grad
+            steps += 1
+            if steps >= k_steps:
+                break
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    code=st.sampled_from(ABLATION_CODES),
+    model=st.sampled_from(sorted(SPECS)),
+    sizes=st.lists(st.sampled_from([1, 5, 7]), min_size=1, max_size=4),
+    batch_size=st.sampled_from([3, 4]),
+    round_index=st.integers(0, 3),
+    zero_extra=st.booleans(),
+    budget=st.sampled_from([1, 3, 7, "P", "2P"]),
+    step_budget=st.sampled_from([None, 2]),
+    seed=st.integers(0, 2**16),
+)
+def test_tiled_steps_equal_whole_width_steps(algorithm, code, model, sizes, batch_size,
+                                             round_index, zero_extra, budget, step_budget,
+                                             seed):
+    cfg, spec, server, store, data = _scenario(
+        algorithm, code, model, sizes, batch_size, 1, round_index, zero_extra, seed
+    )
+    p = spec.param_count
+
+    def client_data(i):
+        return (*data[i], stream(seed, "batch-shuffle", client=i, round_index=round_index))
+
+    ids = range(len(sizes))
+    with mock.patch.object(federation, "_local_sgd", _whole_width_sgd):
+        whole = run_local_rounds(store, ids, server, cfg, client_data, spec, step_budget)
+    # A budget below P trains one client at a time in tiles of `budget`
+    # columns; a budget of P or 2P fits whole rows of one or two clients.
+    budget = {"P": p, "2P": 2 * p}.get(budget, budget)
+    if budget < p:
+        assert len(_tiles(spec, budget)) > 1
+    with mock.patch.object(federation, "BUDGET", budget):
+        tiled = run_local_rounds(store, ids, server, cfg, client_data, spec, step_budget)
+    for field in ("theta", "delta", "drift_plus", "c_plus"):
+        assert _bits(getattr(tiled, field)) == _bits(getattr(whole, field)), field
+
+
 def test_a_zero_term_stays_off_for_its_client_alone():
     """Client 0's zero control term leaves it on the plain-SGD path beside clients that use theirs."""
     cfg, spec, server, store, data = _scenario(
@@ -139,6 +206,19 @@ def test_a_zero_term_stays_off_for_its_client_alone():
         stream(3, "batch-shuffle", client=0, round_index=1), spec,
     )
     assert _bits(up.theta[0]) == _bits(alone.theta[0])
+
+
+def test_a_zero_row_of_extra_keeps_negative_zero_gradients():
+    """Adding a zero `extra` row would turn the -0.0 entries of its gradient into +0.0."""
+    cfg, spec, server, store, _ = _scenario(
+        "scaffold", "lelglp", "logistic", [5, 5], 2, 1, 0, True, 4
+    )
+    p = spec.param_count
+    terms = federation._correction_terms(store, [0, 1], server, cfg, 5, 0.2)
+    grad, theta = np.full((2, p), -0.0), np.zeros((2, p))
+    federation._add_terms(grad, theta, *terms, np.empty((2, p)))
+    assert np.signbit(grad[0]).all() and not grad[0].any()
+    assert _bits(grad[1]) == _bits(server.scaffold_c - store.scaffold_c[1])
 
 
 def test_lockstep_groups_by_size_in_id_order():

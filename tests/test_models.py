@@ -8,6 +8,8 @@ from feddrift.errors import (
 )
 from feddrift.models import (
     ModelSpec,
+    _layout,
+    _tiles,
     accuracy,
     init_params,
     loss_and_grad,
@@ -156,6 +158,25 @@ class TestLossAndGrad:
         l0, _ = loss_and_grad(base, flat, x, y)
         l1, _ = loss_and_grad(decayed, flat, x, y)
         assert l1 - l0 == pytest.approx(0.5 / 2 * (4.0 * 12), rel=1e-12)
+
+    @pytest.mark.parametrize("width", [1, 3, 7, 40, 10**6])
+    @pytest.mark.parametrize("wd", [0.0, 1e-3])
+    def test_tiles_cover_the_columns_without_straddling_biases(self, width, wd):
+        spec = ModelSpec("mlp", 6, 4, hidden_dims=(7, 5), weight_decay=wd)
+        tiles = _tiles(spec, width)
+        assert [lo for lo, _, _ in tiles] == [0] + [hi for _, hi, _ in tiles[:-1]]
+        assert tiles[-1][1] == spec.param_count
+        assert all(0 < hi - lo <= width for lo, hi, _ in tiles)
+        weights = np.zeros(spec.param_count, dtype=bool)
+        for a, b, _fi, _fo in _layout(spec):
+            weights[a:b] = True
+        for lo, hi, decayed in tiles:
+            if wd > 0.0:  # all weights, decayed, or all biases
+                assert weights[lo:hi].tolist() == [decayed] * (hi - lo)
+            else:
+                assert not decayed
+        if wd == 0.0:
+            assert len(tiles) == -(-spec.param_count // width)
 
     def test_label_out_of_range(self):
         with pytest.raises(ParameterError):
