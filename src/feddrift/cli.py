@@ -210,7 +210,7 @@ def _build(cls, values: dict, path: str, **extra):
     try:
         return cls(**{**{k: v for k, v in values.items() if k in names}, **extra})
     except ParameterError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        raise ConfigError(path if exc.field is None else f"{path}.{exc.field}", str(exc)) from exc
 
 
 def resolve_mnist_paths(section: dict) -> dict:

@@ -14,7 +14,11 @@ class NumericError(FedDriftError):
 
 
 class ParameterError(FedDriftError):
-    """A numeric parameter is outside its valid range."""
+    """A parameter is outside its valid range; ``field``, if given, names it."""
+
+    def __init__(self, message, field=None):
+        self.field = field
+        super().__init__(message)
 
 
 class WeightError(FedDriftError):

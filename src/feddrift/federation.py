@@ -3,22 +3,8 @@
 The round contract is snapshot-in / gather-out: every client trains from
 an immutable copy of the round-start server state, and the server folds
 the gathered updates in ascending client-id order, so results do not
-depend on scheduling.
-
-Algorithms, by the structure of the gradient each local SGD step uses
-(g is the minibatch gradient of the empirical loss at the current theta,
-G the round-start global parameters):
-
-  fedavg     g
-  fedprox    g + mu * (theta - G)
-  scaffold   g + (c - c_i)                        with control variates
-  feddyn     g + alpha * (theta - (G - s_i))      s_i = accumulated local updates
-  feddc      g + alpha * (theta - (G - h_i))      drift penalty
-               + (delta_i_prev - delta_prev) / (K * lr_t)   gradient correction
-
-feddc additionally uploads drift-corrected parameters (theta + h) and the
-server averages those, which decouples the global model from the local
-optima. Its two correction terms can be ablated independently.
+depend on scheduling. Each algorithm is one row of RULES, which says
+what it keeps, moves, adds to its gradient and lets the server average.
 """
 
 from __future__ import annotations
@@ -65,20 +51,53 @@ __all__ = [
     "gradient_variance_diagnostic",
 ]
 
-# What each algorithm keeps and moves: the per-client vectors it reads
-# across rounds, and how many P-vectors a client sends (up) and receives
-# (down) per round. feddc keeps its drift h_i and previous local update,
-# sends theta + h pre-summed as one vector and receives the global
-# parameters and the previous global delta; feddyn keeps its accumulated
-# local updates; scaffold keeps its control variate c_i and moves it, or
-# its update, beside the parameters both ways.
-Rule = namedtuple("Rule", "fields up down")
+
+def _control_gap(clients, ids, server, k_steps, lr_t):
+    return server.scaffold_c - clients.scaffold_c[ids]
+
+
+def _grad_correction(clients, ids, server, k_steps, lr_t):
+    return (clients.last_delta[ids] - server.global_delta) / (k_steps * lr_t)
+
+
+def _scaffold_controls(server, update, cfg, mean_up, global_delta):
+    # c_i+ - c_i reconstructs from the upload: -c + the implied gradient
+    lr_t = round_lr(cfg, server.round)
+    c_deltas = -server.scaffold_c + _implied_grad(update.delta, update.k_steps[:, None], lr_t)
+    mean_cd = weighted_mean(c_deltas, np.ones(len(update.ids)))
+    return {"scaffold_c": server.scaffold_c + len(update.ids) / server.n_clients * mean_cd}
+
+
+def _feddyn_corrector(server, update, cfg, mean_up, global_delta):
+    scale = cfg.alpha * len(update.ids) / server.n_clients
+    dyn_corrector = server.dyn_corrector - scale * global_delta
+    return {"dyn_corrector": dyn_corrector, "global_params": mean_up - dyn_corrector / cfg.alpha}
+
+
+# Each algorithm is one row. A local SGD step follows the gradient
+# g + pull * (theta - anchor) + extra, with g the minibatch gradient and G
+# the round-start global parameters. `fields` are the per-client vectors
+# kept across rounds (feddc's drift h_i and previous update, feddyn's
+# summed updates as `drift`, scaffold's control c_i); `up` and `down` the
+# P-vectors a client sends and receives per round. `pull` names the
+# AlgoConfig coefficient, which 0.0 turns off; the anchor is G - drift_i
+# for a row that keeps `drift`, else G. `extra(clients, ids, server, K,
+# lr_t)` builds the rows of the extra term. The server averages the
+# `upload`: theta, theta + h_i (feddc: the global model decoupled from
+# the local drift) or delta (G + mean delta). `server(server, update, cfg,
+# mean upload, mean delta)` returns the server vectors it changes further.
+# feddc's ablation masks two columns: "param_correction" keeps its pull,
+# "grad_correction" its extra.
+Rule = namedtuple("Rule", "fields up down pull extra upload server",
+                  defaults=(None, None, "theta", None))
 RULES = {
     "fedavg": Rule((), up=1, down=1),
-    "fedprox": Rule((), up=1, down=1),
-    "scaffold": Rule(("scaffold_c",), up=2, down=2),
-    "feddyn": Rule(("drift",), up=1, down=1),
-    "feddc": Rule(("drift", "last_delta"), up=1, down=2),
+    "fedprox": Rule((), up=1, down=1, pull="mu"),
+    "scaffold": Rule(("scaffold_c",), up=2, down=2, extra=_control_gap, upload="delta",
+                     server=_scaffold_controls),
+    "feddyn": Rule(("drift",), up=1, down=1, pull="alpha", server=_feddyn_corrector),
+    "feddc": Rule(("drift", "last_delta"), up=1, down=2, pull="alpha",
+                  extra=_grad_correction, upload="theta+drift"),
 }
 ALGORITHMS = tuple(RULES)
 ABLATION_TERMS = ("empirical", "grad_correction", "param_correction")
@@ -148,6 +167,11 @@ class AlgoConfig:
             raise ParameterError(f"unknown ablation terms {abl - set(ABLATION_TERMS)}")
         if "empirical" not in abl:
             raise ParameterError("the empirical loss term cannot be ablated away")
+        if abl != FULL_ABLATION and self.algorithm != "feddc":
+            raise ParameterError(
+                f"expected the full ablation for {self.algorithm}, got {sorted(abl)}: "
+                "only feddc's correction terms can be ablated", field="ablation"
+            )
         object.__setattr__(self, "ablation", abl)
         if self.algorithm == "feddyn":
             if self.alpha is None or not (np.isfinite(self.alpha) and self.alpha > 0):
@@ -188,13 +212,10 @@ SERVER_VECTORS = ("global_params", "global_delta", "scaffold_c", "dyn_corrector"
 class ServerState:
     """Round-start snapshot of everything the server owns.
 
-    Beyond the aggregate parameters this also carries the feddyn server
-    corrector (the cited method folds a running penalty-state into the
-    global model) and the total client count scaffold's control update
-    scales by. The four SERVER_VECTORS are finite (P,) float64 arrays;
-    the state adopts the arrays it is given and marks them read-only.
-    This is the one finiteness check of a run: once per init, per
-    aggregate and per restore.
+    The four SERVER_VECTORS, which the RULES server steps advance, are
+    finite (P,) float64 arrays; the state adopts the arrays it is given
+    and marks them read-only. This is the one finiteness check of a run:
+    once per init, per aggregate and per restore.
     """
 
     global_params: np.ndarray
@@ -261,33 +282,25 @@ def _implied_grad(delta: np.ndarray, k_steps, lr_t: float) -> np.ndarray:
 
 def _correction_terms(clients: ClientStore, ids, server: ServerState,
                       cfg: AlgoConfig, k_steps: int, lr_t: float):
-    """Round-constant pieces of the per-step gradient of clients `ids`.
+    """The RULES terms (pull, anchor, extra, has_extra) of clients `ids`.
 
-    Returns (pull, anchor, extra, has_extra): client c's step gradient is
-    g + pull * (theta - anchor[c]) + extra[c], where anchor and extra
-    are (len(ids), P) arrays, or None when the algorithm, its ablation
-    or a zero coefficient turns the term off. A row of `extra` that is
-    exactly zero is off for its client alone; `has_extra` masks it out,
-    and is None when every row is on. Terms that are off are skipped
-    rather than added, so the remaining arithmetic is bit-identical to
-    the plain-SGD path.
+    anchor and extra are (len(ids), P) arrays, or None when the row, the
+    ablation or a zero coefficient turns the term off. A row of `extra`
+    that is exactly zero is off for its client alone; `has_extra` masks
+    it out, and is None when every row is on. Terms that are off are
+    skipped rather than added, so the remaining arithmetic is
+    bit-identical to the plain-SGD path.
     """
+    rule = RULES[cfg.algorithm]
     g = server.global_params
-    algo = cfg.algorithm
-    pull, anchor, extra = 0.0, None, None
-    if algo == "fedprox" and cfg.mu != 0.0:
-        pull, anchor = cfg.mu, np.broadcast_to(g, (len(ids), g.size))
-    elif algo == "scaffold":
-        extra = server.scaffold_c - clients.scaffold_c[ids]
-    elif algo == "feddyn":
-        pull, anchor = cfg.alpha, g - clients.drift[ids]
-    elif algo == "feddc":
-        if "param_correction" in cfg.ablation and cfg.alpha != 0.0:
-            pull, anchor = cfg.alpha, g - clients.drift[ids]
-        if "grad_correction" in cfg.ablation:
-            extra = (clients.last_delta[ids] - server.global_delta) / (k_steps * lr_t)
-    has_extra = None
-    if extra is not None:
+    pull, anchor, extra, has_extra = 0.0, None, None, None
+    if rule.pull and "param_correction" in cfg.ablation and getattr(cfg, rule.pull) != 0.0:
+        pull = getattr(cfg, rule.pull)
+        # A broadcast view of G, not a (C, P) block, when nothing is subtracted.
+        anchor = (g - clients.drift[ids] if "drift" in rule.fields
+                  else np.broadcast_to(g, (len(ids), g.size)))
+    if rule.extra and "grad_correction" in cfg.ablation:
+        extra = rule.extra(clients, ids, server, k_steps, lr_t)
         on = extra.any(axis=1)
         if not on.any():
             extra = None
@@ -496,8 +509,9 @@ def weighted_mean(block, ws) -> np.ndarray:
     division by sum(ws). Two exactness guarantees follow from this
     arrangement plus an explicit short-circuit: a block of
     bitwise-identical rows averages to exactly that row (returned as a
-    copy), and scaling every weight by a common factor leaves the output
-    bits unchanged (weight sums are folded in the same order).
+    copy), and scaling every weight by a power of two leaves the output
+    bits unchanged (every product and sum scales exactly, barring
+    overflow and underflow); other common factors may change them.
     """
     block = np.asarray(block, dtype=np.float64)
     warr = np.asarray(ws, dtype=np.float64)
@@ -522,48 +536,26 @@ def weighted_mean(block, ws) -> np.ndarray:
 
 
 def server_aggregate(server: ServerState, update: RoundUpdate, cfg: AlgoConfig) -> ServerState:
-    """Fold a round's update into the next server state.
+    """Fold a round's update into the next server state, by the RULES row.
 
     The rows are folded in their ascending client-id order, so the
     order clients trained in cannot change the result.
     """
+    rule = RULES[cfg.algorithm]
     if cfg.aggregation_weighting == "by_samples":
         ws = update.n_samples.astype(np.float64)
     else:
         ws = np.ones(len(update.ids))
-    algo = cfg.algorithm
-
     global_delta = weighted_mean(update.delta, ws)
-    scaffold_c = server.scaffold_c
-    dyn_corrector = server.dyn_corrector
-
-    if algo == "feddc":
-        new_global = weighted_mean(update.theta + update.drift_plus, ws)
-    elif algo in ("fedavg", "fedprox"):
-        new_global = weighted_mean(update.theta, ws)
-    elif algo == "scaffold":
-        new_global = server.global_params + global_delta
-        # c_i+ - c_i reconstructs from the upload: -c + the implied gradient
-        lr_t = round_lr(cfg, server.round)
-        c_deltas = -server.scaffold_c + _implied_grad(update.delta, update.k_steps[:, None], lr_t)
-        mean_cd = weighted_mean(c_deltas, np.ones(len(update.ids)))
-        scale = len(update.ids) / server.n_clients
-        scaffold_c = server.scaffold_c + scale * mean_cd
-    elif algo == "feddyn":
-        scale = cfg.alpha * len(update.ids) / server.n_clients
-        dyn_corrector = server.dyn_corrector - scale * global_delta
-        new_global = weighted_mean(update.theta, ws) - dyn_corrector / cfg.alpha
-    else:  # pragma: no cover - exhaustive over ALGORITHMS
-        raise ParameterError(f"unknown algorithm {algo!r}")
-
-    return replace(
-        server,
-        global_params=new_global,
-        global_delta=global_delta,
-        scaffold_c=scaffold_c,
-        dyn_corrector=dyn_corrector,
-        round=server.round + 1,
-    )
+    if rule.upload == "delta":
+        mean_up = server.global_params + global_delta
+    elif rule.upload == "theta":
+        mean_up = weighted_mean(update.theta, ws)
+    else:
+        mean_up = weighted_mean(update.theta + update.drift_plus, ws)
+    changed = rule.server(server, update, cfg, mean_up, global_delta) if rule.server else {}
+    return replace(server, **{"global_params": mean_up, "global_delta": global_delta,
+                              "round": server.round + 1, **changed})
 
 
 def sample_active_set(n_clients: int, participation: float, round_index: int,

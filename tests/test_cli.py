@@ -139,7 +139,9 @@ class TestRun:
 
 
 # (command, change to a valid document, field the error names): each value
-# has the wrong JSON type. The last two were once read as 2 and 1.
+# but the last has the wrong JSON type, and the two before the last were
+# once read as 2 and 1. The last is a partial ablation of an algorithm
+# without correction terms to ablate, which was once ignored.
 WRONG_TYPES = [
     ("run", {"algorithm": {"lr": "fast"}}, "algorithm.lr"),
     ("run", {"dataset": {"n_clients": None}}, "dataset.n_clients"),
@@ -151,10 +153,12 @@ WRONG_TYPES = [
     ("sweep", {"seeds": 0}, "seeds"),
     ("run", {"algorithm": {"local_epochs": 2.7}}, "algorithm.local_epochs"),
     ("run", {"algorithm": {"batch_size": True}}, "algorithm.batch_size"),
+    ("run", {"algorithm": {"name": "fedprox", "ablation": "le"}}, "algorithm.ablation"),
 ]
+WRONG_TYPE_IDS = [f for _, _, f in WRONG_TYPES[:-1]] + ["algorithm.ablation-fedprox"]
 
 
-@pytest.mark.parametrize("command,change,field", WRONG_TYPES, ids=[f for _, _, f in WRONG_TYPES])
+@pytest.mark.parametrize("command,change,field", WRONG_TYPES, ids=WRONG_TYPE_IDS)
 def test_wrongly_typed_value_exits_2_naming_its_field(tmp_path, capsys, command, change, field):
     out = tmp_path / "out"
     base = tiny_synth_config(out)
@@ -402,6 +406,14 @@ class TestSweep:
         path = self.manifest(tmp_path, seeds=[0, -1])
         assert main(["sweep", path]) == 2
         assert "error: seeds[1]: expected a seed in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_partial_ablation_is_checked_before_any_runs(self, tmp_path, capsys):
+        path = self.manifest(tmp_path, overrides={"algorithm": {"ablation": "lelg"}})
+        assert main(["sweep", path]) == 2
+        assert "error: algorithm.ablation: expected the full ablation for fedavg" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "sweep").exists()
 
     def test_duplicate_combination(self, tmp_path, capsys):

@@ -17,17 +17,26 @@ through `feddrift sweep` and hashes the table.csv and table.md it
 writes; the digests were taken from the sweep that recomputed
 rounds-to-target from the records and had its own median.
 
+The run and sweep digests hash float64 results of BLAS matrix products,
+so they hold on OpenBLAS kernels with fused multiply-add (SkylakeX and
+Haswell, and Zen, which runs the Haswell kernels); kernels without FMA
+round differently. A mismatch names the kernel and the numpy version
+that ran.
+
 To regenerate after an intended change of results:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from feddrift import cli
@@ -185,6 +194,22 @@ def _sweep_digests(out_dir):
     return _digest(os.path.join(out, "table.csv")), _digest(os.path.join(out, "table.md"))
 
 
+def _blas_core():
+    """The OpenBLAS kernel set numpy runs on, e.g. "SkylakeX", or None if it cannot be asked."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
+        fn = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return None
+
+
+def _mismatch():
+    return (f"digests differ on OpenBLAS core {_blas_core()} with numpy {np.__version__}; "
+            "they were taken on FMA kernels (SkylakeX, Haswell)")
+
+
 def _digest(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -204,7 +229,7 @@ CASES = [(s, a, p) for s in SETTINGS for a in ALGORITHMS for p in PARTICIPATIONS
 @pytest.mark.parametrize("setting,algorithm,participation", CASES)
 def test_outputs_match_golden_digests(setting, algorithm, participation, tmp_path):
     got = _outputs(setting, algorithm, participation, tmp_path)
-    assert got == GOLDEN[(setting, algorithm, participation)]
+    assert got == GOLDEN[(setting, algorithm, participation)], _mismatch()
 
 
 @pytest.mark.parametrize("preset,algorithm", [(p, a) for p in PRESETS for a in ALGORITHMS])
@@ -213,7 +238,7 @@ def test_config_json_matches_golden_digests(preset, algorithm, tmp_path):
 
 
 def test_sweep_tables_match_golden_digests(tmp_path):
-    assert _sweep_digests(tmp_path) == SWEEP_GOLDEN
+    assert _sweep_digests(tmp_path) == SWEEP_GOLDEN, _mismatch()
 
 
 if __name__ == "__main__":
