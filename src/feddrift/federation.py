@@ -145,40 +145,42 @@ class AlgoConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ParameterError(f"unknown algorithm {self.algorithm!r}")
+            raise ParameterError(f"unknown algorithm {self.algorithm!r}", "algorithm")
         if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ParameterError(f"lr must be positive, got {self.lr!r}")
+            raise ParameterError(f"expected lr > 0, got {self.lr!r}", "lr")
         if not (0 < self.lr_decay <= 1):
-            raise ParameterError(f"lr_decay must be in (0, 1], got {self.lr_decay!r}")
-        if self.local_epochs < 1 or self.batch_size < 1:
-            raise ParameterError("local_epochs and batch_size must be >= 1")
+            raise ParameterError(f"expected lr_decay in (0, 1], got {self.lr_decay!r}", "lr_decay")
+        for name in ("local_epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"expected {name} >= 1, got {getattr(self, name)}", name)
         if not (0 < self.participation <= 1):
             raise ParameterError(
-                f"participation must be in (0, 1], got {self.participation!r}"
+                f"expected participation in (0, 1], got {self.participation!r}", "participation"
             )
         if self.aggregation_weighting not in ("uniform", "by_samples"):
             raise ParameterError(
-                f"unknown aggregation weighting {self.aggregation_weighting!r}"
+                f"expected aggregation_weighting 'uniform' or 'by_samples', "
+                f"got {self.aggregation_weighting!r}", "aggregation_weighting",
             )
         if self.mu < 0 or not np.isfinite(self.mu):
-            raise ParameterError(f"mu must be >= 0, got {self.mu!r}")
+            raise ParameterError(f"expected mu >= 0, got {self.mu!r}", "mu")
         abl = frozenset(self.ablation)
         if not abl <= set(ABLATION_TERMS):
-            raise ParameterError(f"unknown ablation terms {abl - set(ABLATION_TERMS)}")
+            raise ParameterError(f"unknown ablation terms {abl - set(ABLATION_TERMS)}", "ablation")
         if "empirical" not in abl:
-            raise ParameterError("the empirical loss term cannot be ablated away")
+            raise ParameterError("the empirical loss term cannot be ablated away", "ablation")
         if abl != FULL_ABLATION and self.algorithm != "feddc":
             raise ParameterError(
                 f"expected the full ablation for {self.algorithm}, got {sorted(abl)}: "
-                "only feddc's correction terms can be ablated", field="ablation"
+                "only feddc's correction terms can be ablated", "ablation"
             )
         object.__setattr__(self, "ablation", abl)
         if self.algorithm == "feddyn":
             if self.alpha is None or not (np.isfinite(self.alpha) and self.alpha > 0):
-                raise ParameterError("feddyn requires alpha > 0")
+                raise ParameterError(f"expected alpha > 0 for feddyn, got {self.alpha}", "alpha")
         if self.algorithm == "feddc":
             if self.alpha is None or not (np.isfinite(self.alpha) and self.alpha >= 0):
-                raise ParameterError("feddc requires alpha >= 0")
+                raise ParameterError(f"expected alpha >= 0 for feddc, got {self.alpha}", "alpha")
 
 
 # Client field -> the RoundUpdate block holding its next value. Its keys
@@ -277,7 +279,7 @@ def round_lr(cfg: AlgoConfig, round_index: int) -> float:
 
 def _implied_grad(delta: np.ndarray, k_steps, lr_t: float) -> np.ndarray:
     """The mean step direction a round's update implies: -delta / (K * lr_t)."""
-    return -delta / (k_steps * lr_t)
+    return delta / -(k_steps * lr_t)  # the same bits, with no second block for -delta
 
 
 def _correction_terms(clients: ClientStore, ids, server: ServerState,

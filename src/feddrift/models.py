@@ -47,18 +47,20 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ParameterError(f"unknown model kind {self.kind!r}")
+            raise ParameterError(f"expected kind in {MODEL_KINDS}, got {self.kind!r}", "kind")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1 or self.num_classes < 1:
-            raise ParameterError("input_dim and num_classes must be positive")
+        for name in ("input_dim", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"expected {name} >= 1, got {getattr(self, name)}", name)
         if any(h < 1 for h in self.hidden_dims):
-            raise ParameterError(f"hidden dims must be positive, got {self.hidden_dims}")
+            raise ParameterError(f"expected hidden_dims > 0, got {self.hidden_dims}", "hidden_dims")
         if self.kind == "logistic" and self.hidden_dims:
-            raise ParameterError("a logistic model has no hidden layers")
+            raise ParameterError("a logistic model has no hidden layers", "hidden_dims")
         if self.kind == "mlp" and not self.hidden_dims:
-            raise ParameterError("an mlp needs at least one hidden layer")
+            raise ParameterError("an mlp needs at least one hidden layer", "hidden_dims")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
+            raise ParameterError(f"expected weight_decay >= 0, got {self.weight_decay!r}",
+                                 "weight_decay")
 
     @property
     def layer_dims(self):
@@ -117,8 +119,9 @@ def _forward(layers, x: np.ndarray):
 
 
 @lru_cache(maxsize=64)
-def _rows(n: int) -> np.ndarray:
-    out = np.arange(n)
+def _label_base(c: int, n: int, k: int) -> np.ndarray:
+    """(c, n) flat offsets row * n * k + col * k of a contiguous (c, n, k) block."""
+    out = np.arange(c)[:, None] * (n * k) + np.arange(n) * k
     out.flags.writeable = False
     return out
 
@@ -161,12 +164,16 @@ def _grad_into(layers, glayers, x, y) -> None:
     left to :func:`_decay_into`. It computes no loss value and trusts its
     inputs: the public functions check them.
     """
-    c, n = y.shape
+    n = y.shape[1]
     acts, z = _forward(layers, x)
-    z -= z.max(axis=-1, keepdims=True)
+    m = z[..., :1].copy()  # the row max, column by column: cheaper than max(axis=-1)
+    for j in range(1, z.shape[-1]):
+        np.maximum(m, z[..., j : j + 1], out=m)
+    z -= m
     dz = np.exp(z)
     dz /= dz.sum(axis=-1, keepdims=True) * n
-    dz[_rows(c)[:, None], _rows(n), y] -= 1.0 / n
+    # dz is fresh and contiguous, so its flat reshape is a view.
+    dz.reshape(-1)[_label_base(*dz.shape) + y] -= 1.0 / n
     for li in range(len(layers) - 1, -1, -1):
         w, _b = layers[li]
         gw, gb = glayers[li]

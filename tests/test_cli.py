@@ -141,7 +141,10 @@ class TestRun:
 # (command, change to a valid document, field the error names): each value
 # but the last has the wrong JSON type, and the two before the last were
 # once read as 2 and 1. The last is a partial ablation of an algorithm
-# without correction terms to ablate, which was once ignored.
+# without correction terms to ablate, which was once ignored. OUT_OF_RANGE
+# values have the right type, and the dataclass that rejects them names
+# its field, which the CLI prefixes with the section; each key is a test
+# id whose part before the first "-" is that dotted path.
 WRONG_TYPES = [
     ("run", {"algorithm": {"lr": "fast"}}, "algorithm.lr"),
     ("run", {"dataset": {"n_clients": None}}, "dataset.n_clients"),
@@ -156,9 +159,28 @@ WRONG_TYPES = [
     ("run", {"algorithm": {"name": "fedprox", "ablation": "le"}}, "algorithm.ablation"),
 ]
 WRONG_TYPE_IDS = [f for _, _, f in WRONG_TYPES[:-1]] + ["algorithm.ablation-fedprox"]
+OUT_OF_RANGE = {
+    "algorithm.lr-negative": {"algorithm": {"lr": -1}},
+    "algorithm.lr_decay-zero": {"algorithm": {"lr_decay": 0}},
+    "algorithm.local_epochs-zero": {"algorithm": {"local_epochs": 0}},
+    "algorithm.batch_size-zero": {"algorithm": {"batch_size": 0}},
+    "algorithm.participation-above-1": {"algorithm": {"participation": 1.5}},
+    "algorithm.aggregation_weighting-unknown": {"algorithm": {"aggregation_weighting": "max"}},
+    "algorithm.mu-negative": {"algorithm": {"mu": -0.5}},
+    "algorithm.alpha-feddyn-zero": {"algorithm": {"name": "feddyn", "alpha": 0}},
+    "algorithm.alpha-feddc-negative": {"algorithm": {"name": "feddc", "alpha": -1}},
+    "model.kind-unknown": {"model": {"kind": "cnn"}},
+    "model.num_classes-zero": {"model": {"num_classes": 0}},
+    "model.hidden_dims-zero": {"model": {"kind": "mlp", "hidden_dims": [4, 0]}},
+    "model.weight_decay-negative": {"model": {"weight_decay": -1}},
+}
 
 
-@pytest.mark.parametrize("command,change,field", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+@pytest.mark.parametrize(
+    "command,change,field",
+    WRONG_TYPES + [("run", change, i.split("-")[0]) for i, change in OUT_OF_RANGE.items()],
+    ids=WRONG_TYPE_IDS + list(OUT_OF_RANGE),
+)
 def test_wrongly_typed_value_exits_2_naming_its_field(tmp_path, capsys, command, change, field):
     out = tmp_path / "out"
     base = tiny_synth_config(out)

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from feddrift import models
 from feddrift.errors import (
     DimensionError,
     EmptyEvaluationError,
@@ -8,7 +13,10 @@ from feddrift.errors import (
 )
 from feddrift.models import (
     ModelSpec,
+    _forward,
+    _grad_into,
     _layout,
+    _split,
     _tiles,
     accuracy,
     init_params,
@@ -181,6 +189,107 @@ class TestLossAndGrad:
     def test_label_out_of_range(self):
         with pytest.raises(ParameterError):
             loss_and_grad(LOGISTIC, np.zeros(LOGISTIC.param_count), np.zeros((1, 30)), [5])
+
+
+def _reduced_grad_into(layers, glayers, x, y):
+    """`models._grad_into` with a max reduction over each row and a broadcast
+    fancy index for the label term: the oracle."""
+    c, n = y.shape
+    acts, z = _forward(layers, x)
+    z -= z.max(axis=-1, keepdims=True)
+    dz = np.exp(z)
+    dz /= dz.sum(axis=-1, keepdims=True) * n
+    dz[np.arange(c)[:, None], np.arange(n), y] -= 1.0 / n
+    for li in range(len(layers) - 1, -1, -1):
+        w, _b = layers[li]
+        gw, gb = glayers[li]
+        np.matmul(acts[li].swapaxes(-1, -2), dz, out=gw)
+        dz.sum(axis=-2, keepdims=True, out=gb)
+        if li > 0:
+            dz = dz @ w.swapaxes(-1, -2)
+            dz *= acts[li] > 0.0
+
+
+def _kernel_scenario(kind, k, clients, n, ties, scale, seed):
+    """(spec, (C, P) parameters, (C, n, d) inputs, (C, n) labels) with -0.0 biases.
+
+    `ties` copies the first output column's weights to every other
+    column ("columns") or zeroes the output weights ("all"), so logits
+    tie, at ±0 for "all";
+    `scale` multiplies the output weights, and 1e3 makes exp underflow.
+    """
+    spec = ModelSpec(kind, 6, k, hidden_dims=(7,) if kind == "mlp" else (),
+                     weight_decay=1e-3 if kind == "mlp" else 0.0)
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal((clients, spec.param_count))
+    layers = _split(spec, theta)
+    for _w, b in layers:
+        b[...] = -0.0
+    w = layers[-1][0]
+    w *= scale
+    if ties == "columns":
+        w[..., 1::2] = w[..., :1]
+    elif ties == "all":
+        w[...] = 0.0
+    x = rng.standard_normal((clients, n, spec.input_dim))
+    return spec, theta, x, rng.integers(0, k, (clients, n))
+
+
+class TestGradKernel:
+    """The training kernel equals `_reduced_grad_into` bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["logistic", "mlp"]),
+        k=st.integers(2, 12),
+        clients=st.sampled_from([1, 3, 20]),
+        n=st.integers(1, 13),
+        batch_size=st.sampled_from([1, 4, 5, 10]),
+        ties=st.sampled_from(["none", "columns", "all"]),
+        scale=st.sampled_from([1.0, 1e3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_kernel_equals_the_reduced_kernel(self, kind, k, clients, n, batch_size, ties,
+                                              scale, seed):
+        spec, theta, x, y = _kernel_scenario(kind, k, clients, n, ties, scale, seed)
+        layers = _split(spec, theta)
+        # Batches are column slices of the shuffled block, the last one partial.
+        for lo in range(0, n, batch_size):
+            xb, yb = x[:, lo : lo + batch_size], y[:, lo : lo + batch_size]
+            got, want = np.full_like(theta, np.nan), np.full_like(theta, np.nan)
+            _grad_into(layers, _split(spec, got), xb, yb)
+            _reduced_grad_into(layers, _split(spec, want), xb, yb)
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["logistic", "mlp"]),
+        k=st.integers(2, 12),
+        n=st.integers(1, 13),
+        ties=st.sampled_from(["none", "columns", "all"]),
+        scale=st.sampled_from([1.0, 1e3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_loss_and_grad_equals_the_reduced_kernel(self, kind, k, n, ties, scale, seed):
+        spec, theta, x, y = _kernel_scenario(kind, k, 1, n, ties, scale, seed)
+        loss, grad = loss_and_grad(spec, theta[0], x[0], y[0])
+        with mock.patch.object(models, "_grad_into", _reduced_grad_into):
+            want_loss, want = loss_and_grad(spec, theta[0], x[0], y[0])
+        assert (loss, grad.tobytes()) == (want_loss, want.tobytes())
+
+    def test_label_term_writes_through_the_flat_view(self):
+        # Moving one label from class a to class b moves the bias gradient
+        # by exactly +1/n at a and -1/n at b.
+        x, y = random_batch(LOGISTIC, 4, seed=5)
+        params = init_params(LOGISTIC, stream(5, "global-init"))
+        moved = y.copy()
+        moved[2] = (y[2] + 1) % LOGISTIC.num_classes
+        _, g = loss_and_grad(LOGISTIC, params, x, y)
+        _, g_moved = loss_and_grad(LOGISTIC, params, x, moved)
+        bias = slice(LOGISTIC.input_dim * LOGISTIC.num_classes, None)
+        want = np.zeros(LOGISTIC.num_classes)
+        want[y[2]], want[moved[2]] = 0.25, -0.25
+        assert np.allclose(g_moved[bias] - g[bias], want, rtol=0, atol=1e-15)
 
 
 class TestAccuracy:
