@@ -7,7 +7,6 @@ from .engine import (
     MnistConfig,
     RoundRecord,
     RunSummary,
-    centralized_oracle,
     rounds_to_target,
     run_experiment,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "RunSummary",
     "ServerState",
     "SyntheticConfig",
-    "centralized_oracle",
     "finite_diff_grad",
     "rounds_to_target",
     "run_experiment",

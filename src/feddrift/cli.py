@@ -205,12 +205,16 @@ def _check_seed(value: int, path: str) -> None:
 
 
 def _build(cls, values: dict, path: str, **extra):
-    """`cls` from the values named like its fields, and `extra`."""
+    """`cls` from the values named like its fields, and `extra`.
+
+    A ParameterError becomes a ConfigError naming `path` and its field;
+    "" is the top level, named "<run>" by an error without a field.
+    """
     names = {f.name for f in dataclasses.fields(cls)}
     try:
         return cls(**{**{k: v for k, v in values.items() if k in names}, **extra})
     except ParameterError as exc:
-        raise ConfigError(path if exc.field is None else f"{path}.{exc.field}", str(exc)) from exc
+        raise ConfigError(".".join(filter(None, (path, exc.field))) or "<run>", str(exc)) from exc
 
 
 def resolve_mnist_paths(section: dict) -> dict:
@@ -304,7 +308,7 @@ def build_experiment(raw: dict):
             raise ConfigError("model.num_classes", f"expected at least the synthetic data's "
                               f"{dataset.num_classes} classes, got {model.num_classes}")
     algo, top["algorithm"] = _algorithm(top["algorithm"], kind)
-    exp = _build(ExperimentConfig, top, "<run>", dataset=dataset, model=model, algo=algo)
+    exp = _build(ExperimentConfig, top, "", dataset=dataset, model=model, algo=algo)
     return exp, {k: v for k, v in top.items() if k not in ("preset", "out_dir")}
 
 
@@ -526,8 +530,9 @@ def cmd_gradcheck(args) -> int:
             weight_decay=args.weight_decay,
         )
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        flags = {"kind": "--model", "input_dim": "--input-dim", "num_classes": "--classes",
+                 "hidden_dims": "--hidden", "weight_decay": "--weight-decay"}
+        raise ConfigError(flags[exc.field], str(exc)) from exc
     rng = stream(args.seed, "testing")
     params = init_params(spec, stream(args.seed, "global-init"))
     x = rng.standard_normal((args.batch, spec.input_dim))

@@ -116,18 +116,18 @@ class SyntheticConfig:
     test_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.n_clients < 1:
-            raise ParameterError(f"n_clients must be >= 1, got {self.n_clients}")
-        if self.samples_per_client_mean < 1:
-            raise ParameterError("samples_per_client_mean must be >= 1")
-        if self.input_dim < 1 or self.num_classes < 2:
-            raise ParameterError("need input_dim >= 1 and num_classes >= 2")
+        for name, lo in (("n_clients", 1), ("samples_per_client_mean", 1),
+                         ("input_dim", 1), ("num_classes", 2)):
+            if getattr(self, name) < lo:
+                raise ParameterError(f"expected {name} >= {lo}, got {getattr(self, name)}", name)
         for name in ("gamma1", "gamma2"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
-                raise ParameterError(f"{name} must be a nonnegative real, got {v!r}")
+                raise ParameterError(f"expected {name} >= 0, got {v!r}", name)
         if not (0 < self.test_fraction <= 1):
-            raise ParameterError("test_fraction must be in (0, 1]")
+            raise ParameterError(
+                f"expected test_fraction in (0, 1], got {self.test_fraction!r}", "test_fraction"
+            )
 
 
 def _client_label_model(cfg: SyntheticConfig, client: int):
@@ -273,14 +273,18 @@ class PartitionPlan:
 
     def __post_init__(self):
         if self.mode not in ("iid", "dirichlet"):
-            raise ParameterError(f"unknown partition mode {self.mode!r}")
+            raise ParameterError(f"expected mode 'iid' or 'dirichlet', got {self.mode!r}", "mode")
         if self.mode == "dirichlet":
             if self.conc is None or not (np.isfinite(self.conc) and self.conc > 0):
-                raise ParameterError(f"dirichlet needs conc > 0, got {self.conc!r}")
+                raise ParameterError(f"expected conc > 0 for dirichlet, got {self.conc!r}", "conc")
         if self.balance not in ("equal", "lognormal"):
-            raise ParameterError(f"unknown balance mode {self.balance!r}")
+            raise ParameterError(
+                f"expected balance 'equal' or 'lognormal', got {self.balance!r}", "balance"
+            )
         if not (np.isfinite(self.lognormal_var) and self.lognormal_var >= 0):
-            raise ParameterError(f"lognormal_var must be >= 0, got {self.lognormal_var!r}")
+            raise ParameterError(
+                f"expected lognormal_var >= 0, got {self.lognormal_var!r}", "lognormal_var"
+            )
 
 
 def _client_quotas(n: int, m: int, plan: PartitionPlan) -> np.ndarray:

@@ -14,7 +14,7 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,12 +46,11 @@ from .federation import (
     ServerState,
     apply_update,
     gradient_variance_diagnostic,
-    run_local_round,
     run_local_rounds,
     sample_active_set,
     server_aggregate,
-    steps_per_round,
 )
+from .federation import run_local_round  # noqa: F401  perfbench/tracing.py wraps it by name
 from .models import ModelSpec, init_params
 from .rng import MAX_SEED, stream
 
@@ -64,7 +63,6 @@ __all__ = [
     "run_experiment",
     "rounds_to_target",
     "summarize",
-    "centralized_oracle",
     "checkpoint_save",
     "checkpoint_load",
     "write_records_csv",
@@ -98,9 +96,9 @@ class MnistConfig:
 
     def __post_init__(self):
         if self.n_clients < 1:
-            raise ParameterError(f"n_clients must be >= 1, got {self.n_clients}")
+            raise ParameterError(f"expected n_clients >= 1, got {self.n_clients}", "n_clients")
         if self.subsample is not None and self.subsample < 1:
-            raise ParameterError("subsample must be >= 1 when given")
+            raise ParameterError(f"expected subsample >= 1, got {self.subsample}", "subsample")
 
 
 @dataclass(frozen=True)
@@ -115,16 +113,19 @@ class ExperimentConfig:
     stop_at_target: float | None = None
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ParameterError(f"rounds must be >= 1, got {self.rounds}")
-        if self.eval_every < 1:
-            raise ParameterError(f"eval_every must be >= 1, got {self.eval_every}")
+        for name in ("rounds", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"expected {name} >= 1, got {getattr(self, name)}", name)
         targets = tuple(float(t) for t in self.target_accuracies)
         if any(not 0 < t < 1 for t in targets):
-            raise ParameterError(f"targets must lie in (0, 1), got {targets}")
+            raise ParameterError(
+                f"expected target_accuracies in (0, 1), got {targets}", "target_accuracies"
+            )
         object.__setattr__(self, "target_accuracies", targets)
         if self.stop_at_target is not None and not 0 < self.stop_at_target < 1:
-            raise ParameterError("stop_at_target must lie in (0, 1) when given")
+            raise ParameterError(
+                f"expected stop_at_target in (0, 1), got {self.stop_at_target!r}", "stop_at_target"
+            )
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ class FederatedRun:
 
 
 def _record(cfg: ExperimentConfig, server: ServerState, ds: FederatedDataset, start: float,
-            bytes_up: int = 0, bytes_down: int = 0, grad_variance=None) -> RoundRecord:
+            bytes_up: int, bytes_down: int, grad_variance) -> RoundRecord:
     """The record of the round `server` has just aggregated, begun at `start`.
 
     On the rounds the evaluation cadence names, and always on the last,
@@ -307,45 +308,6 @@ def summarize(records, targets) -> RunSummary:
         rounds_to_target={t: rounds_to_target(records, t) for t in targets},
         best_accuracy=best,
     )
-
-
-def centralized_oracle(cfg: ExperimentConfig, fed_params=None,
-                       dataset: FederatedDataset | None = None):
-    """Plain SGD on the pooled training data at matched compute.
-
-    Runs one pseudo-client over the union of all partitions for
-    cfg.rounds rounds of round(mean K_i) SGD steps each, with the same
-    initialization stream, learning-rate schedule, evaluation cadence
-    and records as the federated run. `fed_params`, when given, pairs
-    rounds with a federated run's global parameters (collected by the
-    caller, stepping `FederatedRun.run_round` under the same seed); the
-    second result is then the L2 distance between the two parameter
-    trajectories at each of those rounds, else None.
-    """
-    ds = dataset if dataset is not None else build_dataset(cfg.dataset)
-    algo = replace(cfg.algo, algorithm="fedavg")
-    budget = max(
-        1, round(float(np.mean([steps_per_round(p.size, algo) for p in ds.partitions])))
-    )
-    init = init_params(cfg.model, stream(cfg.seed, "global-init"))
-    server = ServerState.fresh(init, 1, cfg.seed)
-    client = ClientStore([len(ds.train_labels)], cfg.model.param_count, RULES["fedavg"].fields)
-    fed_by_round = dict(fed_params or ())
-    records, distances = [], []
-    for t in range(cfg.rounds):
-        start = time.perf_counter()
-        rng = stream(cfg.seed, "batch-shuffle", client=0, round_index=t)
-        with np.errstate(over="ignore", invalid="ignore"):  # as in FederatedRun.run_round
-            up = run_local_round(
-                client, 0, server, algo, ds.train_inputs, ds.train_labels, rng, cfg.model,
-                step_budget=budget,
-            )
-            server = server_aggregate(server, up, algo)
-        records.append(_record(cfg, server, ds, start))
-        if server.round in fed_by_round:
-            gap = fed_by_round[server.round] - server.global_params
-            distances.append((server.round, float(np.linalg.norm(gap))))
-    return records, distances if fed_params is not None else None
 
 
 # ---------------------------------------------------------------------------

@@ -370,12 +370,13 @@ def feddc_local_objective_grad(theta, clients: ClientStore, client_id: int,
 
 
 def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
-               batch_size: int, k_steps: int, lr_t: float) -> None:
-    """k_steps SGD steps on every row of the (C, P) block `theta`, in place.
+               batch_size: int, epochs: int, lr_t: float) -> None:
+    """`epochs` epochs of SGD on every row of the (C, P) block `theta`, in place.
 
     Row c trains on inputs[c] and labels[c] and shuffles them with
-    rngs[c], one fresh permutation per epoch. `terms` are the
-    (pull, anchor, extra, has_extra) of :func:`_correction_terms`.
+    rngs[c], one fresh permutation per epoch, then steps through them in
+    batches of `batch_size`, the last of which may be partial. `terms`
+    are the (pull, anchor, extra, has_extra) of :func:`_correction_terms`.
     After the gradient kernel, a step adds weight decay and the terms
     and updates theta one column tile of at most BUDGET floats at a
     time (see :func:`models._tiles`), through one scratch tile, so
@@ -398,8 +399,7 @@ def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
          None if extra is None else extra[:, lo:hi])
         for lo, hi, decayed in models._tiles(spec, width)
     ]
-    steps = 0
-    while steps < k_steps:
+    for _ in range(epochs):
         for r, rng in enumerate(rngs):
             order = rng.permutation(n)
             inputs[r].take(order, axis=0, out=xp[r])
@@ -413,9 +413,6 @@ def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
                 _add_terms(g, th, pull, an, ex, has_extra, tmp)
                 np.multiply(g, lr_t, out=tmp)
                 th -= tmp
-            steps += 1
-            if steps >= k_steps:
-                break
 
 
 def lockstep_groups(ids, n_samples, cap: int) -> list:
@@ -431,9 +428,11 @@ def lockstep_groups(ids, n_samples, cap: int) -> list:
 
 
 def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoConfig,
-                     client_data, spec: ModelSpec,
-                     step_budget: int | None = None) -> RoundUpdate:
-    """K local SGD steps for every client in `ids`: the round's RoundUpdate.
+                     client_data, spec: ModelSpec) -> RoundUpdate:
+    """A local round, `local_epochs` epochs of SGD, for every client in `ids`.
+
+    Returns the round's RoundUpdate; a client of n samples takes
+    K = :func:`steps_per_round` steps.
 
     client_data(i) gives client i's (inputs (n, input_dim), labels (n,),
     shuffle stream). Clients of equal stored sample count train in
@@ -462,13 +461,11 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
         n = inputs[0].shape[0]
         if any(x.shape != inputs[0].shape for x in inputs) or any(y.shape != (n,) for y in labels):
             raise DimensionError(f"clients {chunk} need (n, d) inputs and (n,) labels of one size")
-        k_nominal = steps_per_round(n, cfg)
-        k = k_nominal if step_budget is None else int(step_budget)
-        if k < 1:
-            raise ParameterError("step budget must be >= 1")
-        terms = _correction_terms(clients, chunk, server, cfg, k_nominal, lr_t)
+        k = steps_per_round(n, cfg)
+        terms = _correction_terms(clients, chunk, server, cfg, k, lr_t)
         block = np.repeat(start[None], len(chunk), axis=0)
-        _local_sgd(block, terms, inputs, labels, rngs, spec, cfg.batch_size, k, lr_t)
+        _local_sgd(block, terms, inputs, labels, rngs, spec,
+                   cfg.batch_size, cfg.local_epochs, lr_t)
         rows = np.searchsorted(ids, chunk)
         theta[rows] = block
         block -= start  # now the round's update, in place
@@ -489,11 +486,10 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
 
 def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
                     cfg: AlgoConfig, inputs: np.ndarray, labels: np.ndarray,
-                    rng: np.random.Generator, spec: ModelSpec,
-                    step_budget: int | None = None) -> RoundUpdate:
+                    rng: np.random.Generator, spec: ModelSpec) -> RoundUpdate:
     """One client's :func:`run_local_rounds`: inputs (n, input_dim), labels (n,)."""
     return run_local_rounds(
-        clients, [client_id], server, cfg, lambda _: (inputs, labels, rng), spec, step_budget
+        clients, [client_id], server, cfg, lambda _: (inputs, labels, rng), spec
     )
 
 

@@ -173,6 +173,14 @@ OUT_OF_RANGE = {
     "model.num_classes-zero": {"model": {"num_classes": 0}},
     "model.hidden_dims-zero": {"model": {"kind": "mlp", "hidden_dims": [4, 0]}},
     "model.weight_decay-negative": {"model": {"weight_decay": -1}},
+    "rounds-zero": {"rounds": 0},
+    "eval_every-zero": {"eval_every": 0},
+    "target_accuracies-above-1": {"target_accuracies": [0.5, 1.5]},
+    "stop_at_target-zero": {"stop_at_target": 0},
+    "dataset.n_clients-zero": {"dataset": {"n_clients": 0}},
+    "dataset.samples_per_client_mean-zero": {"dataset": {"samples_per_client_mean": 0}},
+    "dataset.gamma1-negative": {"dataset": {"gamma1": -1}},
+    "dataset.gamma2-negative": {"dataset": {"gamma2": -0.5}},
 }
 
 
@@ -188,6 +196,32 @@ def test_wrongly_typed_value_exits_2_naming_its_field(tmp_path, capsys, command,
         base = {"out_dir": str(out), "settings": ["synthetic-00"], "algorithms": ["fedavg"]}
     path = write_json(tmp_path / "doc.json", merge_under(change, base))
     assert main([command, path]) == 2
+    assert f"error: {field}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The MNIST section's range errors, each raised before any file is read.
+MNIST_OUT_OF_RANGE = {
+    "dataset.partition.conc-dirichlet-without-conc": {"partition": {"mode": "dirichlet"}},
+    "dataset.partition.conc-negative": {"partition": {"mode": "dirichlet", "conc": -1}},
+    "dataset.partition.mode-unknown": {"partition": {"mode": "shards"}},
+    "dataset.partition.balance-unknown": {"partition": {"balance": "zipf"}},
+    "dataset.partition.lognormal_var-negative": {"partition": {"lognormal_var": -0.1}},
+    "dataset.n_clients-zero": {"n_clients": 0},
+    "dataset.subsample-zero": {"subsample": 0},
+}
+
+
+@pytest.mark.parametrize(
+    "change,field",
+    [(change, i.split("-")[0]) for i, change in MNIST_OUT_OF_RANGE.items()],
+    ids=list(MNIST_OUT_OF_RANGE),
+)
+def test_mnist_value_out_of_range_exits_2_naming_its_field(tmp_path, capsys, change, field):
+    out = tmp_path / "out"
+    doc = {"dataset": {"kind": "mnist", "data_dir": str(tmp_path), **change},
+           "algorithm": {"name": "fedavg"}, "out_dir": str(out)}
+    assert main(["run", write_json(tmp_path / "doc.json", doc)]) == 2
     assert f"error: {field}: expected" in capsys.readouterr().err
     assert not out.exists()
 
@@ -421,7 +455,7 @@ class TestSweep:
         manifest["settings"].append({"name": "bad", "dataset": {"kind": "synthetic", "gamma1": -1}})
         path = write_json(tmp_path / "manifest.json", manifest)
         assert main(["sweep", path]) == 2
-        assert "dataset: gamma1 must be a nonnegative real" in capsys.readouterr().err
+        assert "error: dataset.gamma1: expected gamma1 >= 0" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
     def test_bad_seed_is_checked_before_any_runs(self, tmp_path, capsys):
@@ -538,8 +572,16 @@ class TestGradCheck:
             (["--batch", "-1"], "error: --batch: expected a positive integer, got -1"),
             (["--batch", "0"], "error: --batch: expected a positive integer, got 0"),
             (["--seed", "-1"], "error: --seed: expected a seed in [0, 2**64), got -1"),
+            (["--model", "mlp"], "error: --hidden: an mlp needs at least one hidden layer"),
+            (["--model", "mlp", "--hidden", "0"], "error: --hidden: expected hidden_dims > 0"),
+            (["--hidden", "4"], "error: --hidden: a logistic model has no hidden layers"),
+            (["--input-dim", "0"], "error: --input-dim: expected input_dim >= 1, got 0"),
+            (["--classes", "0"], "error: --classes: expected num_classes >= 1, got 0"),
+            (["--weight-decay", "-1"], "error: --weight-decay: expected weight_decay >= 0"),
         ],
-        ids=["hidden-not-an-int", "batch-negative", "batch-zero", "seed-negative"],
+        ids=["hidden-not-an-int", "batch-negative", "batch-zero", "seed-negative",
+             "hidden-missing-for-mlp", "hidden-zero", "hidden-for-logistic", "input-dim-zero",
+             "classes-zero", "weight-decay-negative"],
     )
     def test_bad_flag_exits_2_naming_it(self, flags, message, capsys):
         assert main(["gradcheck", *flags]) == 2

@@ -15,7 +15,6 @@ from feddrift.engine import (
     MnistConfig,
     RoundRecord,
     build_dataset,
-    centralized_oracle,
     checkpoint_load,
     checkpoint_restore,
     checkpoint_save,
@@ -35,8 +34,9 @@ from feddrift.errors import (
     RunError,
     VersionError,
 )
-from feddrift.federation import AlgoConfig
-from feddrift.models import ModelSpec, accuracy, mean_loss
+from feddrift.federation import AlgoConfig, round_lr, steps_per_round
+from feddrift.models import ModelSpec, accuracy, init_params, loss_and_grad, mean_loss
+from feddrift.rng import stream
 
 LOGISTIC = ModelSpec("logistic", 30, 5)
 
@@ -404,19 +404,72 @@ def trajectory(run):
     return [(run.run_round().round, run.server.global_params) for _ in range(run.cfg.rounds)]
 
 
+def pooled_sgd(cfg, ds):
+    """(round, parameters) after each round of plain SGD on the pooled training data.
+
+    The centralized oracle: one pseudo-client trains on the union of the
+    partitions for cfg.rounds rounds of round(mean K_i) steps each, at
+    matched compute, with the run's initialization, learning-rate
+    schedule and client-0 shuffle streams. Each epoch is one fresh
+    permutation; a round may stop mid-epoch.
+    """
+    algo, spec = cfg.algo, cfg.model
+    budget = max(1, round(float(np.mean([steps_per_round(p.size, algo) for p in ds.partitions]))))
+    x, y = ds.train_inputs, ds.train_labels
+    theta = init_params(spec, stream(cfg.seed, "global-init"))
+    out = []
+    for t in range(cfg.rounds):
+        rng = stream(cfg.seed, "batch-shuffle", client=0, round_index=t)
+        lr_t = round_lr(algo, t)
+        steps = 0
+        while steps < budget:
+            order = rng.permutation(y.size)
+            for lo in range(0, y.size, algo.batch_size):
+                batch = order[lo : lo + algo.batch_size]
+                theta = theta - lr_t * loss_and_grad(spec, theta, x[batch], y[batch])[1]
+                steps += 1
+                if steps == budget:
+                    break
+        out.append((t + 1, theta))
+    return out
+
+
+def distances(fed, central):
+    """(round, L2 distance) between two parameter trajectories, round by round."""
+    return [(r, float(np.linalg.norm(f - c))) for (r, f), (_, c) in zip(fed, central)]
+
+
+# (model, batch size) of a one-client run: batch 7 leaves a partial last
+# batch, and the MLP adds hidden layers and weight decay.
+SINGLE_CLIENT_CASES = {
+    "logistic-b10": (LOGISTIC, 10),
+    "logistic-b7": (LOGISTIC, 7),
+    "mlp-wd-b7": (ModelSpec("mlp", 30, 5, hidden_dims=(16, 8), weight_decay=1e-3), 7),
+}
+
+
 class TestCentralizedOracle:
-    def test_single_client_run_is_bitwise_identical(self, bits):
+    @pytest.mark.parametrize("model,batch_size", SINGLE_CLIENT_CASES.values(),
+                             ids=SINGLE_CLIENT_CASES)
+    def test_single_client_run_is_bitwise_identical(self, bits, model, batch_size):
         cfg = ExperimentConfig(
             dataset=SyntheticConfig(n_clients=1, samples_per_client_mean=40, seed=3),
-            model=LOGISTIC,
-            algo=AlgoConfig("fedavg", lr=0.1, local_epochs=2, batch_size=10),
+            model=model,
+            algo=AlgoConfig("fedavg", lr=0.1, local_epochs=2, batch_size=batch_size),
             rounds=5,
             seed=3,
         )
         run = FederatedRun(cfg)
-        records, distances = centralized_oracle(cfg, fed_params=trajectory(run))
-        assert distances and all(d == 0.0 for _, d in distances)
-        assert records[-1].test_accuracy == run.records[-1].test_accuracy
+        fed = trajectory(run)
+        central = pooled_sgd(cfg, run.dataset)
+        assert [r for r, _ in fed] == [r for r, _ in central] == [1, 2, 3, 4, 5]
+        for (_, f), (_, c) in zip(fed, central):
+            assert bits(f, c)
+        gaps = distances(fed, central)
+        assert gaps and all(d == 0.0 for _, d in gaps)
+        ds = run.dataset
+        last = accuracy(cfg.model, central[-1][1], ds.test_inputs, ds.test_labels)
+        assert last == run.records[-1].test_accuracy
 
     def test_centralized_at_least_matches_federated_minus_margin(self):
         cfg = ExperimentConfig(
@@ -427,18 +480,21 @@ class TestCentralizedOracle:
             eval_every=10,
             seed=4,
         )
-        fed_records, fed_summary = run_experiment(cfg)
-        central_records, _ = centralized_oracle(cfg)
+        ds = build_dataset(cfg.dataset)
+        fed_records, fed_summary = run_experiment(cfg, ds)
         central_best = max(
-            r.test_accuracy for r in central_records if r.test_accuracy is not None
+            accuracy(cfg.model, params, ds.test_inputs, ds.test_labels)
+            for r, params in pooled_sgd(cfg, ds)
+            if r % cfg.eval_every == 0 or r == cfg.rounds
         )
         assert central_best >= fed_summary.best_accuracy - 0.01
 
     def test_distance_series_finite(self):
         cfg = small_cfg("feddc", alpha=0.005, rounds=4)
-        _, distances = centralized_oracle(cfg, fed_params=trajectory(FederatedRun(cfg)))
-        assert len(distances) == 4
-        assert all(np.isfinite(d) for _, d in distances)
+        run = FederatedRun(cfg)
+        gaps = distances(trajectory(run), pooled_sgd(cfg, run.dataset))
+        assert len(gaps) == 4
+        assert all(np.isfinite(d) for _, d in gaps)
 
 
 class TestBytesAccounting:

@@ -90,13 +90,12 @@ def _scenario(algorithm, code, model, sizes, batch_size, epochs, round_index,
     round_index=st.integers(0, 3),
     zero_extra=st.booleans(),
     cap=st.sampled_from([1, 2, 64]),
-    step_budget=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 2**16),
     draw=st.data(),
 )
 def test_lockstep_groups_equal_one_client_rounds(algorithm, code, model, sizes, batch_size,
-                                                 epochs, round_index, zero_extra, cap,
-                                                 step_budget, seed, draw):
+                                                 epochs, round_index, zero_extra, cap, seed,
+                                                 draw):
     cfg, spec, server, store, data = _scenario(
         algorithm, code, model, sizes, batch_size, epochs, round_index, zero_extra, seed
     )
@@ -108,13 +107,13 @@ def test_lockstep_groups_equal_one_client_rounds(algorithm, code, model, sizes, 
         return stream(seed, "batch-shuffle", client=i, round_index=round_index)
 
     alone = [
-        run_local_round(store, i, server, cfg, *data[i], rng(i), spec, step_budget)
+        run_local_round(store, i, server, cfg, *data[i], rng(i), spec)
         for i in sorted(active)
     ]
     # The chunk cap is max(1, BUDGET // P) clients.
     with mock.patch.object(federation, "BUDGET", cap * spec.param_count):
         block = run_local_rounds(
-            store, active, server, cfg, lambda i: (*data[i], rng(i)), spec, step_budget
+            store, active, server, cfg, lambda i: (*data[i], rng(i)), spec
         )
     assert block.ids.tolist() == sorted(active)
     for r, one in enumerate(alone):
@@ -126,15 +125,14 @@ def test_lockstep_groups_equal_one_client_rounds(algorithm, code, model, sizes, 
         )
 
 
-def _whole_width_sgd(theta, terms, inputs, labels, rngs, spec, batch_size, k_steps, lr_t):
+def _whole_width_sgd(theta, terms, inputs, labels, rngs, spec, batch_size, epochs, lr_t):
     """`federation._local_sgd` with one whole-width pass per term and step: the oracle."""
     pull, anchor, extra, _ = terms
     on = None if extra is None else extra.any(axis=1)[:, None]
     n = labels[0].shape[0]
     grad = np.empty_like(theta)
     layers, glayers = _split(spec, theta), _split(spec, grad)
-    steps = 0
-    while steps < k_steps:
+    for _ in range(epochs):
         orders = [rng.permutation(n) for rng in rngs]
         xp = np.stack([x[order] for x, order in zip(inputs, orders)])
         yp = np.stack([y[order] for y, order in zip(labels, orders)])
@@ -148,9 +146,6 @@ def _whole_width_sgd(theta, terms, inputs, labels, rngs, spec, batch_size, k_ste
             if extra is not None:
                 np.add(grad, extra, out=grad, where=on)
             theta -= lr_t * grad
-            steps += 1
-            if steps >= k_steps:
-                break
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,12 +158,10 @@ def _whole_width_sgd(theta, terms, inputs, labels, rngs, spec, batch_size, k_ste
     round_index=st.integers(0, 3),
     zero_extra=st.booleans(),
     budget=st.sampled_from([1, 3, 7, "P", "2P"]),
-    step_budget=st.sampled_from([None, 2]),
     seed=st.integers(0, 2**16),
 )
 def test_tiled_steps_equal_whole_width_steps(algorithm, code, model, sizes, batch_size,
-                                             round_index, zero_extra, budget, step_budget,
-                                             seed):
+                                             round_index, zero_extra, budget, seed):
     cfg, spec, server, store, data = _scenario(
         algorithm, code, model, sizes, batch_size, 1, round_index, zero_extra, seed
     )
@@ -179,14 +172,14 @@ def test_tiled_steps_equal_whole_width_steps(algorithm, code, model, sizes, batc
 
     ids = range(len(sizes))
     with mock.patch.object(federation, "_local_sgd", _whole_width_sgd):
-        whole = run_local_rounds(store, ids, server, cfg, client_data, spec, step_budget)
+        whole = run_local_rounds(store, ids, server, cfg, client_data, spec)
     # A budget below P trains one client at a time in tiles of `budget`
     # columns; a budget of P or 2P fits whole rows of one or two clients.
     budget = {"P": p, "2P": 2 * p}.get(budget, budget)
     if budget < p:
         assert len(_tiles(spec, budget)) > 1
     with mock.patch.object(federation, "BUDGET", budget):
-        tiled = run_local_rounds(store, ids, server, cfg, client_data, spec, step_budget)
+        tiled = run_local_rounds(store, ids, server, cfg, client_data, spec)
     for field in ("theta", "delta", "drift_plus", "c_plus"):
         assert _bits(getattr(tiled, field)) == _bits(getattr(whole, field)), field
 
