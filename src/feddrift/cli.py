@@ -238,6 +238,9 @@ def resolve_mnist_paths(section: dict) -> dict:
 def _partition(section, seed: int):
     p = _read(section, _PARTITION, "dataset.partition", {**_defaults(PartitionPlan), "seed": seed})
     _check_seed(p["seed"], "dataset.partition.seed")
+    modes = ("iid", "dirichlet", *DIRICHLET_NAMED)
+    if p["mode"] not in modes:
+        raise ConfigError("dataset.partition.mode", f"expected one of {modes}, got {p['mode']!r}")
     if p["mode"] in DIRICHLET_NAMED:
         if p["conc"] is None:
             p["conc"] = DIRICHLET_NAMED[p["mode"]]
@@ -581,16 +584,23 @@ def cmd_fetch_mnist(args) -> int:
         if os.path.exists(dest):
             print(f"{fname}.gz already present")
             continue
+        # A transfer that fails partway leaves no <name>.gz behind for the
+        # next run to take as present.
+        tmp = dest + ".tmp"
         last = None
         for mirror in _MNIST_MIRRORS:
             url = mirror + fname + ".gz"
             try:
                 print(f"fetching {url}")
-                urllib.request.urlretrieve(url, dest)
+                urllib.request.urlretrieve(url, tmp)
+                os.replace(tmp, dest)
                 last = None
                 break
             except OSError as exc:
                 last = exc
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
         if last is not None:
             print(f"error: could not fetch {fname}: {last}", file=sys.stderr)
             return 1

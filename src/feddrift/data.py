@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,9 +195,12 @@ def generate_synthetic(cfg: SyntheticConfig) -> FederatedDataset:
 def _read_maybe_gzip(path) -> bytes:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:2] == b"\x1f\x8b":
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
         return gzip.decompress(raw)
-    return raw
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:  # cut off or corrupt
+        raise FormatError(f"{path}: unreadable gzip file: {exc}") from exc
 
 
 def load_mnist_idx(images_path, labels_path):

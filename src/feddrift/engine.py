@@ -14,7 +14,7 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .errors import (
 )
 from .federation import (
     BYTES_PER_PARAM,
-    NEXT_VALUE,
     RULES,
     SERVER_VECTORS,
     AlgoConfig,
@@ -64,7 +63,6 @@ __all__ = [
     "rounds_to_target",
     "summarize",
     "checkpoint_save",
-    "checkpoint_load",
     "write_records_csv",
     "write_summary_json",
     "CSV_HEADER",
@@ -78,8 +76,6 @@ CSV_HEADER = (
 
 _CKPT_MAGIC = b"FDRC"
 _CKPT_VERSION = 2
-# The checkpoint header's integers, each in [its lower bound, 2**64).
-_CKPT_INTS = {"round": 0, "n_clients": 1, "param_count": 1, "rng_seed": 0}
 
 
 @dataclass(frozen=True)
@@ -325,14 +321,9 @@ def _read_block(fh, out: np.ndarray, path) -> None:
         raise LengthError(f"{path}: truncated checkpoint ({got} of {want} bytes in a block)")
 
 
-def checkpoint_save(path, server: ServerState, clients: ClientStore) -> None:
-    """Write a checkpoint to `path` + ".tmp", then rename it over `path`.
-
-    A save that fails partway leaves an earlier checkpoint at `path`
-    intact and removes its temp file. The rename guards against a crash
-    of this process; the file is not fsynced.
-    """
-    header = {
+def _header(server: ServerState, clients: ClientStore) -> dict:
+    """The checkpoint header: the round, and what a run must share with the file."""
+    return {
         "round": server.round,
         "n_clients": server.n_clients,
         "param_count": server.global_params.size,
@@ -340,7 +331,16 @@ def checkpoint_save(path, server: ServerState, clients: ClientStore) -> None:
         "n_samples": clients.n_samples.tolist(),
         "fields": list(clients.fields),
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+def checkpoint_save(path, server: ServerState, clients: ClientStore) -> None:
+    """Write a checkpoint to `path` + ".tmp", then rename it over `path`.
+
+    A save that fails partway leaves an earlier checkpoint at `path`
+    intact and removes its temp file. The rename guards against a crash
+    of this process; the file is not fsynced.
+    """
+    blob = json.dumps(_header(server, clients), sort_keys=True).encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -357,27 +357,15 @@ def checkpoint_save(path, server: ServerState, clients: ClientStore) -> None:
             os.remove(tmp)
 
 
-def _checked_header(blob: bytes, path) -> dict:
-    """The checkpoint header, once each value has its JSON type and range."""
-    try:
-        header = json.loads(blob.decode("utf-8"))
-        for key, lo in _CKPT_INTS.items():
-            if type(header[key]) is not int or not lo <= header[key] < MAX_SEED:
-                raise ValueError(f"{key} = {header[key]!r}, expected an integer in [{lo}, 2**64)")
-        counts, fields = header["n_samples"], header["fields"]
-        if not (isinstance(counts, list) and len(counts) == header["n_clients"]
-                and all(type(n) is int and n >= 0 for n in counts)):
-            raise ValueError(f"n_samples = {counts!r}, expected {header['n_clients']} counts")
-        if not (isinstance(fields, list) and all(f in NEXT_VALUE for f in fields)
-                and len(set(fields)) == len(fields)):
-            raise ValueError(f"fields = {fields!r}, expected distinct client field names")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
-    return header
+def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
+    """Replace the run's server and client states with those saved at `path`.
 
-
-def checkpoint_load(path):
-    """Returns (server, clients) exactly as saved; checks the header and size first."""
+    The run must be built from the checkpoint's config: every header key
+    but the round must equal the run's own, compared as JSON text (so
+    `false` is not 0 and 155.0 is not 155), and the file size must match
+    the run's shapes. Both are checked before anything is allocated.
+    """
+    ours = _header(run.server, run.clients)
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
@@ -393,59 +381,45 @@ def checkpoint_load(path):
         blob = fh.read(hlen)
         if len(blob) != hlen:
             raise LengthError(f"{path}: truncated checkpoint header payload")
-        header = _checked_header(blob, path)
-        param_count = header["param_count"]
-        rows = len(SERVER_VECTORS) + header["n_clients"] * len(header["fields"])
-        want = 12 + hlen + rows * param_count * 8
+        try:
+            saved = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:
+            raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
+        if not isinstance(saved, dict):
+            raise FormatError(f"{path}: checkpoint header is {saved!r}, expected an object")
+        t = saved.get("round")
+        if type(t) is not int or not 0 <= t < MAX_SEED:
+            raise FormatError(
+                f"{path}: checkpoint header round = {t!r}, expected an integer in [0, 2**64)"
+            )
+        for key in sorted((saved.keys() | ours.keys()) - {"round"}):
+            got = json.dumps(saved[key]) if key in saved else "(no value)"
+            expected = json.dumps(ours[key]) if key in ours else "(no value)"
+            if got != expected:
+                raise FormatError(
+                    f"{path}: checkpoint header has {key} {got}, "
+                    f"the {run.cfg.algo.algorithm} run has {key} {expected}"
+                )
+        p = ours["param_count"]
+        rows = len(SERVER_VECTORS) + ours["n_clients"] * len(ours["fields"])
+        want = 12 + hlen + rows * p * 8
         size = os.fstat(fh.fileno()).st_size
         if size != want:
             raise LengthError(f"{path}: checkpoint header implies {want} bytes, file holds {size}")
-        clients = ClientStore(header["n_samples"], param_count, header["fields"])
-        vectors = {name: np.zeros(param_count) for name in SERVER_VECTORS}
+        vectors = {name: np.zeros(p) for name in SERVER_VECTORS}
         for vec in vectors.values():
             _read_block(fh, vec, path)
         # Row by row, so rows saved as all-zero bits (clients that never
         # trained) stay unallocated in the fresh store; -0.0 still loads.
-        row = np.empty(param_count)
+        clients = ClientStore(run.clients.n_samples, p, run.clients.fields)
+        row = np.empty(p)
         for name in clients.fields:
             block = getattr(clients, name)
             for i in range(block.shape[0]):
                 _read_block(fh, row, path)
                 if row.view(np.uint64).any():
                     block[i] = row
-    server = ServerState(
-        **vectors,
-        round=header["round"],
-        n_clients=header["n_clients"],
-        rng_seed=header["rng_seed"],
-    )
-    return server, clients
-
-
-def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
-    """Load saved states into a freshly built run of the same config."""
-    server, clients = checkpoint_load(path)
-    if server.n_clients != run.dataset.n_clients:
-        raise FormatError(
-            f"checkpoint holds {server.n_clients} clients, run has {run.dataset.n_clients}"
-        )
-    if server.global_params.size != run.cfg.model.param_count:
-        raise FormatError(
-            f"checkpoint holds {server.global_params.size} parameters, "
-            f"model expects {run.cfg.model.param_count}"
-        )
-    if server.rng_seed != run.cfg.seed:
-        raise FormatError(
-            f"checkpoint was saved with seed {server.rng_seed}, the run has seed {run.cfg.seed}"
-        )
-    if not np.array_equal(clients.n_samples, run.clients.n_samples):
-        raise FormatError("checkpoint client sample counts differ from the run's partitions")
-    if clients.fields != run.clients.fields:
-        raise FormatError(
-            f"checkpoint holds client fields {list(clients.fields)}, "
-            f"{run.cfg.algo.algorithm} reads {list(run.clients.fields)}"
-        )
-    run.server = server
+    run.server = replace(run.server, **vectors, round=t)
     run.clients = clients
     return run
 

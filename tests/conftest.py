@@ -1,3 +1,4 @@
+import gzip
 import os
 
 import numpy as np
@@ -64,3 +65,28 @@ def tiny_idx_pair(tmp_path):
     lab = tmp_path / "labels-idx1-ubyte"
     save_mnist_idx(x, y, img, lab)
     return img, lab, x, y
+
+
+def damage_gzip(raw: bytes, damage: str) -> bytes:
+    """`raw` gzipped, then cut off halfway or with one byte flipped.
+
+    Byte 10, the first of the deflate stream, is a block header that zlib
+    rejects once flipped; a flipped byte in the middle fails the CRC.
+    """
+    gz = bytearray(gzip.compress(raw, mtime=0))
+    if damage == "cut-halfway":
+        return bytes(gz[: len(gz) // 2])
+    gz[10 if damage == "flipped-block-header" else len(gz) // 2] ^= 0xFF
+    return bytes(gz)
+
+
+@pytest.fixture
+def mnist_gz_dir(tiny_idx_pair, tmp_path):
+    """A data_dir holding the tiny IDX pair, gzipped, as train and test files."""
+    img, lab, _, _ = tiny_idx_pair
+    root = tmp_path / "mnist"
+    root.mkdir()
+    for split in ("train", "t10k"):
+        (root / f"{split}-images-idx3-ubyte.gz").write_bytes(gzip.compress(img.read_bytes()))
+        (root / f"{split}-labels-idx1-ubyte.gz").write_bytes(gzip.compress(lab.read_bytes()))
+    return root

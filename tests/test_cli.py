@@ -1,8 +1,12 @@
 import copy
+import gzip
 import json
+import shutil
+import urllib.request
 
 import pytest
 
+from conftest import damage_gzip
 from feddrift import cli
 from feddrift.cli import build_experiment, main
 from feddrift.engine import CSV_HEADER
@@ -137,6 +141,52 @@ class TestRun:
         exp, _ = build_experiment(tiny_synth_config(tmp_path, model={"num_classes": 7}))
         assert exp.model.num_classes == 7
 
+    @pytest.mark.parametrize("damage", ["cut-halfway", "flipped-block-header", "flipped-data"])
+    @pytest.mark.parametrize("name", ["train-images-idx3-ubyte.gz", "t10k-labels-idx1-ubyte.gz"])
+    def test_damaged_gzip_exits_1_naming_the_file(self, tmp_path, capsys, mnist_gz_dir, name, damage):
+        bad = mnist_gz_dir / name
+        bad.write_bytes(damage_gzip(gzip.decompress(bad.read_bytes()), damage))
+        doc = {"dataset": {"kind": "mnist", "data_dir": str(mnist_gz_dir), "n_clients": 2},
+               "model": {"kind": "logistic"}, "algorithm": {"name": "fedavg"}, "rounds": 1,
+               "out_dir": str(tmp_path / "out")}
+        assert main(["run", write_json(tmp_path / "cfg.json", doc)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: unreadable gzip file: ")
+
+
+class TestFetchMnist:
+    NAMES = sorted(f + ".gz" for f in cli._MNIST_FILES.values())
+
+    def test_a_failed_transfer_leaves_nothing_and_the_rerun_fetches_again(
+        self, tmp_path, capsys, monkeypatch, mnist_gz_dir
+    ):
+        def cut_off(url, dest):
+            with open(dest, "wb") as fh:
+                fh.write(b"\x1f\x8b partial")
+            raise OSError("connection reset")
+
+        out = tmp_path / "fetched"
+        monkeypatch.setattr(urllib.request, "urlretrieve", cut_off)
+        assert main(["fetch-mnist", "--out", str(out)]) == 1
+        assert "could not fetch train-images-idx3-ubyte: connection reset" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+        def first_mirror_cut_off(url, dest):
+            if url.startswith(cli._MNIST_MIRRORS[0]):
+                cut_off(url, dest)
+            shutil.copyfile(mnist_gz_dir / url.rsplit("/", 1)[1], dest)
+
+        monkeypatch.setattr(urllib.request, "urlretrieve", first_mirror_cut_off)
+        assert main(["fetch-mnist", "--out", str(out)]) == 0
+        assert "already present" not in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == self.NAMES
+        for name in self.NAMES:
+            assert (out / name).read_bytes() == (mnist_gz_dir / name).read_bytes()
+
+        monkeypatch.setattr(urllib.request, "urlretrieve", None)  # a third run fetches nothing
+        assert main(["fetch-mnist", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.count("already present") == 4
+
 
 # (command, change to a valid document, field the error names): each value
 # but the last has the wrong JSON type, and the two before the last were
@@ -205,6 +255,7 @@ MNIST_OUT_OF_RANGE = {
     "dataset.partition.conc-dirichlet-without-conc": {"partition": {"mode": "dirichlet"}},
     "dataset.partition.conc-negative": {"partition": {"mode": "dirichlet", "conc": -1}},
     "dataset.partition.mode-unknown": {"partition": {"mode": "shards"}},
+    "dataset.partition.mode-named-unknown": {"partition": {"mode": "d3"}},
     "dataset.partition.balance-unknown": {"partition": {"balance": "zipf"}},
     "dataset.partition.lognormal_var-negative": {"partition": {"lognormal_var": -0.1}},
     "dataset.n_clients-zero": {"n_clients": 0},
@@ -224,6 +275,16 @@ def test_mnist_value_out_of_range_exits_2_naming_its_field(tmp_path, capsys, cha
     assert main(["run", write_json(tmp_path / "doc.json", doc)]) == 2
     assert f"error: {field}: expected" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unknown_partition_mode_lists_every_mode(tmp_path, capsys):
+    doc = {"dataset": {"kind": "mnist", "data_dir": str(tmp_path), "partition": {"mode": "d3"}},
+           "algorithm": {"name": "fedavg"}}
+    assert main(["run", write_json(tmp_path / "doc.json", doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: dataset.partition.mode: expected one of "
+        "('iid', 'dirichlet', 'd1', 'd2'), got 'd3'\n"
+    )
 
 
 # (change to a valid document, field the error names): each seed is an

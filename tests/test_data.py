@@ -1,8 +1,10 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
+from conftest import damage_gzip
 from feddrift.data import (
     DIRICHLET_NAMED,
     _client_quotas,
@@ -156,6 +158,16 @@ class TestIdx:
         gz_lab.write_bytes(gzip.compress(lab.read_bytes()))
         _, ly = load_mnist_idx(gz_img, gz_lab)
         assert np.array_equal(ly, y)
+
+    @pytest.mark.parametrize("damage", ["cut-halfway", "flipped-block-header", "flipped-data"])
+    def test_damaged_gzip_is_a_format_error_naming_the_file(self, tiny_idx_pair, tmp_path, damage):
+        img, lab, _, _ = tiny_idx_pair
+        bad = tmp_path / "images.gz"
+        bad.write_bytes(damage_gzip(img.read_bytes(), damage))
+        with pytest.raises(FormatError, match=re.escape(f"{bad}: unreadable gzip file")):
+            load_mnist_idx(bad, lab)
+        with pytest.raises(FormatError, match=re.escape(f"{bad}: unreadable gzip file")):
+            load_mnist_idx(img, bad)
 
     def test_bad_magic(self, tiny_idx_pair, tmp_path):
         img, lab, _, _ = tiny_idx_pair

@@ -15,7 +15,6 @@ from feddrift.engine import (
     MnistConfig,
     RoundRecord,
     build_dataset,
-    checkpoint_load,
     checkpoint_restore,
     checkpoint_save,
     dataset_label,
@@ -40,16 +39,20 @@ from feddrift.rng import stream
 
 LOGISTIC = ModelSpec("logistic", 30, 5)
 
-# (header change, error) for a fedavg checkpoint of 5 clients. A header
-# value of the wrong type or range is a FormatError; a size the file
-# does not have is a LengthError, raised before anything is allocated.
+# Header changes to a fedavg checkpoint of 5 clients restored into its
+# own config. A round that is not an integer >= 0, or any other value
+# that differs from the run's, is a FormatError raised before anything
+# is allocated; so is a key the run's header lacks.
 BAD_HEADERS = [
-    ({"param_count": -1}, FormatError),
-    ({"param_count": 10**15}, LengthError),
-    ({"param_count": 2.5}, FormatError),
-    ({"round": -1}, FormatError),
-    ({"rng_seed": -5}, FormatError),
-    ({"n_clients": 7, "n_samples": [30, 30]}, FormatError),
+    {"param_count": -1},
+    {"param_count": 10**15},
+    {"param_count": 2.5},
+    {"round": -1},
+    {"rng_seed": -5},
+    {"n_clients": 7, "n_samples": [30, 30]},
+    {"note": "extra"},
+    {"rng_seed": False},  # equals the run's seed 0 in Python
+    {"param_count": 155.0},  # equals the run's 155 in Python
 ]
 
 
@@ -228,7 +231,8 @@ class TestResume:
         rows[untrained[0]] = -0.0  # zero by value but not by bits: must load
         path = tmp_path / "ckpt.bin"
         checkpoint_save(path, run.server, run.clients)
-        server, clients = checkpoint_load(path)
+        restored = checkpoint_restore(FederatedRun(cfg), path)
+        server, clients = restored.server, restored.clients
         assert bits(server.global_params, run.server.global_params)
         assert bits(server.scaffold_c, run.server.scaffold_c)
         assert server.round == run.server.round
@@ -276,34 +280,34 @@ class TestResume:
         bad_magic = tmp_path / "magic.bin"
         bad_magic.write_bytes(b"XXXX" + raw[4:])
         with pytest.raises(FormatError):
-            checkpoint_load(bad_magic)
+            checkpoint_restore(FederatedRun(cfg), bad_magic)
 
         truncated = tmp_path / "short.bin"
         truncated.write_bytes(raw[:-20])
         with pytest.raises(LengthError):
-            checkpoint_load(truncated)
+            checkpoint_restore(FederatedRun(cfg), truncated)
 
         trailing = tmp_path / "long.bin"
         trailing.write_bytes(raw + b"\0")
         with pytest.raises(LengthError):
-            checkpoint_load(trailing)
+            checkpoint_restore(FederatedRun(cfg), trailing)
 
         for version in (1, 99):  # v1 held four vectors per client, theta among them
             bad_version = tmp_path / "version.bin"
             bad_version.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
             with pytest.raises(VersionError):
-                checkpoint_load(bad_version)
+                checkpoint_restore(FederatedRun(cfg), bad_version)
 
         def with_header(**changes):
             return rewrite_header(raw, tmp_path / "header.bin", **changes)
 
         with pytest.raises(FormatError):
-            checkpoint_load(with_header(fields=["theta"]))
+            checkpoint_restore(FederatedRun(cfg), with_header(fields=["theta"]))
         with pytest.raises(FormatError, match="seed 1.*seed 0"):
             checkpoint_restore(FederatedRun(cfg), with_header(rng_seed=1))
         resized = run.clients.n_samples.tolist()
         resized[0] += 1
-        with pytest.raises(FormatError, match="sample counts"):
+        with pytest.raises(FormatError, match="n_samples"):
             checkpoint_restore(FederatedRun(cfg), with_header(n_samples=resized))
 
         feddc = FederatedRun(small_cfg("feddc", rounds=1, alpha=0.005))
@@ -313,17 +317,36 @@ class TestResume:
         with pytest.raises(FormatError, match="fedavg"):
             checkpoint_restore(FederatedRun(cfg), feddc_path)
 
-    @pytest.mark.parametrize("changes,error", BAD_HEADERS, ids=[
+    @pytest.mark.parametrize("changes", BAD_HEADERS, ids=[
         "param_count=-1", "param_count=1e15", "param_count=2.5", "round=-1", "rng_seed=-5",
-        "n_clients=7",
+        "n_clients=7", "extra_key", "rng_seed=false", "param_count=155.0",
     ])
-    def test_checkpoint_header_checked_before_allocation(self, tmp_path, changes, error):
-        run = FederatedRun(small_cfg(rounds=1))
+    def test_checkpoint_header_checked_before_allocation(self, tmp_path, changes):
+        cfg = small_cfg(rounds=1)
+        run = FederatedRun(cfg)
         run.run_round()
         path = tmp_path / "ckpt.bin"
         checkpoint_save(path, run.server, run.clients)
-        with pytest.raises(error, match="checkpoint header"):
-            checkpoint_load(rewrite_header(path.read_bytes(), path, **changes))
+        with pytest.raises(FormatError, match="checkpoint header"):
+            checkpoint_restore(FederatedRun(cfg), rewrite_header(path.read_bytes(), path, **changes))
+
+    def test_restore_into_a_trained_run_resets_untrained_rows(self, tmp_path):
+        cfg = small_cfg("scaffold", rounds=3, participation=0.6)
+        first = FederatedRun(cfg)
+        first.run_round()
+        untrained = [i for i, row in enumerate(first.clients.scaffold_c) if not row.any()]
+        assert untrained  # some clients sat out round 1
+        path = tmp_path / "ckpt.bin"
+        checkpoint_save(path, first.server, first.clients)
+
+        busy = FederatedRun(cfg)
+        busy.run_round()
+        busy.run_round()
+        assert all(busy.clients.scaffold_c[i].any() for i in untrained)  # trained in round 2
+        restored = checkpoint_restore(busy, path)
+        assert restored.round == 1
+        assert restored.clients.scaffold_c.tobytes() == first.clients.scaffold_c.tobytes()
+        assert not restored.clients.scaffold_c[untrained].view(np.uint64).any()
 
     def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
         run = FederatedRun(small_cfg("feddc", rounds=2, alpha=0.005))
@@ -344,8 +367,8 @@ class TestResume:
             checkpoint_save(path, run.server, run.clients)
         assert path.read_bytes() == saved
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
-        server, _ = checkpoint_load(path)
-        assert server.round == 1
+        restored = checkpoint_restore(FederatedRun(small_cfg("feddc", rounds=2, alpha=0.005)), path)
+        assert restored.server.round == 1
 
 
 class TestTargets:
