@@ -604,11 +604,12 @@ def cmd_fetch_mnist(args) -> int:
         if last is not None:
             print(f"error: could not fetch {fname}: {last}", file=sys.stderr)
             return 1
-    x, y = load_mnist_idx(
-        os.path.join(args.out, _MNIST_FILES["train_images"] + ".gz"),
-        os.path.join(args.out, _MNIST_FILES["train_labels"] + ".gz"),
-    )
-    print(f"ok: {x.shape[0]} training samples of dim {x.shape[1]} in {args.out}")
+    # Every file is read in full, so a damaged one already present fails here.
+    gz = {key: os.path.join(args.out, fname + ".gz") for key, fname in _MNIST_FILES.items()}
+    x, _ = load_mnist_idx(gz["train_images"], gz["train_labels"])
+    xt, _ = load_mnist_idx(gz["test_images"], gz["test_labels"])
+    print(f"ok: {x.shape[0]} training and {xt.shape[0]} test samples of dim {x.shape[1]} "
+          f"in {args.out}")
     print(f"export {DATA_DIR_ENV}={args.out}")
     return 0
 

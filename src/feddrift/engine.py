@@ -360,6 +360,8 @@ def checkpoint_save(path, server: ServerState, clients: ClientStore) -> None:
 def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
     """Replace the run's server and client states with those saved at `path`.
 
+    The run keeps its records up to the saved round; the file holds none.
+
     The run must be built from the checkpoint's config: every header key
     but the round must equal the run's own, compared as JSON text (so
     `false` is not 0 and 155.0 is not 155), and the file size must match
@@ -421,6 +423,7 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
                     block[i] = row
     run.server = replace(run.server, **vectors, round=t)
     run.clients = clients
+    run.records = [r for r in run.records if r.round <= t]
     return run
 
 

@@ -9,7 +9,13 @@ what it keeps, moves, adds to its gradient and lets the server average.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
+import ctypes
+import functools
+import glob
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -370,13 +376,15 @@ def feddc_local_objective_grad(theta, clients: ClientStore, client_id: int,
 
 
 def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
-               batch_size: int, epochs: int, lr_t: float) -> None:
-    """`epochs` epochs of SGD on every row of the (C, P) block `theta`, in place.
+               batch_size: int, epochs: int, lr_t: float):
+    """The call running `epochs` epochs of SGD on each row of the (C, P) block `theta`, in place.
 
-    Row c trains on inputs[c] and labels[c] and shuffles them with
-    rngs[c], one fresh permutation per epoch, then steps through them in
-    batches of `batch_size`, the last of which may be partial. `terms`
-    are the (pull, anchor, extra, has_extra) of :func:`_correction_terms`.
+    Its buffers are allocated here, so a chunk allocates them on the
+    thread that sets it up, whichever thread then calls it. Row c trains
+    on inputs[c] and labels[c] and shuffles them with rngs[c], one fresh
+    permutation per epoch, then steps through them in batches of
+    `batch_size`, the last of which may be partial. `terms` are the
+    (pull, anchor, extra, has_extra) of :func:`_correction_terms`.
     After the gradient kernel, a step adds weight decay and the terms
     and updates theta one column tile of at most BUDGET floats at a
     time (see :func:`models._tiles`), through one scratch tile, so
@@ -399,20 +407,24 @@ def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
          None if extra is None else extra[:, lo:hi])
         for lo, hi, decayed in models._tiles(spec, width)
     ]
-    for _ in range(epochs):
-        for r, rng in enumerate(rngs):
-            order = rng.permutation(n)
-            inputs[r].take(order, axis=0, out=xp[r])
-            labels[r].take(order, out=yp[r])
-        for lo in range(0, n, batch_size):
-            batch = slice(lo, lo + batch_size)
-            grad_into(layers, glayers, xp[:, batch], yp[:, batch])
-            for g, th, tmp, decayed, an, ex in tiles:
-                if decayed:
-                    decay_into(wd, g, th, tmp)
-                _add_terms(g, th, pull, an, ex, has_extra, tmp)
-                np.multiply(g, lr_t, out=tmp)
-                th -= tmp
+
+    def sgd():
+        for _ in range(epochs):
+            for r, rng in enumerate(rngs):
+                order = rng.permutation(n)
+                inputs[r].take(order, axis=0, out=xp[r])
+                labels[r].take(order, out=yp[r])
+            for lo in range(0, n, batch_size):
+                batch = slice(lo, lo + batch_size)
+                grad_into(layers, glayers, xp[:, batch], yp[:, batch])
+                for g, th, tmp, decayed, an, ex in tiles:
+                    if decayed:
+                        decay_into(wd, g, th, tmp)
+                    _add_terms(g, th, pull, an, ex, has_extra, tmp)
+                    np.multiply(g, lr_t, out=tmp)
+                    th -= tmp
+
+    return sgd
 
 
 def lockstep_groups(ids, n_samples, cap: int) -> list:
@@ -427,6 +439,104 @@ def lockstep_groups(ids, n_samples, cap: int) -> list:
     return [g[lo : lo + cap] for g in groups.values() for lo in range(0, len(g), cap)]
 
 
+def _chunk_round(clients: ClientStore, server: ServerState, cfg: AlgoConfig, spec: ModelSpec,
+                 out: RoundUpdate, client_data, chunk):
+    """Set up one chunk's local round; return the call that trains it and fills its rows of `out`.
+
+    client_data is called and every block the chunk needs is allocated
+    here, so the returned call allocates nothing larger than a step's
+    activations. It reads only the chunk's own blocks and writes only
+    the chunk's rows of `out`, so the calls of several chunks may run
+    concurrently.
+    """
+    inputs, labels, rngs = zip(*(client_data(i) for i in chunk))
+    n = inputs[0].shape[0]
+    if any(x.shape != inputs[0].shape for x in inputs) or any(y.shape != (n,) for y in labels):
+        raise DimensionError(f"clients {chunk} need (n, d) inputs and (n,) labels of one size")
+    k = steps_per_round(n, cfg)
+    lr_t = round_lr(cfg, server.round)
+    start = server.global_params
+    terms = _correction_terms(clients, chunk, server, cfg, k, lr_t)
+    block = np.repeat(start[None], len(chunk), axis=0)
+    sgd = _local_sgd(block, terms, inputs, labels, rngs, spec,
+                     cfg.batch_size, cfg.local_epochs, lr_t)
+    rows = np.searchsorted(out.ids, chunk)
+    h = None if out.drift_plus is None else clients.drift[chunk]
+    c = None if out.c_plus is None else clients.scaffold_c[chunk] - server.scaffold_c
+
+    def train():  # in-place ufuncs with out=, since += would rebind the names
+        sgd()
+        out.theta[rows] = block
+        np.subtract(block, start, out=block)  # now the round's update
+        out.delta[rows] = block
+        if h is not None:
+            out.drift_plus[rows] = np.add(h, block, out=h)
+        if c is not None:
+            np.divide(block, -(k * lr_t), out=block)  # now the implied gradient (_implied_grad)
+            out.c_plus[rows] = np.add(c, block, out=c)
+        out.n_samples[rows] = n
+        out.k_steps[rows] = k
+
+    return train
+
+
+def _blas_threads():
+    """Threads numpy's bundled OpenBLAS runs a call on, or None if it cannot be asked."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
+        try:
+            fn = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes, fn.restype = [], ctypes.c_int
+        return fn()
+    return None
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _workers(n_chunks: int) -> int:
+    """Threads to train a round's `n_chunks` one-client chunks on, or 0 for the serial loop.
+
+    One thread per usable CPU and at most one per chunk, but only while
+    numpy's OpenBLAS runs each call on one thread: BLAS calls that
+    already spread over the cores only slow down when several run at
+    once.
+    """
+    if n_chunks < 2 or _blas_threads() != 1:
+        return 0
+    return min(_usable_cpus(), n_chunks)
+
+
+def _train_concurrently(setup, chunks, workers: int) -> None:
+    """Train `chunks` on `workers` threads, with the serial loop's result.
+
+    setup(chunk) returns a chunk's training call (see :func:`_chunk_round`).
+    It runs on this thread, in chunk order, and only while fewer than
+    `workers` chunks are in flight, so no more chunks are held than the
+    threads train. Each call runs in a copy of this thread's context, so
+    the caller's np.errstate holds in it. Once a chunk has failed no
+    further chunk starts, and the error raised is the first in chunk
+    order, after every started chunk has finished.
+    """
+    futures = []
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        try:
+            for chunk in chunks:
+                live = [f for f in futures if not f.done()]
+                if len(live) == workers:
+                    concurrent.futures.wait(live, return_when=concurrent.futures.FIRST_COMPLETED)
+                if any(f.done() and f.exception() for f in futures):
+                    break
+                futures.append(pool.submit(contextvars.copy_context().run, setup(chunk)))
+        finally:
+            # An earlier chunk's error replaces a later chunk's set-up error.
+            for f in futures:
+                f.result()
+
+
 def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoConfig,
                      client_data, spec: ModelSpec) -> RoundUpdate:
     """A local round, `local_epochs` epochs of SGD, for every client in `ids`.
@@ -438,50 +548,39 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
     shuffle stream). Clients of equal stored sample count train in
     lockstep as one stacked block, in chunks of at most
     max(1, BUDGET // P) clients (see :func:`lockstep_groups`), and
-    client_data is called chunk by chunk. Each row is bitwise the one
-    its client would get training alone. theta starts at the round-start
-    global parameters. Round-start snapshots (global parameters, the
-    clients' stored rows, previous deltas) stay frozen for all K steps.
-    The drift accumulator advances once per round by exactly the round's
-    parameter update. The store is only read; :func:`apply_update`
-    writes results.
+    client_data is called chunk by chunk, in chunk order. When the cap is
+    one client, chunks may train concurrently (see :func:`_workers`). Each row
+    is bitwise the one its client would get training alone. theta
+    starts at the round-start global parameters. Round-start snapshots
+    (global parameters, the clients' stored rows, previous deltas) stay
+    frozen for all K steps. The drift accumulator advances once per
+    round by exactly the round's parameter update. The store is only
+    read; :func:`apply_update` writes results.
     """
     ids = sorted(int(i) for i in ids)
     if not ids:
         raise DimensionError("a round needs at least one client")
-    start = server.global_params
-    lr_t = round_lr(cfg, server.round)
-    shape = (len(ids), start.size)
-    theta, delta = np.empty(shape), np.empty(shape)
-    drift_plus = np.empty(shape) if "drift" in clients.fields else None
-    c_plus = np.empty(shape) if "scaffold_c" in clients.fields else None
-    n_samples, k_steps = np.empty(len(ids), dtype=np.int64), np.empty(len(ids), dtype=np.int64)
-    for chunk in lockstep_groups(ids, clients.n_samples, max(1, BUDGET // start.size)):
-        inputs, labels, rngs = zip(*(client_data(i) for i in chunk))
-        n = inputs[0].shape[0]
-        if any(x.shape != inputs[0].shape for x in inputs) or any(y.shape != (n,) for y in labels):
-            raise DimensionError(f"clients {chunk} need (n, d) inputs and (n,) labels of one size")
-        k = steps_per_round(n, cfg)
-        terms = _correction_terms(clients, chunk, server, cfg, k, lr_t)
-        block = np.repeat(start[None], len(chunk), axis=0)
-        _local_sgd(block, terms, inputs, labels, rngs, spec,
-                   cfg.batch_size, cfg.local_epochs, lr_t)
-        rows = np.searchsorted(ids, chunk)
-        theta[rows] = block
-        block -= start  # now the round's update, in place
-        delta[rows] = block
-        if drift_plus is not None:
-            h = clients.drift[chunk]
-            h += block
-            drift_plus[rows] = h
-        if c_plus is not None:
-            c = clients.scaffold_c[chunk]
-            c -= server.scaffold_c
-            c += _implied_grad(block, k, lr_t)
-            c_plus[rows] = c
-        n_samples[rows] = n
-        k_steps[rows] = k
-    return RoundUpdate(np.array(ids), n_samples, k_steps, theta, delta, drift_plus, c_plus)
+    shape = (len(ids), server.global_params.size)
+    out = RoundUpdate(
+        np.array(ids),
+        n_samples=np.empty(len(ids), dtype=np.int64),
+        k_steps=np.empty(len(ids), dtype=np.int64),
+        theta=np.empty(shape),
+        delta=np.empty(shape),
+        drift_plus=np.empty(shape) if "drift" in clients.fields else None,
+        c_plus=np.empty(shape) if "scaffold_c" in clients.fields else None,
+    )
+    cap = max(1, BUDGET // shape[1])
+    chunks = lockstep_groups(ids, clients.n_samples, cap)
+    setup = functools.partial(_chunk_round, clients, server, cfg, spec, out, client_data)
+    # Models too large to stack train one client per chunk, several chunks at once.
+    workers = _workers(len(chunks)) if cap == 1 else 0
+    if workers:
+        _train_concurrently(setup, chunks, workers)
+    else:
+        for chunk in chunks:
+            setup(chunk)()
+    return out
 
 
 def run_local_round(clients: ClientStore, client_id: int, server: ServerState,

@@ -113,9 +113,13 @@ def _forward(layers, x: np.ndarray):
     """
     acts = [x]
     for w, b in layers[:-1]:
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        h = acts[-1] @ w
+        h += b  # in place on the fresh product: the same sums, no second block
+        acts.append(np.maximum(h, 0.0, out=h))
     w, b = layers[-1]
-    return acts, acts[-1] @ w + b
+    z = acts[-1] @ w
+    z += b
+    return acts, z
 
 
 @lru_cache(maxsize=64)

@@ -187,6 +187,22 @@ class TestFetchMnist:
         assert main(["fetch-mnist", "--out", str(out)]) == 0
         assert capsys.readouterr().out.count("already present") == 4
 
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_damaged_file_already_present_exits_1_naming_it(
+        self, capsys, monkeypatch, mnist_gz_dir, name
+    ):
+        bad = mnist_gz_dir / name
+        bad.write_bytes(damage_gzip(gzip.decompress(bad.read_bytes()), "cut-halfway"))
+
+        def no_transfer(url, dest):
+            raise AssertionError(f"fetched {url} although every file is present")
+
+        monkeypatch.setattr(urllib.request, "urlretrieve", no_transfer)
+        assert main(["fetch-mnist", "--out", str(mnist_gz_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("already present") == 4 and "ok:" not in captured.out
+        assert captured.err.startswith(f"error: {bad}: ")
+
 
 # (command, change to a valid document, field the error names): each value
 # but the last has the wrong JSON type, and the two before the last were

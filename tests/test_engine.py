@@ -348,6 +348,21 @@ class TestResume:
         assert restored.clients.scaffold_c.tobytes() == first.clients.scaffold_c.tobytes()
         assert not restored.clients.scaffold_c[untrained].view(np.uint64).any()
 
+    def test_restore_drops_the_records_past_the_saved_round(self, tmp_path):
+        cfg = small_cfg("scaffold", rounds=3, participation=0.6)
+        first = FederatedRun(cfg)
+        first.run_round()
+        path = tmp_path / "ckpt.bin"
+        checkpoint_save(path, first.server, first.clients)
+        straight, _ = first.run_to_completion()
+
+        busy = FederatedRun(cfg)
+        busy.run_round()
+        busy.run_round()
+        records, _ = checkpoint_restore(busy, path).run_to_completion()
+        assert [r.round for r in records] == [1, 2, 3]
+        assert all(same_but_wall(a, b) for a, b in zip(records, straight))
+
     def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
         run = FederatedRun(small_cfg("feddc", rounds=2, alpha=0.005))
         run.run_round()

@@ -5,9 +5,20 @@ equal-size clients as stacked (C, P) blocks, and returns one RoundUpdate;
 `run_local_round` is its one-client call. Every row of every block must
 match the one-client result, sign bits included. Each step applies its
 weight decay, correction terms and update in column tiles; every tiling
-must match one whole-width pass per term.
+must match one whole-width pass per term. Chunks of one client may
+train on a thread pool; the pool must give the serial loop's blocks,
+errors and warnings.
 """
 
+import contextlib
+import dataclasses
+import functools
+import glob
+import os
+import sys
+import threading
+import time
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -17,7 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feddrift import federation
-from feddrift.errors import DimensionError
+from feddrift.data import SyntheticConfig
+from feddrift.engine import ExperimentConfig, FederatedRun
+from feddrift.errors import DimensionError, NumericError, RunError
 from feddrift.federation import (
     ALGORITHMS,
     RULES,
@@ -171,7 +184,9 @@ def test_tiled_steps_equal_whole_width_steps(algorithm, code, model, sizes, batc
         return (*data[i], stream(seed, "batch-shuffle", client=i, round_index=round_index))
 
     ids = range(len(sizes))
-    with mock.patch.object(federation, "_local_sgd", _whole_width_sgd):
+    # _local_sgd returns the call that trains; the oracle trains when called too.
+    with mock.patch.object(federation, "_local_sgd",
+                           lambda *args: functools.partial(_whole_width_sgd, *args)):
         whole = run_local_rounds(store, ids, server, cfg, client_data, spec)
     # A budget below P trains one client at a time in tiles of `budget`
     # columns; a budget of P or 2P fits whole rows of one or two clients.
@@ -240,3 +255,165 @@ def test_group_shapes_are_checked():
         run([x[0], x[1][:, :5]], y)
     with pytest.raises(DimensionError):
         run(x, y, ids=[])
+
+
+@contextlib.contextmanager
+def one_client_chunks(spec, workers, blas_threads=1):
+    """Chunks of one client, `workers` usable CPUs and a BLAS that reports
+    `blas_threads`; yields the list of threads that each chunk trained on."""
+    trained_on = []
+    sgd_of = federation._local_sgd
+
+    def recording_sgd(*args):
+        sgd = sgd_of(*args)
+
+        def call():
+            trained_on.append(threading.get_ident())
+            sgd()
+
+        return call
+
+    with mock.patch.object(federation, "BUDGET", spec.param_count), \
+            mock.patch.object(federation, "_blas_threads", lambda: blas_threads), \
+            mock.patch.object(federation, "_usable_cpus", lambda: workers), \
+            mock.patch.object(federation, "_local_sgd", recording_sgd):
+        yield trained_on
+
+
+THREADED_SIZES = [5, 7, 12, 5, 1, 7, 12]  # unequal, and more clients than threads
+
+
+def _threaded_round(algorithm, code, model, workers, blas_threads=1):
+    cfg, spec, server, store, data = _scenario(
+        algorithm, code, model, THREADED_SIZES, 3, 2, 2, True, 11
+    )
+
+    def client_data(i):
+        return (*data[i], stream(11, "batch-shuffle", client=i, round_index=2))
+
+    with one_client_chunks(spec, workers, blas_threads) as trained_on:
+        update = run_local_rounds(store, range(len(THREADED_SIZES)), server, cfg,
+                                  client_data, spec)
+    return update, trained_on
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("model", sorted(SPECS))
+@pytest.mark.parametrize("algorithm,code", [(a, "lelglp") for a in ALGORITHMS]
+                         + [("feddc", c) for c in ABLATION_CODES[:-1]])
+def test_threaded_chunks_equal_the_serial_loop(algorithm, code, model, workers):
+    serial, on_serial = _threaded_round(algorithm, code, model, workers, blas_threads=2)
+    threaded, on_threads = _threaded_round(algorithm, code, model, workers)
+    main = threading.get_ident()
+    assert set(on_serial) == {main}
+    assert len(on_threads) == len(THREADED_SIZES) and main not in on_threads
+    assert len(set(on_threads)) <= workers
+    for f in dataclasses.fields(serial):
+        assert _bits(getattr(threaded, f.name)) == _bits(getattr(serial, f.name)), f.name
+
+
+def test_threaded_chunks_under_rapid_thread_switches():
+    """More threads than cores, switching every microsecond: no row is lost or mixed."""
+    sizes = [3 + i % 9 for i in range(16)]
+    cfg, spec, server, store, data = _scenario("scaffold", "lelglp", "mlp", sizes, 2, 1, 1,
+                                               True, 2)
+
+    def client_data(i):
+        return (*data[i], stream(2, "batch-shuffle", client=i, round_index=1))
+
+    workers = (os.cpu_count() or 1) + 1
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with one_client_chunks(spec, workers, blas_threads=2):
+            serial = run_local_rounds(store, range(16), server, cfg, client_data, spec)
+        with one_client_chunks(spec, workers):
+            threaded = run_local_rounds(store, range(16), server, cfg, client_data, spec)
+    finally:
+        sys.setswitchinterval(interval)
+    for f in dataclasses.fields(serial):
+        assert _bits(getattr(threaded, f.name)) == _bits(getattr(serial, f.name)), f.name
+
+
+def test_a_blas_on_more_threads_keeps_the_serial_loop():
+    with mock.patch("concurrent.futures.ThreadPoolExecutor", None):
+        _, trained_on = _threaded_round("feddc", "lelglp", "mlp", 2, blas_threads=2)
+    assert set(trained_on) == {threading.get_ident()}
+
+
+def test_an_unanswered_blas_query_keeps_the_serial_loop():
+    with mock.patch("concurrent.futures.ThreadPoolExecutor", None):
+        _, trained_on = _threaded_round("fedavg", "lelglp", "mlp", 2, blas_threads=None)
+    assert set(trained_on) == {threading.get_ident()}
+
+
+def test_the_blas_thread_query_answers():
+    """The query that gates the threads reaches numpy's bundled OpenBLAS."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    if not glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
+        pytest.skip("this numpy bundles no OpenBLAS, so rounds keep the serial loop")
+    assert federation._blas_threads() >= 1
+
+
+# (client -> (seconds, error) of its training call, client whose data is
+# malformed, error raised). Client 0 fails last in time and first in chunk
+# order; an error in a later chunk's set-up does not hide it.
+CHUNK_FAILURES = {
+    "a-later-chunk-fails-first": ({0: (0.2, "client 0"), 1: (0.0, "client 1")}, None, "client 0"),
+    "a-set-up-fails-after-a-chunk": ({0: (0.2, "client 0")}, 2, "client 0"),
+    "a-set-up-fails-alone": ({}, 2, "clients \\[2\\] need"),
+}
+
+
+@pytest.mark.parametrize("failures,bad_data,raised", CHUNK_FAILURES.values(),
+                         ids=CHUNK_FAILURES.keys())
+def test_the_first_error_in_chunk_order_is_raised(failures, bad_data, raised):
+    cfg, spec, server, store, data = _scenario(
+        "feddc", "lelglp", "mlp", [5, 7, 12, 6, 8], 3, 1, 0, False, 5
+    )  # sizes all differ, so chunk order is id order
+    set_up = federation._chunk_round
+    started = []
+
+    def failing_chunk_round(*args):
+        train, (client,) = set_up(*args), args[-1]
+
+        def call():
+            started.append(client)
+            seconds, message = failures.get(client, (0.0, None))
+            time.sleep(seconds)
+            if message:
+                raise ValueError(message)
+            train()
+
+        return call
+
+    def client_data(i):
+        x, y = data[i]
+        return x, y[:-1] if i == bad_data else y, stream(5, "batch-shuffle", client=i)
+
+    threads = threading.active_count()
+    with one_client_chunks(spec, 2), \
+            mock.patch.object(federation, "_chunk_round", failing_chunk_round):
+        with pytest.raises((ValueError, DimensionError), match=raised):
+            run_local_rounds(store, range(5), server, cfg, client_data, spec)
+    assert 4 not in started  # no chunk starts once one has failed
+    assert threading.active_count() == threads  # no thread outlives the round
+
+
+def test_a_diverging_threaded_round_names_its_round_without_warnings():
+    """The round's np.errstate reaches the threads that train its chunks."""
+    spec = ModelSpec("mlp", 30, 5, hidden_dims=(8,))
+    cfg = ExperimentConfig(
+        dataset=SyntheticConfig(n_clients=4, samples_per_client_mean=20, seed=0),
+        model=spec,
+        algo=AlgoConfig("feddc", lr=1e308, local_epochs=2, batch_size=10, alpha=0.01),
+        rounds=2,
+    )
+    run = FederatedRun(cfg)
+    with one_client_chunks(spec, 2) as trained_on, warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(RunError, match="round 1: ") as info:
+            run.run_round()
+    assert len(trained_on) == 4 and threading.get_ident() not in trained_on
+    assert isinstance(info.value.__cause__, NumericError)
+    assert [str(w.message) for w in seen] == []
