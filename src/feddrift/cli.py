@@ -556,8 +556,8 @@ def cmd_gradcheck(args) -> int:
     server = ServerState.fresh(params, n_clients=1, rng_seed=args.seed)
     clients = ClientStore([args.batch], dim, RULES["feddc"].fields)
     theta = params + 0.05 * rng.standard_normal(dim)
-    clients.drift[0] = 0.1 * rng.standard_normal(dim)
-    clients.last_delta[0] = 0.02 * rng.standard_normal(dim)
+    clients.write([0], {"drift": 0.1 * rng.standard_normal((1, dim)),
+                        "last_delta": 0.02 * rng.standard_normal((1, dim))})
     obj_grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, spec)
     if args.corrupt_gradient:
         obj_grad = obj_grad + 1e-3

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     PartitionError,
 )
-from .rng import stream
+from .rng import _MAX_CLIENT, stream
 
 __all__ = [
     "FederatedDataset",
@@ -121,6 +121,10 @@ class SyntheticConfig:
                          ("input_dim", 1), ("num_classes", 2)):
             if getattr(self, name) < lo:
                 raise ParameterError(f"expected {name} >= {lo}, got {getattr(self, name)}", name)
+        if self.n_clients > _MAX_CLIENT:  # each client owns streams keyed by its id
+            raise ParameterError(
+                f"expected n_clients <= {_MAX_CLIENT}, got {self.n_clients}", "n_clients"
+            )
         for name in ("gamma1", "gamma2"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):

@@ -51,7 +51,7 @@ from .federation import (
 )
 from .federation import run_local_round  # noqa: F401  perfbench/tracing.py wraps it by name
 from .models import ModelSpec, init_params
-from .rng import MAX_SEED, stream
+from .rng import _MAX_CLIENT, _MAX_ROUND, MAX_SEED, stream
 
 __all__ = [
     "MnistConfig",
@@ -75,7 +75,7 @@ CSV_HEADER = (
 )
 
 _CKPT_MAGIC = b"FDRC"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,10 @@ class MnistConfig:
     subsample: int | None = None  # keep only the first n train samples
 
     def __post_init__(self):
-        if self.n_clients < 1:
-            raise ParameterError(f"expected n_clients >= 1, got {self.n_clients}", "n_clients")
+        if not 1 <= self.n_clients <= _MAX_CLIENT:  # each client owns streams keyed by its id
+            raise ParameterError(
+                f"expected n_clients in [1, {_MAX_CLIENT}], got {self.n_clients}", "n_clients"
+            )
         if self.subsample is not None and self.subsample < 1:
             raise ParameterError(f"expected subsample >= 1, got {self.subsample}", "subsample")
 
@@ -112,6 +114,8 @@ class ExperimentConfig:
         for name in ("rounds", "eval_every"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"expected {name} >= 1, got {getattr(self, name)}", name)
+        if self.rounds > _MAX_ROUND:  # each round owns streams keyed by its index
+            raise ParameterError(f"expected rounds <= {_MAX_ROUND}, got {self.rounds}", "rounds")
         targets = tuple(float(t) for t in self.target_accuracies)
         if any(not 0 < t < 1 for t in targets):
             raise ParameterError(
@@ -307,16 +311,18 @@ def summarize(records, targets) -> RunSummary:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints, format v2: magic, (version, header length), a JSON header,
-# then little-endian float64 blocks with no padding: the four server
-# vectors (P values each), then one (n_clients, P) block per client field
-# the header names. The file ends there; anything after it is an error.
+# Checkpoints, format v3: magic, (version, header length), a JSON header,
+# then little-endian blocks with no padding: the four server vectors
+# (P float64 each), the store's slot map (n_clients int64), then each
+# client field the header names as its `used` rows (used x P float64), in
+# slot order. `used` is the number of slots below n_clients. The file
+# ends there; anything after it is an error.
 # ---------------------------------------------------------------------------
 
 def _read_block(fh, out: np.ndarray, path) -> None:
-    """Fill `out` from the file in one read, with no intermediate copy."""
+    """Fill the C-contiguous `out` from the file in one read, with no intermediate copy."""
     want = out.nbytes
-    got = fh.readinto(memoryview(out).cast("B"))
+    got = fh.readinto(out.reshape(-1).view(np.uint8))  # a view, empty or not
     if got != want:
         raise LengthError(f"{path}: truncated checkpoint ({got} of {want} bytes in a block)")
 
@@ -349,8 +355,9 @@ def checkpoint_save(path, server: ServerState, clients: ClientStore) -> None:
             fh.write(blob)
             for name in SERVER_VECTORS:
                 fh.write(getattr(server, name).astype("<f8", copy=False))
+            fh.write(clients.slot.astype("<i8", copy=False))
             for name in clients.fields:
-                fh.write(getattr(clients, name).astype("<f8", copy=False))
+                fh.write(getattr(clients, name)[: clients.used].astype("<f8", copy=False))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -364,8 +371,13 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
 
     The run must be built from the checkpoint's config: every header key
     but the round must equal the run's own, compared as JSON text (so
-    `false` is not 0 and 155.0 is not 155), and the file size must match
-    the run's shapes. Both are checked before anything is allocated.
+    `false` is not 0 and 155.0 is not 155); the saved slot map must be a
+    store's, each value n_clients (never written) or below the number
+    `used` of other values, with each used slot taken once; and the file
+    size must match the run's shapes and `used`. All three are checked
+    before anything else is read or allocated. Each field's saved rows
+    then land in one read at the front of a fresh store, so a client
+    that never trained costs no memory.
     """
     ours = _header(run.server, run.clients)
     with open(path, "rb") as fh:
@@ -402,25 +414,29 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
                     f"{path}: checkpoint header has {key} {got}, "
                     f"the {run.cfg.algo.algorithm} run has {key} {expected}"
                 )
-        p = ours["param_count"]
-        rows = len(SERVER_VECTORS) + ours["n_clients"] * len(ours["fields"])
-        want = 12 + hlen + rows * p * 8
+        p, n = ours["param_count"], ours["n_clients"]
+        vectors_at = 12 + hlen
+        slot = np.empty(n, dtype="<i8")
+        fh.seek(vectors_at + len(SERVER_VECTORS) * p * 8)
+        _read_block(fh, slot, path)
+        taken = slot[slot != n]
+        used = taken.size
+        if not np.array_equal(np.sort(taken), np.arange(used)):
+            raise FormatError(f"{path}: checkpoint slot map is not a permutation of "
+                              f"[0, {used}) plus unwritten clients at {n}")
+        want = fh.tell() + used * len(ours["fields"]) * p * 8
         size = os.fstat(fh.fileno()).st_size
         if size != want:
             raise LengthError(f"{path}: checkpoint header implies {want} bytes, file holds {size}")
+        fh.seek(vectors_at)
         vectors = {name: np.zeros(p) for name in SERVER_VECTORS}
         for vec in vectors.values():
             _read_block(fh, vec, path)
-        # Row by row, so rows saved as all-zero bits (clients that never
-        # trained) stay unallocated in the fresh store; -0.0 still loads.
+        fh.seek(slot.nbytes, os.SEEK_CUR)
         clients = ClientStore(run.clients.n_samples, p, run.clients.fields)
-        row = np.empty(p)
+        clients.slot[:], clients.used = slot, used
         for name in clients.fields:
-            block = getattr(clients, name)
-            for i in range(block.shape[0]):
-                _read_block(fh, row, path)
-                if row.view(np.uint64).any():
-                    block[i] = row
+            _read_block(fh, getattr(clients, name)[:used], path)
     run.server = replace(run.server, **vectors, round=t)
     run.clients = clients
     run.records = [r for r in run.records if r.round <= t]

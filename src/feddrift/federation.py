@@ -59,11 +59,11 @@ __all__ = [
 
 
 def _control_gap(clients, ids, server, k_steps, lr_t):
-    return server.scaffold_c - clients.scaffold_c[ids]
+    return server.scaffold_c - clients.rows("scaffold_c", ids)
 
 
 def _grad_correction(clients, ids, server, k_steps, lr_t):
-    return (clients.last_delta[ids] - server.global_delta) / (k_steps * lr_t)
+    return (clients.rows("last_delta", ids) - server.global_delta) / (k_steps * lr_t)
 
 
 def _scaffold_controls(server, update, cfg, mean_up, global_delta):
@@ -195,12 +195,17 @@ NEXT_VALUE = {"drift": "drift_plus", "last_delta": "delta", "scaffold_c": "c_plu
 
 
 class ClientStore:
-    """Persistent state of every client, one row per client id.
+    """Persistent state of every client, packed in first-write order.
 
-    Holds `n_samples` and one (n_clients, P) float64 array per field the
-    algorithm reads (its RULES fields). The arrays start as `np.zeros`,
-    whose pages stay unallocated until a row is written. Inactive
-    clients keep their rows stale.
+    Holds `n_samples`, a (n_clients,) `slot` map and one
+    (n_clients + 1, P) float64 array per field the algorithm reads (its
+    RULES fields). Rows [0, used) hold the written clients in the order
+    they were first written; a client never written has slot n_clients,
+    a row that is never written and so reads as zeros. The arrays start
+    as `np.zeros`, whose pages stay unallocated until a row is written,
+    and packing keeps the written rows together on as few pages as they
+    fill. Read rows with :meth:`rows` and write them with :meth:`write`;
+    inactive clients keep their rows stale.
     """
 
     def __init__(self, n_samples, param_count: int, fields=()):
@@ -209,8 +214,34 @@ class ClientStore:
             raise ParameterError(f"unknown client fields {sorted(unknown)}")
         self.fields = tuple(fields)
         self.n_samples = np.array(n_samples, dtype=np.int64)
+        n = self.n_samples.size
+        self.slot = np.full(n, n, dtype=np.int64)
+        self.used = 0
         for name in self.fields:
-            setattr(self, name, np.zeros((self.n_samples.size, param_count)))
+            setattr(self, name, np.zeros((n + 1, param_count)))
+
+    def rows(self, name: str, ids) -> np.ndarray:
+        """A copy of field `name`'s rows of clients `ids`, in the order of `ids`."""
+        return getattr(self, name)[self.slot[ids]]
+
+    def write(self, ids, blocks: dict) -> None:
+        """Set the rows of clients `ids` to `blocks`, a field name -> (len(ids), P) map.
+
+        Clients written for the first time take the next free slots, in
+        ascending id order; then each field is one indexed assignment.
+        """
+        # A mask rather than np.unique, whose first call in a process adds
+        # about 1.7 MB of resident memory.
+        n = self.slot.size
+        fresh = np.zeros(n, dtype=bool)
+        fresh[ids] = True
+        fresh &= self.slot == n
+        new = np.flatnonzero(fresh)
+        self.slot[new] = np.arange(self.used, self.used + new.size)
+        self.used += new.size
+        slots = self.slot[ids]
+        for name, block in blocks.items():
+            getattr(self, name)[slots] = block
 
 
 SERVER_VECTORS = ("global_params", "global_delta", "scaffold_c", "dyn_corrector")
@@ -305,7 +336,7 @@ def _correction_terms(clients: ClientStore, ids, server: ServerState,
     if rule.pull and "param_correction" in cfg.ablation and getattr(cfg, rule.pull) != 0.0:
         pull = getattr(cfg, rule.pull)
         # A broadcast view of G, not a (C, P) block, when nothing is subtracted.
-        anchor = (g - clients.drift[ids] if "drift" in rule.fields
+        anchor = (g - clients.rows("drift", ids) if "drift" in rule.fields
                   else np.broadcast_to(g, (len(ids), g.size)))
     if rule.extra and "grad_correction" in cfg.ablation:
         extra = rule.extra(clients, ids, server, k_steps, lr_t)
@@ -461,8 +492,8 @@ def _chunk_round(clients: ClientStore, server: ServerState, cfg: AlgoConfig, spe
     sgd = _local_sgd(block, terms, inputs, labels, rngs, spec,
                      cfg.batch_size, cfg.local_epochs, lr_t)
     rows = np.searchsorted(out.ids, chunk)
-    h = None if out.drift_plus is None else clients.drift[chunk]
-    c = None if out.c_plus is None else clients.scaffold_c[chunk] - server.scaffold_c
+    h = None if out.drift_plus is None else clients.rows("drift", chunk)
+    c = None if out.c_plus is None else clients.rows("scaffold_c", chunk) - server.scaffold_c
 
     def train():  # in-place ufuncs with out=, since += would rebind the names
         sgd()
@@ -594,8 +625,7 @@ def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
 
 def apply_update(clients: ClientStore, update: RoundUpdate) -> None:
     """Write a round's results into the store, one indexed assignment per field."""
-    for name in clients.fields:
-        getattr(clients, name)[update.ids] = getattr(update, NEXT_VALUE[name])
+    clients.write(update.ids, {name: getattr(update, NEXT_VALUE[name]) for name in clients.fields})
 
 
 def weighted_mean(block, ws) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["stream", "stream_id_for", "PURPOSES"]
+__all__ = ["stream", "PURPOSES"]
 
 # Registry of stream purposes. Order is part of the determinism contract:
 # appending is safe, reordering silently changes every derived stream.
@@ -41,7 +41,7 @@ _MAX_ROUND = 1 << 24
 MAX_SEED = 1 << 64  # seeds are 64-bit unsigned ints
 
 
-def stream_id_for(purpose: str, client: int = 0, round_index: int = 0) -> int:
+def _stream_id(purpose: str, client: int = 0, round_index: int = 0) -> int:
     """Pack (purpose, client, round) into one collision-free 64-bit id."""
     if purpose not in _PURPOSE_CODES:
         raise ParameterError(f"unknown stream purpose {purpose!r}")
@@ -59,5 +59,5 @@ def stream(seed: int, purpose: str, client: int = 0, round_index: int = 0) -> np
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < MAX_SEED:
         raise ParameterError(f"seed must be a 64-bit unsigned int, got {seed!r}")
-    key = (int(seed) << 64) | stream_id_for(purpose, client, round_index)
+    key = (int(seed) << 64) | _stream_id(purpose, client, round_index)
     return np.random.Generator(np.random.Philox(key=key))

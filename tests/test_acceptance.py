@@ -283,8 +283,8 @@ class TestCriterion5Properties:
         dim = spec.param_count
         clients = ClientStore([4], dim, RULES["feddc"].fields)
         theta = init + 0.05 * rng.standard_normal(dim)
-        clients.drift[0] = 0.1 * rng.standard_normal(dim)
-        clients.last_delta[0] = 0.03 * rng.standard_normal(dim)
+        clients.write([0], {"drift": 0.1 * rng.standard_normal(dim),
+                            "last_delta": 0.03 * rng.standard_normal(dim)})
         x = rng.standard_normal((4, spec.input_dim))
         y = (rng.random(4) * spec.num_classes).astype(np.int64)
         grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, spec)
@@ -309,7 +309,7 @@ class TestCriterion5Properties:
         up = run_local_round(
             clients, 0, server, cfg, x, y, stream(52, "batch-shuffle"), spec
         )
-        lhs = up.drift_plus[0] - clients.drift[0]
+        lhs = up.drift_plus[0] - clients.rows("drift", 0)
         rhs = up.theta[0] - server.global_params
         assert bits_equal(lhs, rhs)
         print("ACCEPTANCE 5b: drift bookkeeping h+-h == theta+-global bitwise: PASS")
@@ -323,7 +323,7 @@ class TestCriterion5Properties:
         data = []
         clients = ClientStore([20] * 3, spec.param_count, RULES["feddc"].fields)
         for i in range(3):
-            clients.drift[i] = 0.1 * rng.standard_normal(spec.param_count)
+            clients.write([i], {"drift": 0.1 * rng.standard_normal(spec.param_count)})
             x = rng.standard_normal((20, 30))
             y = (rng.random(20) * 5).astype(np.int64)
             data.append((x, y, stream(53, "batch-shuffle", client=i)))

@@ -247,6 +247,9 @@ OUT_OF_RANGE = {
     "dataset.samples_per_client_mean-zero": {"dataset": {"samples_per_client_mean": 0}},
     "dataset.gamma1-negative": {"dataset": {"gamma1": -1}},
     "dataset.gamma2-negative": {"dataset": {"gamma2": -0.5}},
+    # One past the stream key's range, refused before any data is generated.
+    "dataset.n_clients-above-2**24": {"dataset": {"n_clients": 2**24 + 1}},
+    "rounds-above-2**24": {"rounds": 2**24 + 1},
 }
 
 
@@ -276,6 +279,7 @@ MNIST_OUT_OF_RANGE = {
     "dataset.partition.lognormal_var-negative": {"partition": {"lognormal_var": -0.1}},
     "dataset.n_clients-zero": {"n_clients": 0},
     "dataset.subsample-zero": {"subsample": 0},
+    "dataset.n_clients-above-2**24": {"n_clients": 2**24 + 1},
 }
 
 

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from feddrift import engine
 from feddrift.data import PartitionPlan, SyntheticConfig
 from feddrift.engine import (
     CSV_HEADER,
@@ -159,7 +162,7 @@ class TestDeterminism:
         cfg = small_cfg("feddc", alpha=0.005, n_clients=8, participation=0.25, rounds=3)
         run = FederatedRun(cfg)
         run.run_round()
-        before = {f: getattr(run.clients, f).copy() for f in run.clients.fields}
+        before = {f: run.clients.rows(f, range(8)) for f in run.clients.fields}
         run.run_round()
         from feddrift.federation import sample_active_set
         from feddrift.rng import stream
@@ -168,7 +171,7 @@ class TestDeterminism:
             8, 0.25, 1, stream(cfg.seed, "participation", round_index=1)
         )
         for f, old in before.items():
-            new = getattr(run.clients, f)
+            new = run.clients.rows(f, range(8))
             for i in range(8):
                 assert np.array_equal(new[i], old[i]) == (i not in active), (f, i)
 
@@ -225,10 +228,12 @@ class TestResume:
         cfg = small_cfg("scaffold", rounds=3, participation=0.6)
         run = FederatedRun(cfg)
         run.run_round()
-        rows = run.clients.scaffold_c
-        untrained = [i for i in range(len(rows)) if not rows[i].any()]
+        ids = range(5)
+        untrained = [i for i in ids if not run.clients.rows("scaffold_c", i).any()]
         assert len(untrained) == 2  # 3 of 5 clients trained
-        rows[untrained[0]] = -0.0  # zero by value but not by bits: must load
+        # zero by value but not by bits: must load
+        run.clients.write([untrained[0]], {"scaffold_c": -0.0})
+        rows = run.clients.rows("scaffold_c", ids)
         path = tmp_path / "ckpt.bin"
         checkpoint_save(path, run.server, run.clients)
         restored = checkpoint_restore(FederatedRun(cfg), path)
@@ -237,10 +242,11 @@ class TestResume:
         assert bits(server.scaffold_c, run.server.scaffold_c)
         assert server.round == run.server.round
         assert clients.fields == run.clients.fields == ("scaffold_c",)
-        assert clients.scaffold_c.tobytes() == rows.tobytes()
-        assert np.signbit(clients.scaffold_c[untrained[0]]).all()
-        assert not np.signbit(clients.scaffold_c[untrained[1]]).any()
-        assert clients.scaffold_c.any()
+        assert clients.rows("scaffold_c", ids).tobytes() == rows.tobytes()
+        assert np.signbit(clients.rows("scaffold_c", untrained[0])).all()
+        assert not np.signbit(clients.rows("scaffold_c", untrained[1])).any()
+        assert clients.rows("scaffold_c", ids).any()
+        assert clients.slot.tolist() == run.clients.slot.tolist()
         assert np.array_equal(clients.n_samples, run.clients.n_samples)
 
     @pytest.mark.parametrize(
@@ -261,13 +267,14 @@ class TestResume:
         n, p = run.dataset.n_clients, LOGISTIC.param_count
         assert run.clients.fields == fields
         vectors = [v for k, v in vars(run.clients).items()
-                   if isinstance(v, np.ndarray) and k != "n_samples"]
-        assert sum(v.nbytes for v in vectors) == len(fields) * n * p * 8
+                   if isinstance(v, np.ndarray) and k not in ("n_samples", "slot")]
+        assert sum(v.nbytes for v in vectors) == len(fields) * (n + 1) * p * 8
+        assert run.clients.used == n  # every client trained in round 1
         path = tmp_path / "ckpt.bin"
         checkpoint_save(path, run.server, run.clients)
         raw = path.read_bytes()
         (hlen,) = struct.unpack("<I", raw[8:12])
-        assert len(raw) == 12 + hlen + (4 + len(fields) * n) * p * 8
+        assert len(raw) == 12 + hlen + (4 + len(fields) * n) * p * 8 + n * 8
 
     def test_checkpoint_errors(self, tmp_path):
         cfg = small_cfg(rounds=1)
@@ -292,7 +299,8 @@ class TestResume:
         with pytest.raises(LengthError):
             checkpoint_restore(FederatedRun(cfg), trailing)
 
-        for version in (1, 99):  # v1 held four vectors per client, theta among them
+        # v1 held four vectors per client, theta among them; v2 every client's rows
+        for version in (1, 2, 99):
             bad_version = tmp_path / "version.bin"
             bad_version.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
             with pytest.raises(VersionError):
@@ -330,11 +338,75 @@ class TestResume:
         with pytest.raises(FormatError, match="checkpoint header"):
             checkpoint_restore(FederatedRun(cfg), rewrite_header(path.read_bytes(), path, **changes))
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        algorithm=st.sampled_from(["fedavg", "scaffold", "feddyn", "feddc"]),
+        rounds=st.integers(0, 3),
+        negative_zero_client=st.one_of(st.none(), st.integers(0, 4)),
+    )
+    @example(algorithm="feddc", rounds=0, negative_zero_client=None)  # no row written yet
+    def test_save_restore_at_any_round_is_bitwise(
+        self, tmp_path_factory, algorithm, rounds, negative_zero_client
+    ):
+        kw = {"alpha": 0.005} if algorithm in ("feddyn", "feddc") else {}
+        cfg = small_cfg(algorithm, rounds=3, participation=0.4, **kw)
+        run = FederatedRun(cfg)
+        for _ in range(rounds):
+            run.run_round()
+        if negative_zero_client is not None:  # zero by value but not by bits: must load
+            run.clients.write([negative_zero_client], {name: -0.0 for name in run.clients.fields})
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.bin"
+        checkpoint_save(path, run.server, run.clients)
+        restored = checkpoint_restore(FederatedRun(cfg), path)
+        assert restored.round == rounds
+        assert restored.clients.slot.tolist() == run.clients.slot.tolist()
+        assert restored.clients.used == run.clients.used
+        for name in engine.SERVER_VECTORS:
+            assert getattr(restored.server, name).tobytes() == getattr(run.server, name).tobytes()
+        for name in run.clients.fields:
+            assert getattr(restored.clients, name).tobytes() == getattr(run.clients, name).tobytes()
+            if negative_zero_client is not None:
+                got = restored.clients.rows(name, negative_zero_client)
+                assert np.signbit(got).all() and not got.any()
+
+    @pytest.mark.parametrize("corrupt", ["duplicate", "gap", "out-of-range", "negative",
+                                         "truncated"])
+    def test_bad_slot_map_raises_before_allocation(self, tmp_path, monkeypatch, corrupt):
+        cfg = small_cfg("scaffold", rounds=1, participation=0.6)
+        run = FederatedRun(cfg)
+        run.run_round()
+        path = tmp_path / "ckpt.bin"
+        checkpoint_save(path, run.server, run.clients)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        at = 12 + hlen + 4 * LOGISTIC.param_count * 8  # where the slot map starts
+        slot = run.clients.slot.copy()  # 3 of 5 clients trained: slots 0, 1 and 2
+        last, unwritten = int(np.argmax(slot == 2)), int(np.argmax(slot == 5))
+        if corrupt == "truncated":
+            path.write_bytes(raw[: at + 8 * 2 + 3])
+        else:
+            if corrupt == "duplicate":
+                slot[last] = 0
+            elif corrupt == "gap":
+                slot[last] = 3
+            else:
+                slot[unwritten] = 6 if corrupt == "out-of-range" else -1
+            path.write_bytes(raw[:at] + slot.astype("<i8").tobytes() + raw[at + slot.nbytes :])
+
+        def allocate(*args):
+            raise AssertionError("the client store was allocated")
+
+        target = FederatedRun(cfg)
+        monkeypatch.setattr(engine, "ClientStore", allocate)
+        error = LengthError if corrupt == "truncated" else FormatError
+        with pytest.raises(error, match="truncated" if corrupt == "truncated" else "slot map"):
+            checkpoint_restore(target, path)
+
     def test_restore_into_a_trained_run_resets_untrained_rows(self, tmp_path):
         cfg = small_cfg("scaffold", rounds=3, participation=0.6)
         first = FederatedRun(cfg)
         first.run_round()
-        untrained = [i for i, row in enumerate(first.clients.scaffold_c) if not row.any()]
+        untrained = [i for i in range(5) if not first.clients.rows("scaffold_c", i).any()]
         assert untrained  # some clients sat out round 1
         path = tmp_path / "ckpt.bin"
         checkpoint_save(path, first.server, first.clients)
@@ -342,11 +414,12 @@ class TestResume:
         busy = FederatedRun(cfg)
         busy.run_round()
         busy.run_round()
-        assert all(busy.clients.scaffold_c[i].any() for i in untrained)  # trained in round 2
+        assert all(busy.clients.rows("scaffold_c", i).any() for i in untrained)  # trained in round 2
         restored = checkpoint_restore(busy, path)
         assert restored.round == 1
-        assert restored.clients.scaffold_c.tobytes() == first.clients.scaffold_c.tobytes()
-        assert not restored.clients.scaffold_c[untrained].view(np.uint64).any()
+        got, want = (r.clients.rows("scaffold_c", range(5)) for r in (restored, first))
+        assert got.tobytes() == want.tobytes()
+        assert not restored.clients.rows("scaffold_c", untrained).view(np.uint64).any()
 
     def test_restore_drops_the_records_past_the_saved_round(self, tmp_path):
         cfg = small_cfg("scaffold", rounds=3, participation=0.6)
@@ -372,9 +445,9 @@ class TestResume:
         run.run_round()
 
         class FullDisk:
-            """A client field whose bytes cannot be written."""
+            """A client field whose rows cannot be written."""
 
-            def astype(self, *args, **kwargs):
+            def __getitem__(self, rows):
                 raise OSError("no space left on device")
 
         monkeypatch.setattr(run.clients, "last_delta", FullDisk())

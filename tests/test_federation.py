@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feddrift.errors import DimensionError, EmptyAggregateError, NumericError, ParameterError
 from feddrift.federation import (
@@ -60,8 +62,8 @@ def randomize_client(clients, i, seed):
     rng = stream(seed, "testing", client=i + 1)
     dim = SPEC.param_count
     theta = rng.standard_normal(dim)
-    clients.drift[i] = 0.1 * rng.standard_normal(dim)
-    clients.last_delta[i] = 0.05 * rng.standard_normal(dim)
+    clients.write([i], {"drift": 0.1 * rng.standard_normal(dim),
+                        "last_delta": 0.05 * rng.standard_normal(dim)})
     return theta
 
 
@@ -120,8 +122,8 @@ class TestLocalObjective:
 
     def test_param_correction_vanishes_at_anchor(self):
         cfg, server, clients = make_states("feddc", alpha=0.7)
-        clients.drift[0] = stream(3, "testing").standard_normal(SPEC.param_count)
-        theta = server.global_params - clients.drift[0]
+        clients.write([0], {"drift": stream(3, "testing").standard_normal(SPEC.param_count)})
+        theta = server.global_params - clients.rows("drift", 0)
         x, y = make_data(seed=3)
         with_pc = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC)
         cfg_no_pc = AlgoConfig(
@@ -175,7 +177,7 @@ class TestRunLocalRound:
         rng = stream(21, "batch-shuffle", client=0, round_index=0)
         up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
         # h starts at zero, so the literal subtraction form holds bitwise.
-        assert bits(up.drift_plus[0] - clients.drift[0], up.theta[0] - server.global_params)
+        assert bits(up.drift_plus[0] - clients.rows("drift", 0), up.theta[0] - server.global_params)
 
     def test_drift_bookkeeping_relation_any_round(self, bits):
         x, y = make_data(seed=22)
@@ -183,11 +185,11 @@ class TestRunLocalRound:
         for t in range(3):
             rng = stream(22, "batch-shuffle", client=0, round_index=t)
             up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
-            assert bits(up.drift_plus[0], clients.drift[0] + up.delta[0])
+            assert bits(up.drift_plus[0], clients.rows("drift", 0) + up.delta[0])
             assert bits(up.delta[0], up.theta[0] - server.global_params)
             apply_update(clients, up)
-            assert bits(clients.drift[0], up.drift_plus[0])
-            assert bits(clients.last_delta[0], up.delta[0])
+            assert bits(clients.rows("drift", 0), up.drift_plus[0])
+            assert bits(clients.rows("last_delta", 0), up.delta[0])
             server = server_aggregate(server, up, cfg)
 
     def test_fedavg_like_algorithms_leave_drift_untouched(self):
@@ -227,7 +229,7 @@ class TestRunLocalRound:
         up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
         k = int(up.k_steps[0])
         lr_t = round_lr(cfg, 0)
-        want = clients.scaffold_c[0] - server.scaffold_c - up.delta[0] / (k * lr_t)
+        want = clients.rows("scaffold_c", 0) - server.scaffold_c - up.delta[0] / (k * lr_t)
         assert bits(up.c_plus[0], want)
 
     def test_scaffold_identical_clients_agree_after_round_one(self, bits):
@@ -424,6 +426,53 @@ class TestRules:
         }
         # every field an algorithm keeps has a next value in a RoundUpdate
         assert {f for rule in RULES.values() for f in rule.fields} == set(NEXT_VALUE)
+
+
+class TestClientStore:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        algorithm=st.sampled_from(ALGORITHMS),
+        n_clients=st.integers(1, 7),
+        rounds=st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=7), max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rows_equal_a_dense_oracle(self, algorithm, n_clients, rounds, seed):
+        """Packed rows read back as a dense (n_clients, P) store would, bit for bit."""
+        rng = np.random.default_rng(seed)
+        p, everyone = 4, range(n_clients)
+        store = ClientStore([8] * n_clients, p, RULES[algorithm].fields)
+        dense = {name: np.zeros((n_clients, p)) for name in store.fields}
+        first_writes = []
+        for active in rounds:
+            ids = np.array(sorted({i % n_clients for i in active}))
+            first_writes += [int(i) for i in ids if i not in first_writes]
+
+            def block():
+                b = rng.standard_normal((len(ids), p))
+                b[rng.random(b.shape) < 0.3] = -0.0
+                return b
+
+            update = RoundUpdate(ids, np.full(len(ids), 8), np.ones(len(ids), dtype=np.int64),
+                                 block(), block(), block(), block())
+            apply_update(store, update)
+            for name in store.fields:
+                dense[name][ids] = getattr(update, NEXT_VALUE[name])
+                assert store.rows(name, everyone).tobytes() == dense[name].tobytes()
+                assert store.rows(name, ids[::-1]).tobytes() == dense[name][ids[::-1]].tobytes()
+        # Slots follow first writes; every other row, the last included, is zero bits.
+        assert store.used == len(first_writes)
+        assert store.slot[first_writes].tolist() == list(range(store.used))
+        assert (np.delete(store.slot, first_writes) == n_clients).all()
+        for name in store.fields:
+            assert getattr(store, name).shape == (n_clients + 1, p)
+            assert not getattr(store, name)[store.used :].view(np.uint64).any()
+
+    def test_an_unwritten_client_reads_as_positive_zeros(self):
+        store = ClientStore([8] * 3, 2, ("drift",))
+        store.write([2], {"drift": -0.0})
+        assert store.rows("drift", [0, 1]).view(np.uint64).tolist() == [[0, 0], [0, 0]]
+        assert np.signbit(store.rows("drift", 2)).all()
+        assert store.slot.tolist() == [3, 3, 0]
 
 
 class TestCommunication:

@@ -77,14 +77,14 @@ def _scenario(algorithm, code, model, sizes, batch_size, epochs, round_index,
         round=round_index,
     )
     store = ClientStore(sizes, p, RULES[algorithm].fields)
-    for name in store.fields:
-        getattr(store, name)[:] = 0.05 * rng.standard_normal((len(sizes), p))
+    store.write(range(len(sizes)),
+                {name: 0.05 * rng.standard_normal((len(sizes), p)) for name in store.fields})
     if zero_extra:
         # Client 0's gradient-correction or control term is exactly zero.
         if "scaffold_c" in store.fields:
-            store.scaffold_c[0] = server.scaffold_c
+            store.write([0], {"scaffold_c": server.scaffold_c})
         if "last_delta" in store.fields:
-            store.last_delta[0] = server.global_delta
+            store.write([0], {"last_delta": server.global_delta})
     data = []
     for n in sizes:
         x = rng.standard_normal((n, spec.input_dim))
@@ -226,7 +226,7 @@ def test_a_zero_row_of_extra_keeps_negative_zero_gradients():
     grad, theta = np.full((2, p), -0.0), np.zeros((2, p))
     federation._add_terms(grad, theta, *terms, np.empty((2, p)))
     assert np.signbit(grad[0]).all() and not grad[0].any()
-    assert _bits(grad[1]) == _bits(server.scaffold_c - store.scaffold_c[1])
+    assert _bits(grad[1]) == _bits(server.scaffold_c - store.rows("scaffold_c", 1))
 
 
 def test_lockstep_groups_by_size_in_id_order():

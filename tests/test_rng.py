@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from feddrift.errors import ParameterError
-from feddrift.rng import PURPOSES, stream, stream_id_for
+from feddrift.rng import PURPOSES, _stream_id, stream
 
 
 def test_same_identity_replays_identically():
@@ -56,17 +56,17 @@ def test_stream_id_packing_unique():
     for purpose in PURPOSES[:4]:
         for client in (0, 1, 1000):
             for rnd in (0, 1, 999):
-                seen.add(stream_id_for(purpose, client, rnd))
+                seen.add(_stream_id(purpose, client, rnd))
     assert len(seen) == 4 * 3 * 3
 
 
 def test_stream_id_validation():
     with pytest.raises(ParameterError):
-        stream_id_for("nope")
+        _stream_id("nope")
     with pytest.raises(ParameterError):
-        stream_id_for("global-init", client=-1)
+        _stream_id("global-init", client=-1)
     with pytest.raises(ParameterError):
-        stream_id_for("global-init", round_index=1 << 24)
+        _stream_id("global-init", round_index=1 << 24)
     with pytest.raises(ParameterError):
         stream(-1, "testing")
     with pytest.raises(ParameterError):
@@ -87,6 +87,6 @@ def test_numpy_integer_seed_keys_the_same_stream():
 
 def test_purpose_keying_matches_manual_id():
     a = stream(7, "batch-shuffle", client=3, round_index=11)
-    key = (7 << 64) | stream_id_for("batch-shuffle", 3, 11)
+    key = (7 << 64) | _stream_id("batch-shuffle", 3, 11)
     b = np.random.Generator(np.random.Philox(key=key))
     assert a.standard_normal(8).tobytes() == b.standard_normal(8).tobytes()

@@ -33,14 +33,14 @@ def _branch_terms(clients, ids, server, cfg, k_steps, lr_t):
     if algo == "fedprox" and cfg.mu != 0.0:
         pull, anchor = cfg.mu, np.broadcast_to(g, (len(ids), g.size))
     elif algo == "scaffold":
-        extra = server.scaffold_c - clients.scaffold_c[ids]
+        extra = server.scaffold_c - clients.rows("scaffold_c", ids)
     elif algo == "feddyn":
-        pull, anchor = cfg.alpha, g - clients.drift[ids]
+        pull, anchor = cfg.alpha, g - clients.rows("drift", ids)
     elif algo == "feddc":
         if "param_correction" in cfg.ablation and cfg.alpha != 0.0:
-            pull, anchor = cfg.alpha, g - clients.drift[ids]
+            pull, anchor = cfg.alpha, g - clients.rows("drift", ids)
         if "grad_correction" in cfg.ablation:
-            extra = (clients.last_delta[ids] - server.global_delta) / (k_steps * lr_t)
+            extra = (clients.rows("last_delta", ids) - server.global_delta) / (k_steps * lr_t)
     has_extra = None
     if extra is not None:
         on = extra.any(axis=1)
