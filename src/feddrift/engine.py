@@ -48,6 +48,7 @@ from .federation import (
     run_local_rounds,
     sample_active_set,
     server_aggregate,
+    slots_in_use,
 )
 from .federation import run_local_round  # noqa: F401  perfbench/tracing.py wraps it by name
 from .models import ModelSpec, init_params
@@ -357,7 +358,7 @@ def checkpoint_save(path, server: ServerState, clients: ClientStore) -> None:
                 fh.write(getattr(server, name).astype("<f8", copy=False))
             fh.write(clients.slot.astype("<i8", copy=False))
             for name in clients.fields:
-                fh.write(getattr(clients, name)[: clients.used].astype("<f8", copy=False))
+                fh.write(getattr(clients, name).astype("<f8", copy=False))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -372,12 +373,11 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
     The run must be built from the checkpoint's config: every header key
     but the round must equal the run's own, compared as JSON text (so
     `false` is not 0 and 155.0 is not 155); the saved slot map must be a
-    store's, each value n_clients (never written) or below the number
-    `used` of other values, with each used slot taken once; and the file
-    size must match the run's shapes and `used`. All three are checked
-    before anything else is read or allocated. Each field's saved rows
-    then land in one read at the front of a fresh store, so a client
-    that never trained costs no memory.
+    store's (`federation.slots_in_use`); and the file size must match the
+    run's shapes and the map's `used`. All three are checked before
+    anything else is read or allocated. Each field's saved rows then land
+    in one read in a fresh store that adopts the map and holds only those
+    rows.
     """
     ours = _header(run.server, run.clients)
     with open(path, "rb") as fh:
@@ -419,11 +419,7 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
         slot = np.empty(n, dtype="<i8")
         fh.seek(vectors_at + len(SERVER_VECTORS) * p * 8)
         _read_block(fh, slot, path)
-        taken = slot[slot != n]
-        used = taken.size
-        if not np.array_equal(np.sort(taken), np.arange(used)):
-            raise FormatError(f"{path}: checkpoint slot map is not a permutation of "
-                              f"[0, {used}) plus unwritten clients at {n}")
+        used = slots_in_use(slot, f"{path}: checkpoint")
         want = fh.tell() + used * len(ours["fields"]) * p * 8
         size = os.fstat(fh.fileno()).st_size
         if size != want:
@@ -433,10 +429,9 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
         for vec in vectors.values():
             _read_block(fh, vec, path)
         fh.seek(slot.nbytes, os.SEEK_CUR)
-        clients = ClientStore(run.clients.n_samples, p, run.clients.fields)
-        clients.slot[:], clients.used = slot, used
+        clients = ClientStore(run.clients.n_samples, p, run.clients.fields, slot)
         for name in clients.fields:
-            _read_block(fh, getattr(clients, name)[:used], path)
+            _read_block(fh, getattr(clients, name), path)
     run.server = replace(run.server, **vectors, round=t)
     run.clients = clients
     run.records = [r for r in run.records if r.round <= t]

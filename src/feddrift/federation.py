@@ -15,6 +15,7 @@ import ctypes
 import functools
 import glob
 import math
+import mmap
 import os
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -25,6 +26,7 @@ from . import models
 from .errors import (
     DimensionError,
     EmptyAggregateError,
+    FormatError,
     ParameterError,
     PartitionError,
     WeightError,
@@ -40,6 +42,7 @@ __all__ = [
     "NEXT_VALUE",
     "AlgoConfig",
     "ClientStore",
+    "slots_in_use",
     "ServerState",
     "RoundUpdate",
     "lockstep_groups",
@@ -194,40 +197,71 @@ class AlgoConfig:
 NEXT_VALUE = {"drift": "drift_plus", "last_delta": "delta", "scaffold_c": "c_plus"}
 
 
+def slots_in_use(slot, where: str) -> int:
+    """The rows a (n_clients,) slot map uses; FormatError unless it is a store's.
+
+    Each value is n_clients (a client never written) or below the count
+    `used` of other values, and each of those slots is taken once.
+    """
+    n = slot.size
+    taken = slot[slot != n]
+    if not np.array_equal(np.sort(taken), np.arange(taken.size)):
+        raise FormatError(f"{where}: slot map is not a permutation of "
+                          f"[0, {taken.size}) plus unwritten clients at {n}")
+    return taken.size
+
+
 class ClientStore:
     """Persistent state of every client, packed in first-write order.
 
-    Holds `n_samples`, a (n_clients,) `slot` map and one
-    (n_clients + 1, P) float64 array per field the algorithm reads (its
-    RULES fields). Rows [0, used) hold the written clients in the order
-    they were first written; a client never written has slot n_clients,
-    a row that is never written and so reads as zeros. The arrays start
-    as `np.zeros`, whose pages stay unallocated until a row is written,
-    and packing keeps the written rows together on as few pages as they
-    fill. Read rows with :meth:`rows` and write them with :meth:`write`;
-    inactive clients keep their rows stale.
+    Holds `n_samples`, a (n_clients,) `slot` map, the count `used` of
+    written clients and one (used, P) float64 array per field the
+    algorithm reads (its RULES fields); row slot[i] is client i's. A
+    client never written has slot n_clients and reads as +0.0. Each
+    field is a view of the front of its own (n_clients, P) private
+    anonymous mapping, advised for huge pages, whose pages cost memory
+    only once written. A write of new clients views more of it, so rows
+    never move and each array holds exactly the written rows. Inactive
+    clients keep their rows stale. A store built with `slot` adopts that
+    saved map, with zeroed rows.
     """
 
-    def __init__(self, n_samples, param_count: int, fields=()):
+    def __init__(self, n_samples, param_count: int, fields=(), slot=None):
         unknown = set(fields) - set(NEXT_VALUE)
         if unknown:
             raise ParameterError(f"unknown client fields {sorted(unknown)}")
         self.fields = tuple(fields)
         self.n_samples = np.array(n_samples, dtype=np.int64)
+        self.param_count = param_count
         n = self.n_samples.size
-        self.slot = np.full(n, n, dtype=np.int64)
-        self.used = 0
+        self.slot = np.full(n, n, dtype=np.int64) if slot is None else np.array(slot, dtype=np.int64)
+        self._maps = {}
         for name in self.fields:
-            setattr(self, name, np.zeros((n + 1, param_count)))
+            buf = mmap.mmap(-1, n * param_count * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            buf.madvise(mmap.MADV_HUGEPAGE)
+            self._maps[name] = buf
+        self._view(slots_in_use(self.slot, "ClientStore"))
+
+    def _view(self, used: int) -> None:
+        self.used = used
+        for name, buf in self._maps.items():
+            rows = np.frombuffer(buf, count=used * self.param_count)
+            setattr(self, name, rows.reshape(used, self.param_count))
 
     def rows(self, name: str, ids) -> np.ndarray:
         """A copy of field `name`'s rows of clients `ids`, in the order of `ids`."""
-        return getattr(self, name)[self.slot[ids]]
+        arr, s = getattr(self, name), self.slot[ids]
+        written = s < self.used
+        if written.all():
+            return arr[s]
+        out = np.zeros(np.shape(s) + arr.shape[1:])
+        out[written] = arr[s[written]]
+        return out
 
     def write(self, ids, blocks: dict) -> None:
         """Set the rows of clients `ids` to `blocks`, a field name -> (len(ids), P) map.
 
-        Clients written for the first time take the next free slots, in
+        Clients written for the first time take the next slots, in
         ascending id order; then each field is one indexed assignment.
         """
         # A mask rather than np.unique, whose first call in a process adds
@@ -237,8 +271,9 @@ class ClientStore:
         fresh[ids] = True
         fresh &= self.slot == n
         new = np.flatnonzero(fresh)
-        self.slot[new] = np.arange(self.used, self.used + new.size)
-        self.used += new.size
+        if new.size:
+            self.slot[new] = np.arange(self.used, self.used + new.size)
+            self._view(self.used + new.size)
         slots = self.slot[ids]
         for name, block in blocks.items():
             getattr(self, name)[slots] = block

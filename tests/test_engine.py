@@ -268,7 +268,7 @@ class TestResume:
         assert run.clients.fields == fields
         vectors = [v for k, v in vars(run.clients).items()
                    if isinstance(v, np.ndarray) and k not in ("n_samples", "slot")]
-        assert sum(v.nbytes for v in vectors) == len(fields) * (n + 1) * p * 8
+        assert sum(v.nbytes for v in vectors) == len(fields) * n * p * 8
         assert run.clients.used == n  # every client trained in round 1
         path = tmp_path / "ckpt.bin"
         checkpoint_save(path, run.server, run.clients)
@@ -445,9 +445,9 @@ class TestResume:
         run.run_round()
 
         class FullDisk:
-            """A client field whose rows cannot be written."""
+            """A client field whose bytes cannot be written."""
 
-            def __getitem__(self, rows):
+            def astype(self, *args, **kwargs):
                 raise OSError("no space left on device")
 
         monkeypatch.setattr(run.clients, "last_delta", FullDisk())

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feddrift.errors import DimensionError, EmptyAggregateError, NumericError, ParameterError
+from feddrift.errors import (
+    DimensionError,
+    EmptyAggregateError,
+    FormatError,
+    NumericError,
+    ParameterError,
+)
 from feddrift.federation import (
     ALGORITHMS,
     NEXT_VALUE,
@@ -459,13 +465,12 @@ class TestClientStore:
                 dense[name][ids] = getattr(update, NEXT_VALUE[name])
                 assert store.rows(name, everyone).tobytes() == dense[name].tobytes()
                 assert store.rows(name, ids[::-1]).tobytes() == dense[name][ids[::-1]].tobytes()
-        # Slots follow first writes; every other row, the last included, is zero bits.
+        # Slots follow first writes, and each field holds only the written rows.
         assert store.used == len(first_writes)
         assert store.slot[first_writes].tolist() == list(range(store.used))
         assert (np.delete(store.slot, first_writes) == n_clients).all()
         for name in store.fields:
-            assert getattr(store, name).shape == (n_clients + 1, p)
-            assert not getattr(store, name)[store.used :].view(np.uint64).any()
+            assert getattr(store, name).shape == (store.used, p)
 
     def test_an_unwritten_client_reads_as_positive_zeros(self):
         store = ClientStore([8] * 3, 2, ("drift",))
@@ -473,6 +478,30 @@ class TestClientStore:
         assert store.rows("drift", [0, 1]).view(np.uint64).tolist() == [[0, 0], [0, 0]]
         assert np.signbit(store.rows("drift", 2)).all()
         assert store.slot.tolist() == [3, 3, 0]
+
+    def test_rows_never_move_as_the_store_grows(self):
+        store = ClientStore([8] * 3, 2, ("drift",))
+        store.write([1], {"drift": 1.0})
+        held = store.drift
+        store.write([0, 2], {"drift": 2.0})  # two new clients: every field views more rows
+        store.write([1], {"drift": 3.0})
+        assert held.tolist() == [[3.0, 3.0]]  # an earlier view still sees client 1's row
+        assert store.drift.shape == (3, 2) and store.slot.tolist() == [1, 0, 2]
+
+    @pytest.mark.parametrize(
+        "slot",
+        [[0, 0, 3], [0, 2, 3], [0, 4, 3], [-1, 0, 3], [1, 3, 3]],
+        ids=["duplicate", "gap", "out-of-range", "negative", "no-slot-0"],
+    )
+    def test_a_bad_slot_map_is_refused(self, slot):
+        with pytest.raises(FormatError, match="slot map"):
+            ClientStore([8] * 3, 2, ("drift",), np.array(slot))
+
+    def test_an_adopted_slot_map_allocates_its_rows(self):
+        store = ClientStore([8] * 3, 2, ("drift", "last_delta"), np.array([1, 3, 0]))
+        assert store.used == 2
+        assert store.drift.shape == store.last_delta.shape == (2, 2)
+        assert store.rows("drift", [0, 1, 2]).tolist() == [[0.0, 0.0]] * 3
 
 
 class TestCommunication:
