@@ -542,8 +542,6 @@ def cmd_gradcheck(args) -> int:
     y = (rng.random(args.batch) * spec.num_classes).astype(int)
 
     _, grad = loss_and_grad(spec, params, x, y)
-    if args.corrupt_gradient:
-        grad = grad + 1e-3
     oracle = finite_diff_grad(
         lambda v: mean_loss(spec, v, x, y), params, 1e-5
     )
@@ -559,8 +557,6 @@ def cmd_gradcheck(args) -> int:
     clients.write([0], {"drift": 0.1 * rng.standard_normal((1, dim)),
                         "last_delta": 0.02 * rng.standard_normal((1, dim))})
     obj_grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, spec)
-    if args.corrupt_gradient:
-        obj_grad = obj_grad + 1e-3
     obj_oracle = finite_diff_grad(
         lambda v: feddc_local_objective(v, clients, 0, server, cfg, x, y, spec),
         theta,
@@ -651,7 +647,6 @@ def _build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--weight-decay", type=float, default=1e-3)
     grad.add_argument("--batch", type=int, default=4)
     grad.add_argument("--seed", type=int, default=0)
-    grad.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
     grad.set_defaults(func=cmd_gradcheck)
 
     fetch = sub.add_parser("fetch-mnist", help="download the IDX files to a directory")

@@ -39,6 +39,8 @@ __all__ = [
 # Named non-IID settings: moderate and strong label skew.
 DIRICHLET_NAMED = {"d1": 0.6, "d2": 0.3}
 
+TEST_FRACTION = 0.2  # synthetic test samples per train sample of each client
+
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
@@ -114,7 +116,6 @@ class SyntheticConfig:
     input_dim: int = 30
     num_classes: int = 5
     seed: int = 0
-    test_fraction: float = 0.2
 
     def __post_init__(self):
         for name, lo in (("n_clients", 1), ("samples_per_client_mean", 1),
@@ -129,10 +130,6 @@ class SyntheticConfig:
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
                 raise ParameterError(f"expected {name} >= 0, got {v!r}", name)
-        if not (0 < self.test_fraction <= 1):
-            raise ParameterError(
-                f"expected test_fraction in (0, 1], got {self.test_fraction!r}", "test_fraction"
-            )
 
 
 def _client_label_model(cfg: SyntheticConfig, client: int):
@@ -162,12 +159,12 @@ def generate_synthetic(cfg: SyntheticConfig) -> FederatedDataset:
     """Deterministic per-seed dataset with per-client index ranges.
 
     Every client contributes `samples_per_client_mean` train samples and
-    a `test_fraction` share of extra samples drawn from its own law and
+    a TEST_FRACTION share of extra samples drawn from its own law and
     pooled into one global test set.
     """
     d = cfg.input_dim
     n_per = cfg.samples_per_client_mean
-    n_test_per = max(1, round(cfg.test_fraction * n_per))
+    n_test_per = max(1, round(TEST_FRACTION * n_per))
 
     train_x, train_y, test_x, test_y, parts = [], [], [], [], []
     offset = 0

@@ -45,6 +45,7 @@ from .federation import (
     ServerState,
     apply_update,
     gradient_variance_diagnostic,
+    one_blas_thread,
     run_local_rounds,
     sample_active_set,
     server_aggregate,
@@ -207,6 +208,8 @@ class FederatedRun:
     def round(self) -> int:
         return self.server.round
 
+    # The records hash every step of the round: all run on one BLAS thread.
+    @one_blas_thread()
     def run_round(self) -> RoundRecord:
         cfg = self.cfg
         t = self.server.round

@@ -10,6 +10,7 @@ what it keeps, moves, adds to its gradient and lets the server average.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import contextvars
 import ctypes
 import functools
@@ -58,6 +59,7 @@ __all__ = [
     "apply_update",
     "sample_active_set",
     "gradient_variance_diagnostic",
+    "one_blas_thread",
 ]
 
 
@@ -546,34 +548,47 @@ def _chunk_round(clients: ClientStore, server: ServerState, cfg: AlgoConfig, spe
     return train
 
 
-def _blas_threads():
-    """Threads numpy's bundled OpenBLAS runs a call on, or None if it cannot be asked."""
+@functools.cache
+def _openblas():
+    """(get, set) of numpy's bundled OpenBLAS thread count, or None if this numpy has none."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for lib in glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
         try:
-            fn = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+            handle = ctypes.CDLL(lib)
+            get = handle.scipy_openblas_get_num_threads64_
+            put = handle.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        fn.argtypes, fn.restype = [], ctypes.c_int
-        return fn()
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
     return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the caller's count, also on error.
+
+    More threads split a product differently and change its bits. The
+    count is process-wide: other threads' BLAS calls meanwhile run on
+    one thread too. Yields whether the count was set: not without the
+    setter (a numpy with no bundled OpenBLAS).
+    """
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
 
 
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
-
-
-def _workers(n_chunks: int) -> int:
-    """Threads to train a round's `n_chunks` one-client chunks on, or 0 for the serial loop.
-
-    One thread per usable CPU and at most one per chunk, but only while
-    numpy's OpenBLAS runs each call on one thread: BLAS calls that
-    already spread over the cores only slow down when several run at
-    once.
-    """
-    if n_chunks < 2 or _blas_threads() != 1:
-        return 0
-    return min(_usable_cpus(), n_chunks)
 
 
 def _train_concurrently(setup, chunks, workers: int) -> None:
@@ -611,17 +626,16 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
     K = :func:`steps_per_round` steps.
 
     client_data(i) gives client i's (inputs (n, input_dim), labels (n,),
-    shuffle stream). Clients of equal stored sample count train in
-    lockstep as one stacked block, in chunks of at most
-    max(1, BUDGET // P) clients (see :func:`lockstep_groups`), and
-    client_data is called chunk by chunk, in chunk order. When the cap is
-    one client, chunks may train concurrently (see :func:`_workers`). Each row
-    is bitwise the one its client would get training alone. theta
-    starts at the round-start global parameters. Round-start snapshots
-    (global parameters, the clients' stored rows, previous deltas) stay
-    frozen for all K steps. The drift accumulator advances once per
-    round by exactly the round's parameter update. The store is only
-    read; :func:`apply_update` writes results.
+    shuffle stream). Clients of equal stored sample count train in lockstep
+    as one stacked block, in chunks of at most max(1, BUDGET // P) clients
+    (see :func:`lockstep_groups`), and client_data is called chunk by chunk,
+    in chunk order. One-client chunks train concurrently when
+    :func:`one_blas_thread` pins BLAS. Each row is bitwise the one its
+    client would get training alone. theta starts at the round-start global
+    parameters. Round-start snapshots (global parameters, the clients'
+    stored rows, previous deltas) stay frozen for all K steps. The drift
+    accumulator advances once per round by exactly the round's parameter
+    update. The store is only read; :func:`apply_update` writes results.
     """
     ids = sorted(int(i) for i in ids)
     if not ids:
@@ -639,13 +653,14 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
     cap = max(1, BUDGET // shape[1])
     chunks = lockstep_groups(ids, clients.n_samples, cap)
     setup = functools.partial(_chunk_round, clients, server, cfg, spec, out, client_data)
-    # Models too large to stack train one client per chunk, several chunks at once.
-    workers = _workers(len(chunks)) if cap == 1 else 0
-    if workers:
-        _train_concurrently(setup, chunks, workers)
-    else:
-        for chunk in chunks:
-            setup(chunk)()
+    with one_blas_thread() as pinned:
+        # Models too large to stack train one client per chunk, several at
+        # once: one thread per usable CPU, each BLAS call on one thread.
+        if pinned and cap == 1 and len(chunks) > 1:
+            _train_concurrently(setup, chunks, min(_usable_cpus(), len(chunks)))
+        else:
+            for chunk in chunks:
+                setup(chunk)()
     return out
 
 

@@ -5,12 +5,15 @@ import shutil
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import damage_gzip
 from feddrift import cli
 from feddrift.cli import build_experiment, main
 from feddrift.engine import CSV_HEADER
 from feddrift.errors import ConfigError
+from feddrift.federation import ALGORITHMS
 from feddrift.models import ModelSpec
 from feddrift.presets import PRESETS, merge_under
 
@@ -372,6 +375,81 @@ def test_any_json_value_at_any_key_is_read_or_a_config_error(read, doc, path, sc
     assert not failures
 
 
+# Any JSON value: null, booleans, integers of any size, finite numbers,
+# strings, and arrays and objects of these.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# Values a key's schema accepts, so that many documents resolve.
+NAMED = {
+    "preset": sorted(PRESETS),
+    "name": list(ALGORITHMS),
+    "mode": ["iid", "dirichlet", "d1", "d2"],
+    "balance": ["equal", "lognormal"],
+    "aggregation_weighting": ["uniform", "by_samples"],
+    "ablation": ["le", "lelg", "lelp", "lelglp"],
+    "data_dir": ["/nonexistent"],
+    "out_dir": ["out"],
+}
+
+
+def _typed_values(key, kind):
+    if key in NAMED:
+        return st.sampled_from(NAMED[key])
+    if kind is int or kind == int | None:
+        return st.integers(-2, 300)
+    if kind is float or kind == float | None:
+        return st.floats(-1, 2, allow_nan=False) | st.integers(-2, 300)
+    if kind == list[int]:
+        return st.lists(st.integers(-2, 300), max_size=3)
+    if kind == list[float]:
+        return st.lists(st.floats(0, 1), max_size=3)
+    if kind is str:
+        return st.text(max_size=6)
+    return ANY_JSON
+
+
+def _section(schema, sections=None, required=()):
+    """Objects over `schema`'s keys, each key absent unless `required`, and a value
+    its type takes or, one time in eight, any JSON value; a key in `sections`
+    holds that section's objects."""
+    sections = sections or {}
+    values = {
+        key: st.sampled_from([sections.get(key, _typed_values(key, kind))] * 7 + [ANY_JSON])
+        .flatmap(lambda chosen: chosen)
+        for key, kind in schema.items()
+    }
+    return st.fixed_dictionaries(
+        {k: v for k, v in values.items() if k in required},
+        optional={k: v for k, v in values.items() if k not in required},
+    )
+
+
+CONFIG_DOCS = _section(cli._TOP, {
+    "algorithm": _section(cli._ALGORITHM, required=("name",)),
+    "dataset": _section(cli._DATASET["synthetic"], {"kind": st.just("synthetic")}, ("kind",))
+    | _section(cli._DATASET["mnist"], {"kind": st.just("mnist"),
+                                       "partition": _section(cli._PARTITION)}, ("kind",)),
+    "model": _section(cli._MODEL, {"kind": st.sampled_from(["logistic", "mlp"])}),
+}, required=("algorithm", "dataset"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIG_DOCS)
+def test_any_config_document_resolves_or_names_its_key(doc):
+    """Resolving builds no dataset, so any document is cheap to try."""
+    try:
+        build_experiment(copy.deepcopy(doc))
+    except ConfigError as exc:
+        head = exc.field.split(".")[0].split("[")[0]
+        assert head in (*cli._TOP, "<run>", "<root>"), exc.field
+        assert str(exc).startswith(f"{exc.field}: ")
+
+
 class TestDefaults:
     def test_feddc_alpha_defaults_synthetic(self):
         exp, resolved = build_experiment(
@@ -668,9 +746,28 @@ class TestGradCheck:
         assert main(["gradcheck", *flags]) == 2
         assert message in capsys.readouterr().err
 
-    def test_corrupted_gradient_fails(self, capsys):
-        code = main(
-            ["gradcheck", "--model", "logistic", "--batch", "3", "--corrupt-gradient"]
-        )
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_corrupted_gradient_fails(self, monkeypatch, capsys):
+        """Each check fails on its own: 1e-3 added to one gradient fails that check alone."""
+        exact_loss_and_grad = cli.loss_and_grad
+        exact_objective_grad = cli.feddc_local_objective_grad
+
+        def loss_and_grad(*args):
+            loss, grad = exact_loss_and_grad(*args)
+            return loss, grad + 1e-3
+
+        def objective_grad(*args):
+            return exact_objective_grad(*args) + 1e-3
+
+        checks = {"model loss gradient": ("loss_and_grad", loss_and_grad),
+                  "drift objective gradient": ("feddc_local_objective_grad", objective_grad)}
+        for failing, (name, corrupted) in checks.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, name, corrupted)
+                assert main(["gradcheck", "--model", "logistic", "--batch", "3"]) == 1
+            out = capsys.readouterr().out
+            errors = {line.split(" max rel err")[0].strip(): float(line.split(": ")[1])
+                      for line in out.splitlines() if "max rel err" in line}
+            assert set(errors) == set(checks)
+            for check, err in errors.items():
+                assert (err > cli.GRADCHECK_TOLERANCE) == (check == failing), (check, err)
+            assert "gradcheck FAIL" in out

@@ -23,6 +23,12 @@ Haswell, and Zen, which runs the Haswell kernels); kernels without FMA
 round differently. A mismatch names the kernel and the numpy version
 that ran.
 
+The thread case runs a short MLP whose first layer is the
+(50, 784) @ (784, 200) product, which OpenBLAS rounds differently on
+two threads than on one: the run sets one thread itself, so it writes
+the same records.csv whatever count the caller set, and restores that
+count, also after a round that fails.
+
 To regenerate after an intended change of results:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -39,16 +45,21 @@ import os
 import numpy as np
 import pytest
 
-from feddrift import cli
+from feddrift import cli, federation
+from feddrift.data import FederatedDataset, SyntheticConfig
 from feddrift.engine import (
+    ExperimentConfig,
     build_dataset,
     dataset_label,
     run_experiment,
     write_records_csv,
     write_summary_json,
 )
-from feddrift.federation import ALGORITHMS
+from feddrift.errors import RunError
+from feddrift.federation import ALGORITHMS, AlgoConfig
+from feddrift.models import ModelSpec
 from feddrift.presets import PRESETS
+from feddrift.rng import stream
 
 SETTINGS = ("synthetic-00", "synthetic-10", "synthetic-01")
 PARTICIPATIONS = (1.0, 0.5)
@@ -239,6 +250,43 @@ def test_config_json_matches_golden_digests(preset, algorithm, tmp_path):
 
 def test_sweep_tables_match_golden_digests(tmp_path):
     assert _sweep_digests(tmp_path) == SWEEP_GOLDEN, _mismatch()
+
+
+def _mnist_shaped_run(lr, out_dir):
+    """Three rounds of a 784-200-10 MLP over four in-memory clients of 100 samples, batch 50."""
+    rng = stream(0, "testing")
+    x, y = rng.random((400, 784)), rng.integers(0, 10, 400)
+    ds = FederatedDataset(x, y, rng.random((100, 784)), rng.integers(0, 10, 100),
+                          tuple(np.arange(i, i + 100) for i in range(0, 400, 100)), 10)
+    cfg = ExperimentConfig(
+        dataset=SyntheticConfig(input_dim=784, num_classes=10),  # unread: the data is given
+        model=ModelSpec("mlp", 784, 10, hidden_dims=(200,), weight_decay=1e-3),
+        algo=AlgoConfig("feddc", alpha=0.1, lr=lr, local_epochs=1, batch_size=50),
+        rounds=3,
+    )
+    records, _ = run_experiment(cfg, dataset=ds)
+    path = os.path.join(out_dir, "records.csv")
+    write_records_csv(path, records, "feddc", ds.label, cfg.seed)
+    return _digest_without_wall_ms(path)
+
+
+def test_mlp_records_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    if federation._openblas() is None:
+        pytest.skip("this numpy bundles no OpenBLAS thread setter, so the caller's count holds")
+    get, put = federation._openblas()
+    before = get()
+    try:
+        digests = []
+        for threads in (1, 2):
+            put(threads)
+            digests.append(_mnist_shaped_run(0.05, tmp_path))
+            assert get() == threads
+        assert digests[0] == digests[1]
+        with pytest.raises(RunError, match="round 1: "):
+            _mnist_shaped_run(1e308, tmp_path)
+        assert get() == 2
+    finally:
+        put(before)
 
 
 if __name__ == "__main__":

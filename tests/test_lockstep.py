@@ -257,10 +257,21 @@ def test_group_shapes_are_checked():
         run(x, y, ids=[])
 
 
+def _blas():
+    """numpy's OpenBLAS (get, set) thread-count pair; skips the test if this numpy has none."""
+    if federation._openblas() is None:
+        pytest.skip("this numpy bundles no OpenBLAS thread setter, so rounds keep the serial loop")
+    return federation._openblas()
+
+
 @contextlib.contextmanager
-def one_client_chunks(spec, workers, blas_threads=1):
-    """Chunks of one client, `workers` usable CPUs and a BLAS that reports
-    `blas_threads`; yields the list of threads that each chunk trained on."""
+def one_client_chunks(spec, workers, pool=True):
+    """Chunks of one client and `workers` usable CPUs, trained on the pool,
+    or with `pool` false on the serial loop that a numpy without the
+    thread setter keeps; yields the list of threads that each chunk
+    trained on. The serial loop is pinned to one BLAS thread here, as
+    the round pins the pool."""
+    _blas()
     trained_on = []
     sgd_of = federation._local_sgd
 
@@ -273,8 +284,11 @@ def one_client_chunks(spec, workers, blas_threads=1):
 
         return call
 
-    with mock.patch.object(federation, "BUDGET", spec.param_count), \
-            mock.patch.object(federation, "_blas_threads", lambda: blas_threads), \
+    lookup = federation._openblas if pool else lambda: None
+    pin = contextlib.nullcontext() if pool else federation.one_blas_thread()
+    with pin, \
+            mock.patch.object(federation, "BUDGET", spec.param_count), \
+            mock.patch.object(federation, "_openblas", lookup), \
             mock.patch.object(federation, "_usable_cpus", lambda: workers), \
             mock.patch.object(federation, "_local_sgd", recording_sgd):
         yield trained_on
@@ -283,7 +297,7 @@ def one_client_chunks(spec, workers, blas_threads=1):
 THREADED_SIZES = [5, 7, 12, 5, 1, 7, 12]  # unequal, and more clients than threads
 
 
-def _threaded_round(algorithm, code, model, workers, blas_threads=1):
+def _threaded_round(algorithm, code, model, workers, pool=True):
     cfg, spec, server, store, data = _scenario(
         algorithm, code, model, THREADED_SIZES, 3, 2, 2, True, 11
     )
@@ -291,7 +305,7 @@ def _threaded_round(algorithm, code, model, workers, blas_threads=1):
     def client_data(i):
         return (*data[i], stream(11, "batch-shuffle", client=i, round_index=2))
 
-    with one_client_chunks(spec, workers, blas_threads) as trained_on:
+    with one_client_chunks(spec, workers, pool) as trained_on:
         update = run_local_rounds(store, range(len(THREADED_SIZES)), server, cfg,
                                   client_data, spec)
     return update, trained_on
@@ -302,7 +316,7 @@ def _threaded_round(algorithm, code, model, workers, blas_threads=1):
 @pytest.mark.parametrize("algorithm,code", [(a, "lelglp") for a in ALGORITHMS]
                          + [("feddc", c) for c in ABLATION_CODES[:-1]])
 def test_threaded_chunks_equal_the_serial_loop(algorithm, code, model, workers):
-    serial, on_serial = _threaded_round(algorithm, code, model, workers, blas_threads=2)
+    serial, on_serial = _threaded_round(algorithm, code, model, workers, pool=False)
     threaded, on_threads = _threaded_round(algorithm, code, model, workers)
     main = threading.get_ident()
     assert set(on_serial) == {main}
@@ -325,7 +339,7 @@ def test_threaded_chunks_under_rapid_thread_switches():
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        with one_client_chunks(spec, workers, blas_threads=2):
+        with one_client_chunks(spec, workers, pool=False):
             serial = run_local_rounds(store, range(16), server, cfg, client_data, spec)
         with one_client_chunks(spec, workers):
             threaded = run_local_rounds(store, range(16), server, cfg, client_data, spec)
@@ -335,24 +349,52 @@ def test_threaded_chunks_under_rapid_thread_switches():
         assert _bits(getattr(threaded, f.name)) == _bits(getattr(serial, f.name)), f.name
 
 
-def test_a_blas_on_more_threads_keeps_the_serial_loop():
-    with mock.patch("concurrent.futures.ThreadPoolExecutor", None):
-        _, trained_on = _threaded_round("feddc", "lelglp", "mlp", 2, blas_threads=2)
-    assert set(trained_on) == {threading.get_ident()}
+def test_a_blas_on_more_threads_trains_on_the_pool_on_one_thread():
+    """The round sets one BLAS thread itself and restores the caller's count."""
+    get, put = _blas()
+    counts = []
+    sgd_of = federation._local_sgd
+
+    def counting_sgd(*args):
+        sgd = sgd_of(*args)
+
+        def call():
+            counts.append(get())
+            sgd()
+
+        return call
+
+    before = get()
+    try:
+        put(2)
+        with mock.patch.object(federation, "_local_sgd", counting_sgd):
+            _, trained_on = _threaded_round("feddc", "lelglp", "mlp", 2)
+        assert get() == 2
+    finally:
+        put(before)
+    assert counts == [1] * len(THREADED_SIZES)
+    assert threading.get_ident() not in trained_on
 
 
 def test_an_unanswered_blas_query_keeps_the_serial_loop():
+    """A numpy without the thread setter trains one chunk after another."""
     with mock.patch("concurrent.futures.ThreadPoolExecutor", None):
-        _, trained_on = _threaded_round("fedavg", "lelglp", "mlp", 2, blas_threads=None)
+        _, trained_on = _threaded_round("fedavg", "lelglp", "mlp", 2, pool=False)
     assert set(trained_on) == {threading.get_ident()}
 
 
 def test_the_blas_thread_query_answers():
-    """The query that gates the threads reaches numpy's bundled OpenBLAS."""
+    """The one lookup reaches numpy's bundled OpenBLAS, once, and the pin restores its count."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     if not glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
         pytest.skip("this numpy bundles no OpenBLAS, so rounds keep the serial loop")
-    assert federation._blas_threads() >= 1
+    get, _ = federation._openblas()
+    assert federation._openblas() is federation._openblas()
+    before = get()
+    assert before >= 1
+    with federation.one_blas_thread() as pinned:
+        assert pinned and get() == 1
+    assert get() == before
 
 
 # (client -> (seconds, error) of its training call, client whose data is
