@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    FormatError,
-    LengthError,
-    ParameterError,
-    PartitionError,
-)
+from .errors import DimensionError, FormatError, ParameterError
 from .rng import _MAX_CLIENT, stream
 
 __all__ = [
@@ -74,14 +68,14 @@ class FederatedDataset:
         seen = np.zeros(n, dtype=bool)
         for i, p in enumerate(parts):
             if p.size == 0:
-                raise PartitionError(f"client {i} has an empty partition")
+                raise ParameterError(f"client {i} has an empty partition")
             if p.min() < 0 or p.max() >= n:
-                raise PartitionError(f"client {i} holds out-of-range indices")
+                raise ParameterError(f"client {i} holds out-of-range indices")
             if seen[p].any():
-                raise PartitionError(f"client {i} overlaps another partition")
+                raise ParameterError(f"client {i} overlaps another partition")
             seen[p] = True
         if not seen.all():
-            raise PartitionError(f"sample {int(np.argmin(seen))} is in no partition")
+            raise ParameterError(f"sample {int(np.argmin(seen))} is in no partition")
 
     @property
     def n_clients(self) -> int:
@@ -212,29 +206,29 @@ def load_mnist_idx(images_path, labels_path):
     """
     img = _read_maybe_gzip(images_path)
     if len(img) < 16:
-        raise LengthError(f"{images_path}: too short for an IDX image header")
+        raise FormatError(f"{images_path}: too short for an IDX image header")
     magic, n, rows, cols = struct.unpack(">IIII", img[:16])
     if magic != _IDX_IMAGES_MAGIC:
         raise FormatError(
             f"{images_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}"
         )
     if len(img) != 16 + n * rows * cols:
-        raise LengthError(
+        raise FormatError(
             f"{images_path}: declares {n} images of {rows}x{cols} "
             f"({16 + n * rows * cols} bytes) but holds {len(img)}"
         )
     lab = _read_maybe_gzip(labels_path)
     if len(lab) < 8:
-        raise LengthError(f"{labels_path}: too short for an IDX label header")
+        raise FormatError(f"{labels_path}: too short for an IDX label header")
     lmagic, ln = struct.unpack(">II", lab[:8])
     if lmagic != _IDX_LABELS_MAGIC:
         raise FormatError(
             f"{labels_path}: bad magic 0x{lmagic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}"
         )
     if len(lab) != 8 + ln:
-        raise LengthError(f"{labels_path}: declares {ln} labels but holds {len(lab) - 8}")
+        raise FormatError(f"{labels_path}: declares {ln} labels but holds {len(lab) - 8}")
     if ln != n:
-        raise ConsistencyError(f"{n} images but {ln} labels")
+        raise FormatError(f"{n} images but {ln} labels")
     pixels = np.frombuffer(img, dtype=np.uint8, offset=16)
     inputs = pixels.astype(np.float64).reshape(n, rows * cols)
     inputs /= 255.0  # in place: one float64 copy of the pixels
@@ -250,7 +244,7 @@ def save_mnist_idx(inputs, labels, images_path, labels_path, rows=28, cols=28):
     if x.shape[1] != rows * cols:
         raise ParameterError(f"inputs have {x.shape[1]} pixels, expected {rows * cols}")
     if y.shape[0] != n:
-        raise ConsistencyError(f"{n} images but {y.shape[0]} labels")
+        raise DimensionError(f"{n} images but {y.shape[0]} labels")
     pixels = np.rint(x * 255.0).clip(0, 255).astype(np.uint8)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, rows, cols))
@@ -294,7 +288,7 @@ class PartitionPlan:
 
 def _client_quotas(n: int, m: int, plan: PartitionPlan) -> np.ndarray:
     if n < m:
-        raise PartitionError(
+        raise ParameterError(
             f"cannot give {m} clients nonempty partitions from {n} samples "
             f"(short by {m - n})"
         )
@@ -383,7 +377,7 @@ def partition(labels, n_clients: int, plan: PartitionPlan):
             m = ends[0] + 1 if ends.size else cls.size
             cls, taken = cls[:m], taken[:m]
             if (taken > stock[cls]).any():
-                raise PartitionError(f"client {i} drew from an exhausted class")
+                raise ParameterError(f"client {i} drew from an exhausted class")
             mine[j : j + m] = pool[base[cls] + stock[cls] - taken]
             stock -= np.bincount(cls, minlength=num_classes)
             j += m

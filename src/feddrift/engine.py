@@ -10,10 +10,12 @@ the determinism contract.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,15 +29,7 @@ from .data import (
     load_mnist_idx,
     partition,
 )
-from .errors import (
-    DimensionError,
-    EmptyEvaluationError,
-    FormatError,
-    LengthError,
-    ParameterError,
-    RunError,
-    VersionError,
-)
+from .errors import DimensionError, FormatError, ParameterError, RunError
 from .federation import (
     BYTES_PER_PARAM,
     RULES,
@@ -78,6 +72,9 @@ CSV_HEADER = (
 
 _CKPT_MAGIC = b"FDRC"
 _CKPT_VERSION = 3
+
+# The ValueErrors numpy raises for a shape past its index range or byte count.
+_NUMPY_TOO_LARGE = ("Maximum allowed dimension exceeded", "array is too big")
 
 
 @dataclass(frozen=True)
@@ -148,29 +145,46 @@ class RunSummary:
     speedup_vs_baseline: float | None = None
 
 
+@contextmanager
+def _allocating(what: str):
+    """Raise an allocation that fails in the block as one RunError naming `what`.
+
+    That is numpy's MemoryError, its ValueError for a shape it cannot
+    index, or an anonymous mapping's ENOMEM. Any other error passes.
+    """
+    try:
+        yield
+    except (MemoryError, ValueError, OSError) as exc:
+        if not (isinstance(exc, MemoryError) or str(exc).startswith(_NUMPY_TOO_LARGE)
+                or getattr(exc, "errno", None) == errno.ENOMEM):
+            raise
+        raise RunError(f"cannot allocate the {what}: {exc}") from exc
+
+
 def build_dataset(dataset_cfg) -> FederatedDataset:
     if isinstance(dataset_cfg, FederatedDataset):
         return dataset_cfg
-    if isinstance(dataset_cfg, SyntheticConfig):
-        return generate_synthetic(dataset_cfg)
-    if isinstance(dataset_cfg, MnistConfig):
-        x, y = load_mnist_idx(dataset_cfg.train_images, dataset_cfg.train_labels)
-        xt, yt = load_mnist_idx(dataset_cfg.test_images, dataset_cfg.test_labels)
-        if dataset_cfg.subsample is not None:  # copies, so the full decode is freed
-            x, y = x[: dataset_cfg.subsample].copy(), y[: dataset_cfg.subsample].copy()
-        plan = dataset_cfg.plan
-        tag = "iid" if plan.mode == "iid" else f"d{plan.conc:g}"
-        if plan.balance == "lognormal":
-            tag += "-unbalanced"
-        return FederatedDataset(
-            train_inputs=x,
-            train_labels=y,
-            test_inputs=xt,
-            test_labels=yt,
-            partitions=tuple(partition(y, dataset_cfg.n_clients, plan)),
-            num_classes=int(max(y.max(), yt.max())) + 1,
-            label=f"mnist-{tag}",
-        )
+    with _allocating("dataset"):
+        if isinstance(dataset_cfg, SyntheticConfig):
+            return generate_synthetic(dataset_cfg)
+        if isinstance(dataset_cfg, MnistConfig):
+            x, y = load_mnist_idx(dataset_cfg.train_images, dataset_cfg.train_labels)
+            xt, yt = load_mnist_idx(dataset_cfg.test_images, dataset_cfg.test_labels)
+            if dataset_cfg.subsample is not None:  # copies, so the full decode is freed
+                x, y = x[: dataset_cfg.subsample].copy(), y[: dataset_cfg.subsample].copy()
+            plan = dataset_cfg.plan
+            tag = "iid" if plan.mode == "iid" else f"d{plan.conc:g}"
+            if plan.balance == "lognormal":
+                tag += "-unbalanced"
+            return FederatedDataset(
+                train_inputs=x,
+                train_labels=y,
+                test_inputs=xt,
+                test_labels=yt,
+                partitions=tuple(partition(y, dataset_cfg.n_clients, plan)),
+                num_classes=int(max(y.max(), yt.max())) + 1,
+                label=f"mnist-{tag}",
+            )
     raise ParameterError(f"unsupported dataset config {type(dataset_cfg).__name__}")
 
 
@@ -195,13 +209,15 @@ class FederatedRun:
             raise DimensionError(
                 f"dataset has {ds.num_classes} classes, model only {cfg.model.num_classes}"
             )
-        init = init_params(cfg.model, stream(cfg.seed, "global-init"))
-        self.server = ServerState.fresh(init, ds.n_clients, cfg.seed)
-        self.clients = ClientStore(
-            [len(p) for p in ds.partitions],
-            cfg.model.param_count,
-            RULES[cfg.algo.algorithm].fields,
-        )
+        with _allocating("model"):
+            init = init_params(cfg.model, stream(cfg.seed, "global-init"))
+            self.server = ServerState.fresh(init, ds.n_clients, cfg.seed)
+        with _allocating("client store"):
+            self.clients = ClientStore(
+                [len(p) for p in ds.partitions],
+                cfg.model.param_count,
+                RULES[cfg.algo.algorithm].fields,
+            )
         self.records: list[RoundRecord] = []
 
     @property
@@ -298,7 +314,7 @@ def rounds_to_target(records, target: float):
     """First round whose recorded test accuracy meets the target, else None."""
     records = list(records)
     if not records:
-        raise EmptyEvaluationError("rounds_to_target over no records")
+        raise DimensionError("rounds_to_target over no records")
     for rec in records:
         if rec.test_accuracy is not None and rec.test_accuracy >= target:
             return rec.round
@@ -328,7 +344,7 @@ def _read_block(fh, out: np.ndarray, path) -> None:
     want = out.nbytes
     got = fh.readinto(out.reshape(-1).view(np.uint8))  # a view, empty or not
     if got != want:
-        raise LengthError(f"{path}: truncated checkpoint ({got} of {want} bytes in a block)")
+        raise FormatError(f"{path}: truncated checkpoint ({got} of {want} bytes in a block)")
 
 
 def _header(server: ServerState, clients: ClientStore) -> dict:
@@ -389,15 +405,15 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
             raise FormatError(f"{path}: bad checkpoint magic {magic!r}")
         raw = fh.read(8)
         if len(raw) != 8:
-            raise LengthError(f"{path}: truncated checkpoint header")
+            raise FormatError(f"{path}: truncated checkpoint header")
         version, hlen = struct.unpack("<II", raw)
         if version != _CKPT_VERSION:
-            raise VersionError(
+            raise FormatError(
                 f"{path}: checkpoint version {version}, expected {_CKPT_VERSION}"
             )
         blob = fh.read(hlen)
         if len(blob) != hlen:
-            raise LengthError(f"{path}: truncated checkpoint header payload")
+            raise FormatError(f"{path}: truncated checkpoint header payload")
         try:
             saved = json.loads(blob.decode("utf-8"))
         except ValueError as exc:
@@ -426,7 +442,7 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
         want = fh.tell() + used * len(ours["fields"]) * p * 8
         size = os.fstat(fh.fileno()).st_size
         if size != want:
-            raise LengthError(f"{path}: checkpoint header implies {want} bytes, file holds {size}")
+            raise FormatError(f"{path}: checkpoint header implies {want} bytes, file holds {size}")
         fh.seek(vectors_at)
         vectors = {name: np.zeros(p) for name in SERVER_VECTORS}
         for vec in vectors.values():

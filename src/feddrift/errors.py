@@ -6,7 +6,7 @@ class FedDriftError(Exception):
 
 
 class DimensionError(FedDriftError):
-    """Operands disagree on vector length or array shape."""
+    """Operands disagree on vector length or array shape, or are empty."""
 
 
 class NumericError(FedDriftError):
@@ -21,36 +21,8 @@ class ParameterError(FedDriftError):
         super().__init__(message)
 
 
-class WeightError(FedDriftError):
-    """Aggregation weights are negative or do not sum to a positive value."""
-
-
-class EmptyAggregateError(FedDriftError):
-    """An aggregate was requested over an empty collection."""
-
-
-class EmptyEvaluationError(FedDriftError):
-    """Evaluation was requested on an empty dataset slice."""
-
-
-class PartitionError(FedDriftError):
-    """A partition plan cannot be satisfied by the available samples."""
-
-
 class FormatError(FedDriftError):
-    """A binary file has a bad magic number or malformed structure."""
-
-
-class LengthError(FedDriftError):
-    """A binary file is shorter or longer than its header declares."""
-
-
-class ConsistencyError(FedDriftError):
-    """Two files that must describe the same samples disagree."""
-
-
-class VersionError(FedDriftError):
-    """A checkpoint was written by an incompatible format version."""
+    """A file is malformed: bad magic, version, length or structure."""
 
 
 class ConfigError(FedDriftError):
@@ -66,4 +38,8 @@ class ConfigError(FedDriftError):
 
 
 class RunError(FedDriftError):
-    """An experiment failed mid-run; the message carries the round index."""
+    """An experiment could not be built or failed mid-run.
+
+    The message names what was being built (dataset, model or client
+    store) or the failing round.
+    """

@@ -24,14 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import models
-from .errors import (
-    DimensionError,
-    EmptyAggregateError,
-    FormatError,
-    ParameterError,
-    PartitionError,
-    WeightError,
-)
+from .errors import DimensionError, FormatError, ParameterError
 from .models import ModelSpec
 from .vectors import _require_finite
 
@@ -342,7 +335,7 @@ class RoundUpdate:
 def steps_per_round(n_samples: int, cfg: AlgoConfig) -> int:
     """K = local_epochs * ceil(n_i / batch_size), per client."""
     if n_samples < 1:
-        raise PartitionError("a client with an empty partition has no steps")
+        raise ParameterError("a client with an empty partition has no steps")
     return cfg.local_epochs * math.ceil(n_samples / cfg.batch_size)
 
 
@@ -695,12 +688,12 @@ def weighted_mean(block, ws) -> np.ndarray:
     if block.ndim != 2 or warr.shape != block.shape[:1]:
         raise DimensionError(f"weighted_mean: {block.shape} block with {warr.shape} weights")
     if block.shape[0] == 0:
-        raise EmptyAggregateError("weighted_mean of an empty block")
+        raise DimensionError("weighted_mean of an empty block")
     total = 0.0
     for w in warr:
         total += float(w)
     if not (np.isfinite(warr).all() and (warr >= 0).all() and total > 0.0):
-        raise WeightError(f"weights must be finite, nonnegative and not all zero, got {warr}")
+        raise ParameterError(f"weights must be finite, nonnegative and not all zero, got {warr}")
 
     base = block[0]
     if not any((row - base).any() for row in block[1:]):

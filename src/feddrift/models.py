@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, EmptyEvaluationError, ParameterError
+from .errors import DimensionError, ParameterError
 
 __all__ = [
     "ModelSpec",
@@ -200,7 +200,7 @@ def _check_inputs(spec: ModelSpec, params, inputs, labels):
     if y.shape != (x.shape[0],):
         raise DimensionError(f"expected one label per input row, got shape {y.shape}")
     if x.shape[0] == 0:
-        raise EmptyEvaluationError("evaluation over an empty slice")
+        raise DimensionError("evaluation over an empty slice")
     if not np.issubdtype(y.dtype, np.integer):
         raise ParameterError(f"labels must be integer class indices, got {y.dtype}")
     lo, hi = int(y.min()), int(y.max())

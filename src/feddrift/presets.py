@@ -19,8 +19,6 @@ def _synthetic(gamma1, gamma2):
             "kind": "synthetic",
             "gamma1": gamma1,
             "gamma2": gamma2,
-            "n_clients": 20,
-            "samples_per_client_mean": 200,
         },
         "model": {"num_classes": 5},
         "algorithm": {"local_epochs": 10, "batch_size": 10},
@@ -31,7 +29,6 @@ def _mnist(partition):
     return {
         "dataset": {
             "kind": "mnist",
-            "n_clients": 100,
             "partition": partition,
         },
         "rounds": 200,

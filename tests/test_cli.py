@@ -1,6 +1,9 @@
 import copy
+import errno
 import gzip
 import json
+import mmap
+import os
 import shutil
 import urllib.request
 
@@ -80,13 +83,23 @@ class TestRun:
         assert main(["run", "/nonexistent/config.json"]) == 2
         assert main(["run"]) == 2
 
-    def test_overrides(self, tmp_path):
+    def test_overrides(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         cfg_path = write_json(tmp_path / "cfg.json", tiny_synth_config(out))
-        assert main(["run", cfg_path, "--rounds", "2", "--seed", "7"]) == 0
+        trained, run_one = [], cli._run_one
+
+        def record(exp, *rest):
+            trained.append(exp)
+            return run_one(exp, *rest)
+
+        monkeypatch.setattr(cli, "_run_one", record)
+        flags = ["--rounds", "2", "--seed", "7", "--participation", "0.5"]
+        assert main(["run", cfg_path, *flags]) == 0
+        assert trained[0].algo.participation == 0.5
         resolved = json.loads((out / "config.json").read_text())
         assert resolved["rounds"] == 2
         assert resolved["seed"] == 7
+        assert resolved["algorithm"]["participation"] == 0.5
         assert resolved["dataset"] == {
             "kind": "synthetic",
             "gamma1": 0.0,
@@ -98,6 +111,9 @@ class TestRun:
         lines = (out / "records.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 rounds
         assert lines[1].split(",")[3] == "7"
+        capsys.readouterr()
+        assert main(["run", cfg_path, "--participation", "1.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: algorithm.participation: ")
 
     def test_outputs_stable_across_reruns(self, tmp_path):
         cfg_a = write_json(
@@ -155,6 +171,31 @@ class TestRun:
         assert main(["run", write_json(tmp_path / "cfg.json", doc)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: unreadable gzip file: ")
+
+    @pytest.mark.parametrize(
+        "change,built",
+        [
+            ({"model": {"kind": "mlp", "hidden_dims": [10**30]}}, "model"),  # past numpy's shapes
+            ({"dataset": {"samples_per_client_mean": 10**15}}, "dataset"),  # 213 PiB of inputs
+            ({"algorithm": {"name": "feddc"}}, "client store"),  # mmap.mmap patched to fail
+        ],
+    )
+    def test_a_run_too_large_to_allocate_exits_1_naming_what(
+        self, tmp_path, capsys, monkeypatch, change, built
+    ):
+        if built == "client store":
+            def no_memory(*args, **kwargs):
+                raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+            monkeypatch.setattr(mmap, "mmap", no_memory)
+        out = tmp_path / "out"
+        doc = merge_under(change, {"preset": "synthetic-00", "algorithm": {"name": "fedavg"},
+                                   "rounds": 1, "out_dir": str(out)})
+        assert main(["run", write_json(tmp_path / "cfg.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"error: cannot allocate the {built}: ")
+        assert not out.exists()
 
 
 class TestFetchMnist:

@@ -16,13 +16,7 @@ from feddrift.data import (
     partition,
     save_mnist_idx,
 )
-from feddrift.errors import (
-    ConsistencyError,
-    FormatError,
-    LengthError,
-    ParameterError,
-    PartitionError,
-)
+from feddrift.errors import DimensionError, FormatError, ParameterError
 from feddrift.models import ModelSpec, accuracy, loss_and_grad
 from feddrift.rng import stream
 
@@ -109,9 +103,10 @@ class TestSynthetic:
 )
 def test_dataset_partitions_cover_every_sample_once(parts, message):
     x = np.zeros((5, 2))
-    with pytest.raises(PartitionError, match=message):
+    with pytest.raises(ParameterError, match=message) as exc:
         FederatedDataset(x, np.zeros(5, dtype=np.int64), x, np.zeros(5, dtype=np.int64),
                          partitions=parts, num_classes=2)
+    assert exc.value.field is None  # no config key to name
 
 
 @pytest.mark.parametrize(
@@ -188,12 +183,23 @@ class TestIdx:
         img, lab, _, _ = tiny_idx_pair
         cut = tmp_path / "cut-images"
         cut.write_bytes(img.read_bytes()[:-10])
-        with pytest.raises(LengthError):
+        with pytest.raises(FormatError, match=re.escape(
+            f"{cut}: declares 100 images of 28x28 (78416 bytes) but holds 78406"
+        )):
             load_mnist_idx(cut, lab)
         tiny = tmp_path / "tiny"
         tiny.write_bytes(b"\x00\x00")
-        with pytest.raises(LengthError):
-            load_mnist_idx(tiny, lab)
+        for images, labels, kind in ((tiny, lab, "image"), (img, tiny, "label")):
+            with pytest.raises(FormatError, match=re.escape(
+                f"{tiny}: too short for an IDX {kind} header"
+            )):
+                load_mnist_idx(images, labels)
+        cut_lab = tmp_path / "cut-labels"
+        cut_lab.write_bytes(lab.read_bytes()[:-10])
+        with pytest.raises(FormatError, match=re.escape(
+            f"{cut_lab}: declares 100 labels but holds 90"
+        )):
+            load_mnist_idx(img, cut_lab)
 
     def test_count_mismatch(self, tiny_idx_pair, tmp_path):
         import struct
@@ -203,8 +209,10 @@ class TestIdx:
         short_lab.write_bytes(
             struct.pack(">II", 0x00000801, 50) + y[:50].astype(np.uint8).tobytes()
         )
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(FormatError, match="^100 images but 50 labels$"):
             load_mnist_idx(img, short_lab)
+        with pytest.raises(DimensionError, match="^100 images but 50 labels$"):
+            save_mnist_idx(x, y[:50], tmp_path / "images", tmp_path / "labels")
 
 
 def test_real_mnist_counts_when_available():
@@ -350,6 +358,13 @@ class TestPartition:
         assert sizes.sum() == 10_000
         assert sizes.std() > 0  # actually unbalanced
 
+    def test_lognormal_sizes_shrink_to_fit(self):
+        # At variance 4 the floors, each at least 1, sum to 76 > 60: sizes are taken back.
+        plan = PartitionPlan(mode="iid", balance="lognormal", lognormal_var=4.0, seed=0)
+        sizes = _client_quotas(60, 40, plan)
+        assert sizes.sum() == 60 and sizes.min() >= 1
+        assert sizes.tolist() == [1] * 17 + [5, 2] + [1] * 10 + [13] + [1] * 5 + [3, 2] + [1] * 3
+
     def test_lognormal_dirichlet_combined(self):
         y = fake_labels(8_000)
         plan = PartitionPlan(mode="dirichlet", conc=0.3, balance="lognormal", seed=6)
@@ -365,7 +380,7 @@ class TestPartition:
         assert all(np.array_equal(pa, pb) for pa, pb in zip(a, b))
 
     def test_infeasible(self):
-        with pytest.raises(PartitionError, match="short by"):
+        with pytest.raises(ParameterError, match="short by"):
             partition(fake_labels(5), 10, PartitionPlan(mode="iid", seed=0))
 
     def test_plan_validation(self):

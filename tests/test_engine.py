@@ -1,5 +1,8 @@
+import errno
 import importlib.util
 import json
+import mmap
+import re
 import struct
 import sys
 from pathlib import Path
@@ -28,13 +31,11 @@ from feddrift.engine import (
     write_summary_json,
 )
 from feddrift.errors import (
-    EmptyEvaluationError,
+    DimensionError,
     FormatError,
-    LengthError,
     NumericError,
     ParameterError,
     RunError,
-    VersionError,
 )
 from feddrift.federation import AlgoConfig, round_lr, steps_per_round
 from feddrift.models import ModelSpec, accuracy, init_params, loss_and_grad, mean_loss
@@ -125,6 +126,17 @@ class TestConfig:
         )
         with pytest.raises(Exception, match="features"):
             FederatedRun(cfg)
+
+    @pytest.mark.parametrize("error", [OSError(errno.EACCES, "Permission denied"),
+                                       ValueError("not one of numpy's shape errors")])
+    def test_only_a_failed_allocation_becomes_a_run_error(self, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(mmap, "mmap", fail)
+        with pytest.raises(type(error)) as exc:
+            FederatedRun(small_cfg("scaffold"))
+        assert exc.value is error
 
 
 class TestDeterminism:
@@ -291,20 +303,33 @@ class TestResume:
 
         truncated = tmp_path / "short.bin"
         truncated.write_bytes(raw[:-20])
-        with pytest.raises(LengthError):
+        with pytest.raises(FormatError, match="truncated checkpoint"):
             checkpoint_restore(FederatedRun(cfg), truncated)
 
         trailing = tmp_path / "long.bin"
         trailing.write_bytes(raw + b"\0")
-        with pytest.raises(LengthError):
+        with pytest.raises(FormatError, match=r"checkpoint header implies \d+ bytes, file holds"):
             checkpoint_restore(FederatedRun(cfg), trailing)
 
         # v1 held four vectors per client, theta among them; v2 every client's rows
         for version in (1, 2, 99):
             bad_version = tmp_path / "version.bin"
             bad_version.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
-            with pytest.raises(VersionError):
+            with pytest.raises(FormatError, match=f"checkpoint version {version}, expected 3"):
                 checkpoint_restore(FederatedRun(cfg), bad_version)
+
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = tmp_path / "bad-header.bin"
+        for data, message in [
+            (raw[:11], "truncated checkpoint header$"),
+            (raw[: 12 + hlen - 1], "truncated checkpoint header payload$"),
+            (raw[:12] + b"{" * hlen + raw[12 + hlen :], "unreadable checkpoint header: "),
+            (raw[:8] + struct.pack("<I", 3) + b"[1]" + raw[12 + hlen :],
+             re.escape("checkpoint header is [1], expected an object")),
+        ]:
+            header.write_bytes(data)
+            with pytest.raises(FormatError, match=re.escape(f"{header}: ") + message):
+                checkpoint_restore(FederatedRun(cfg), header)
 
         def with_header(**changes):
             return rewrite_header(raw, tmp_path / "header.bin", **changes)
@@ -398,8 +423,8 @@ class TestResume:
 
         target = FederatedRun(cfg)
         monkeypatch.setattr(engine, "ClientStore", allocate)
-        error = LengthError if corrupt == "truncated" else FormatError
-        with pytest.raises(error, match="truncated" if corrupt == "truncated" else "slot map"):
+        message = "truncated checkpoint" if corrupt == "truncated" else "slot map"
+        with pytest.raises(FormatError, match=message):
             checkpoint_restore(target, path)
 
     def test_restore_into_a_trained_run_resets_untrained_rows(self, tmp_path):
@@ -487,7 +512,7 @@ class TestTargets:
         assert reached == sorted(reached)
 
     def test_empty_records(self):
-        with pytest.raises(EmptyEvaluationError):
+        with pytest.raises(DimensionError, match="rounds_to_target over no records"):
             rounds_to_target([], 0.5)
 
     def test_summary(self):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from feddrift.errors import (
     DimensionError,
-    EmptyAggregateError,
     FormatError,
     NumericError,
     ParameterError,
@@ -282,7 +281,7 @@ class TestAggregate:
     def test_empty(self):
         cfg, server, _ = make_states("fedavg")
         p = SPEC.param_count
-        with pytest.raises(EmptyAggregateError):
+        with pytest.raises(DimensionError, match="weighted_mean of an empty block"):
             server_aggregate(server, block_update(np.empty((0, p)), np.empty((0, p))), cfg)
 
     def _update(self, server, clients, cfg, seed=30, ids=None):

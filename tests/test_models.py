@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feddrift import models
-from feddrift.errors import (
-    DimensionError,
-    EmptyEvaluationError,
-    ParameterError,
-)
+from feddrift.errors import DimensionError, ParameterError
 from feddrift.models import (
     ModelSpec,
     _forward,
@@ -325,7 +321,7 @@ class TestAccuracy:
         assert accuracy(spec, theta, x, y) == 1.0
 
     def test_empty_slice(self):
-        with pytest.raises(EmptyEvaluationError):
+        with pytest.raises(DimensionError, match="evaluation over an empty slice"):
             accuracy(
                 LOGISTIC,
                 np.zeros(LOGISTIC.param_count),
@@ -345,7 +341,7 @@ class TestCheckInputs:
                 evaluate(spec, zero, np.zeros(3), np.array([0]))
             with pytest.raises(DimensionError):
                 evaluate(spec, zero, np.zeros((2, 3)), np.array([0]))
-            with pytest.raises(EmptyEvaluationError):
+            with pytest.raises(DimensionError, match="evaluation over an empty slice"):
                 evaluate(spec, zero, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
             with pytest.raises(ParameterError):
                 evaluate(spec, zero, np.zeros((1, 3)), np.array([0.5]))

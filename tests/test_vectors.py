@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feddrift.errors import (
-    DimensionError,
-    EmptyAggregateError,
-    NumericError,
-    ParameterError,
-    WeightError,
-)
+from feddrift.errors import DimensionError, NumericError, ParameterError
 from feddrift.federation import weighted_mean
 from feddrift.vectors import ParamVector, finite_diff_grad, max_relative_error
 
@@ -49,16 +43,16 @@ class TestWeightedMean:
         assert np.array_equal(weighted_mean(vs, [1, 2, 1]), [0.5, 0.75])
 
     def test_empty(self):
-        with pytest.raises(EmptyAggregateError):
+        with pytest.raises(DimensionError, match="weighted_mean of an empty block"):
             weighted_mean(np.empty((0, 3)), [])
 
     def test_bad_weights(self):
         v = [[1.0], [2.0]]
-        with pytest.raises(WeightError):
-            weighted_mean(v, [0.0, 0.0])
-        with pytest.raises(WeightError):
-            weighted_mean(v, [1.0, -1.0])
-        with pytest.raises(DimensionError):
+        for ws in ([0.0, 0.0], [1.0, -1.0]):
+            with pytest.raises(ParameterError, match="weights must be finite, nonnegative") as exc:
+                weighted_mean(v, ws)
+            assert exc.value.field is None
+        with pytest.raises(DimensionError, match=r"weighted_mean: \(2, 1\) block"):
             weighted_mean(v, [1.0])
 
     def test_length_mismatch(self):
