@@ -9,6 +9,7 @@ carries the failing round), 2 config/schema problem.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -26,6 +27,7 @@ from .engine import (
     build_dataset,
     dataset_label,
     run_experiment,
+    write_json,
     write_records_csv,
     write_summary_json,
 )
@@ -333,12 +335,6 @@ def _apply_overrides(raw: dict, args) -> dict:
     return presets.merge_under(overrides, raw)
 
 
-def write_config_json(path, resolved: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _run_one(exp: ExperimentConfig, out_dir: str, resolved: dict):
     """Train one run, then write its outputs; a run that fails writes nothing."""
     dataset = build_dataset(exp.dataset)
@@ -353,7 +349,7 @@ def _run_one(exp: ExperimentConfig, out_dir: str, resolved: dict):
         exp.seed,
     )
     write_summary_json(os.path.join(out_dir, "summary.json"), summary)
-    write_config_json(os.path.join(out_dir, "config.json"), resolved)
+    write_json(os.path.join(out_dir, "config.json"), resolved)
     return records, summary, label
 
 
@@ -379,8 +375,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-# Characters a sweep setting's name may not hold: they would split its
-# table.csv cell or table.md row, or lead its run directory elsewhere.
+# Characters a sweep setting's name may not hold: they would quote its
+# table.csv cell, split its table.md row, or lead its run directory elsewhere.
 _NAME_BANNED = ",|/\\\n\r"
 
 
@@ -455,10 +451,6 @@ def cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
-def _cell(value, fmt=str) -> str:
-    return "" if value is None else fmt(value)
-
-
 def _median_rounds(rows):
     """The median rounds-to-target over the rows, a run that missed it counting as +inf."""
     return statistics.median(math.inf if row[5] is None else row[5] for row in rows)
@@ -473,27 +465,16 @@ def _write_sweep_tables(out_root: str, rows) -> None:
     for row in rows:
         groups.setdefault(row[:2], []).append(row)
 
-    lines = ["setting,algorithm,seed,best_accuracy,target,rounds_to_target,speedup_vs_fedavg"]
-    for (setting, _), mine in groups.items():
-        baseline = {row[2]: row[5] for row in groups.get((setting, "fedavg"), [])}
-        for _, algo, seed, best, target, reached in mine:
-            base = baseline.get(seed)
-            speedup = None if base is None or reached is None else base / reached
-            lines.append(
-                ",".join(
-                    [
-                        setting,
-                        algo,
-                        str(seed),
-                        repr(best),
-                        _cell(target, repr),
-                        _cell(reached),
-                        _cell(speedup, "{:.2f}".format),
-                    ]
-                )
-            )
     with open(os.path.join(out_root, "table.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        out = csv.writer(fh, lineterminator="\n")  # None is an empty cell, a float its repr
+        out.writerow("setting,algorithm,seed,best_accuracy,target,rounds_to_target,"
+                     "speedup_vs_fedavg".split(","))
+        for (setting, _), mine in groups.items():
+            baseline = {row[2]: row[5] for row in groups.get((setting, "fedavg"), [])}
+            for _, algo, seed, best, target, reached in mine:
+                base = baseline.get(seed)
+                speedup = None if base is None or reached is None else f"{base / reached:.2f}"
+                out.writerow([setting, algo, seed, best, target, reached, speedup])
 
     md = []
     for setting in sorted({setting for setting, _ in groups}):

@@ -10,6 +10,7 @@ the determinism contract.
 
 from __future__ import annotations
 
+import csv
 import errno
 import json
 import os
@@ -47,7 +48,7 @@ from .federation import (
 )
 from .federation import run_local_round  # noqa: F401  perfbench/tracing.py wraps it by name
 from .models import ModelSpec, init_params
-from .rng import _MAX_CLIENT, _MAX_ROUND, MAX_SEED, stream
+from .rng import _MAX_CLIENT, _MAX_ROUND, stream
 
 __all__ = [
     "MnistConfig",
@@ -61,6 +62,7 @@ __all__ = [
     "checkpoint_save",
     "write_records_csv",
     "write_summary_json",
+    "write_json",
     "CSV_HEADER",
     "dataset_label",
 ]
@@ -389,11 +391,12 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
 
     The run keeps its records up to the saved round; the file holds none.
 
-    The run must be built from the checkpoint's config: every header key
-    but the round must equal the run's own, compared as JSON text (so
-    `false` is not 0 and 155.0 is not 155); the saved slot map must be a
-    store's (`federation.slots_in_use`); and the file size must match the
-    run's shapes and the map's `used`. All three are checked before
+    The run must be built from the checkpoint's config: the header round
+    must be an integer in [0, rounds], and every other header key must
+    equal the run's own, compared as JSON text (so `false` is not 0 and
+    155.0 is not 155); the saved slot map must be a store's
+    (`federation.slots_in_use`); and the file size must match the run's
+    shapes and the map's `used`. All of these are checked before
     anything else is read or allocated. Each field's saved rows then land
     in one read in a fresh store that adopts the map and holds only those
     rows.
@@ -421,9 +424,10 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
         if not isinstance(saved, dict):
             raise FormatError(f"{path}: checkpoint header is {saved!r}, expected an object")
         t = saved.get("round")
-        if type(t) is not int or not 0 <= t < MAX_SEED:
+        if type(t) is not int or not 0 <= t <= run.cfg.rounds:
             raise FormatError(
-                f"{path}: checkpoint header round = {t!r}, expected an integer in [0, 2**64)"
+                f"{path}: checkpoint header round = {t!r}, "
+                f"expected an integer in [0, {run.cfg.rounds}]"
             )
         for key in sorted((saved.keys() | ours.keys()) - {"round"}):
             got = json.dumps(saved[key]) if key in saved else "(no value)"
@@ -462,43 +466,27 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_records_csv(path, records, algorithm: str, dataset: str, seed: int) -> None:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.round),
-                    algorithm,
-                    dataset,
-                    str(seed),
-                    _fmt(r.test_accuracy),
-                    _fmt(r.train_loss),
-                    str(r.bytes_up),
-                    str(r.bytes_down),
-                    _fmt(r.grad_variance),
-                    str(r.wall_ms),
-                ]
-            )
-        )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        out = csv.writer(fh, lineterminator="\n")  # None is an empty cell, a float its repr
+        out.writerow(CSV_HEADER.split(","))
+        out.writerows(
+            (r.round, algorithm, dataset, seed, r.test_accuracy, r.train_loss,
+             r.bytes_up, r.bytes_down, r.grad_variance, r.wall_ms)
+            for r in records
+        )
 
 
-def write_summary_json(path, summary: RunSummary) -> None:
-    payload = {
-        "best_accuracy": summary.best_accuracy,
-        "rounds_to_target": {repr(t): n for t, n in summary.rounds_to_target.items()},
-        "speedup_vs_baseline": summary.speedup_vs_baseline,
-    }
+def write_json(path, payload) -> None:
+    """Write `payload` as JSON: keys sorted, indented by 2, one final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_summary_json(path, summary: RunSummary) -> None:
+    write_json(path, {
+        "best_accuracy": summary.best_accuracy,
+        "rounds_to_target": {repr(t): n for t, n in summary.rounds_to_target.items()},
+        "speedup_vs_baseline": summary.speedup_vs_baseline,
+    })

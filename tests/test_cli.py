@@ -351,6 +351,26 @@ def test_unknown_partition_mode_lists_every_mode(tmp_path, capsys):
     )
 
 
+# Config files the reader refuses whole, each with the start of the one
+# line it prints; "{path}" is the file's path.
+BAD_DOCUMENTS = {
+    "not-an-object": ("[1]", "error: <root>: expected a JSON object"),
+    "no-algorithm": ('{"dataset": {"kind": "synthetic"}}',
+                     "error: algorithm: missing required section"),
+    "not-json": ('{"rounds": ', "error: <file>: {path} is not valid JSON: "),
+}
+
+
+@pytest.mark.parametrize("text,message", BAD_DOCUMENTS.values(), ids=list(BAD_DOCUMENTS))
+def test_a_malformed_config_file_exits_2_on_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(path=path)) and err.count("\n") == 1
+    assert err.endswith("\n")
+
+
 # (change to a valid document, field the error names): each seed is an
 # integer outside the [0, 2**64) range that streams are keyed by.
 BAD_SEEDS = [

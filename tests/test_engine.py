@@ -1,3 +1,4 @@
+import csv
 import errno
 import importlib.util
 import json
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feddrift import engine
-from feddrift.data import PartitionPlan, SyntheticConfig
+from feddrift.data import FederatedDataset, PartitionPlan, SyntheticConfig
 from feddrift.engine import (
     CSV_HEADER,
     ExperimentConfig,
@@ -44,14 +45,15 @@ from feddrift.rng import stream
 LOGISTIC = ModelSpec("logistic", 30, 5)
 
 # Header changes to a fedavg checkpoint of 5 clients restored into its
-# own config. A round that is not an integer >= 0, or any other value
-# that differs from the run's, is a FormatError raised before anything
-# is allocated; so is a key the run's header lacks.
+# own 1-round config. A round that is not an integer in [0, rounds], or
+# any other value that differs from the run's, is a FormatError raised
+# before anything is allocated; so is a key the run's header lacks.
 BAD_HEADERS = [
     {"param_count": -1},
     {"param_count": 10**15},
     {"param_count": 2.5},
     {"round": -1},
+    {"round": 2},
     {"rng_seed": -5},
     {"n_clients": 7, "n_samples": [30, 30]},
     {"note": "extra"},
@@ -125,6 +127,16 @@ class TestConfig:
             rounds=1,
         )
         with pytest.raises(Exception, match="features"):
+            FederatedRun(cfg)
+
+    def test_dataset_with_more_classes_than_the_model(self):
+        cfg = ExperimentConfig(
+            dataset=SyntheticConfig(n_clients=2, samples_per_client_mean=10, num_classes=10),
+            model=LOGISTIC,
+            algo=AlgoConfig("fedavg"),
+            rounds=1,
+        )
+        with pytest.raises(DimensionError, match="dataset has 10 classes, model only 5"):
             FederatedRun(cfg)
 
     @pytest.mark.parametrize("error", [OSError(errno.EACCES, "Permission denied"),
@@ -351,8 +363,8 @@ class TestResume:
             checkpoint_restore(FederatedRun(cfg), feddc_path)
 
     @pytest.mark.parametrize("changes", BAD_HEADERS, ids=[
-        "param_count=-1", "param_count=1e15", "param_count=2.5", "round=-1", "rng_seed=-5",
-        "n_clients=7", "extra_key", "rng_seed=false", "param_count=155.0",
+        "param_count=-1", "param_count=1e15", "param_count=2.5", "round=-1", "round=2",
+        "rng_seed=-5", "n_clients=7", "extra_key", "rng_seed=false", "param_count=155.0",
     ])
     def test_checkpoint_header_checked_before_allocation(self, tmp_path, changes):
         cfg = small_cfg(rounds=1)
@@ -667,6 +679,26 @@ class TestOutputs:
         row = path.read_text().splitlines()[1].split(",")
         assert row[4] == "" and row[5] == "" and row[8] == ""
 
+    def test_csv_quotes_a_label_holding_a_comma(self, tmp_path):
+        rng = np.random.default_rng(0)
+        ds = FederatedDataset(
+            train_inputs=rng.standard_normal((20, 30)),
+            train_labels=rng.integers(0, 5, 20),
+            test_inputs=rng.standard_normal((10, 30)),
+            test_labels=rng.integers(0, 5, 10),
+            partitions=(np.arange(10), np.arange(10, 20)),
+            num_classes=5,
+            label="a,b",
+        )
+        recs, _ = run_experiment(small_cfg(rounds=2), dataset=ds)
+        path = tmp_path / "records.csv"
+        write_records_csv(path, recs, "fedavg", dataset_label(ds), 0)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 3
+        assert all(len(row) == 10 for row in rows)
+        assert [row[2] for row in rows[1:]] == ["a,b", "a,b"]
+
     def test_summary_json(self, tmp_path):
         recs, summary = run_experiment(small_cfg(rounds=3))
         path = tmp_path / "summary.json"
@@ -709,6 +741,18 @@ class TestMnistPath:
         for arr in (ds.train_inputs, ds.train_labels):
             assert arr.flags.owndata and arr.shape[0] == 30
         assert np.array_equal(ds.train_inputs, x[:30]) and np.array_equal(ds.train_labels, y[:30])
+
+    @pytest.mark.parametrize("plan,label", [
+        (PartitionPlan(balance="lognormal", seed=1), "mnist-iid-unbalanced"),
+        (PartitionPlan(mode="dirichlet", conc=0.3, balance="lognormal", seed=1),
+         "mnist-d0.3-unbalanced"),
+    ], ids=["iid", "dirichlet-0.3"])
+    def test_unbalanced_labels(self, tiny_idx_pair, plan, label):
+        img, lab, _, _ = tiny_idx_pair
+        ds = build_dataset(
+            MnistConfig(str(img), str(lab), str(img), str(lab), n_clients=5, plan=plan)
+        )
+        assert dataset_label(ds) == label
 
     def test_labels(self):
         ds = build_dataset(SyntheticConfig(gamma1=1.0, gamma2=0.0, seed=1))

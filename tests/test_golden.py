@@ -52,6 +52,7 @@ from feddrift.engine import (
     build_dataset,
     dataset_label,
     run_experiment,
+    write_json,
     write_records_csv,
     write_summary_json,
 )
@@ -191,7 +192,7 @@ def _config_digest(preset, algorithm, out_dir):
         raw["dataset"] = {"data_dir": "/nonexistent/mnist"}
     _, resolved = cli.build_experiment(raw)
     path = os.path.join(out_dir, "config.json")
-    cli.write_config_json(path, resolved)
+    write_json(path, resolved)
     return _digest(path)
 
 
