@@ -48,6 +48,12 @@ from .vectors import finite_diff_grad, max_relative_error
 
 DATA_DIR_ENV = "FEDDRIFT_DATA_DIR"
 GRADCHECK_TOLERANCE = 1e-5
+# What gradcheck checks: both model kinds, and the loss with and without weight decay.
+GRADCHECK_MODELS = (
+    ModelSpec("logistic", input_dim=30, num_classes=5),
+    ModelSpec("logistic", input_dim=30, num_classes=5, weight_decay=1e-3),
+    ModelSpec("mlp", input_dim=12, num_classes=3, hidden_dims=(8, 6), weight_decay=1e-3),
+)
 
 _MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -62,7 +68,7 @@ _MNIST_MIRRORS = (
 )
 
 # The config schema: each section's keys and their JSON types. An int
-# field takes integers, a float field any number (stored as a float),
+# field takes integers, a float field any finite number (stored as a float),
 # neither takes a bool, and null is allowed only as `| None`, where the
 # dataclass the section builds accepts None.
 _TOP = {
@@ -168,9 +174,12 @@ def _typed(value, kind, path: str):
                 return [_typed(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
         elif option is float and isinstance(value, (int, float)):
             try:
-                return float(value)
+                number = float(value)
             except OverflowError:
                 raise ConfigError(path, f"{value} is too large for a float") from None
+            if not math.isfinite(number):  # json reads NaN, Infinity and 1e999
+                raise ConfigError(path, f"expected a finite number, got {number}")
+            return number
         elif isinstance(value, option):
             return value
     got = _JSON_NAMES.get(type(value), type(value).__name__)
@@ -495,59 +504,40 @@ def _write_sweep_tables(out_root: str, rows) -> None:
         fh.write("\n".join(md) + "\n")
 
 
-def cmd_gradcheck(args) -> int:
-    try:
-        hidden = tuple(int(h) for h in args.hidden.split(",") if h)
-    except ValueError:
-        raise ConfigError(
-            "--hidden", f"expected comma-separated integers, got {args.hidden!r}"
-        ) from None
-    if args.batch < 1:
-        raise ConfigError("--batch", f"expected a positive integer, got {args.batch}")
-    _check_seed(args.seed, "--seed")
-    try:
-        spec = ModelSpec(
-            kind=args.model,
-            input_dim=args.input_dim,
-            num_classes=args.classes,
-            hidden_dims=hidden,
-            weight_decay=args.weight_decay,
-        )
-    except ParameterError as exc:
-        flags = {"kind": "--model", "input_dim": "--input-dim", "num_classes": "--classes",
-                 "hidden_dims": "--hidden", "weight_decay": "--weight-decay"}
-        raise ConfigError(flags[exc.field], str(exc)) from exc
-    rng = stream(args.seed, "testing")
-    params = init_params(spec, stream(args.seed, "global-init"))
-    x = rng.standard_normal((args.batch, spec.input_dim))
-    y = (rng.random(args.batch) * spec.num_classes).astype(int)
+def _gradient_errors(spec: ModelSpec) -> tuple:
+    """(model loss, feddc drift objective) max relative errors of the analytic
+    gradients against central differences, on a batch of 4 drawn from seed 0."""
+    batch = 4
+    rng = stream(0, "testing")
+    params = init_params(spec, stream(0, "global-init"))
+    x = rng.standard_normal((batch, spec.input_dim))
+    y = (rng.random(batch) * spec.num_classes).astype(int)
 
     _, grad = loss_and_grad(spec, params, x, y)
-    oracle = finite_diff_grad(
-        lambda v: mean_loss(spec, v, x, y), params, 1e-5
-    )
-    model_err = max_relative_error(grad, oracle)
+    oracle = finite_diff_grad(lambda v: mean_loss(spec, v, x, y), params, 1e-5)
 
-    cfg = AlgoConfig(
-        "feddc", alpha=0.1, lr=0.1, local_epochs=1, batch_size=max(1, args.batch // 2)
-    )
+    cfg = AlgoConfig("feddc", alpha=0.1, lr=0.1, local_epochs=1, batch_size=batch // 2)
     dim = spec.param_count
-    server = ServerState.fresh(params, n_clients=1, rng_seed=args.seed)
-    clients = ClientStore([args.batch], dim, RULES["feddc"].fields)
+    server = ServerState.fresh(params, n_clients=1, rng_seed=0)
+    clients = ClientStore([batch], dim, RULES["feddc"].fields)
     theta = params + 0.05 * rng.standard_normal(dim)
     clients.write([0], {"drift": 0.1 * rng.standard_normal((1, dim)),
                         "last_delta": 0.02 * rng.standard_normal((1, dim))})
     obj_grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, spec)
     obj_oracle = finite_diff_grad(
-        lambda v: feddc_local_objective(v, clients, 0, server, cfg, x, y, spec),
-        theta,
-        1e-6,
+        lambda v: feddc_local_objective(v, clients, 0, server, cfg, x, y, spec), theta, 1e-6
     )
-    objective_err = max_relative_error(obj_grad, obj_oracle)
+    return max_relative_error(grad, oracle), max_relative_error(obj_grad, obj_oracle)
 
-    ok = model_err < GRADCHECK_TOLERANCE and objective_err < GRADCHECK_TOLERANCE
-    print(f"model loss gradient   max rel err: {model_err:.3e}")
-    print(f"drift objective gradient max rel err: {objective_err:.3e}")
+
+def cmd_gradcheck(args) -> int:
+    ok = True
+    for spec in GRADCHECK_MODELS:
+        widths = "-".join(map(str, (spec.input_dim, *spec.hidden_dims, spec.num_classes)))
+        name = f"{spec.kind} {widths} weight_decay {spec.weight_decay:g}"
+        for check, err in zip(("model loss", "drift objective"), _gradient_errors(spec)):
+            print(f"{name}: {check} gradient max rel err: {err:.3e}")
+            ok = ok and err < GRADCHECK_TOLERANCE
     print(f"gradcheck {'PASS' if ok else 'FAIL'} (tolerance {GRADCHECK_TOLERANCE:g})")
     return 0 if ok else 1
 
@@ -621,13 +611,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     grad = sub.add_parser("gradcheck", help="compare analytic vs numeric gradients")
-    grad.add_argument("--model", choices=("logistic", "mlp"), default="logistic")
-    grad.add_argument("--input-dim", type=int, default=30)
-    grad.add_argument("--classes", type=int, default=5)
-    grad.add_argument("--hidden", default="", help="comma-separated hidden sizes (mlp)")
-    grad.add_argument("--weight-decay", type=float, default=1e-3)
-    grad.add_argument("--batch", type=int, default=4)
-    grad.add_argument("--seed", type=int, default=0)
     grad.set_defaults(func=cmd_gradcheck)
 
     fetch = sub.add_parser("fetch-mnist", help="download the IDX files to a directory")

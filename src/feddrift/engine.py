@@ -452,7 +452,8 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
         for vec in vectors.values():
             _read_block(fh, vec, path)
         fh.seek(slot.nbytes, os.SEEK_CUR)
-        clients = ClientStore(run.clients.n_samples, p, run.clients.fields, slot)
+        with _allocating("client store"):
+            clients = ClientStore(run.clients.n_samples, p, run.clients.fields, slot)
         for name in clients.fields:
             _read_block(fh, getattr(clients, name), path)
     run.server = replace(run.server, **vectors, round=t)
@@ -478,9 +479,10 @@ def write_records_csv(path, records, algorithm: str, dataset: str, seed: int) ->
 
 
 def write_json(path, payload) -> None:
-    """Write `payload` as JSON: keys sorted, indented by 2, one final newline."""
+    """Write `payload` as strict JSON (a NaN or an infinity raises ValueError):
+    keys sorted, indented by 2, one final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -2,6 +2,7 @@ import copy
 import errno
 import gzip
 import json
+import math
 import mmap
 import os
 import shutil
@@ -393,6 +394,38 @@ def test_seed_out_of_range_exits_2_naming_its_field(tmp_path, capsys, change, fi
     assert not out.exists()
 
 
+# (section, key, type) of every key that takes a number: a float, an
+# optional float, or an array of floats. The mnist section itself has none.
+FLOAT_KEYS = [
+    (path, key, kind)
+    for path, schema in [((), cli._TOP), (("algorithm",), cli._ALGORITHM),
+                         (("dataset",), cli._DATASET["synthetic"]),
+                         (("dataset", "partition"), cli._PARTITION), (("model",), cli._MODEL)]
+    for key, kind in schema.items()
+    if kind in (float, float | None, list[float])
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path,key,kind", FLOAT_KEYS,
+                         ids=[".".join((*path, key)) for path, key, _ in FLOAT_KEYS])
+def test_a_non_finite_number_exits_2_naming_its_key(tmp_path, capsys, path, key, kind, value):
+    """json reads NaN, Infinity and -Infinity as floats; no key takes them."""
+    out = tmp_path / "out"
+    doc = tiny_synth_config(out)
+    if "partition" in path:
+        doc["dataset"] = {"kind": "mnist", "data_dir": str(tmp_path)}
+    section = doc
+    for step in path:
+        section = section.setdefault(step, {})
+    section[key] = [value] if kind == list[float] else value
+    assert main(["run", write_json(tmp_path / "doc.json", doc)]) == 2
+    field = ".".join((*path, key)) + ("[0]" if kind == list[float] else "")
+    assert capsys.readouterr().err == f"error: {field}: expected a finite number, got {value}\n"
+    assert not out.exists()
+
+
 # One value of every JSON kind, and some edge values of those kinds.
 JSON_VALUES = [None, True, False, 0, 3, -1, 10**400, 0.5, float("nan"), "", "x",
                [], [1], ["x"], [None], {}, {"x": 1}]
@@ -761,54 +794,60 @@ class TestSweep:
         assert "s,feddc,1,0.5,0.9,," in csv
 
 
+def gradcheck_errors(out):
+    """{(model, check): max rel err} from gradcheck's output."""
+    errors = {}
+    for line in out.splitlines():
+        if "max rel err" in line:
+            model, check, err = line.split(": ")
+            errors[model, check.removesuffix(" max rel err")] = float(err)
+    return errors
+
+
+GRADCHECK_NAMES = ["logistic 30-5 weight_decay 0", "logistic 30-5 weight_decay 0.001",
+                   "mlp 12-8-6-3 weight_decay 0.001"]
+GRADCHECK_CHECKS = ["model loss gradient", "drift objective gradient"]
+
+
 class TestGradCheck:
+    """gradcheck takes no flags: it checks both model kinds, each loss with
+    and without weight decay, and the feddc drift objective on each model."""
+
+    @staticmethod
+    def check_passes(capsys, models):
+        """gradcheck passes, and prints each check of `models` below the tolerance."""
+        assert main(["gradcheck"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("gradcheck PASS (tolerance 1e-05)\n")
+        errors = gradcheck_errors(out)
+        mine = [errors[model, check] for model in models for check in GRADCHECK_CHECKS]
+        assert all(0 <= err < cli.GRADCHECK_TOLERANCE for err in mine)
+
     def test_logistic_passes(self, capsys):
-        assert main(["gradcheck", "--model", "logistic", "--batch", "3"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        self.check_passes(capsys, GRADCHECK_NAMES[:2])  # with and without weight decay
 
     def test_mlp_passes(self, capsys):
-        code = main(
-            [
-                "gradcheck",
-                "--model",
-                "mlp",
-                "--input-dim",
-                "12",
-                "--classes",
-                "3",
-                "--hidden",
-                "8",
-                "--batch",
-                "3",
-            ]
-        )
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out
+        self.check_passes(capsys, GRADCHECK_NAMES[2:])
 
+    # The flags gradcheck took until it became a fixed self-test.
     @pytest.mark.parametrize(
-        "flags,message",
-        [
-            (["--model", "mlp", "--hidden", "5,x"], "error: --hidden: expected comma-separated"),
-            (["--batch", "-1"], "error: --batch: expected a positive integer, got -1"),
-            (["--batch", "0"], "error: --batch: expected a positive integer, got 0"),
-            (["--seed", "-1"], "error: --seed: expected a seed in [0, 2**64), got -1"),
-            (["--model", "mlp"], "error: --hidden: an mlp needs at least one hidden layer"),
-            (["--model", "mlp", "--hidden", "0"], "error: --hidden: expected hidden_dims > 0"),
-            (["--hidden", "4"], "error: --hidden: a logistic model has no hidden layers"),
-            (["--input-dim", "0"], "error: --input-dim: expected input_dim >= 1, got 0"),
-            (["--classes", "0"], "error: --classes: expected num_classes >= 1, got 0"),
-            (["--weight-decay", "-1"], "error: --weight-decay: expected weight_decay >= 0"),
-        ],
+        "flags",
+        [["--model", "mlp", "--hidden", "5,x"], ["--batch", "-1"], ["--batch", "0"],
+         ["--seed", "-1"], ["--model", "mlp"], ["--model", "mlp", "--hidden", "0"],
+         ["--hidden", "4"], ["--input-dim", "0"], ["--classes", "0"], ["--weight-decay", "-1"]],
         ids=["hidden-not-an-int", "batch-negative", "batch-zero", "seed-negative",
              "hidden-missing-for-mlp", "hidden-zero", "hidden-for-logistic", "input-dim-zero",
              "classes-zero", "weight-decay-negative"],
     )
-    def test_bad_flag_exits_2_naming_it(self, flags, message, capsys):
-        assert main(["gradcheck", *flags]) == 2
-        assert message in capsys.readouterr().err
+    def test_bad_flag_exits_2_naming_it(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", *flags])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
     def test_corrupted_gradient_fails(self, monkeypatch, capsys):
-        """Each check fails on its own: 1e-3 added to one gradient fails that check alone."""
+        """Each check fails on its own: 1e-3 added to one gradient fails that
+        check on every model, and the other check on none."""
         exact_loss_and_grad = cli.loss_and_grad
         exact_objective_grad = cli.feddc_local_objective_grad
 
@@ -824,11 +863,10 @@ class TestGradCheck:
         for failing, (name, corrupted) in checks.items():
             with monkeypatch.context() as patch:
                 patch.setattr(cli, name, corrupted)
-                assert main(["gradcheck", "--model", "logistic", "--batch", "3"]) == 1
+                assert main(["gradcheck"]) == 1
             out = capsys.readouterr().out
-            errors = {line.split(" max rel err")[0].strip(): float(line.split(": ")[1])
-                      for line in out.splitlines() if "max rel err" in line}
-            assert set(errors) == set(checks)
-            for check, err in errors.items():
-                assert (err > cli.GRADCHECK_TOLERANCE) == (check == failing), (check, err)
-            assert "gradcheck FAIL" in out
+            errors = gradcheck_errors(out)
+            assert list(errors) == [(m, c) for m in GRADCHECK_NAMES for c in GRADCHECK_CHECKS]
+            for (model, check), err in errors.items():
+                assert (err > cli.GRADCHECK_TOLERANCE) == (check == failing), (model, check, err)
+            assert out.endswith("gradcheck FAIL (tolerance 1e-05)\n")

@@ -214,6 +214,11 @@ class TestIdx:
         with pytest.raises(DimensionError, match="^100 images but 50 labels$"):
             save_mnist_idx(x, y[:50], tmp_path / "images", tmp_path / "labels")
 
+    def test_save_refuses_images_of_the_wrong_size(self, tiny_idx_pair, tmp_path):
+        _, _, x, y = tiny_idx_pair
+        with pytest.raises(ParameterError, match="^inputs have 783 pixels, expected 784$"):
+            save_mnist_idx(x[:, :-1], y, tmp_path / "images", tmp_path / "labels")
+
 
 def test_real_mnist_counts_when_available():
     from conftest import find_mnist_dir, mnist_paths
@@ -382,6 +387,10 @@ class TestPartition:
     def test_infeasible(self):
         with pytest.raises(ParameterError, match="short by"):
             partition(fake_labels(5), 10, PartitionPlan(mode="iid", seed=0))
+
+    def test_no_clients(self):
+        with pytest.raises(ParameterError, match="^n_clients must be >= 1, got 0$"):
+            partition(fake_labels(5), 0, PartitionPlan(mode="iid", seed=0))
 
     def test_plan_validation(self):
         with pytest.raises(ParameterError):

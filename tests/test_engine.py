@@ -3,9 +3,11 @@ import errno
 import importlib.util
 import json
 import mmap
+import os
 import re
 import struct
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +151,16 @@ class TestConfig:
         with pytest.raises(type(error)) as exc:
             FederatedRun(small_cfg("scaffold"))
         assert exc.value is error
+
+    def test_a_prebuilt_dataset_is_run_as_given(self):
+        cfg = small_cfg(rounds=1)
+        ds = build_dataset(cfg.dataset)
+        assert build_dataset(ds) is ds
+        assert FederatedRun(replace(cfg, dataset=ds)).dataset is ds
+
+    def test_an_unknown_dataset_config_is_refused(self):
+        with pytest.raises(ParameterError, match="^unsupported dataset config object$"):
+            build_dataset(object())
 
 
 class TestDeterminism:
@@ -439,6 +451,25 @@ class TestResume:
         with pytest.raises(FormatError, match=message):
             checkpoint_restore(target, path)
 
+    def test_a_restore_that_cannot_allocate_its_store_leaves_the_run(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = small_cfg("scaffold", rounds=2)
+        run = FederatedRun(cfg)
+        run.run_round()
+        path = tmp_path / "ckpt.bin"
+        checkpoint_save(path, run.server, run.clients)
+        target = FederatedRun(cfg)
+        server, clients = target.server, target.clients
+
+        def no_memory(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        with pytest.raises(RunError, match="^cannot allocate the client store: "):
+            checkpoint_restore(target, path)
+        assert target.server is server and target.clients is clients
+
     def test_restore_into_a_trained_run_resets_untrained_rows(self, tmp_path):
         cfg = small_cfg("scaffold", rounds=3, participation=0.6)
         first = FederatedRun(cfg)
@@ -706,6 +737,11 @@ class TestOutputs:
         payload = json.loads(path.read_text())
         assert "best_accuracy" in payload
         assert set(payload["rounds_to_target"]) == {"0.5", "0.9"}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_json_refuses_a_non_finite_number(self, tmp_path, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            engine.write_json(tmp_path / "config.json", {"algorithm": {"alpha": value}})
 
 
 class TestMnistPath:

@@ -379,6 +379,11 @@ class TestSampling:
         ids = sample_active_set(10, 0.01, 0, stream(0, "participation"))
         assert len(ids) == 1
 
+    @pytest.mark.parametrize("participation", [0, 1.5])
+    def test_participation_outside_0_1_is_refused(self, participation):
+        with pytest.raises(ParameterError, match=r"participation must be in \(0, 1\]"):
+            sample_active_set(10, participation, 0, stream(0, "participation"))
+
 
 class TestDiagnostics:
     def _mk(self, deltas, k=4):
@@ -501,6 +506,10 @@ class TestClientStore:
         assert store.used == 2
         assert store.drift.shape == store.last_delta.shape == (2, 2)
         assert store.rows("drift", [0, 1, 2]).tolist() == [[0.0, 0.0]] * 3
+
+    def test_an_unknown_field_is_refused(self):
+        with pytest.raises(ParameterError, match=r"^unknown client fields \['momentum'\]$"):
+            ClientStore([8] * 3, 2, ("drift", "momentum"))
 
 
 class TestCommunication:

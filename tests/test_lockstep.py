@@ -397,6 +397,23 @@ def test_the_blas_thread_query_answers():
     assert get() == before
 
 
+# What the library glob finds: nothing; or a path that does not load, and
+# the C library, which loads but lacks the thread symbols.
+@pytest.mark.parametrize("libraries", [[], ["/nonexistent/libscipy_openblas64_.so", "libc.so.6"]],
+                         ids=["no-library", "no-library-with-the-symbols"])
+def test_a_numpy_without_the_openblas_setter_is_left_as_it_is(monkeypatch, libraries):
+    """With no bundled library, or none that loads and holds the thread
+    symbols, the lookup answers None and the pin sets nothing."""
+    monkeypatch.setattr(federation.glob, "glob", lambda pattern: libraries)
+    federation._openblas.cache_clear()
+    try:
+        assert federation._openblas() is None
+        with federation.one_blas_thread() as pinned:
+            assert pinned is False
+    finally:
+        federation._openblas.cache_clear()
+
+
 # (client -> (seconds, error) of its training call, client whose data is
 # malformed, error raised). Client 0 fails last in time and first in chunk
 # order; an error in a later chunk's set-up does not hide it.
