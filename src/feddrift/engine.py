@@ -237,22 +237,18 @@ class FederatedRun:
             return x, y, stream(cfg.seed, "batch-shuffle", client=i, round_index=t)
 
         start = time.perf_counter()
+        server = self.server  # the round-start state every client row derives from
         try:
             # A diverging round overflows without warnings: ServerState is
             # the one finiteness check, and the error names the round.
             with np.errstate(over="ignore", invalid="ignore"):
-                active = sample_active_set(
-                    self.dataset.n_clients,
-                    cfg.algo.participation,
-                    t,
-                    stream(cfg.seed, "participation", round_index=t),
-                )
-                update = run_local_rounds(
-                    self.clients, active, self.server, cfg.algo, client_data, cfg.model
-                )
-                grad_var = gradient_variance_diagnostic(update, self.server, cfg.algo)
-                self.server = server_aggregate(self.server, update, cfg.algo)
-            apply_update(self.clients, update)
+                active = sample_active_set(self.dataset.n_clients, cfg.algo.participation, t,
+                                           stream(cfg.seed, "participation", round_index=t))
+                update = run_local_rounds(self.clients, active, server, cfg.algo, client_data,
+                                          cfg.model)
+                grad_var = gradient_variance_diagnostic(update, server, cfg.algo)
+                self.server = server_aggregate(server, update, cfg.algo, self.clients)
+                apply_update(self.clients, update, server, cfg.algo)
         except Exception as exc:
             raise RunError(f"round {t + 1}: {exc}") from exc
 

@@ -33,7 +33,7 @@ __all__ = [
     "ALGORITHMS",
     "ABLATION_TERMS",
     "FULL_ABLATION",
-    "NEXT_VALUE",
+    "NEXT_ROWS",
     "AlgoConfig",
     "ClientStore",
     "slots_in_use",
@@ -66,8 +66,8 @@ def _grad_correction(clients, ids, server, k_steps, lr_t):
 
 def _scaffold_controls(server, update, cfg, mean_up, global_delta):
     # c_i+ - c_i reconstructs from the upload: -c + the implied gradient
-    lr_t = round_lr(cfg, server.round)
-    c_deltas = -server.scaffold_c + _implied_grad(update.delta, update.k_steps[:, None], lr_t)
+    c_deltas = (row for *_, delta, k_lr in _chunks(update, server, cfg)
+                for row in -server.scaffold_c + _implied_grad(delta, k_lr))
     mean_cd = weighted_mean(c_deltas, np.ones(len(update.ids)))
     return {"scaffold_c": server.scaffold_c + len(update.ids) / server.n_clients * mean_cd}
 
@@ -187,9 +187,15 @@ class AlgoConfig:
                 raise ParameterError(f"expected alpha >= 0 for feddc, got {self.alpha}", "alpha")
 
 
-# Client field -> the RoundUpdate block holding its next value. Its keys
-# are every field a ClientStore or a checkpoint may hold.
-NEXT_VALUE = {"drift": "drift_plus", "last_delta": "delta", "scaffold_c": "c_plus"}
+# Client field -> its next rows from the clients' stored rows, their delta =
+# theta - G and K * lr_t, and the round-start server. Its keys are every
+# field a ClientStore or a checkpoint may hold.
+NEXT_ROWS = {
+    "drift": lambda old, delta, k_lr, server: old + delta,
+    "last_delta": lambda old, delta, k_lr, server: delta,
+    "scaffold_c": lambda old, delta, k_lr, server:
+        (old - server.scaffold_c) + _implied_grad(delta, k_lr),
+}
 
 
 def slots_in_use(slot, where: str) -> int:
@@ -222,7 +228,7 @@ class ClientStore:
     """
 
     def __init__(self, n_samples, param_count: int, fields=(), slot=None):
-        unknown = set(fields) - set(NEXT_VALUE)
+        unknown = set(fields) - set(NEXT_ROWS)
         if unknown:
             raise ParameterError(f"unknown client fields {sorted(unknown)}")
         self.fields = tuple(fields)
@@ -248,7 +254,7 @@ class ClientStore:
         arr, s = getattr(self, name), self.slot[ids]
         written = s < self.used
         if written.all():
-            return arr[s]
+            return arr.take(s, axis=0)  # a copy also for a scalar id, where arr[s] is a view
         out = np.zeros(np.shape(s) + arr.shape[1:])
         out[written] = arr[s[written]]
         return out
@@ -316,20 +322,15 @@ class ServerState:
 class RoundUpdate:
     """One round's client results, one row per client in ascending id order.
 
-    `ids`, `n_samples` and `k_steps` are (C,) integer arrays; `theta`
-    (the local parameters), `delta` (theta minus the round-start global
-    parameters), `drift_plus` (the next drift h_i) and `c_plus` (the next
-    scaffold control) are (C, P) blocks. A block the algorithm does not
-    keep is None.
+    `ids`, `n_samples` and `k_steps` are (C,) integer arrays, `theta` the
+    (C, P) trained parameters. Every other row (theta - G, the NEXT_ROWS,
+    feddc's upload) is derived from theta where used, by :func:`_chunks`.
     """
 
     ids: np.ndarray
     n_samples: np.ndarray
     k_steps: np.ndarray
     theta: np.ndarray
-    delta: np.ndarray
-    drift_plus: np.ndarray | None
-    c_plus: np.ndarray | None
 
 
 def steps_per_round(n_samples: int, cfg: AlgoConfig) -> int:
@@ -344,9 +345,9 @@ def round_lr(cfg: AlgoConfig, round_index: int) -> float:
     return cfg.lr * cfg.lr_decay**round_index
 
 
-def _implied_grad(delta: np.ndarray, k_steps, lr_t: float) -> np.ndarray:
-    """The mean step direction a round's update implies: -delta / (K * lr_t)."""
-    return delta / -(k_steps * lr_t)  # the same bits, with no second block for -delta
+def _implied_grad(delta: np.ndarray, k_lr) -> np.ndarray:
+    """The mean step direction of updates delta = theta - G: -delta / k_lr, with k_lr = K * lr_t."""
+    return delta / -k_lr  # -delta / k_lr, with no second block for -delta
 
 
 def _correction_terms(clients: ClientStore, ids, server: ServerState,
@@ -516,25 +517,15 @@ def _chunk_round(clients: ClientStore, server: ServerState, cfg: AlgoConfig, spe
         raise DimensionError(f"clients {chunk} need (n, d) inputs and (n,) labels of one size")
     k = steps_per_round(n, cfg)
     lr_t = round_lr(cfg, server.round)
-    start = server.global_params
     terms = _correction_terms(clients, chunk, server, cfg, k, lr_t)
-    block = np.repeat(start[None], len(chunk), axis=0)
+    block = np.repeat(server.global_params[None], len(chunk), axis=0)
     sgd = _local_sgd(block, terms, inputs, labels, rngs, spec,
                      cfg.batch_size, cfg.local_epochs, lr_t)
     rows = np.searchsorted(out.ids, chunk)
-    h = None if out.drift_plus is None else clients.rows("drift", chunk)
-    c = None if out.c_plus is None else clients.rows("scaffold_c", chunk) - server.scaffold_c
 
-    def train():  # in-place ufuncs with out=, since += would rebind the names
+    def train():
         sgd()
         out.theta[rows] = block
-        np.subtract(block, start, out=block)  # now the round's update
-        out.delta[rows] = block
-        if h is not None:
-            out.drift_plus[rows] = np.add(h, block, out=h)
-        if c is not None:
-            np.divide(block, -(k * lr_t), out=block)  # now the implied gradient (_implied_grad)
-            out.c_plus[rows] = np.add(c, block, out=c)
         out.n_samples[rows] = n
         out.k_steps[rows] = k
 
@@ -626,24 +617,16 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
     :func:`one_blas_thread` pins BLAS. Each row is bitwise the one its
     client would get training alone. theta starts at the round-start global
     parameters. Round-start snapshots (global parameters, the clients'
-    stored rows, previous deltas) stay frozen for all K steps. The drift
-    accumulator advances once per round by exactly the round's parameter
-    update. The store is only read; :func:`apply_update` writes results.
+    stored rows, previous deltas) stay frozen for all K steps. The store
+    is only read; :func:`apply_update` writes the clients' next rows.
     """
     ids = sorted(int(i) for i in ids)
     if not ids:
         raise DimensionError("a round needs at least one client")
-    shape = (len(ids), server.global_params.size)
-    out = RoundUpdate(
-        np.array(ids),
-        n_samples=np.empty(len(ids), dtype=np.int64),
-        k_steps=np.empty(len(ids), dtype=np.int64),
-        theta=np.empty(shape),
-        delta=np.empty(shape),
-        drift_plus=np.empty(shape) if "drift" in clients.fields else None,
-        c_plus=np.empty(shape) if "scaffold_c" in clients.fields else None,
-    )
-    cap = max(1, BUDGET // shape[1])
+    out = RoundUpdate(np.array(ids), n_samples=np.empty(len(ids), dtype=np.int64),
+                      k_steps=np.empty(len(ids), dtype=np.int64),
+                      theta=np.empty((len(ids), server.global_params.size)))
+    cap = max(1, BUDGET // out.theta.shape[1])
     chunks = lockstep_groups(ids, clients.n_samples, cap)
     setup = functools.partial(_chunk_round, clients, server, cfg, spec, out, client_data)
     with one_blas_thread() as pinned:
@@ -666,63 +649,83 @@ def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
     )
 
 
-def apply_update(clients: ClientStore, update: RoundUpdate) -> None:
-    """Write a round's results into the store, one indexed assignment per field."""
-    clients.write(update.ids, {name: getattr(update, NEXT_VALUE[name]) for name in clients.fields})
+def _chunks(update: RoundUpdate, server: ServerState, cfg: AlgoConfig):
+    """(ids, theta, delta = theta - G, K * lr_t column) of max(1, BUDGET // P) clients at a
+    time, so that a consumer deriving rows holds no (C, P) block beside theta."""
+    cap, lr_t = max(1, BUDGET // update.theta.shape[1]), round_lr(cfg, server.round)
+    for lo in range(0, len(update.ids), cap):
+        ids, theta, k = (a[lo : lo + cap] for a in (update.ids, update.theta, update.k_steps))
+        yield ids, theta, theta - server.global_params, k[:, None] * lr_t
 
 
-def weighted_mean(block, ws) -> np.ndarray:
-    """Weighted mean of the rows of a (C, P) block, reproducible bit-for-bit.
+def apply_update(clients: ClientStore, update: RoundUpdate, server: ServerState,
+                 cfg: AlgoConfig) -> None:
+    """Write every field's NEXT_ROWS into the store, from the round-start `server`
+    (not the aggregated one: scaffold's next control reads the old c)."""
+    for ids, _, delta, k_lr in _chunks(update, server, cfg):
+        clients.write(ids, {f: NEXT_ROWS[f](clients.rows(f, ids), delta, k_lr, server)
+                            for f in clients.fields})
 
-    The value is sum_c (w_c / sum(ws)) * block[c], computed as a
-    sequential row-order fold of the w_c * block[c] followed by one
-    division by sum(ws). Two exactness guarantees follow from this
-    arrangement plus an explicit short-circuit: a block of
-    bitwise-identical rows averages to exactly that row (returned as a
-    copy), and scaling every weight by a power of two leaves the output
-    bits unchanged (every product and sum scales exactly, barring
-    overflow and underflow); other common factors may change them.
+
+def weighted_mean(rows, ws) -> np.ndarray:
+    """Weighted mean of `rows` (an iterable read once, such as a (C, P) block), bit-for-bit.
+
+    The value is sum_c (w_c / sum(ws)) * row_c, computed as a sequential
+    row-order fold of the w_c * row_c followed by one division by
+    sum(ws). Two exactness guarantees follow from this arrangement plus
+    an explicit short-circuit: bitwise-identical rows average to exactly
+    that row (returned as a copy), and scaling every weight by a power
+    of two leaves the output bits unchanged (every product and sum
+    scales exactly, barring overflow and underflow); other common
+    factors may change them.
     """
-    block = np.asarray(block, dtype=np.float64)
     warr = np.asarray(ws, dtype=np.float64)
-    if block.ndim != 2 or warr.shape != block.shape[:1]:
-        raise DimensionError(f"weighted_mean: {block.shape} block with {warr.shape} weights")
-    if block.shape[0] == 0:
-        raise DimensionError("weighted_mean of an empty block")
+    if warr.ndim != 1 or warr.size == 0:
+        raise DimensionError(f"weighted_mean of an empty block, or of {warr.shape} weights")
     total = 0.0
     for w in warr:
         total += float(w)
     if not (np.isfinite(warr).all() and (warr >= 0).all() and total > 0.0):
         raise ParameterError(f"weights must be finite, nonnegative and not all zero, got {warr}")
 
-    base = block[0]
-    if not any((row - base).any() for row in block[1:]):
+    count = 0
+    for count, row in enumerate(rows, 1):
+        row = np.asarray(row, dtype=np.float64)
+        if count > warr.size or row.shape != (row.size,) or count > 1 and row.shape != base.shape:
+            raise DimensionError(f"weighted_mean: row {count}/{warr.size} has shape {row.shape}")
+        if count == 1:
+            base, acc, identical = row, warr[0] * row, True
+        else:
+            identical = identical and not (row - base).any()
+            acc += warr[count - 1] * row
+    if count != warr.size:
+        raise DimensionError(f"weighted_mean: {count} rows for {warr.size} weights")
+    if identical:
         return base.copy()
-    acc = warr[0] * base
-    for w, row in zip(warr[1:], block[1:]):
-        acc += w * row
     acc /= total
     return acc
 
 
-def server_aggregate(server: ServerState, update: RoundUpdate, cfg: AlgoConfig) -> ServerState:
+def server_aggregate(server: ServerState, update: RoundUpdate, cfg: AlgoConfig,
+                     clients: ClientStore) -> ServerState:
     """Fold a round's update into the next server state, by the RULES row.
 
     The rows are folded in their ascending client-id order, so the
-    order clients trained in cannot change the result.
+    order clients trained in cannot change the result. feddc's upload
+    theta + h_i+ reads h_i from `clients` before :func:`apply_update`.
     """
     rule = RULES[cfg.algorithm]
-    if cfg.aggregation_weighting == "by_samples":
-        ws = update.n_samples.astype(np.float64)
-    else:
-        ws = np.ones(len(update.ids))
-    global_delta = weighted_mean(update.delta, ws)
+    by_samples = cfg.aggregation_weighting == "by_samples"
+    ws = update.n_samples.astype(np.float64) if by_samples else np.ones(len(update.ids))
+    chunks = functools.partial(_chunks, update, server, cfg)
+    global_delta = weighted_mean((row for *_, delta, _ in chunks() for row in delta), ws)
     if rule.upload == "delta":
         mean_up = server.global_params + global_delta
     elif rule.upload == "theta":
         mean_up = weighted_mean(update.theta, ws)
     else:
-        mean_up = weighted_mean(update.theta + update.drift_plus, ws)
+        mean_up = weighted_mean((row for ids, theta, delta, _ in chunks()
+                                 for row in theta + (clients.rows("drift", ids) + delta)), ws)
     changed = rule.server(server, update, cfg, mean_up, global_delta) if rule.server else {}
     return replace(server, **{"global_params": mean_up, "global_delta": global_delta,
                               "round": server.round + 1, **changed})
@@ -749,7 +752,8 @@ def gradient_variance_diagnostic(update: RoundUpdate, server: ServerState, cfg: 
     n = len(update.ids)
     if n < 2:
         return None
-    g = _implied_grad(update.delta, update.k_steps[:, None], round_lr(cfg, server.round))
-    g -= g.sum(axis=0) / n
-    np.square(g, out=g)  # in place, like the centring: no second (C, P) block
-    return float(np.mean(g.sum(axis=1)))
+    chunks = functools.partial(_chunks, update, server, cfg)
+    # A row fold from +0.0, then per-row sums: the bits of the stacked g.sum(axis=0) and axis=1.
+    mean = sum(row for *_, delta, k_lr in chunks() for row in _implied_grad(delta, k_lr)) / n
+    return float(np.mean(np.concatenate([np.square(_implied_grad(delta, k_lr) - mean).sum(axis=1)
+                                         for *_, delta, k_lr in chunks()])))

@@ -30,6 +30,7 @@ from feddrift.federation import (
     RoundUpdate,
     ServerState,
     ablation_from_code,
+    apply_update,
     feddc_local_objective,
     feddc_local_objective_grad,
     run_local_round,
@@ -309,7 +310,9 @@ class TestCriterion5Properties:
         up = run_local_round(
             clients, 0, server, cfg, x, y, stream(52, "batch-shuffle"), spec
         )
-        lhs = up.drift_plus[0] - clients.rows("drift", 0)
+        before = clients.rows("drift", 0)
+        apply_update(clients, up, server, cfg)
+        lhs = clients.rows("drift", 0) - before
         rhs = up.theta[0] - server.global_params
         assert bits_equal(lhs, rhs)
         print("ACCEPTANCE 5b: drift bookkeeping h+-h == theta+-global bitwise: PASS")
@@ -328,8 +331,9 @@ class TestCriterion5Properties:
             y = (rng.random(20) * 5).astype(np.int64)
             data.append((x, y, stream(53, "batch-shuffle", client=i)))
         up = run_local_rounds(clients, [0, 1, 2], server, cfg, data.__getitem__, spec)
-        new_server = server_aggregate(server, up, cfg)
-        oracle = weighted_mean(up.theta + up.drift_plus, [1.0] * 3)
+        new_server = server_aggregate(server, up, cfg, clients)
+        drift_plus = clients.rows("drift", [0, 1, 2]) + (up.theta - server.global_params)
+        oracle = weighted_mean(up.theta + drift_plus, [1.0] * 3)
         assert bits_equal(new_server.global_params, oracle)
         print("ACCEPTANCE 5c: aggregation identity bitwise: PASS")
 
@@ -344,12 +348,12 @@ class TestCriterion5Properties:
             cfg = AlgoConfig(algo, lr=0.1, local_epochs=1, batch_size=10, **kw)
             init = init_params(LOGISTIC, stream(54, "global-init"))
             server = ServerState.fresh(init, 4, 54)
-            zero = np.zeros((4, init.size))
+            clients = ClientStore([20] * 4, init.size, RULES[algo].fields)
             up = RoundUpdate(
                 np.arange(4), np.full(4, 20), np.full(4, steps_per_round(20, cfg)),
-                np.tile(server.global_params, (4, 1)), zero, zero, zero,
+                np.tile(server.global_params, (4, 1)),
             )
-            new_server = server_aggregate(server, up, cfg)
+            new_server = server_aggregate(server, up, cfg, clients)
             assert bits_equal(new_server.global_params, server.global_params), algo
         print("ACCEPTANCE 5d: stationarity under zero deltas bitwise: PASS")
 

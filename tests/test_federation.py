@@ -1,10 +1,12 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feddrift import federation
 from feddrift.errors import (
     DimensionError,
     FormatError,
@@ -13,7 +15,7 @@ from feddrift.errors import (
 )
 from feddrift.federation import (
     ALGORITHMS,
-    NEXT_VALUE,
+    NEXT_ROWS,
     RULES,
     AlgoConfig,
     ClientStore,
@@ -54,12 +56,11 @@ def make_states(algorithm="feddc", n_clients=3, seed=0, n_samples=8, **kw):
     return cfg, server, clients
 
 
-def block_update(theta, delta, k_steps=1, n_samples=8, drift_plus=None, c_plus=None):
-    """A RoundUpdate of clients 0..C-1 from (C, P) rows."""
+def block_update(theta, k_steps=1, n_samples=8):
+    """A RoundUpdate of clients 0..C-1 from (C, P) rows of theta."""
     theta = np.array(theta, dtype=np.float64)
     c = len(theta)
-    return RoundUpdate(np.arange(c), np.full(c, n_samples), np.full(c, k_steps), theta,
-                       np.array(delta, dtype=np.float64), drift_plus, c_plus)
+    return RoundUpdate(np.arange(c), np.full(c, n_samples), np.full(c, k_steps), theta)
 
 
 def randomize_client(clients, i, seed):
@@ -181,8 +182,10 @@ class TestRunLocalRound:
         cfg, server, clients = make_states("feddc", alpha=0.05, seed=21)
         rng = stream(21, "batch-shuffle", client=0, round_index=0)
         up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
+        before = clients.rows("drift", 0)
+        apply_update(clients, up, server, cfg)
         # h starts at zero, so the literal subtraction form holds bitwise.
-        assert bits(up.drift_plus[0] - clients.rows("drift", 0), up.theta[0] - server.global_params)
+        assert bits(clients.rows("drift", 0) - before, up.theta[0] - server.global_params)
 
     def test_drift_bookkeeping_relation_any_round(self, bits):
         x, y = make_data(seed=22)
@@ -190,12 +193,13 @@ class TestRunLocalRound:
         for t in range(3):
             rng = stream(22, "batch-shuffle", client=0, round_index=t)
             up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
-            assert bits(up.drift_plus[0], clients.rows("drift", 0) + up.delta[0])
-            assert bits(up.delta[0], up.theta[0] - server.global_params)
-            apply_update(clients, up)
-            assert bits(clients.rows("drift", 0), up.drift_plus[0])
-            assert bits(clients.rows("last_delta", 0), up.delta[0])
-            server = server_aggregate(server, up, cfg)
+            h, delta = clients.rows("drift", 0), up.theta[0] - server.global_params
+            next_server = server_aggregate(server, up, cfg, clients)  # reads h before the write
+            apply_update(clients, up, server, cfg)
+            assert bits(clients.rows("drift", 0), h + delta)
+            assert bits(clients.rows("last_delta", 0), delta)
+            assert bits(next_server.global_params, up.theta[0] + (h + delta))
+            server = next_server
 
     def test_fedavg_like_algorithms_leave_drift_untouched(self):
         x, y = make_data(seed=23)
@@ -203,7 +207,8 @@ class TestRunLocalRound:
             cfg, server, clients = make_states(algo, seed=23)
             rng = stream(23, "batch-shuffle", client=0, round_index=0)
             up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
-            assert "drift" not in clients.fields and up.drift_plus is None
+            apply_update(clients, up, server, cfg)
+            assert "drift" not in clients.fields and not hasattr(clients, "drift")
 
     def test_deterministic(self, bits):
         x, y = make_data(seed=24)
@@ -216,7 +221,7 @@ class TestRunLocalRound:
             for _ in range(2)
         ]
         assert bits(ups[0].theta, ups[1].theta)
-        assert bits(ups[0].delta, ups[1].delta)
+        assert ups[0].k_steps.tolist() == ups[1].k_steps.tolist()
 
     def test_empty_partition(self):
         cfg, server, clients = make_states("fedavg")
@@ -234,8 +239,10 @@ class TestRunLocalRound:
         up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
         k = int(up.k_steps[0])
         lr_t = round_lr(cfg, 0)
-        want = clients.rows("scaffold_c", 0) - server.scaffold_c - up.delta[0] / (k * lr_t)
-        assert bits(up.c_plus[0], want)
+        delta = up.theta[0] - server.global_params
+        want = clients.rows("scaffold_c", 0) - server.scaffold_c - delta / (k * lr_t)
+        apply_update(clients, up, server, cfg)
+        assert bits(clients.rows("scaffold_c", 0), want)
 
     def test_scaffold_identical_clients_agree_after_round_one(self, bits):
         x, y = make_data(n=10, seed=26)
@@ -247,10 +254,12 @@ class TestRunLocalRound:
 
         up = run_local_rounds(clients, [2, 0, 1], server, cfg, same_data, SPEC)
         assert up.ids.tolist() == [0, 1, 2]
-        assert bits(up.c_plus[0], up.c_plus[1]) and bits(up.c_plus[1], up.c_plus[2])
-        new_server = server_aggregate(server, up, cfg)
+        new_server = server_aggregate(server, up, cfg, clients)
+        apply_update(clients, up, server, cfg)
+        c_plus = clients.rows("scaffold_c", [0, 1, 2])
+        assert bits(c_plus[0], c_plus[1]) and bits(c_plus[1], c_plus[2])
         # Full participation from zero controls: server c equals every client's c+.
-        assert np.array_equal(new_server.scaffold_c, up.c_plus[0])
+        assert np.array_equal(new_server.scaffold_c, c_plus[0])
 
 
 class TestServerState:
@@ -279,10 +288,10 @@ class TestServerState:
 
 class TestAggregate:
     def test_empty(self):
-        cfg, server, _ = make_states("fedavg")
+        cfg, server, clients = make_states("fedavg")
         p = SPEC.param_count
         with pytest.raises(DimensionError, match="weighted_mean of an empty block"):
-            server_aggregate(server, block_update(np.empty((0, p)), np.empty((0, p))), cfg)
+            server_aggregate(server, block_update(np.empty((0, p))), cfg, clients)
 
     def _update(self, server, clients, cfg, seed=30, ids=None):
         x, y = make_data(seed=seed)
@@ -299,25 +308,29 @@ class TestAggregate:
             randomize_client(clients, i, 30)
         up = self._update(server, clients, cfg, ids=[2, 1, 0])
         assert up.ids.tolist() == [0, 1, 2]  # rows in ascending id order, whatever the input
-        new_server = server_aggregate(server, up, cfg)
-        corrected = up.theta + up.drift_plus
+        new_server = server_aggregate(server, up, cfg, clients)
+        delta = up.theta - server.global_params
+        corrected = up.theta + (clients.rows("drift", up.ids) + delta)
         assert bits(new_server.global_params, weighted_mean(corrected, [1.0] * 3))
-        assert bits(new_server.global_delta, weighted_mean(up.delta, [1.0] * 3))
+        assert bits(new_server.global_delta, weighted_mean(delta, [1.0] * 3))
         assert new_server.round == 1
 
     def test_feddc_single_client_sum_exact(self, bits):
         cfg, server, clients = make_states("feddc", alpha=0.1, n_clients=1, seed=31)
         up = self._update(server, clients, cfg, seed=31)
-        new_server = server_aggregate(server, up, cfg)
-        assert bits(new_server.global_params, up.theta[0] + up.drift_plus[0])
+        new_server = server_aggregate(server, up, cfg, clients)
+        h, delta = clients.rows("drift", 0), up.theta[0] - server.global_params
+        assert bits(new_server.global_params, up.theta[0] + (h + delta))
 
     def test_feddc_zero_drift_matches_fedavg_aggregation(self):
         cfg_dc, server, _ = make_states("feddc", alpha=0.0, seed=32, n_clients=2)
         cfg_avg, _, clients = make_states("fedavg", seed=32, n_clients=2)
         up = self._update(server, clients, cfg_avg, seed=32)
-        avg_server = server_aggregate(server, up, cfg_avg)
-        # drift_plus differs per algorithm; aggregate the fedavg rows feddc-style with h=0
-        dc_server = server_aggregate(server, replace(up, drift_plus=np.zeros_like(up.theta)), cfg_dc)
+        avg_server = server_aggregate(server, up, cfg_avg, clients)
+        # Aggregate the fedavg rows feddc-style with stored drifts h = -delta, so h+ = 0.
+        dc_clients = ClientStore(clients.n_samples, SPEC.param_count, RULES["feddc"].fields)
+        dc_clients.write(up.ids, {"drift": -(up.theta - server.global_params)})
+        dc_server = server_aggregate(server, up, cfg_dc, dc_clients)
         assert np.array_equal(dc_server.global_params, avg_server.global_params)
 
     @pytest.mark.parametrize("algo,kw", [
@@ -329,27 +342,23 @@ class TestAggregate:
     ])
     def test_stationarity_zero_deltas_bitwise(self, algo, kw, bits):
         cfg, server, clients = make_states(algo, n_clients=4, seed=33, **kw)
-        zero = np.zeros((4, SPEC.param_count))
-        up = block_update(
-            np.tile(server.global_params, (4, 1)), zero,
-            k_steps=steps_per_round(8, cfg), drift_plus=zero, c_plus=zero,
-        )
-        new_server = server_aggregate(server, up, cfg)
+        up = block_update(np.tile(server.global_params, (4, 1)), k_steps=steps_per_round(8, cfg))
+        new_server = server_aggregate(server, up, cfg, clients)
         assert bits(new_server.global_params, server.global_params)
 
     def test_by_samples_weighting(self):
         cfg = AlgoConfig("fedavg", aggregation_weighting="by_samples")
         server = ServerState.fresh(np.zeros(2), n_clients=2, rng_seed=0)
-        up = block_update([[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)), n_samples=[100, 300])
-        out = server_aggregate(server, up, cfg)
+        up = block_update([[1.0, 0.0], [0.0, 1.0]], n_samples=[100, 300])
+        out = server_aggregate(server, up, cfg, ClientStore([100, 300], 2))
         assert np.allclose(out.global_params, [0.25, 0.75])
 
     def test_feddyn_server_state_formula(self):
         cfg, server, clients = make_states("feddyn", alpha=0.5, n_clients=2, seed=34)
         init = server.global_params
         d = np.stack([np.full(len(init), 0.1), np.full(len(init), 0.3)])
-        up = block_update(init + d, d, drift_plus=d)
-        out = server_aggregate(server, up, cfg)
+        up = block_update(init + d)
+        out = server_aggregate(server, up, cfg, clients)
         mean_delta = 0.2
         want_corrector = -0.5 * (2 / 2) * mean_delta
         assert np.allclose(out.dyn_corrector, want_corrector)
@@ -387,18 +396,20 @@ class TestSampling:
 
 class TestDiagnostics:
     def _mk(self, deltas, k=4):
+        """A round whose deltas are `deltas`, bitwise: theta from G = 0 (theta - 0.0 == theta)."""
         deltas = np.array(deltas, dtype=np.float64)
-        return block_update(np.zeros_like(deltas), deltas, k_steps=k)
+        server = ServerState.fresh(np.zeros(deltas.shape[1]), len(deltas), 0)
+        return block_update(deltas, k_steps=k), server
 
     def test_identical_deltas_zero_variance(self):
-        cfg, server, _ = make_states("fedavg")
-        up = self._mk([np.array([0.5, -0.5])] * 3)
+        cfg, _, _ = make_states("fedavg")
+        up, server = self._mk([np.array([0.5, -0.5])] * 3)
         assert gradient_variance_diagnostic(up, server, cfg) == 0.0
 
     def test_opposite_deltas_hand_value(self):
-        cfg, server, _ = make_states("fedavg", lr=0.1)
+        cfg, _, _ = make_states("fedavg", lr=0.1)
         d = np.array([0.3, -0.4])
-        up = self._mk([d, -d], k=4)
+        up, server = self._mk([d, -d], k=4)
         got = gradient_variance_diagnostic(up, server, cfg)
         want = float(np.sum((d / (4 * 0.1)) ** 2))
         assert got == pytest.approx(want, rel=1e-12)
@@ -406,19 +417,21 @@ class TestDiagnostics:
     @pytest.mark.parametrize("n", [2, 9, 130])
     def test_matches_the_stacked_formula_bitwise(self, n):
         # n = 2, 9 and 130 reach numpy's plain, unrolled and blocked sums.
-        cfg, server, _ = make_states("fedavg", lr=0.1)
+        cfg, _, _ = make_states("fedavg", lr=0.1)
         rng = stream(n, "testing")
-        up = self._mk(rng.standard_normal((n, 300)), k=3 + np.arange(n) % 4)
+        up, server = self._mk(rng.standard_normal((n, 300)), k=3 + np.arange(n) % 4)
         lr_t = round_lr(cfg, server.round)
-        gs = np.stack([-up.delta[i] / (int(up.k_steps[i]) * lr_t) for i in range(n)])
+        gs = np.stack([-up.theta[i] / (int(up.k_steps[i]) * lr_t) for i in range(n)])
         want = float(np.mean(np.sum((gs - gs.mean(axis=0)) ** 2, axis=1)))
-        before = up.delta.copy()
-        assert gradient_variance_diagnostic(up, server, cfg).hex() == want.hex()
-        assert np.array_equal(up.delta, before)  # the update is only read
+        before = up.theta.copy()
+        for cap in (1, 2, n):  # derived a chunk of max(1, BUDGET // P) rows at a time
+            with mock.patch.object(federation, "BUDGET", cap * 300):
+                assert gradient_variance_diagnostic(up, server, cfg).hex() == want.hex()
+        assert np.array_equal(up.theta, before)  # the update is only read
 
     def test_fewer_than_two_is_absent(self):
-        cfg, server, _ = make_states("fedavg")
-        up = self._mk([np.array([1.0, 2.0])])
+        cfg, _, _ = make_states("fedavg")
+        up, server = self._mk([np.array([1.0, 2.0])])
         assert gradient_variance_diagnostic(up, server, cfg) is None
 
 
@@ -434,8 +447,8 @@ class TestRules:
             "feddyn": ("drift",),
             "feddc": ("drift", "last_delta"),
         }
-        # every field an algorithm keeps has a next value in a RoundUpdate
-        assert {f for rule in RULES.values() for f in rule.fields} == set(NEXT_VALUE)
+        # every field an algorithm keeps has its next rows in NEXT_ROWS
+        assert {f for rule in RULES.values() for f in rule.fields} == set(NEXT_ROWS)
 
 
 class TestClientStore:
@@ -450,23 +463,33 @@ class TestClientStore:
         """Packed rows read back as a dense (n_clients, P) store would, bit for bit."""
         rng = np.random.default_rng(seed)
         p, everyone = 4, range(n_clients)
+        cfg = AlgoConfig(algorithm, lr=0.3, alpha=0.1)
         store = ClientStore([8] * n_clients, p, RULES[algorithm].fields)
         dense = {name: np.zeros((n_clients, p)) for name in store.fields}
         first_writes = []
-        for active in rounds:
+        for t, active in enumerate(rounds):
             ids = np.array(sorted({i % n_clients for i in active}))
             first_writes += [int(i) for i in ids if i not in first_writes]
 
-            def block():
-                b = rng.standard_normal((len(ids), p))
+            def block(*shape):
+                b = rng.standard_normal(shape)
                 b[rng.random(b.shape) < 0.3] = -0.0
                 return b
 
-            update = RoundUpdate(ids, np.full(len(ids), 8), np.ones(len(ids), dtype=np.int64),
-                                 block(), block(), block(), block())
-            apply_update(store, update)
+            server = ServerState(block(p), block(p), block(p), block(p), t, n_clients, seed)
+            update = RoundUpdate(ids, np.full(len(ids), 8), rng.integers(1, 5, len(ids)),
+                                 block(len(ids), p))
+            apply_update(store, update, server, cfg)
+            # Each field's next rows from the dense rows, as blocks of the update's clients.
+            delta = update.theta - server.global_params
+            nxt = {"last_delta": delta}
+            if "drift" in dense:
+                nxt["drift"] = dense["drift"][ids] + delta
+            if "scaffold_c" in dense:
+                k_lr = update.k_steps[:, None] * round_lr(cfg, t)
+                nxt["scaffold_c"] = (dense["scaffold_c"][ids] - server.scaffold_c) + delta / -k_lr
             for name in store.fields:
-                dense[name][ids] = getattr(update, NEXT_VALUE[name])
+                dense[name][ids] = nxt[name]
                 assert store.rows(name, everyone).tobytes() == dense[name].tobytes()
                 assert store.rows(name, ids[::-1]).tobytes() == dense[name][ids[::-1]].tobytes()
         # Slots follow first writes, and each field holds only the written rows.
@@ -475,6 +498,13 @@ class TestClientStore:
         assert (np.delete(store.slot, first_writes) == n_clients).all()
         for name in store.fields:
             assert getattr(store, name).shape == (store.used, p)
+
+    def test_rows_are_copies(self):
+        store = ClientStore([8] * 3, 2, ("drift",))
+        store.write([1, 2], {"drift": 1.0})
+        for ids in (1, [1], [0, 1], 0):
+            store.rows("drift", ids)[...] = 7.0
+        assert store.rows("drift", [0, 1, 2]).tolist() == [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
 
     def test_an_unwritten_client_reads_as_positive_zeros(self):
         store = ClientStore([8] * 3, 2, ("drift",))

@@ -29,6 +29,12 @@ two threads than on one: the run sets one thread itself, so it writes
 the same records.csv whatever count the caller set, and restores that
 count, also after a round that fails.
 
+The MLP case pins that run's records.csv. Its 159,010 parameters train
+one client per chunk, the chunks on the thread pool, and the drift and
+upload rows are derived one client at a time. The MLP records differ
+between the SkylakeX and Haswell kernels, so the case holds one digest
+per runtime kernel and skips on any other.
+
 To regenerate after an intended change of results:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -271,6 +277,20 @@ def _mnist_shaped_run(lr, out_dir):
     return _digest_without_wall_ms(path)
 
 
+# OpenBLAS runtime core -> records.csv digest of _mnist_shaped_run(0.05, ...)
+MLP_GOLDEN = {
+    "SkylakeX": "8b2c3da3a8f9066d12930e24bb43e34196a6620c500c384dd88cc75dd33a21c7",
+    "Haswell": "cef17671b748bed57fb0567c21b4694c0a32bb851c9f6730643c3870d1bec625",
+}
+
+
+def test_mlp_records_match_golden_digests(tmp_path):
+    core = _blas_core()
+    if core not in MLP_GOLDEN:
+        pytest.skip(f"MLP digests are pinned on OpenBLAS cores {sorted(MLP_GOLDEN)}, not {core}")
+    assert _mnist_shaped_run(0.05, tmp_path) == MLP_GOLDEN[core], _mismatch()
+
+
 def test_mlp_records_do_not_depend_on_the_callers_blas_threads(tmp_path):
     if federation._openblas() is None:
         pytest.skip("this numpy bundles no OpenBLAS thread setter, so the caller's count holds")
@@ -303,3 +323,4 @@ if __name__ == "__main__":
                 print(f'    ("{preset}", "{algorithm}"): "{_config_digest(preset, algorithm, tmp)}",')
         csv_digest, md_digest = _sweep_digests(tmp)
         print(f'    "{csv_digest}",\n    "{md_digest}",')
+        print(f'    "{_blas_core()}": "{_mnist_shaped_run(0.05, tmp)}",')

@@ -2,8 +2,9 @@
 
 `run_local_rounds` trains a round's whole active set, each group of
 equal-size clients as stacked (C, P) blocks, and returns one RoundUpdate;
-`run_local_round` is its one-client call. Every row of every block must
-match the one-client result, sign bits included. Each step applies its
+`run_local_round` is its one-client call. Every row of theta, and every
+row `apply_update` then writes into a copy of the store, must match the
+one-client result, sign bits included. Each step applies its
 weight decay, correction terms and update in column tiles; every tiling
 must match one whole-width pass per term. Chunks of one client may
 train on a thread pool; the pool must give the serial loop's blocks,
@@ -11,7 +12,6 @@ errors and warnings.
 """
 
 import contextlib
-import dataclasses
 import functools
 import glob
 import os
@@ -54,6 +54,22 @@ ABLATION_CODES = ("le", "lelg", "lelp", "lelglp")
 
 def _bits(v):
     return None if v is None else v.tobytes()
+
+
+def _next_rows(store, update, server, cfg):
+    """Each field's rows of the update's clients, as bytes, after applying it to a copy of `store`."""
+    copy = ClientStore(store.n_samples, store.param_count, store.fields, store.slot)
+    for name in store.fields:
+        getattr(copy, name)[...] = getattr(store, name)
+    federation.apply_update(copy, update, server, cfg)
+    return {name: [row.tobytes() for row in copy.rows(name, update.ids)] for name in copy.fields}
+
+
+def _same_round(got, want, store, server, cfg):
+    """The two RoundUpdates are equal, and so are the rows they write into the store."""
+    for name in ("ids", "n_samples", "k_steps", "theta"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert _next_rows(store, got, server, cfg) == _next_rows(store, want, server, cfg)
 
 
 def _scenario(algorithm, code, model, sizes, batch_size, epochs, round_index,
@@ -128,11 +144,12 @@ def test_lockstep_groups_equal_one_client_rounds(algorithm, code, model, sizes, 
         block = run_local_rounds(
             store, active, server, cfg, lambda i: (*data[i], rng(i)), spec
         )
+        block_rows = _next_rows(store, block, server, cfg)
     assert block.ids.tolist() == sorted(active)
     for r, one in enumerate(alone):
-        for field in ("theta", "delta", "drift_plus", "c_plus"):
-            row = getattr(block, field)
-            assert _bits(getattr(one, field)) == _bits(None if row is None else row[r]), field
+        assert _bits(one.theta[0]) == _bits(block.theta[r])
+        for name, rows in _next_rows(store, one, server, cfg).items():
+            assert rows[0] == block_rows[name][r], name
         assert (one.ids[0], one.n_samples[0], one.k_steps[0]) == (
             block.ids[r], block.n_samples[r], block.k_steps[r]
         )
@@ -195,8 +212,7 @@ def test_tiled_steps_equal_whole_width_steps(algorithm, code, model, sizes, batc
         assert len(_tiles(spec, budget)) > 1
     with mock.patch.object(federation, "BUDGET", budget):
         tiled = run_local_rounds(store, ids, server, cfg, client_data, spec)
-    for field in ("theta", "delta", "drift_plus", "c_plus"):
-        assert _bits(getattr(tiled, field)) == _bits(getattr(whole, field)), field
+    _same_round(tiled, whole, store, server, cfg)
 
 
 def test_a_zero_term_stays_off_for_its_client_alone():
@@ -298,6 +314,7 @@ THREADED_SIZES = [5, 7, 12, 5, 1, 7, 12]  # unequal, and more clients than threa
 
 
 def _threaded_round(algorithm, code, model, workers, pool=True):
+    """(update, threads trained on, (store, server, cfg) it trained from)."""
     cfg, spec, server, store, data = _scenario(
         algorithm, code, model, THREADED_SIZES, 3, 2, 2, True, 11
     )
@@ -308,7 +325,7 @@ def _threaded_round(algorithm, code, model, workers, pool=True):
     with one_client_chunks(spec, workers, pool) as trained_on:
         update = run_local_rounds(store, range(len(THREADED_SIZES)), server, cfg,
                                   client_data, spec)
-    return update, trained_on
+    return update, trained_on, (store, server, cfg)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -316,14 +333,13 @@ def _threaded_round(algorithm, code, model, workers, pool=True):
 @pytest.mark.parametrize("algorithm,code", [(a, "lelglp") for a in ALGORITHMS]
                          + [("feddc", c) for c in ABLATION_CODES[:-1]])
 def test_threaded_chunks_equal_the_serial_loop(algorithm, code, model, workers):
-    serial, on_serial = _threaded_round(algorithm, code, model, workers, pool=False)
-    threaded, on_threads = _threaded_round(algorithm, code, model, workers)
+    serial, on_serial, state = _threaded_round(algorithm, code, model, workers, pool=False)
+    threaded, on_threads, _ = _threaded_round(algorithm, code, model, workers)
     main = threading.get_ident()
     assert set(on_serial) == {main}
     assert len(on_threads) == len(THREADED_SIZES) and main not in on_threads
     assert len(set(on_threads)) <= workers
-    for f in dataclasses.fields(serial):
-        assert _bits(getattr(threaded, f.name)) == _bits(getattr(serial, f.name)), f.name
+    _same_round(threaded, serial, *state)
 
 
 def test_threaded_chunks_under_rapid_thread_switches():
@@ -345,8 +361,7 @@ def test_threaded_chunks_under_rapid_thread_switches():
             threaded = run_local_rounds(store, range(16), server, cfg, client_data, spec)
     finally:
         sys.setswitchinterval(interval)
-    for f in dataclasses.fields(serial):
-        assert _bits(getattr(threaded, f.name)) == _bits(getattr(serial, f.name)), f.name
+    _same_round(threaded, serial, store, server, cfg)
 
 
 def test_a_blas_on_more_threads_trains_on_the_pool_on_one_thread():
@@ -368,7 +383,7 @@ def test_a_blas_on_more_threads_trains_on_the_pool_on_one_thread():
     try:
         put(2)
         with mock.patch.object(federation, "_local_sgd", counting_sgd):
-            _, trained_on = _threaded_round("feddc", "lelglp", "mlp", 2)
+            _, trained_on, _ = _threaded_round("feddc", "lelglp", "mlp", 2)
         assert get() == 2
     finally:
         put(before)
@@ -379,7 +394,7 @@ def test_a_blas_on_more_threads_trains_on_the_pool_on_one_thread():
 def test_an_unanswered_blas_query_keeps_the_serial_loop():
     """A numpy without the thread setter trains one chunk after another."""
     with mock.patch("concurrent.futures.ThreadPoolExecutor", None):
-        _, trained_on = _threaded_round("fedavg", "lelglp", "mlp", 2, pool=False)
+        _, trained_on, _ = _threaded_round("fedavg", "lelglp", "mlp", 2, pool=False)
     assert set(trained_on) == {threading.get_ident()}
 
 

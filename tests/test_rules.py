@@ -3,10 +3,13 @@
 `_branch_terms` and `_branch_aggregate` are `_correction_terms` and
 `server_aggregate` as they were before the table, one branch per
 algorithm: the oracle. The table-driven versions must match them bit for
-bit, sign bits included.
+bit, sign bits included. `_block_rows` are the round's derived (C, P)
+blocks as training once stored them beside theta: the oracle of the rows
+that `server_aggregate` and `apply_update` now derive a chunk at a time.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +19,12 @@ from feddrift import federation
 from feddrift.errors import ParameterError
 from feddrift.federation import (
     ALGORITHMS,
+    RULES,
     SERVER_VECTORS,
     AlgoConfig,
+    ClientStore,
     RoundUpdate,
     ServerState,
-    _implied_grad,
     round_lr,
     weighted_mean,
 )
@@ -51,23 +55,41 @@ def _branch_terms(clients, ids, server, cfg, k_steps, lr_t):
     return pull, anchor, extra, has_extra
 
 
-def _branch_aggregate(server, update, cfg):
+def _block_rows(clients, server, update, cfg):
+    """(delta, drift_plus, c_plus, implied gradients) as (C, P) blocks, the way training made them.
+
+    Training subtracted the round-start G from its theta block in place,
+    added the stored drift to that, and for scaffold divided it by
+    -(K * lr_t) and added the stored control less the server's. A field
+    the store does not keep gives None.
+    """
+    delta = update.theta - server.global_params
+    implied = delta / -(update.k_steps[:, None] * round_lr(cfg, server.round))
+    drift_plus = c_plus = None
+    if "drift" in clients.fields:
+        drift_plus = clients.rows("drift", update.ids) + delta
+    if "scaffold_c" in clients.fields:
+        c_plus = (clients.rows("scaffold_c", update.ids) - server.scaffold_c) + implied
+    return delta, drift_plus, c_plus, implied
+
+
+def _branch_aggregate(server, update, cfg, clients):
     if cfg.aggregation_weighting == "by_samples":
         ws = update.n_samples.astype(np.float64)
     else:
         ws = np.ones(len(update.ids))
     algo = cfg.algorithm
-    global_delta = weighted_mean(update.delta, ws)
+    delta, drift_plus, _, implied = _block_rows(clients, server, update, cfg)
+    global_delta = weighted_mean(delta, ws)
     scaffold_c = server.scaffold_c
     dyn_corrector = server.dyn_corrector
     if algo == "feddc":
-        new_global = weighted_mean(update.theta + update.drift_plus, ws)
+        new_global = weighted_mean(update.theta + drift_plus, ws)
     elif algo in ("fedavg", "fedprox"):
         new_global = weighted_mean(update.theta, ws)
     elif algo == "scaffold":
         new_global = server.global_params + global_delta
-        lr_t = round_lr(cfg, server.round)
-        c_deltas = -server.scaffold_c + _implied_grad(update.delta, update.k_steps[:, None], lr_t)
+        c_deltas = -server.scaffold_c + implied
         mean_cd = weighted_mean(c_deltas, np.ones(len(update.ids)))
         scale = len(update.ids) / server.n_clients
         scaffold_c = server.scaffold_c + scale * mean_cd
@@ -112,12 +134,18 @@ def test_terms_match_the_branches(algorithm, code, coef, zero_extra, model):
         assert has_extra is not None and not has_extra[0, 0]
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("weighting", ["uniform", "by_samples"])
-@pytest.mark.parametrize("n_active", [1, 3])
-def test_server_step_matches_the_branches(algorithm, weighting, n_active):
-    rng = np.random.default_rng(5)
-    p, n_clients = 9, 6
+def _round(algorithm, weighting, n_active, seed=5):
+    """(cfg, server, store, update) of a round of clients 1, 3, 5, ...
+
+    Entries of every vector and of theta are -0.0 in two columns, and of
+    theta in a third, where G is +0.0, so that theta - G is -0.0 there.
+    Client 1 and the clients past the first two active ones have stored
+    rows, which hold -0.0 in that third column; client 3 and client 0
+    (inactive) have never been written, so the round's clients are
+    partly new.
+    """
+    rng = np.random.default_rng(seed)
+    p, n_clients = 9, 2 * n_active + 1
     kw = {"alpha": 0.05} if algorithm in ("feddyn", "feddc") else {}
     cfg = AlgoConfig(algorithm, lr=0.2, aggregation_weighting=weighting, **kw)
 
@@ -126,26 +154,63 @@ def test_server_step_matches_the_branches(algorithm, weighting, n_active):
         v[:2] = -0.0
         return v
 
-    server = ServerState(vec(), global_delta=vec(), scaffold_c=vec(), dyn_corrector=vec(),
+    g = vec()
+    g[2] = 0.0
+    server = ServerState(g, global_delta=vec(), scaffold_c=vec(), dyn_corrector=vec(),
                          round=3, n_clients=n_clients, rng_seed=0)
-    shape = (n_active, p)
+    theta = rng.standard_normal((n_active, p))
+    theta[:, :3] = -0.0
+    ids = np.arange(1, 1 + 2 * n_active, 2)
+    store = ClientStore(rng.integers(1, 40, n_clients), p, RULES[algorithm].fields)
+    stored = [i for i in range(n_clients) if i == 1 or i >= 5]
+    rows = 0.1 * rng.standard_normal((len(stored), p))
+    rows[:, 2] = -0.0
+    store.write(stored, {name: rows for name in store.fields})
+    update = RoundUpdate(ids=ids, n_samples=store.n_samples[ids],
+                         k_steps=rng.integers(1, 9, n_active), theta=theta)
+    return cfg, server, store, update
 
-    def block():
-        b = rng.standard_normal(shape)
-        b[:, :2] = -0.0
-        return b
 
-    update = RoundUpdate(
-        ids=np.arange(1, 1 + 2 * n_active, 2),
-        n_samples=rng.integers(1, 40, n_active),
-        k_steps=rng.integers(1, 9, n_active),
-        theta=block(), delta=block(), drift_plus=block(), c_plus=block(),
-    )
-    got = federation.server_aggregate(server, update, cfg)
-    want = _branch_aggregate(server, update, cfg)
-    for name in SERVER_VECTORS:
-        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
-    assert (got.round, got.n_clients, got.rng_seed) == (want.round, want.n_clients, want.rng_seed)
+# The chunk of derived rows holds max(1, BUDGET // P) clients.
+CAPS = [1, 2, 64]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("weighting", ["uniform", "by_samples"])
+@pytest.mark.parametrize("n_active", [1, 3])
+def test_server_step_matches_the_branches(algorithm, weighting, n_active):
+    cfg, server, store, update = _round(algorithm, weighting, n_active)
+    want = _branch_aggregate(server, update, cfg, store)
+    for cap in CAPS:
+        with mock.patch.object(federation, "BUDGET", cap * update.theta.shape[1]):
+            got = federation.server_aggregate(server, update, cfg, store)
+        for name in SERVER_VECTORS:
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (name, cap)
+        assert (got.round, got.n_clients, got.rng_seed) == (
+            want.round, want.n_clients, want.rng_seed)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("n_active", [1, 3])
+@pytest.mark.parametrize("cap", CAPS)
+def test_next_rows_match_the_blocks(algorithm, n_active, cap):
+    """apply_update writes the rows training stored as blocks, and leaves the others."""
+    cfg, server, store, update = _round(algorithm, "uniform", n_active)
+    everyone = range(store.n_samples.size)
+    before = {name: store.rows(name, everyone) for name in store.fields}
+    delta, drift_plus, c_plus, _ = _block_rows(store, server, update, cfg)
+    blocks = {"drift": drift_plus, "last_delta": delta, "scaffold_c": c_plus}
+    assert set(blocks) == set(federation.NEXT_ROWS)
+    with mock.patch.object(federation, "BUDGET", cap * update.theta.shape[1]):
+        federation.apply_update(store, update, server, cfg)
+    assert (store.slot[update.ids] < store.used).all()
+    for name in store.fields:
+        want = before[name]
+        want[update.ids] = blocks[name]
+        assert _bits(store.rows(name, everyone)) == _bits(want), name
+    if "drift" in store.fields and n_active > 1:
+        # h + delta is -0.0 + -0.0 for a stored row, +0.0 + -0.0 for a new one.
+        assert np.signbit(store.rows("drift", 1)[2]) and not np.signbit(store.rows("drift", 3)[2])
 
 
 @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != "feddc"])

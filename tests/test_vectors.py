@@ -29,7 +29,7 @@ class TestParamVector:
 
 
 class TestWeightedMean:
-    """`federation.weighted_mean`, the fold every aggregate runs, over the rows of a block."""
+    """`federation.weighted_mean`, the fold every aggregate runs, over any iterable of rows."""
 
     def test_single_element(self):
         assert np.array_equal(weighted_mean([[2.0, 2.0]], [5.0]), [2.0, 2.0])
@@ -52,12 +52,15 @@ class TestWeightedMean:
             with pytest.raises(ParameterError, match="weights must be finite, nonnegative") as exc:
                 weighted_mean(v, ws)
             assert exc.value.field is None
-        with pytest.raises(DimensionError, match=r"weighted_mean: \(2, 1\) block"):
+        with pytest.raises(DimensionError, match=r"weighted_mean: row 2/1 has shape \(1,\)"):
             weighted_mean(v, [1.0])
+        with pytest.raises(DimensionError, match=r"weighted_mean: 2 rows for 3 weights"):
+            weighted_mean(iter(v), [1.0] * 3)
 
     def test_length_mismatch(self):
-        """Only a (C, P) block has rows of one length to average."""
-        for bad in (np.ones(3), np.ones((2, 3, 1))):
+        """Only rows of one length, one per weight, are averaged."""
+        unequal = [np.ones(3), np.ones(2)]
+        for bad in (np.ones(3), np.ones((2, 3, 1)), unequal, unequal[::-1]):
             with pytest.raises(DimensionError):
                 weighted_mean(bad, [1.0] * len(bad))
 
@@ -69,12 +72,14 @@ class TestWeightedMean:
             out = weighted_mean(block, [1.0] * n)
             assert bits(out, v)
             assert not np.shares_memory(out, block)  # a copy of the row, not a view
+            assert bits(weighted_mean((row for row in block), [1.0] * n), v)
 
     def test_weight_scaling_invariance_bitwise(self, bits):
         rng = np.random.default_rng(4)
         vs = rng.standard_normal((5, 64))
         ws = list(rng.random(5) + 0.1)
         a = weighted_mean(vs, ws)
+        assert bits(a, weighted_mean(iter(vs), ws))  # the same fold over an iterable of rows
         for factor in (2.0, 0.5, 2.0**-20, 2.0**20):
             assert bits(a, weighted_mean(vs, [factor * w for w in ws])), factor
 
