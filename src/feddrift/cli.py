@@ -36,11 +36,11 @@ from .federation import (
     ALGORITHMS,
     RULES,
     AlgoConfig,
-    ablation_from_code,
-    feddc_local_objective,
-    feddc_local_objective_grad,
     ClientStore,
     ServerState,
+    ablation_from_code,
+    local_objective,
+    local_objective_grad,
 )
 from .models import ModelSpec, init_params, loss_and_grad, mean_loss
 from .rng import MAX_SEED, stream
@@ -504,9 +504,9 @@ def _write_sweep_tables(out_root: str, rows) -> None:
         fh.write("\n".join(md) + "\n")
 
 
-def _gradient_errors(spec: ModelSpec) -> tuple:
-    """(model loss, feddc drift objective) max relative errors of the analytic
-    gradients against central differences, on a batch of 4 drawn from seed 0."""
+def _gradient_errors(spec: ModelSpec) -> dict:
+    """Check name -> max relative error of its analytic gradient against central differences,
+    on a batch of 4 from seed 0: the model loss, then each algorithm's local objective."""
     batch = 4
     rng = stream(0, "testing")
     params = init_params(spec, stream(0, "global-init"))
@@ -515,19 +515,21 @@ def _gradient_errors(spec: ModelSpec) -> tuple:
 
     _, grad = loss_and_grad(spec, params, x, y)
     oracle = finite_diff_grad(lambda v: mean_loss(spec, v, x, y), params, 1e-5)
+    errors = {"model loss": max_relative_error(grad, oracle)}
 
-    cfg = AlgoConfig("feddc", alpha=0.1, lr=0.1, local_epochs=1, batch_size=batch // 2)
     dim = spec.param_count
-    server = ServerState.fresh(params, n_clients=1, rng_seed=0)
-    clients = ClientStore([batch], dim, RULES["feddc"].fields)
+    server = dataclasses.replace(ServerState.fresh(params, n_clients=1, rng_seed=0),
+                                 global_delta=0.02 * rng.standard_normal(dim),
+                                 scaffold_c=0.1 * rng.standard_normal(dim))
     theta = params + 0.05 * rng.standard_normal(dim)
-    clients.write([0], {"drift": 0.1 * rng.standard_normal((1, dim)),
-                        "last_delta": 0.02 * rng.standard_normal((1, dim))})
-    obj_grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, spec)
-    obj_oracle = finite_diff_grad(
-        lambda v: feddc_local_objective(v, clients, 0, server, cfg, x, y, spec), theta, 1e-6
-    )
-    return max_relative_error(grad, oracle), max_relative_error(obj_grad, obj_oracle)
+    for name in ALGORITHMS:
+        cfg = AlgoConfig(name, alpha=0.1, mu=0.1, lr=0.1, local_epochs=1, batch_size=batch // 2)
+        clients = ClientStore([batch], dim, RULES[name].fields)
+        clients.write([0], {f: 0.1 * rng.standard_normal((1, dim)) for f in clients.fields})
+        args = (clients, 0, server, cfg, x, y, spec)
+        oracle = finite_diff_grad(lambda v: local_objective(v, *args), theta, 1e-6)
+        errors[f"{name} objective"] = max_relative_error(local_objective_grad(theta, *args), oracle)
+    return errors
 
 
 def cmd_gradcheck(args) -> int:
@@ -535,7 +537,7 @@ def cmd_gradcheck(args) -> int:
     for spec in GRADCHECK_MODELS:
         widths = "-".join(map(str, (spec.input_dim, *spec.hidden_dims, spec.num_classes)))
         name = f"{spec.kind} {widths} weight_decay {spec.weight_decay:g}"
-        for check, err in zip(("model loss", "drift objective"), _gradient_errors(spec)):
+        for check, err in _gradient_errors(spec).items():
             print(f"{name}: {check} gradient max rel err: {err:.3e}")
             ok = ok and err < GRADCHECK_TOLERANCE
     print(f"gradcheck {'PASS' if ok else 'FAIL'} (tolerance {GRADCHECK_TOLERANCE:g})")

@@ -43,10 +43,11 @@ _IDX_LABELS_MAGIC = 0x00000801
 class FederatedDataset:
     """Samples, labels, and the per-client index partition.
 
+    Inputs are (n, d) arrays, n >= 1 and one d, with (n,) labels each.
     Train partitions are pairwise disjoint, each nonempty, and together
-    they cover every training sample; train and test labels are integer
-    class indices in [0, num_classes). Construction checks both. `label`
-    names the dataset in records.csv.
+    they cover every training sample; labels are integer class indices
+    in [0, num_classes). Construction checks all three. `label` names
+    the dataset in records.csv.
     """
 
     train_inputs: np.ndarray
@@ -58,10 +59,14 @@ class FederatedDataset:
     label: str = "custom"
 
     def __post_init__(self):
-        for name in ("train_labels", "test_labels"):
-            y = np.asarray(getattr(self, name))
+        cols = np.shape(self.train_inputs)[1:]
+        for xname, yname in (("train_inputs", "train_labels"), ("test_inputs", "test_labels")):
+            shape, y = np.shape(getattr(self, xname)), np.asarray(getattr(self, yname))
+            if len(shape) != 2 or not shape[0] or shape[1:] != cols or y.shape != shape[:1]:
+                raise DimensionError(f"{xname} {shape} and {yname} {y.shape}: expected (n, d) "
+                                     "and (n,), n >= 1 and one d for train and test")
             if not np.issubdtype(y.dtype, np.integer) or ((y < 0) | (y >= self.num_classes)).any():
-                raise ParameterError(f"{name} must be integer class indices < {self.num_classes}")
+                raise ParameterError(f"{yname} must be integer class indices < {self.num_classes}")
         parts = tuple(np.asarray(p, dtype=np.int64) for p in self.partitions)
         object.__setattr__(self, "partitions", parts)
         n = self.train_inputs.shape[0]

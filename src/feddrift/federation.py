@@ -44,8 +44,8 @@ __all__ = [
     "ablation_from_code",
     "steps_per_round",
     "round_lr",
-    "feddc_local_objective",
-    "feddc_local_objective_grad",
+    "local_objective",
+    "local_objective_grad",
     "run_local_rounds",
     "run_local_round",
     "server_aggregate",
@@ -79,15 +79,15 @@ def _feddyn_corrector(server, update, cfg, mean_up, global_delta):
 
 
 # Each algorithm is one row. A local SGD step follows the gradient
-# g + pull * (theta - anchor) + extra, with g the minibatch gradient and G
-# the round-start global parameters. `fields` are the per-client vectors
-# kept across rounds (feddc's drift h_i and previous update, feddyn's
-# summed updates as `drift`, scaffold's control c_i); `up` and `down` the
-# P-vectors a client sends and receives per round. `pull` names the
-# AlgoConfig coefficient, which 0.0 turns off; the anchor is G - drift_i
-# for a row that keeps `drift`, else G. `extra(clients, ids, server, K,
-# lr_t)` builds the rows of the extra term. The server averages the
-# `upload`: theta, theta + h_i (feddc: the global model decoupled from
+# g + pull * (theta - anchor) + extra of local_objective, with g the
+# minibatch gradient and G the round-start global parameters. `fields` are
+# the per-client vectors kept across rounds (feddc's drift h_i and previous
+# update, feddyn's summed updates as `drift`, scaffold's control c_i); `up`
+# and `down` the P-vectors a client sends and receives per round. `pull`
+# names the AlgoConfig coefficient, which 0.0 turns off; the anchor is
+# G - drift_i for a row that keeps `drift`, else G. `extra(clients, ids,
+# server, K, lr_t)` builds the rows of the extra term. The server averages
+# the `upload`: theta, theta + h_i (feddc: the global model decoupled from
 # the local drift) or delta (G + mean delta). `server(server, update, cfg,
 # mean upload, mean delta)` returns the server vectors it changes further.
 # feddc's ablation masks two columns: "param_correction" keeps its pull,
@@ -398,26 +398,20 @@ def _add_terms(grad, theta, pull, anchor, extra, has_extra, scratch) -> None:
             np.add(grad, extra, out=grad, where=has_extra)
 
 
-def _feddc_terms(clients: ClientStore, client_id: int, server: ServerState,
-                 cfg: AlgoConfig):
-    """The correction terms of one feddc client, as (1, P) blocks."""
-    if cfg.algorithm != "feddc":
-        raise ParameterError("the drift-corrected objective is defined for feddc only")
+def _client_terms(clients: ClientStore, client_id: int, server: ServerState, cfg: AlgoConfig):
+    """The correction terms of one client, as (1, P) blocks, at its K and lr_t."""
     k = steps_per_round(int(clients.n_samples[client_id]), cfg)
     return _correction_terms(clients, [client_id], server, cfg, k, round_lr(cfg, server.round))
 
 
-def feddc_local_objective(theta, clients: ClientStore, client_id: int,
-                          server: ServerState, cfg: AlgoConfig, inputs, labels,
-                          spec: ModelSpec) -> float:
-    """Value of the drift-corrected local objective at theta, a (P,) array.
+def local_objective(theta, clients: ClientStore, client_id: int, server: ServerState,
+                    cfg: AlgoConfig, inputs, labels, spec: ModelSpec) -> float:
+    """Value of a client's local objective under its RULES row at theta, a (P,) array.
 
-    The objective is the empirical loss plus 0.5 * pull * |theta - anchor|^2
-    + theta . extra, so its gradient is the step gradient that
-    :func:`_correction_terms` defines. Used by gradient checks against
-    :func:`feddc_local_objective_grad`.
+    The empirical loss plus 0.5 * pull * |theta - anchor|^2 + theta . extra of
+    :func:`_correction_terms`, whose gradient :func:`local_objective_grad` assembles.
     """
-    pull, anchor, extra, _ = _feddc_terms(clients, client_id, server, cfg)
+    pull, anchor, extra, _ = _client_terms(clients, client_id, server, cfg)
     value = models.mean_loss(spec, theta, inputs, labels)
     if anchor is not None:
         gap = theta - anchor[0]
@@ -427,12 +421,11 @@ def feddc_local_objective(theta, clients: ClientStore, client_id: int,
     return value
 
 
-def feddc_local_objective_grad(theta, clients: ClientStore, client_id: int,
-                               server: ServerState, cfg: AlgoConfig,
-                               inputs, labels, spec: ModelSpec) -> np.ndarray:
-    """Gradient of the drift-corrected local objective at theta, as training assembles it."""
+def local_objective_grad(theta, clients: ClientStore, client_id: int, server: ServerState,
+                         cfg: AlgoConfig, inputs, labels, spec: ModelSpec) -> np.ndarray:
+    """Gradient of :func:`local_objective` at theta, as training assembles it."""
     _, grad = models.loss_and_grad(spec, theta, inputs, labels)
-    terms = _feddc_terms(clients, client_id, server, cfg)
+    terms = _client_terms(clients, client_id, server, cfg)
     _add_terms(grad[None], theta[None], *terms, np.empty((1, grad.size)))
     return grad
 

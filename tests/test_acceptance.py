@@ -31,8 +31,8 @@ from feddrift.federation import (
     ServerState,
     ablation_from_code,
     apply_update,
-    feddc_local_objective,
-    feddc_local_objective_grad,
+    local_objective,
+    local_objective_grad,
     run_local_round,
     run_local_rounds,
     server_aggregate,
@@ -288,9 +288,9 @@ class TestCriterion5Properties:
                             "last_delta": 0.03 * rng.standard_normal(dim)})
         x = rng.standard_normal((4, spec.input_dim))
         y = (rng.random(4) * spec.num_classes).astype(np.int64)
-        grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, spec)
+        grad = local_objective_grad(theta, clients, 0, server, cfg, x, y, spec)
         oracle = finite_diff_grad(
-            lambda v: feddc_local_objective(v, clients, 0, server, cfg, x, y, spec),
+            lambda v: local_objective(v, clients, 0, server, cfg, x, y, spec),
             theta,
             1e-6,
         )
@@ -420,7 +420,7 @@ class TestCriterion5Properties:
             AlgoConfig("feddc", alpha=0.0, lr=0.1),
             AlgoConfig("feddc", alpha=0.1, lr=0.1, ablation=ablation_from_code("le")),
         ):
-            got = feddc_local_objective_grad(init, clients, 0, server, cfg, x, y, spec)
+            got = local_objective_grad(init, clients, 0, server, cfg, x, y, spec)
             _, plain = loss_and_grad(spec, init, x, y)
             assert bits_equal(got, plain)
         print("ACCEPTANCE 5g: feddc local gradient collapses to fedavg bitwise: PASS")

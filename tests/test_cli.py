@@ -806,12 +806,12 @@ def gradcheck_errors(out):
 
 GRADCHECK_NAMES = ["logistic 30-5 weight_decay 0", "logistic 30-5 weight_decay 0.001",
                    "mlp 12-8-6-3 weight_decay 0.001"]
-GRADCHECK_CHECKS = ["model loss gradient", "drift objective gradient"]
+GRADCHECK_CHECKS = ["model loss gradient", *(f"{algo} objective gradient" for algo in ALGORITHMS)]
 
 
 class TestGradCheck:
     """gradcheck takes no flags: it checks both model kinds, each loss with
-    and without weight decay, and the feddc drift objective on each model."""
+    and without weight decay, and every algorithm's local objective on each model."""
 
     @staticmethod
     def check_passes(capsys, models):
@@ -846,10 +846,11 @@ class TestGradCheck:
         assert f"error: unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
     def test_corrupted_gradient_fails(self, monkeypatch, capsys):
-        """Each check fails on its own: 1e-3 added to one gradient fails that
-        check on every model, and the other check on none."""
+        """Each gradient fails on its own: 1e-3 added to the model loss's fails
+        its line on every model and no objective line, and 1e-3 added to the
+        objectives' fails every objective line and no model-loss line."""
         exact_loss_and_grad = cli.loss_and_grad
-        exact_objective_grad = cli.feddc_local_objective_grad
+        exact_objective_grad = cli.local_objective_grad
 
         def loss_and_grad(*args):
             loss, grad = exact_loss_and_grad(*args)
@@ -858,15 +859,16 @@ class TestGradCheck:
         def objective_grad(*args):
             return exact_objective_grad(*args) + 1e-3
 
-        checks = {"model loss gradient": ("loss_and_grad", loss_and_grad),
-                  "drift objective gradient": ("feddc_local_objective_grad", objective_grad)}
-        for failing, (name, corrupted) in checks.items():
+        for name, corrupted in (("loss_and_grad", loss_and_grad),
+                                ("local_objective_grad", objective_grad)):
             with monkeypatch.context() as patch:
                 patch.setattr(cli, name, corrupted)
                 assert main(["gradcheck"]) == 1
             out = capsys.readouterr().out
             errors = gradcheck_errors(out)
             assert list(errors) == [(m, c) for m in GRADCHECK_NAMES for c in GRADCHECK_CHECKS]
+            objective = name == "local_objective_grad"
             for (model, check), err in errors.items():
-                assert (err > cli.GRADCHECK_TOLERANCE) == (check == failing), (model, check, err)
+                failing = (check == "model loss gradient") != objective
+                assert (err > cli.GRADCHECK_TOLERANCE) == failing, (model, check, err)
             assert out.endswith("gradcheck FAIL (tolerance 1e-05)\n")

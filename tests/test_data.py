@@ -99,6 +99,7 @@ class TestSynthetic:
         (([0, 1, 2], [2, 3, 4]), "client 1 overlaps"),
         (([0, 1, 2], [3, 4, 5]), "client 1 holds out-of-range"),
         (([0, 1, 2, 3, 4], []), "client 1 has an empty partition"),
+        ((), "sample 0 is in no partition"),
     ],
 )
 def test_dataset_partitions_cover_every_sample_once(parts, message):
@@ -110,18 +111,29 @@ def test_dataset_partitions_cover_every_sample_once(parts, message):
 
 
 @pytest.mark.parametrize(
-    "train,test,message",
+    "inputs,train,test,error,message",
     [
-        ([0, -1, 1], [0, 1], "train_labels must be integer class indices < 2"),
-        ([0, 1, 1], [0, 2], "test_labels must be integer class indices < 2"),
-        ([0.0, 1.0, 1.0], [0, 1], "train_labels must be integer class indices < 2"),
+        ((3, 2), [0, -1, 1], [0, 1], ParameterError,
+         "train_labels must be integer class indices < 2"),
+        ((3, 2), [0, 1, 1], [0, 2], ParameterError,
+         "test_labels must be integer class indices < 2"),
+        ((3, 2), [0.0, 1.0, 1.0], [0, 1], ParameterError,
+         "train_labels must be integer class indices < 2"),
+        ((3, 2), [0, 1], [0, 1], DimensionError,
+         "train_inputs (3, 2) and train_labels (2,): expected (n, d) and (n,)"),
+        ((3, 2), [0, 1, 1, 0], [0, 1], DimensionError, "train_inputs (3, 2) and train_labels (4,)"),
+        ((3, 2), [0, 1, 1], [[0, 1]], DimensionError, "test_inputs (2, 2) and test_labels (1, 2)"),
+        ((3,), [0, 1, 1], [0, 1], DimensionError, "train_inputs (3,) and train_labels (3,)"),
+        ((0, 2), [], [0, 1], DimensionError, "train_inputs (0, 2) and train_labels (0,)"),
+        ((3, 4), [0, 1, 1], [0, 1], DimensionError, "test_inputs (2, 2) and test_labels (2,): "
+         "expected (n, d) and (n,), n >= 1 and one d for train and test"),
     ],
-    ids=["train=-1", "test=2", "float"],
+    ids=["train=-1", "test=2", "float", "train-labels-short", "train-labels-long",
+         "test-labels-2d", "train-inputs-1d", "train-empty", "test-inputs-narrower"],
 )
-def test_dataset_labels_are_class_indices(train, test, message):
-    x = np.zeros((3, 2))
-    with pytest.raises(ParameterError, match=message):
-        FederatedDataset(x, np.array(train), x[:2], np.array(test),
+def test_dataset_labels_are_class_indices(inputs, train, test, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        FederatedDataset(np.zeros(inputs), np.array(train), np.zeros((2, 2)), np.array(test),
                          partitions=([0, 1, 2],), num_classes=2)
 
 

@@ -23,9 +23,9 @@ from feddrift.federation import (
     ServerState,
     ablation_from_code,
     apply_update,
-    feddc_local_objective,
-    feddc_local_objective_grad,
     gradient_variance_diagnostic,
+    local_objective,
+    local_objective_grad,
     round_lr,
     run_local_round,
     run_local_rounds,
@@ -64,13 +64,24 @@ def block_update(theta, k_steps=1, n_samples=8):
 
 
 def randomize_client(clients, i, seed):
-    """Random stored rows for client i; returns a random theta."""
+    """Random rows of every stored field for client i; returns a random theta."""
     rng = stream(seed, "testing", client=i + 1)
     dim = SPEC.param_count
     theta = rng.standard_normal(dim)
-    clients.write([i], {"drift": 0.1 * rng.standard_normal(dim),
-                        "last_delta": 0.05 * rng.standard_normal(dim)})
+    clients.write([i], {f: 0.1 * rng.standard_normal(dim) for f in clients.fields})
     return theta
+
+
+def randomize_server(server, seed):
+    """`server` with random global_delta, scaffold_c and dyn_corrector."""
+    rng = stream(seed, "testing", round_index=1)  # apart from make_data's and the clients' draws
+    return replace(server, **{name: 0.05 * rng.standard_normal(server.global_params.size)
+                              for name in ("global_delta", "scaffold_c", "dyn_corrector")})
+
+
+# Each algorithm's full local objective, and feddc's under each ablation that masks a term.
+OBJECTIVES = {**{algo: (algo, "lelglp") for algo in ALGORITHMS},
+              **{f"feddc-{code}": ("feddc", code) for code in ("le", "lelg", "lelp")}}
 
 
 class TestAlgoConfig:
@@ -110,58 +121,56 @@ class TestLocalObjective:
     def test_alpha_zero_and_no_history_equals_plain_gradient(self, bits):
         cfg, server, clients = make_states("feddc", alpha=0.0)
         x, y = make_data()
-        got = feddc_local_objective_grad(
+        got = local_objective_grad(
             server.global_params, clients, 0, server, cfg, x, y, SPEC
         )
         _, plain = loss_and_grad(SPEC, server.global_params, x, y)
         assert bits(got, plain)
 
-    def test_empirical_only_ablation_equals_fedavg_gradient_bitwise(self, bits):
-        cfg, server, clients = make_states(
-            "feddc", alpha=0.1, ablation=ablation_from_code("le")
-        )
+    @pytest.mark.parametrize("code", ["le", "lelg", "lelp"])
+    def test_ablation_adds_only_its_terms_bitwise(self, bits, code):
+        """le leaves loss_and_grad's gradient, lelg adds only the gradient
+        correction and lelp only the pull towards G - h_i, each assembled by hand."""
+        cfg, server, clients = make_states("feddc", alpha=0.1, ablation=ablation_from_code(code))
         theta = randomize_client(clients, 0, 5)
+        server = randomize_server(server, 5)
         x, y = make_data(seed=5)
-        got = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC)
-        _, plain = loss_and_grad(SPEC, theta, x, y)
-        assert bits(got, plain)
+        _, want = loss_and_grad(SPEC, theta, x, y)
+        if "grad_correction" in cfg.ablation:
+            k_lr = steps_per_round(8, cfg) * round_lr(cfg, server.round)
+            want += (clients.rows("last_delta", 0) - server.global_delta) / k_lr
+        if "param_correction" in cfg.ablation:
+            want += cfg.alpha * (theta - (server.global_params - clients.rows("drift", 0)))
+        assert bits(local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC), want)
 
     def test_param_correction_vanishes_at_anchor(self):
         cfg, server, clients = make_states("feddc", alpha=0.7)
         clients.write([0], {"drift": stream(3, "testing").standard_normal(SPEC.param_count)})
         theta = server.global_params - clients.rows("drift", 0)
         x, y = make_data(seed=3)
-        with_pc = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC)
+        with_pc = local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC)
         cfg_no_pc = AlgoConfig(
             "feddc", alpha=0.7, ablation=ablation_from_code("lelg")
         )
-        without_pc = feddc_local_objective_grad(
+        without_pc = local_objective_grad(
             theta, clients, 0, server, cfg_no_pc, x, y, SPEC
         )
         assert np.array_equal(with_pc, without_pc)
 
-    def test_gradient_matches_finite_differences(self):
-        cfg, server, clients = make_states("feddc", alpha=0.3)
+    @pytest.mark.parametrize("algorithm,code", OBJECTIVES.values(), ids=OBJECTIVES)
+    def test_gradient_matches_finite_differences(self, algorithm, code):
+        cfg, server, clients = make_states(algorithm, alpha=0.3, mu=0.2,
+                                           ablation=ablation_from_code(code))
         theta = randomize_client(clients, 0, 7)
-        server = replace(
-            ServerState.fresh(init_params(SPEC, stream(8, "global-init")), 3, 0),
-            global_delta=0.02 * stream(9, "testing").standard_normal(8),
-        )
+        server = randomize_server(server, 9)
         x, y = make_data(seed=9)
-        grad = feddc_local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC)
+        grad = local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC)
         oracle = finite_diff_grad(
-            lambda v: feddc_local_objective(v, clients, 0, server, cfg, x, y, SPEC),
+            lambda v: local_objective(v, clients, 0, server, cfg, x, y, SPEC),
             theta,
             1e-6,
         )
         assert max_relative_error(grad, oracle) < 1e-5
-
-    def test_wrong_algorithm_rejected(self):
-        cfg, server, clients = make_states("fedavg")
-        with pytest.raises(ParameterError):
-            feddc_local_objective_grad(
-                server.global_params, clients, 0, server, cfg, *make_data(), SPEC
-            )
 
 
 class TestRunLocalRound:
