@@ -44,6 +44,9 @@ class FederatedDataset:
     """Samples, labels, and the per-client index partition.
 
     Inputs are (n, d) arrays, n >= 1 and one d, with (n,) labels each.
+    uint8 inputs are pixels, which a model reads divided by 255 (as
+    float64), one training batch or evaluation slice at a time; inputs
+    of any other dtype are read as float64 values.
     Train partitions are pairwise disjoint, each nonempty, and together
     they cover every training sample; labels are integer class indices
     in [0, num_classes). Construction checks all three. `label` names
@@ -206,8 +209,10 @@ def _read_maybe_gzip(path) -> bytes:
 def load_mnist_idx(images_path, labels_path):
     """Parse an IDX image/label file pair into (inputs, labels).
 
-    Pixels are scaled to [0, 1] by dividing by 255; inputs come back as
-    an (n, rows*cols) float64 matrix. Gzipped files are accepted.
+    Inputs come back as the (n, rows*cols) uint8 pixels, a read-only view
+    of the file's bytes, and labels as (n,) int64. A model reads the
+    pixels scaled to [0, 1] (see :class:`FederatedDataset`). Gzipped
+    files are accepted.
     """
     img = _read_maybe_gzip(images_path)
     if len(img) < 16:
@@ -234,15 +239,17 @@ def load_mnist_idx(images_path, labels_path):
         raise FormatError(f"{labels_path}: declares {ln} labels but holds {len(lab) - 8}")
     if ln != n:
         raise FormatError(f"{n} images but {ln} labels")
-    pixels = np.frombuffer(img, dtype=np.uint8, offset=16)
-    inputs = pixels.astype(np.float64).reshape(n, rows * cols)
-    inputs /= 255.0  # in place: one float64 copy of the pixels
+    inputs = np.frombuffer(img, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lab, dtype=np.uint8, offset=8).astype(np.int64)
     return inputs, labels
 
 
 def save_mnist_idx(inputs, labels, images_path, labels_path, rows=28, cols=28):
-    """Write inputs/labels as an IDX pair; inverse of :func:`load_mnist_idx`."""
+    """Write inputs/labels as an IDX pair; inverse of :func:`load_mnist_idx`.
+
+    uint8 inputs are written as they are; float inputs in [0, 1] are
+    scaled by 255 and rounded to the nearest byte.
+    """
     x = np.asarray(inputs)
     y = np.asarray(labels)
     n = x.shape[0]
@@ -250,7 +257,7 @@ def save_mnist_idx(inputs, labels, images_path, labels_path, rows=28, cols=28):
         raise ParameterError(f"inputs have {x.shape[1]} pixels, expected {rows * cols}")
     if y.shape[0] != n:
         raise DimensionError(f"{n} images but {y.shape[0]} labels")
-    pixels = np.rint(x * 255.0).clip(0, 255).astype(np.uint8)
+    pixels = x if x.dtype == np.uint8 else np.rint(x * 255.0).clip(0, 255).astype(np.uint8)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, rows, cols))
         fh.write(pixels.tobytes())

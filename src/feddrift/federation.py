@@ -187,14 +187,15 @@ class AlgoConfig:
                 raise ParameterError(f"expected alpha >= 0 for feddc, got {self.alpha}", "alpha")
 
 
-# Client field -> its next rows from the clients' stored rows, their delta =
-# theta - G and K * lr_t, and the round-start server. Its keys are every
-# field a ClientStore or a checkpoint may hold.
+# Client field -> its next rows from old() (a call that copies the clients'
+# stored rows, so a field whose next rows ignore them copies none), their
+# delta = theta - G and K * lr_t, and the round-start server. Its keys are
+# every field a ClientStore or a checkpoint may hold.
 NEXT_ROWS = {
-    "drift": lambda old, delta, k_lr, server: old + delta,
+    "drift": lambda old, delta, k_lr, server: old() + delta,
     "last_delta": lambda old, delta, k_lr, server: delta,
     "scaffold_c": lambda old, delta, k_lr, server:
-        (old - server.scaffold_c) + _implied_grad(delta, k_lr),
+        (old() - server.scaffold_c) + _implied_grad(delta, k_lr),
 }
 
 
@@ -438,7 +439,10 @@ def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
     thread that sets it up, whichever thread then calls it. Row c trains
     on inputs[c] and labels[c] and shuffles them with rngs[c], one fresh
     permutation per epoch, then steps through them in batches of
-    `batch_size`, the last of which may be partial. `terms` are the
+    `batch_size`, the last of which may be partial. uint8 inputs are
+    pixels: the shuffled copy holds their bytes, and each batch is scaled
+    into one float buffer (see :func:`models._as_float`); float64 inputs
+    are read in place. `terms` are the
     (pull, anchor, extra, has_extra) of :func:`_correction_terms`.
     After the gradient kernel, a step adds weight decay and the terms
     and updates theta one column tile of at most BUDGET floats at a
@@ -448,10 +452,17 @@ def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
     c, n = len(labels), labels[0].shape[0]
     xp = np.empty((c, *inputs[0].shape), dtype=inputs[0].dtype)
     yp = np.empty((c, n), dtype=labels[0].dtype)
+    # Each step's (inputs, labels, float buffer or None) views, chosen once by dtype.
+    xf = np.empty((c, min(batch_size, n), xp.shape[2])) if xp.dtype == np.uint8 else None
+    batches = [
+        (xp[:, lo : lo + batch_size], yp[:, lo : lo + batch_size],
+         None if xf is None else xf[:, : min(batch_size, n - lo)])
+        for lo in range(0, n, batch_size)
+    ]
     grad = np.empty_like(theta)
     layers = models._split(spec, theta)
     glayers = models._split(spec, grad)
-    grad_into, decay_into = models._grad_into, models._decay_into
+    grad_into, decay_into, as_float = models._grad_into, models._decay_into, models._as_float
     wd = spec.weight_decay
     pull, anchor, extra, has_extra = terms
     width = max(1, BUDGET // c)
@@ -469,9 +480,8 @@ def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
                 order = rng.permutation(n)
                 inputs[r].take(order, axis=0, out=xp[r])
                 labels[r].take(order, out=yp[r])
-            for lo in range(0, n, batch_size):
-                batch = slice(lo, lo + batch_size)
-                grad_into(layers, glayers, xp[:, batch], yp[:, batch])
+            for xb, yb, fb in batches:
+                grad_into(layers, glayers, xb if fb is None else as_float(xb, fb), yb)
                 for g, th, tmp, decayed, an, ex in tiles:
                     if decayed:
                         decay_into(wd, g, th, tmp)
@@ -656,7 +666,8 @@ def apply_update(clients: ClientStore, update: RoundUpdate, server: ServerState,
     """Write every field's NEXT_ROWS into the store, from the round-start `server`
     (not the aggregated one: scaffold's next control reads the old c)."""
     for ids, _, delta, k_lr in _chunks(update, server, cfg):
-        clients.write(ids, {f: NEXT_ROWS[f](clients.rows(f, ids), delta, k_lr, server)
+        clients.write(ids, {f: NEXT_ROWS[f](functools.partial(clients.rows, f, ids), delta,
+                                            k_lr, server)
                             for f in clients.fields})
 
 

@@ -8,8 +8,9 @@ weight decay on weights, never biases), the training kernel
 (`_grad_into`, which writes the exact analytic gradient of the
 cross-entropy in place, in the same flat layout as the parameters, for a
 stack of clients at once), the weight-decay gradient (`_decay_into`,
-added over the weight ranges of `_tiles`), and the input check that
-`loss_and_grad`, `accuracy` and `mean_loss` share.
+added over the weight ranges of `_tiles`), the input scaling (`_as_float`:
+`uint8` pixels divided by 255 where a model reads them) and the input
+check that `loss_and_grad`, `accuracy` and `mean_loss` share.
 
 Flat layout, per layer in order: the (fan_in x fan_out) weight matrix in
 row-major order, then the fan_out bias entries. A (C, P) block holds C
@@ -188,12 +189,29 @@ def _grad_into(layers, glayers, x, y) -> None:
             dz *= acts[li] > 0.0
 
 
+def _as_float(x: np.ndarray, out=None) -> np.ndarray:
+    """The float64 values a model reads for inputs `x`.
+
+    A uint8 array holds pixels: it is divided by 255 into `out` (a new
+    array if None), bitwise its astype(np.float64) / 255.0. Any other
+    array is returned as it is.
+    """
+    if x.dtype != np.uint8:
+        return x
+    return np.divide(x, 255.0, out=np.empty(x.shape) if out is None else out)
+
+
 def _check_inputs(spec: ModelSpec, params, inputs, labels):
-    """(flat parameters, inputs, labels) as arrays, once they fit the model."""
+    """(flat parameters, inputs, labels) as arrays, once they fit the model.
+
+    uint8 inputs stay pixels (see :func:`_as_float`); others become float64.
+    """
     flat = np.asarray(params, dtype=np.float64)
     if flat.shape != (spec.param_count,):
         raise DimensionError(f"model expects {spec.param_count} parameters, got {flat.shape}")
-    x = np.asarray(inputs, dtype=np.float64)
+    x = np.asarray(inputs)
+    if x.dtype != np.uint8:
+        x = x.astype(np.float64, copy=False)
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise DimensionError(f"inputs must have shape (n, {spec.input_dim}), got {x.shape}")
@@ -209,9 +227,22 @@ def _check_inputs(spec: ModelSpec, params, inputs, labels):
     return flat, x, y
 
 
+def _slices(x: np.ndarray):
+    """(lo, rows lo to lo + _CHUNK of x as float64) for each evaluation slice of x.
+
+    uint8 pixels are scaled into one buffer that every slice reuses, so a
+    slice is valid until the next is drawn.
+    """
+    buf = np.empty((min(_CHUNK, x.shape[0]), x.shape[1])) if x.dtype == np.uint8 else None
+    for lo in range(0, x.shape[0], _CHUNK):
+        part = x[lo : lo + _CHUNK]
+        yield lo, part if buf is None else _as_float(part, buf[: part.shape[0]])
+
+
 def loss_and_grad(spec: ModelSpec, params, inputs, labels):
     """(mean_loss, gradient) on one batch; the gradient is a (P,) array."""
     flat, x, y = _check_inputs(spec, params, inputs, labels)
+    x = _as_float(x)
     grad = np.empty((1, spec.param_count))
     _grad_into(_split(spec, flat[None]), _split(spec, grad), x[None], y[None])
     for lo, hi, decayed in _tiles(spec, spec.param_count):
@@ -225,8 +256,8 @@ def accuracy(spec: ModelSpec, params, inputs, labels) -> float:
     flat, x, y = _check_inputs(spec, params, inputs, labels)
     layers = _split(spec, flat)
     hits = 0
-    for lo in range(0, x.shape[0], _CHUNK):
-        _, logits = _forward(layers, x[lo : lo + _CHUNK])
+    for lo, xs in _slices(x):
+        _, logits = _forward(layers, xs)
         hits += int((np.argmax(logits, axis=1) == y[lo : lo + _CHUNK]).sum())
     return hits / x.shape[0]
 
@@ -236,8 +267,8 @@ def mean_loss(spec: ModelSpec, params, inputs, labels) -> float:
     flat, x, y = _check_inputs(spec, params, inputs, labels)
     layers = _split(spec, flat)
     total = 0.0
-    for lo in range(0, x.shape[0], _CHUNK):
-        _, z = _forward(layers, x[lo : lo + _CHUNK])
+    for lo, xs in _slices(x):
+        _, z = _forward(layers, xs)
         z = z - z.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         yc = y[lo : lo + _CHUNK]

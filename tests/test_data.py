@@ -17,7 +17,7 @@ from feddrift.data import (
     save_mnist_idx,
 )
 from feddrift.errors import DimensionError, FormatError, ParameterError
-from feddrift.models import ModelSpec, accuracy, loss_and_grad
+from feddrift.models import ModelSpec, _as_float, accuracy, loss_and_grad
 from feddrift.rng import stream
 
 
@@ -139,21 +139,30 @@ def test_dataset_labels_are_class_indices(inputs, train, test, error, message):
 
 class TestIdx:
     def test_round_trip_bitwise(self, tiny_idx_pair, tmp_path):
+        """The loaded pixels are the fixture's bytes, and either form saves the same files."""
         img, lab, x, y = tiny_idx_pair
         lx, ly = load_mnist_idx(img, lab)
+        assert lx.dtype == np.uint8 and lx.shape == (100, 784)
         assert np.array_equal(ly, y)
-        assert np.allclose(lx, x)
-        img2 = tmp_path / "again-images"
-        lab2 = tmp_path / "again-labels"
-        save_mnist_idx(lx, ly, img2, lab2)
-        assert img2.read_bytes() == img.read_bytes()
-        assert lab2.read_bytes() == lab.read_bytes()
+        assert _as_float(lx).tobytes() == x.tobytes()
+        for form, pixels in (("uint8", lx), ("float", _as_float(lx))):
+            img2 = tmp_path / f"{form}-images"
+            lab2 = tmp_path / f"{form}-labels"
+            save_mnist_idx(pixels, ly, img2, lab2)
+            assert img2.read_bytes() == img.read_bytes(), form
+            assert lab2.read_bytes() == lab.read_bytes(), form
 
     def test_scaling_to_unit_interval(self, tiny_idx_pair):
+        """Pixels load as bytes; scaled at use they are bitwise the float64 decode."""
         img, lab, _, _ = tiny_idx_pair
         x, _ = load_mnist_idx(img, lab)
-        assert x.min() >= 0.0 and x.max() <= 1.0
-        assert x.shape == (100, 784)
+        assert x.dtype == np.uint8 and x.shape == (100, 784)
+        decode = x.astype(np.float64)
+        decode /= 255.0
+        scaled = _as_float(x)
+        assert scaled.dtype == np.float64 and scaled.shape == (100, 784)
+        assert scaled.tobytes() == decode.tobytes()
+        assert scaled.min() >= 0.0 and scaled.max() <= 1.0
 
     def test_gzip_transparent(self, tiny_idx_pair, tmp_path):
         import gzip

@@ -43,7 +43,14 @@ from feddrift.errors import (
     RunError,
 )
 from feddrift.federation import ALGORITHMS, AlgoConfig, round_lr, steps_per_round
-from feddrift.models import ModelSpec, accuracy, init_params, loss_and_grad, mean_loss
+from feddrift.models import (
+    ModelSpec,
+    _as_float,
+    accuracy,
+    init_params,
+    loss_and_grad,
+    mean_loss,
+)
 from feddrift.rng import stream
 
 LOGISTIC = ModelSpec("logistic", 30, 5)
@@ -814,7 +821,9 @@ class TestMnistPath:
         )
         for arr in (ds.train_inputs, ds.train_labels):
             assert arr.flags.owndata and arr.shape[0] == 30
-        assert np.array_equal(ds.train_inputs, x[:30]) and np.array_equal(ds.train_labels, y[:30])
+        assert ds.train_inputs.dtype == np.uint8 and ds.train_inputs.shape == (30, 784)
+        assert _as_float(ds.train_inputs).tobytes() == x[:30].tobytes()
+        assert np.array_equal(ds.train_labels, y[:30])
 
     @pytest.mark.parametrize("plan,label", [
         (PartitionPlan(balance="lognormal", seed=1), "mnist-iid-unbalanced"),

@@ -8,7 +8,8 @@ one-client result, sign bits included. Each step applies its
 weight decay, correction terms and update in column tiles; every tiling
 must match one whole-width pass per term. Chunks of one client may
 train on a thread pool; the pool must give the serial loop's blocks,
-errors and warnings.
+errors and warnings. uint8 pixels, scaled per batch and per evaluation
+slice, must train and evaluate bitwise as their float64 decode does.
 """
 
 import contextlib
@@ -27,9 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feddrift import federation
-from feddrift.data import SyntheticConfig
-from feddrift.engine import ExperimentConfig, FederatedRun
+from feddrift import federation, models
+from feddrift.data import FederatedDataset, SyntheticConfig
+from feddrift.engine import ExperimentConfig, FederatedRun, run_experiment, write_records_csv
 from feddrift.errors import DimensionError, NumericError, RunError
 from feddrift.federation import (
     ALGORITHMS,
@@ -42,7 +43,7 @@ from feddrift.federation import (
     run_local_round,
     run_local_rounds,
 )
-from feddrift.models import ModelSpec, _grad_into, _split, _tiles, init_params
+from feddrift.models import ModelSpec, _as_float, _grad_into, _split, _tiles, init_params
 from feddrift.rng import stream
 
 SPECS = {
@@ -362,6 +363,73 @@ def test_threaded_chunks_under_rapid_thread_switches():
     finally:
         sys.setswitchinterval(interval)
     _same_round(threaded, serial, store, server, cfg)
+
+
+def test_pixel_scaling_is_the_float_decode_bitwise():
+    """Every byte value scales to its astype(np.float64) / 255.0, into a new array or a buffer."""
+    pixels = np.arange(256, dtype=np.uint8)
+    decode = (pixels.astype(np.float64) / 255.0).tobytes()
+    assert _as_float(pixels).tobytes() == decode
+    out = np.full(256, np.nan)
+    assert _as_float(pixels, out) is out and out.tobytes() == decode
+    floats = np.linspace(0.0, 1.0, 7)
+    assert _as_float(floats) is floats
+    # The public model functions read the pixels as that decode.
+    spec = ModelSpec("mlp", 16, 3, hidden_dims=(5,), weight_decay=1e-3)
+    theta = init_params(spec, stream(1, "testing"))
+    x, y = pixels.reshape(16, 16), np.arange(16) % 3
+    for fn in (models.accuracy, models.mean_loss):
+        assert fn(spec, theta, x, y) == fn(spec, theta, _as_float(x), y), fn.__name__
+    loss, grad = models.loss_and_grad(spec, theta, x, y)
+    want_loss, want_grad = models.loss_and_grad(spec, theta, _as_float(x), y)
+    assert loss == want_loss and _bits(grad) == _bits(want_grad)
+
+
+def _pixel_records(spec, sizes, batch_size, tmp_path, pixels):
+    """records.csv (without wall_ms) of a 3-round feddc run on uint8 pixels, or on
+    their float64 decode when `pixels` is false; evaluation slices of 7 rows."""
+    rng = stream(9, "testing")
+    n, n_test = sum(sizes), 17
+    x = rng.integers(0, 256, (n + n_test, spec.input_dim)).astype(np.uint8)
+    y = rng.integers(0, spec.num_classes, n + n_test)
+    if not pixels:
+        x = x.astype(np.float64) / 255.0
+    starts = np.cumsum([0, *sizes])
+    ds = FederatedDataset(x[:n], y[:n], x[n:], y[n:],
+                          tuple(np.arange(a, b) for a, b in zip(starts, starts[1:])),
+                          spec.num_classes)
+    cfg = ExperimentConfig(
+        dataset=SyntheticConfig(input_dim=spec.input_dim, num_classes=spec.num_classes),
+        model=spec,
+        algo=AlgoConfig("feddc", alpha=0.1, lr=0.3, local_epochs=2, batch_size=batch_size),
+        rounds=3,
+    )
+    with mock.patch.object(models, "_CHUNK", 7):
+        records, _ = run_experiment(cfg, dataset=ds)
+    path = tmp_path / f"records-{pixels}.csv"
+    write_records_csv(path, records, "feddc", ds.label, cfg.seed)
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def test_pixels_train_as_their_float_decode_in_stacked_chunks(tmp_path):
+    """Logistic chunks of C = 4 clients, 23 samples in batches of 10: a partial last batch."""
+    spec = ModelSpec("logistic", 20, 5)
+    sizes = [23] * 4
+    assert len(lockstep_groups(range(4), sizes, federation.BUDGET // spec.param_count)[0]) == 4
+    want = _pixel_records(spec, sizes, 10, tmp_path, pixels=False)
+    assert _pixel_records(spec, sizes, 10, tmp_path, pixels=True) == want
+    assert len(want) == 4 and all(line.count(",") == 8 for line in want)
+
+
+def test_pixels_train_as_their_float_decode_on_the_pool(tmp_path):
+    """MLP chunks of one client, two at a time on the thread pool."""
+    spec = ModelSpec("mlp", 20, 5, hidden_dims=(9,), weight_decay=1e-3)
+    sizes = [12, 9, 12, 15, 9]
+    with one_client_chunks(spec, 2) as trained_on:
+        want = _pixel_records(spec, sizes, 4, tmp_path, pixels=False)
+        got = _pixel_records(spec, sizes, 4, tmp_path, pixels=True)
+    assert got == want and len(want) == 4
+    assert len(trained_on) == 2 * 3 * len(sizes) and threading.get_ident() not in trained_on
 
 
 def test_a_blas_on_more_threads_trains_on_the_pool_on_one_thread():
