@@ -24,9 +24,8 @@ from .data import DIRICHLET_NAMED, PartitionPlan, SyntheticConfig
 from .engine import (
     ExperimentConfig,
     MnistConfig,
-    build_dataset,
-    dataset_label,
     run_experiment,
+    run_experiments,
     write_json,
     write_records_csv,
     write_summary_json,
@@ -344,22 +343,18 @@ def _apply_overrides(raw: dict, args) -> dict:
     return presets.merge_under(overrides, raw)
 
 
-def _run_one(exp: ExperimentConfig, out_dir: str, resolved: dict):
-    """Train one run, then write its outputs; a run that fails writes nothing."""
-    dataset = build_dataset(exp.dataset)
-    records, summary = run_experiment(exp, dataset=dataset)
-    label = dataset_label(dataset)
+def _write_run(out_dir: str, exp: ExperimentConfig, resolved: dict, records, summary) -> None:
+    """Write a trained run's records.csv, summary.json and config.json to `out_dir`."""
     os.makedirs(out_dir, exist_ok=True)
     write_records_csv(
         os.path.join(out_dir, "records.csv"),
         records,
         exp.algo.algorithm,
-        label,
+        exp.dataset.label,
         exp.seed,
     )
     write_summary_json(os.path.join(out_dir, "summary.json"), summary)
     write_json(os.path.join(out_dir, "config.json"), resolved)
-    return records, summary, label
 
 
 def cmd_run(args) -> int:
@@ -375,9 +370,10 @@ def cmd_run(args) -> int:
     raw = _apply_overrides(raw, args)
     exp, resolved = build_experiment(raw)
     out_dir = raw.get("out_dir") or os.path.join("runs", f"{exp.algo.algorithm}-s{exp.seed}")
-    records, summary, label = _run_one(exp, out_dir, resolved)
+    records, summary = run_experiment(exp)  # a run that fails writes nothing
+    _write_run(out_dir, exp, resolved, records, summary)
     print(
-        f"{exp.algo.algorithm} on {label} seed {exp.seed}: "
+        f"{exp.algo.algorithm} on {exp.dataset.label} seed {exp.seed}: "
         f"best accuracy {summary.best_accuracy:.4f} "
         f"({len(records)} rounds) -> {out_dir}/records.csv"
     )
@@ -433,19 +429,24 @@ def _expand_manifest(manifest: dict):
 
 
 def cmd_sweep(args) -> int:
+    """Train every run on the usable CPUs, then write in manifest order what the serial
+    loop would: a failed run writes nothing, and without --keep-going stops the writing."""
     out_root, runs = _expand_manifest(_load_json(args.manifest))
+    outcomes = run_experiments(exp for *_, exp, _ in runs)
     rows = []  # (setting, algorithm, seed, best accuracy, target, rounds to target)
     failures = []
-    for name, algo, seed, exp, resolved in runs:
-        run_dir = os.path.join(out_root, name, f"{algo}-s{seed}")
-        try:
-            _, summary, _ = _run_one(exp, run_dir, resolved)
-        except FedDriftError as exc:
+    for (name, algo, seed, exp, resolved), outcome in zip(runs, outcomes):
+        if isinstance(outcome, FedDriftError):
             if not args.keep_going:
-                print(f"error: {name}/{algo}/seed={seed}: {exc}", file=sys.stderr)
+                print(f"error: {name}/{algo}/seed={seed}: {outcome}", file=sys.stderr)
                 return 1
-            failures.append((name, algo, seed, str(exc)))
+            failures.append((name, algo, seed, str(outcome)))
             continue
+        if isinstance(outcome, Exception):
+            raise outcome
+        records, summary = outcome
+        _write_run(os.path.join(out_root, name, f"{algo}-s{seed}"), exp, resolved, records,
+                   summary)
         target = exp.target_accuracies[0] if exp.target_accuracies else None
         reached = summary.rounds_to_target.get(target)
         rows.append((name, algo, seed, summary.best_accuracy, target, reached))

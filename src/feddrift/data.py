@@ -133,6 +133,11 @@ class SyntheticConfig:
             if not (np.isfinite(v) and v >= 0):
                 raise ParameterError(f"expected {name} >= 0, got {v!r}", name)
 
+    @property
+    def label(self) -> str:
+        """The dataset's name in records.csv; a semicolon, not a comma, keeps it one cell."""
+        return f"synthetic({self.gamma1:g};{self.gamma2:g})"
+
 
 def _client_label_model(cfg: SyntheticConfig, client: int):
     """The (theta, b) pair labeling client's samples.
@@ -190,8 +195,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> FederatedDataset:
         test_labels=np.concatenate(test_y).astype(np.int64),
         partitions=tuple(parts),
         num_classes=cfg.num_classes,
-        # Semicolon, not comma: the label becomes a CSV cell.
-        label=f"synthetic({cfg.gamma1:g};{cfg.gamma2:g})",
+        label=cfg.label,
     )
 
 

@@ -11,17 +11,22 @@ the determinism contract.
 from __future__ import annotations
 
 import csv
+import ctypes
 import errno
 import json
+import multiprocessing
 import os
+import pickle
+import signal
 import struct
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import models
+from . import federation, models
 from .data import (
     FederatedDataset,
     PartitionPlan,
@@ -30,7 +35,7 @@ from .data import (
     load_mnist_idx,
     partition,
 )
-from .errors import DimensionError, FormatError, ParameterError, RunError
+from .errors import DimensionError, FedDriftError, FormatError, ParameterError, RunError
 from .federation import (
     BYTES_PER_PARAM,
     RULES,
@@ -57,6 +62,7 @@ __all__ = [
     "RunSummary",
     "FederatedRun",
     "run_experiment",
+    "run_experiments",
     "rounds_to_target",
     "summarize",
     "checkpoint_save",
@@ -98,6 +104,12 @@ class MnistConfig:
             )
         if self.subsample is not None and self.subsample < 1:
             raise ParameterError(f"expected subsample >= 1, got {self.subsample}", "subsample")
+
+    @property
+    def label(self) -> str:
+        """The dataset's name in records.csv: its partition, e.g. "mnist-d0.3-unbalanced"."""
+        tag = "iid" if self.plan.mode == "iid" else f"d{self.plan.conc:g}"
+        return f"mnist-{tag}-unbalanced" if self.plan.balance == "lognormal" else f"mnist-{tag}"
 
 
 @dataclass(frozen=True)
@@ -174,18 +186,14 @@ def build_dataset(dataset_cfg) -> FederatedDataset:
             xt, yt = load_mnist_idx(dataset_cfg.test_images, dataset_cfg.test_labels)
             if dataset_cfg.subsample is not None:  # copies, so the full decode is freed
                 x, y = x[: dataset_cfg.subsample].copy(), y[: dataset_cfg.subsample].copy()
-            plan = dataset_cfg.plan
-            tag = "iid" if plan.mode == "iid" else f"d{plan.conc:g}"
-            if plan.balance == "lognormal":
-                tag += "-unbalanced"
             return FederatedDataset(
                 train_inputs=x,
                 train_labels=y,
                 test_inputs=xt,
                 test_labels=yt,
-                partitions=tuple(partition(y, dataset_cfg.n_clients, plan)),
+                partitions=tuple(partition(y, dataset_cfg.n_clients, dataset_cfg.plan)),
                 num_classes=int(max(y.max(), yt.max())) + 1,
-                label=f"mnist-{tag}",
+                label=dataset_cfg.label,
             )
     raise ParameterError(f"unsupported dataset config {type(dataset_cfg).__name__}")
 
@@ -306,6 +314,113 @@ def _record(cfg: ExperimentConfig, server: ServerState, ds: FederatedDataset, st
 def run_experiment(cfg: ExperimentConfig, dataset: FederatedDataset | None = None):
     """Execute a full run; returns (records, summary)."""
     return FederatedRun(cfg, dataset).run_to_completion()
+
+
+def run_experiments(cfgs) -> list:
+    """Train independent runs on every usable CPU; each run's outcome, in input order.
+
+    An outcome is what :func:`run_experiment` returns, (records, summary),
+    or the exception the run raised: a FedDriftError for every failure
+    the program names. Whichever process trained a run, its outcome is
+    the same value, and a FedDriftError comes without its traceback.
+
+    With N usable CPUs (:func:`federation._usable_cpus`) and W = min(N,
+    len(cfgs)) workers, run i goes to worker i % W. Worker 0 is this
+    process; the others are children started with ``fork``, where it is
+    among the start methods and this process may have children (elsewhere,
+    and in a daemonic process, this process trains every run).
+    Each worker trains its runs one after another on its own share of
+    the CPUs, so a run's thread pool (:func:`federation.run_local_rounds`)
+    sizes itself by that share. This process narrows its calling thread
+    to its share while it trains and restores its affinity afterwards.
+    ``fork`` copies only the calling thread, and the children start
+    before this process trains anything.
+    Nothing is written here. No child outlives the call, nor, on Linux,
+    this process; a child that dies before it reports gives each of its
+    runs a RunError.
+    """
+    cfgs = list(cfgs)
+    workers = max(1, min(federation._usable_cpus(), len(cfgs)))
+    if "fork" not in multiprocessing.get_all_start_methods() or \
+            multiprocessing.current_process().daemon:  # a daemon (a pool's worker) has no children
+        workers = 1
+    shares = _cpu_shares(workers)
+    outcomes = [None] * len(cfgs)
+    children = []
+    try:
+        for k in range(1, workers):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context("fork").Process(
+                target=_train_and_send, args=(send, cfgs[k::workers], shares[k], os.getpid()),
+                daemon=True)
+            child.start()
+            send.close()  # else a dead child's pipe never reads as closed
+            children.append((k, child, receive))
+        outcomes[0::workers] = _train_share(cfgs[0::workers], shares[0])
+        for k, child, receive in children:
+            try:
+                got = receive.recv()
+            except EOFError:  # it died before it reported
+                got = None
+            child.join()
+            outcomes[k::workers] = got or [RunError(
+                f"the worker process training this run exited with code {child.exitcode}"
+            )] * len(cfgs[k::workers])
+    finally:
+        for _, child, receive in children:
+            receive.close()
+            if child.is_alive():  # this process failed first
+                child.terminate()
+            child.join()
+    return outcomes
+
+
+def _cpu_shares(workers: int) -> list:
+    """Worker k's CPUs: every `workers`-th usable CPU from the k-th, or one CPU each,
+    in turn, if there are more workers than CPUs. None where no affinity can be set."""
+    if not hasattr(os, "sched_setaffinity"):
+        return [None] * workers
+    cpus = sorted(os.sched_getaffinity(0))
+    return [set(cpus[k % len(cpus)::workers]) for k in range(workers)]
+
+
+def _train_share(cfgs, cpus) -> list:
+    """Each run's outcome, trained one after another on `cpus` (None: as they are)."""
+    before = os.sched_getaffinity(0) if cpus is not None else None
+    outcomes = []
+    try:
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)
+        for cfg in cfgs:
+            try:
+                outcomes.append(run_experiment(cfg))
+            except FedDriftError as exc:
+                # The copy a child sends: the same error, with no traceback
+                # to hold the run's arrays.
+                outcomes.append(pickle.loads(pickle.dumps(exc)))
+            except Exception as exc:  # a fault outside the program's checks, traceback kept
+                outcomes.append(exc)
+    finally:
+        if before is not None:
+            os.sched_setaffinity(0, before)
+    return outcomes
+
+
+def _train_and_send(send, cfgs, cpus, caller: int) -> None:
+    """A child's work: its runs' outcomes, sent to the caller in one message.
+
+    The child follows the caller: it leaves Ctrl-C to the caller, which
+    stops its children, and on Linux it is killed if the caller dies first.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != caller:  # it died before the request
+            os._exit(1)
+    send.send(_train_share(cfgs, cpus))
+    send.close()
 
 
 def rounds_to_target(records, target: float):

@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Every one survives pickling with its message and ``field``, so a sweep
+worker process can send it to the caller.
+"""
 
 
 class FedDriftError(Exception):
@@ -34,7 +38,10 @@ class ConfigError(FedDriftError):
 
     def __init__(self, field, message):
         self.field = field
-        super().__init__(f"{field}: {message}")
+        super().__init__(field, message)  # the arguments a pickled copy is rebuilt from
+
+    def __str__(self):
+        return f"{self.args[0]}: {self.args[1]}"
 
 
 class RunError(FedDriftError):

@@ -575,7 +575,10 @@ def one_blas_thread():
 
 
 def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
+    """The CPUs the calling thread may run on; every CPU where there is no affinity mask."""
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _train_concurrently(setup, chunks, workers: int) -> None:

@@ -22,6 +22,7 @@ from feddrift.engine import (
     checkpoint_save,
     rounds_to_target,
     run_experiment,
+    run_experiments,
 )
 from feddrift.federation import (
     RULES,
@@ -74,17 +75,22 @@ def synth_cfg(algorithm, seed, gamma1=0.0, gamma2=0.0, rounds=100, **kw):
     )
 
 
-def best_accuracy(cfg):
-    _, summary = run_experiment(cfg)
-    return summary.best_accuracy
+def best_accuracies(cfgs):
+    """Each run's best accuracy, the runs trained on every usable CPU."""
+    outcomes = run_experiments(cfgs)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [summary.best_accuracy for _, summary in outcomes]
 
 
 class TestCriterion1SyntheticHomogeneous:
     def test_reproduces_reported_accuracies(self):
-        favg, fdc = [], []
-        for seed in SEEDS:
-            favg.append(best_accuracy(synth_cfg("fedavg", seed)))
-            fdc.append(best_accuracy(synth_cfg("feddc", seed, alpha=0.005)))
+        accs = best_accuracies(
+            [synth_cfg("fedavg", seed) for seed in SEEDS]
+            + [synth_cfg("feddc", seed, alpha=0.005) for seed in SEEDS]
+        )
+        favg, fdc = accs[:len(SEEDS)], accs[len(SEEDS):]
         med_avg = statistics.median(favg)
         med_dc = statistics.median(fdc)
         print(
@@ -111,15 +117,14 @@ class TestCriterion2SyntheticHeterogeneous:
             "feddyn": {"alpha": 0.01},
             "feddc": {"alpha": 0.005},
         }
-        medians = {}
-        for algo, kw in algos.items():
-            accs = [
-                best_accuracy(
-                    synth_cfg(algo, seed, gamma1=gamma1, gamma2=gamma2, rounds=80, **kw)
-                )
-                for seed in SEEDS
-            ]
-            medians[algo] = statistics.median(accs)
+        accs = best_accuracies(
+            synth_cfg(algo, seed, gamma1=gamma1, gamma2=gamma2, rounds=80, **kw)
+            for algo, kw in algos.items() for seed in SEEDS
+        )
+        medians = {
+            algo: statistics.median(accs[i * len(SEEDS):(i + 1) * len(SEEDS)])
+            for i, algo in enumerate(algos)
+        }
         line = "  ".join(f"{a}={m:.4f}" for a, m in medians.items())
         print(f"\nACCEPTANCE 2 synthetic({gamma1:g};{gamma2:g}): {line}")
         for rival in self.GATED:

@@ -4,6 +4,7 @@ import gzip
 import json
 import math
 import mmap
+import multiprocessing
 import os
 import shutil
 import urllib.request
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import damage_gzip
-from feddrift import cli
+from feddrift import cli, federation
 from feddrift.cli import build_experiment, main
 from feddrift.engine import CSV_HEADER
 from feddrift.errors import ConfigError
@@ -36,6 +37,18 @@ def tiny_synth_config(out_dir, algorithm="fedavg", **extra):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def written(root):
+    """Every file under `root` by its path there; a records.csv without its wall_ms column."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            text = path.read_text()
+            if path.name == "records.csv":
+                text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+            files[str(path.relative_to(root))] = text
+    return files
 
 
 class TestRun:
@@ -87,13 +100,13 @@ class TestRun:
     def test_overrides(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         cfg_path = write_json(tmp_path / "cfg.json", tiny_synth_config(out))
-        trained, run_one = [], cli._run_one
+        trained, run_experiment = [], cli.run_experiment
 
         def record(exp, *rest):
             trained.append(exp)
-            return run_one(exp, *rest)
+            return run_experiment(exp, *rest)
 
-        monkeypatch.setattr(cli, "_run_one", record)
+        monkeypatch.setattr(cli, "run_experiment", record)
         flags = ["--rounds", "2", "--seed", "7", "--participation", "0.5"]
         assert main(["run", cfg_path, *flags]) == 0
         assert trained[0].algo.participation == 0.5
@@ -777,6 +790,69 @@ class TestSweep:
         sweep = tmp_path / "sweep"
         assert not (sweep / "tiny").exists()
         assert not (sweep / "table.csv").exists() and not (sweep / "table.md").exists()
+
+    def sweep_on(self, monkeypatch, capsys, cpus, path, *flags):
+        """(exit code, stdout, stderr) of a sweep on `cpus` usable CPUs; no worker outlives it."""
+        monkeypatch.setattr(federation, "_usable_cpus", lambda: cpus)
+        code = main(["sweep", path, *flags])
+        assert multiprocessing.active_children() == []
+        return code, *capsys.readouterr()
+
+    def test_outputs_are_byte_identical_on_one_two_and_three_cpus(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        seen = []
+        for cpus in (1, 2, 3):
+            root = tmp_path / str(cpus)
+            root.mkdir()
+            path = self.manifest(root, algorithms=["fedavg", "scaffold", "feddc"], seeds=[0, 1])
+            seen.append((self.sweep_on(monkeypatch, capsys, cpus, path), written(root / "sweep")))
+        assert seen[0][0][0] == 0 and len(seen[0][1]) == 2 + 3 * 6  # tables, 3 files a run
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    @pytest.mark.parametrize("flags", [[], ["--keep-going"]])
+    def test_a_failing_sweep_ends_alike_on_one_two_and_three_cpus(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        seen = []
+        for cpus in (1, 2, 3):
+            root = tmp_path / str(cpus)
+            root.mkdir()
+            self.diverging(root)
+            manifest = json.loads((root / "manifest.json").read_text())
+            boom, tiny = manifest["settings"]  # runs fail between runs that do not
+            manifest.update(settings=[tiny, boom, {**tiny, "name": "late"}],
+                            algorithms=["fedavg", "feddc"])
+            path = write_json(root / "manifest.json", manifest)
+            seen.append((self.sweep_on(monkeypatch, capsys, cpus, path, *flags),
+                         written(root / "sweep") if (root / "sweep").exists() else None))
+        code, _, err = seen[0][0]
+        assert code == 1
+        if flags:
+            assert err.count("FAILED boom/") == 2 and len(seen[0][1]) == 2 + 3 * 4
+        else:  # the runs before the failure, and no tables
+            assert err.startswith("error: boom/fedavg/seed=0: round 1: ")
+            assert sorted({p.split("/")[0] for p in seen[0][1]}) == ["tiny"]
+            assert len(seen[0][1]) == 3 * 2
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    @pytest.mark.parametrize("hidden", [16, 100])  # lockstep chunks, and one client per chunk
+    def test_an_image_run_in_a_sweep_writes_the_records_of_feddrift_run(
+        self, tmp_path, capsys, monkeypatch, mnist_gz_dir, hidden
+    ):
+        setting = {"name": "image", "dataset": {"kind": "mnist", "data_dir": str(mnist_gz_dir),
+                                                 "n_clients": 4},
+                   "model": {"hidden_dims": [hidden]}}
+        path = write_json(tmp_path / "manifest.json", {
+            "out_dir": str(tmp_path / "sweep"), "settings": [setting],
+            "algorithms": ["fedavg", "feddc"], "seeds": [0], "rounds": 2,
+        })
+        assert self.sweep_on(monkeypatch, capsys, 2, path)[0] == 0
+        for algo in ("fedavg", "feddc"):
+            swept = tmp_path / "sweep" / "image" / f"{algo}-s0"
+            alone = tmp_path / "run" / algo
+            assert main(["run", str(swept / "config.json"), "--out", str(alone)]) == 0
+            assert written(alone) == written(swept)
 
     def test_rounds_median_counts_a_miss(self, tmp_path):
         # fedavg reaches the target on all three seeds, feddc on one and

@@ -3,10 +3,14 @@ import errno
 import importlib.util
 import json
 import mmap
+import multiprocessing
 import os
 import re
+import signal
 import struct
+import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +35,7 @@ from feddrift.engine import (
     dataset_label,
     rounds_to_target,
     run_experiment,
+    run_experiments,
     summarize,
     write_records_csv,
     write_summary_json,
@@ -219,6 +224,175 @@ class TestDeterminism:
             new = run.clients.rows(f, range(8))
             for i in range(8):
                 assert np.array_equal(new[i], old[i]) == (i not in active), (f, i)
+
+
+def logging_runs(monkeypatch, log: Path) -> None:
+    """Append each run's training process and CPUs to `log`, a line per run, from any process."""
+    run = engine.run_experiment
+
+    def logged(cfg, *rest):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {sorted(os.sched_getaffinity(0))}\n")
+        return run(cfg, *rest)
+
+    monkeypatch.setattr(engine, "run_experiment", logged)
+
+
+def logged_runs(log: Path) -> list:
+    """(pid, CPUs) of each run `logging_runs` logged, in the order they began."""
+    return [(int(pid), cpus) for pid, cpus in
+            (line.split(" ", 1) for line in log.read_text().splitlines())]
+
+
+def _pids_and_outcomes(cfgs):
+    """run_experiments(cfgs) on two CPUs: the process that began each run, and the outcomes."""
+    federation._usable_cpus = lambda: 2  # a pool worker's own copy
+    run, pids = engine.run_experiment, []
+    engine.run_experiment = lambda cfg: pids.append(os.getpid()) or run(cfg)
+    return pids, run_experiments(cfgs)
+
+
+class TestRunExperiments:
+    """Runs on every usable CPU: outcomes in input order, as run_experiment gives them."""
+
+    def diverging_cfg(self):
+        return ExperimentConfig(
+            dataset=SyntheticConfig(n_clients=3, samples_per_client_mean=20, seed=0),
+            model=LOGISTIC,
+            algo=AlgoConfig("fedavg", lr=1e308, local_epochs=5, batch_size=10),
+            rounds=2,
+        )
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_outcomes_are_run_experiments_in_input_order(self, monkeypatch, tmp_path, cpus):
+        cfgs = [small_cfg("fedavg", rounds=3), self.diverging_cfg(),
+                small_cfg("feddc", alpha=0.005, rounds=3), small_cfg("scaffold", seed=1, rounds=2)]
+        monkeypatch.setattr(federation, "_usable_cpus", lambda: cpus)
+        logging_runs(monkeypatch, tmp_path / "log")
+        before = os.sched_getaffinity(0)
+        outcomes = run_experiments(cfgs)
+        assert os.sched_getaffinity(0) == before
+        assert multiprocessing.active_children() == []
+        assert len({pid for pid, _ in logged_runs(tmp_path / "log")}) == cpus
+        for cfg, outcome in zip(cfgs, outcomes):
+            try:
+                records, summary = run_experiment(cfg)
+            except RunError as exc:
+                assert type(outcome) is RunError and str(outcome) == str(exc)
+                continue
+            got_records, got_summary = outcome
+            assert len(got_records) == len(records)
+            assert all(same_but_wall(a, b) for a, b in zip(got_records, records))
+            assert got_summary == summary
+
+    def test_each_worker_trains_on_its_own_cpus(self, monkeypatch, tmp_path):
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) < 2:
+            pytest.skip("needs two usable CPUs")
+        logging_runs(monkeypatch, tmp_path / "log")
+        run_experiments([small_cfg(rounds=1, seed=s) for s in range(2 * len(cpus))])
+        shares = {}
+        for pid, share in logged_runs(tmp_path / "log"):
+            shares.setdefault(pid, set()).add(share)
+        assert shares[os.getpid()] == {str(cpus[:1])}  # the caller trains the first share
+        # One share per process, and each CPU in exactly one of them.
+        assert sorted(s for mine in shares.values() for s in mine) == sorted(str([c]) for c in cpus)
+
+    def test_a_worker_that_dies_fails_its_runs(self, monkeypatch):
+        caller, run = os.getpid(), engine.run_experiment
+
+        def dying(cfg, *rest):
+            if os.getpid() != caller:
+                os._exit(9)
+            return run(cfg, *rest)
+
+        monkeypatch.setattr(federation, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "run_experiment", dying)
+        outcomes = run_experiments([small_cfg(rounds=1, seed=s) for s in range(3)])
+        assert multiprocessing.active_children() == []
+        assert [type(o) for o in outcomes] == [tuple, RunError, tuple]
+        assert str(outcomes[1]) == "the worker process training this run exited with code 9"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs PR_SET_PDEATHSIG")
+    @pytest.mark.parametrize("sig,whom", [("SIGKILL", "caller"), ("SIGINT", "group")])
+    def test_no_child_outlives_a_caller_stopped_by_a_signal(self, tmp_path, sig, whom):
+        log = tmp_path / "log"
+        script = f"""
+import os
+from feddrift import engine, federation
+from feddrift.engine import ExperimentConfig
+from feddrift.data import SyntheticConfig
+from feddrift.federation import AlgoConfig
+from feddrift.models import ModelSpec
+federation._usable_cpus = lambda: 2
+round_ = engine.FederatedRun.run_round
+def logged(run):  # after a round, when nothing is imported lazily any more
+    record = round_(run)
+    if run.round == 1:
+        with open({str(log)!r}, "a") as fh:
+            fh.write(f"{{os.getpid()}}\\n")
+    return record
+engine.FederatedRun.run_round = logged
+cfg = ExperimentConfig(SyntheticConfig(n_clients=3, samples_per_client_mean=20),
+                       ModelSpec("logistic", 30, 5), AlgoConfig("fedavg"), rounds=10**6)
+engine.run_experiments([cfg, cfg])
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        with open(tmp_path / "err", "w") as err:  # a file: a surviving child holds no pipe open
+            caller = subprocess.Popen([sys.executable, "-c", script], env=env, stderr=err,
+                                      start_new_session=True)
+        child = None
+        try:
+            for _ in range(200):
+                if log.exists() and len(log.read_text().split()) == 2:
+                    break
+                time.sleep(0.05)
+            (child,) = {int(pid) for pid in log.read_text().split()} - {caller.pid}
+            if whom == "caller":
+                os.kill(caller.pid, getattr(signal, sig))
+            else:
+                os.killpg(caller.pid, getattr(signal, sig))
+            caller.wait(timeout=30)
+            for _ in range(200):
+                stat = Path(f"/proc/{child}/stat")
+                if not stat.exists() or stat.read_text().split()[2] == "Z":
+                    child = None
+                    break
+                time.sleep(0.05)
+            assert child is None, f"child {child} outlived its caller"
+            # The caller's traceback alone: a child leaves Ctrl-C to its caller.
+            assert (tmp_path / "err").read_text().count("Traceback") == (sig == "SIGINT")
+        finally:
+            for pid in (caller.pid, child):
+                if pid is not None and Path(f"/proc/{pid}").exists():
+                    os.kill(pid, signal.SIGKILL)
+            caller.wait()
+
+    def test_without_fork_the_caller_trains_every_run(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(federation, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        logging_runs(monkeypatch, tmp_path / "log")
+        outcomes = run_experiments([small_cfg(rounds=1, seed=s) for s in range(3)])
+        assert [pid for pid, _ in logged_runs(tmp_path / "log")] == [os.getpid()] * 3
+        assert [type(o) for o in outcomes] == [tuple] * 3
+
+    def test_a_pool_worker_trains_every_run_itself(self):
+        with multiprocessing.get_context("fork").Pool(1) as pool:  # its workers are daemons
+            pids, outcomes = pool.apply(_pids_and_outcomes, ([small_cfg(rounds=1)] * 2,))
+        assert pids == [pids[0]] * 2 and [type(o) for o in outcomes] == [tuple] * 2
+
+    def test_without_an_affinity_mask_every_cpu_is_usable(self, monkeypatch):
+        runs = [small_cfg(rounds=2, seed=s) for s in range(2)]
+        mask = run_experiments(runs)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.delattr(os, "sched_setaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert federation._usable_cpus() == 5
+        for a, b in zip(run_experiments(runs), mask):
+            assert all(same_but_wall(x, y) for x, y in zip(a[0], b[0])) and a[1] == b[1]
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert federation._usable_cpus() == 1
 
 
 class TestDivergence:
