@@ -210,6 +210,17 @@ def _read_maybe_gzip(path) -> bytes:
         raise FormatError(f"{path}: unreadable gzip file: {exc}") from exc
 
 
+def _read_idx(path, magic: int, dims: int, what: str):
+    """An IDX file's bytes and the `dims` sizes its header declares, its magic checked."""
+    raw = _read_maybe_gzip(path)
+    if len(raw) < 4 + 4 * dims:
+        raise FormatError(f"{path}: too short for an IDX {what} header")
+    got, *sizes = struct.unpack(f">{1 + dims}I", raw[: 4 + 4 * dims])
+    if got != magic:
+        raise FormatError(f"{path}: bad magic 0x{got:08x}, expected 0x{magic:08x}")
+    return raw, sizes
+
+
 def load_mnist_idx(images_path, labels_path):
     """Parse an IDX image/label file pair into (inputs, labels).
 
@@ -218,27 +229,13 @@ def load_mnist_idx(images_path, labels_path):
     pixels scaled to [0, 1] (see :class:`FederatedDataset`). Gzipped
     files are accepted.
     """
-    img = _read_maybe_gzip(images_path)
-    if len(img) < 16:
-        raise FormatError(f"{images_path}: too short for an IDX image header")
-    magic, n, rows, cols = struct.unpack(">IIII", img[:16])
-    if magic != _IDX_IMAGES_MAGIC:
-        raise FormatError(
-            f"{images_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}"
-        )
+    img, (n, rows, cols) = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3, "image")
     if len(img) != 16 + n * rows * cols:
         raise FormatError(
             f"{images_path}: declares {n} images of {rows}x{cols} "
             f"({16 + n * rows * cols} bytes) but holds {len(img)}"
         )
-    lab = _read_maybe_gzip(labels_path)
-    if len(lab) < 8:
-        raise FormatError(f"{labels_path}: too short for an IDX label header")
-    lmagic, ln = struct.unpack(">II", lab[:8])
-    if lmagic != _IDX_LABELS_MAGIC:
-        raise FormatError(
-            f"{labels_path}: bad magic 0x{lmagic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}"
-        )
+    lab, (ln,) = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1, "label")
     if len(lab) != 8 + ln:
         raise FormatError(f"{labels_path}: declares {ln} labels but holds {len(lab) - 8}")
     if ln != n:

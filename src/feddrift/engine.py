@@ -66,6 +66,7 @@ __all__ = [
     "rounds_to_target",
     "summarize",
     "checkpoint_save",
+    "checkpoint_restore",
     "write_records_csv",
     "write_summary_json",
     "write_json",
@@ -507,10 +508,11 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
     equal the run's own, compared as JSON text (so `false` is not 0 and
     155.0 is not 155); the saved slot map must be a store's
     (`federation.slots_in_use`); and the file size must match the run's
-    shapes and the map's `used`. All of these are checked before
-    anything else is read or allocated. Each field's saved rows then land
-    in one read in a fresh store that adopts the map and holds only those
-    rows.
+    shapes and the map's `used`. The file is read once, front to back:
+    the header is checked before any block is read, the four server
+    vectors (sized by the checked header) are read before the map, and
+    the map and the size are checked before a fresh store is allocated.
+    It adopts the map, and each field's saved rows land in it in one read.
     """
     ours = _header(run.server, run.clients)
     with open(path, "rb") as fh:
@@ -548,21 +550,16 @@ def checkpoint_restore(run: FederatedRun, path) -> FederatedRun:
                     f"{path}: checkpoint header has {key} {got}, "
                     f"the {run.cfg.algo.algorithm} run has {key} {expected}"
                 )
-        p, n = ours["param_count"], ours["n_clients"]
-        vectors_at = 12 + hlen
-        slot = np.empty(n, dtype="<i8")
-        fh.seek(vectors_at + len(SERVER_VECTORS) * p * 8)
-        _read_block(fh, slot, path)
+        p = ours["param_count"]
+        vectors = {name: np.zeros(p) for name in SERVER_VECTORS}
+        slot = np.empty(ours["n_clients"], dtype="<i8")
+        for block in (*vectors.values(), slot):
+            _read_block(fh, block, path)
         used = slots_in_use(slot, f"{path}: checkpoint")
         want = fh.tell() + used * len(ours["fields"]) * p * 8
         size = os.fstat(fh.fileno()).st_size
         if size != want:
             raise FormatError(f"{path}: checkpoint header implies {want} bytes, file holds {size}")
-        fh.seek(vectors_at)
-        vectors = {name: np.zeros(p) for name in SERVER_VECTORS}
-        for vec in vectors.values():
-            _read_block(fh, vec, path)
-        fh.seek(slot.nbytes, os.SEEK_CUR)
         with _allocating("client store"):
             clients = ClientStore(run.clients.n_samples, p, run.clients.fields, slot)
         for name in clients.fields:

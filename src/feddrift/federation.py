@@ -240,7 +240,8 @@ class ClientStore:
         self._maps = {}
         for name in self.fields:
             buf = mmap.mmap(-1, n * param_count * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-            buf.madvise(mmap.MADV_HUGEPAGE)
+            if hasattr(mmap, "MADV_HUGEPAGE"):  # a Linux-only constant
+                buf.madvise(mmap.MADV_HUGEPAGE)
             self._maps[name] = buf
         self._view(slots_in_use(self.slot, "ClientStore"))
 

@@ -11,6 +11,7 @@ and processes.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, Philox  # now: a Ctrl-C in a lazy import can be lost
 
 from .errors import ParameterError
 
@@ -52,7 +53,7 @@ def _stream_id(purpose: str, client: int = 0, round_index: int = 0) -> int:
     return (_PURPOSE_CODES[purpose] << 48) | (client << 24) | round_index
 
 
-def stream(seed: int, purpose: str, client: int = 0, round_index: int = 0) -> np.random.Generator:
+def stream(seed: int, purpose: str, client: int = 0, round_index: int = 0) -> Generator:
     """The stream owned by (purpose, client, round) under a run seed."""
     # Checked before int(seed), which would map 1.5 or True to seed 1.
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
@@ -60,4 +61,4 @@ def stream(seed: int, purpose: str, client: int = 0, round_index: int = 0) -> np
     if not 0 <= seed < MAX_SEED:
         raise ParameterError(f"seed must be a 64-bit unsigned int, got {seed!r}")
     key = (int(seed) << 64) | _stream_id(purpose, client, round_index)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))

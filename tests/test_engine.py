@@ -638,7 +638,7 @@ class TestResume:
                 assert np.signbit(got).all() and not got.any()
 
     @pytest.mark.parametrize("corrupt", ["duplicate", "gap", "out-of-range", "negative",
-                                         "truncated"])
+                                         "truncated", "cut-in-vectors"])
     def test_bad_slot_map_raises_before_allocation(self, tmp_path, monkeypatch, corrupt):
         cfg = small_cfg("scaffold", rounds=1, participation=0.6)
         run = FederatedRun(cfg)
@@ -652,6 +652,8 @@ class TestResume:
         last, unwritten = int(np.argmax(slot == 2)), int(np.argmax(slot == 5))
         if corrupt == "truncated":
             path.write_bytes(raw[: at + 8 * 2 + 3])
+        elif corrupt == "cut-in-vectors":  # 360 bytes into the second of four 1,240-byte vectors
+            path.write_bytes(raw[: 12 + hlen + 1600])
         else:
             if corrupt == "duplicate":
                 slot[last] = 0
@@ -666,7 +668,10 @@ class TestResume:
 
         target = FederatedRun(cfg)
         monkeypatch.setattr(engine, "ClientStore", allocate)
-        message = "truncated checkpoint" if corrupt == "truncated" else "slot map"
+        message = {
+            "truncated": "truncated checkpoint",
+            "cut-in-vectors": re.escape(f"{path}: truncated checkpoint (360 of 1240 bytes"),
+        }.get(corrupt, "slot map")
         with pytest.raises(FormatError, match=message):
             checkpoint_restore(target, path)
 

@@ -1,3 +1,4 @@
+import mmap
 from dataclasses import replace
 from unittest import mock
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feddrift import federation
+from feddrift.data import SyntheticConfig
+from feddrift.engine import ExperimentConfig, run_experiment, write_records_csv
 from feddrift.errors import (
     DimensionError,
     FormatError,
@@ -545,6 +548,22 @@ class TestClientStore:
         assert store.used == 2
         assert store.drift.shape == store.last_delta.shape == (2, 2)
         assert store.rows("drift", [0, 1, 2]).tolist() == [[0.0, 0.0]] * 3
+
+    def test_a_feddc_run_builds_without_huge_pages(self, tmp_path, monkeypatch):
+        """mmap.MADV_HUGEPAGE is a Linux-only constant: without it a feddc run's store
+        still builds, and the run writes the same records.csv, wall_ms aside."""
+        cfg = ExperimentConfig(SyntheticConfig(n_clients=4, samples_per_client_mean=20),
+                               ModelSpec("logistic", 30, 5),
+                               AlgoConfig("feddc", alpha=0.01, participation=0.5), rounds=3)
+
+        def records(name):
+            path = tmp_path / name
+            write_records_csv(path, run_experiment(cfg)[0], "feddc", cfg.dataset.label, cfg.seed)
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        want = records("huge-pages.csv")
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE")
+        assert records("no-huge-pages.csv") == want
 
     def test_an_unknown_field_is_refused(self):
         with pytest.raises(ParameterError, match=r"^unknown client fields \['momentum'\]$"):

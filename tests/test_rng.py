@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -90,3 +94,13 @@ def test_purpose_keying_matches_manual_id():
     key = (7 << 64) | _stream_id("batch-shuffle", 3, 11)
     b = np.random.Generator(np.random.Philox(key=key))
     assert a.standard_normal(8).tobytes() == b.standard_normal(8).tobytes()
+
+
+def test_importing_the_package_imports_numpy_random():
+    """numpy.random is imported with the package, not lazily by the first stream,
+    where a Ctrl-C that lands inside the import can be lost."""
+    script = "import sys, feddrift; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "True\n"
