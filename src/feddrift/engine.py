@@ -258,6 +258,7 @@ class FederatedRun:
                 grad_var = gradient_variance_diagnostic(update, server, cfg.algo)
                 self.server = server_aggregate(server, update, cfg.algo, self.clients)
                 apply_update(self.clients, update, server, cfg.algo)
+                del update  # theta is not held while the global model is evaluated
         except Exception as exc:
             raise RunError(f"round {t + 1}: {exc}") from exc
 
@@ -294,13 +295,15 @@ def _record(cfg: ExperimentConfig, server: ServerState, ds: FederatedDataset, st
 
     On the rounds the evaluation cadence names, and always on the last,
     it holds the global model's top-1 accuracy on the pooled test set
-    and its loss over the training set, the union of the partitions.
+    and its loss over the training set, the union of the partitions,
+    each evaluated on the round's pool (`federation._pool_size`).
     """
     test_acc = train_loss = None
     if server.round % cfg.eval_every == 0 or server.round == cfg.rounds:
-        params = server.global_params
-        test_acc = models.accuracy(cfg.model, params, ds.test_inputs, ds.test_labels)
-        train_loss = models.mean_loss(cfg.model, params, ds.train_inputs, ds.train_labels)
+        params, workers = server.global_params, federation._pool_size(cfg.model.param_count)
+        test_acc = models.accuracy(cfg.model, params, ds.test_inputs, ds.test_labels, workers)
+        train_loss = models.mean_loss(cfg.model, params, ds.train_inputs, ds.train_labels,
+                                      workers)
     return RoundRecord(
         round=server.round,
         test_accuracy=test_acc,

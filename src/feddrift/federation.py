@@ -9,9 +9,7 @@ what it keeps, moves, adds to its gradient and lets the server average.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
-import contextvars
 import ctypes
 import functools
 import glob
@@ -582,31 +580,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _train_concurrently(setup, chunks, workers: int) -> None:
-    """Train `chunks` on `workers` threads, with the serial loop's result.
+def _pool_size(param_count: int) -> int:
+    """Threads for a round's pooled work: one per usable CPU where chunks hold one
+    client (P > BUDGET // 2) and OpenBLAS runs each call on one thread, as
+    :func:`one_blas_thread` sets it; else 0, the calling thread alone.
 
-    setup(chunk) returns a chunk's training call (see :func:`_chunk_round`).
-    It runs on this thread, in chunk order, and only while fewer than
-    `workers` chunks are in flight, so no more chunks are held than the
-    threads train. Each call runs in a copy of this thread's context, so
-    the caller's np.errstate holds in it. Once a chunk has failed no
-    further chunk starts, and the error raised is the first in chunk
-    order, after every started chunk has finished.
+    The one rule for every pool of a round: one-client chunks in training
+    and in the passes after it, and evaluation slices. Each task writes
+    only its own rows or result, so the outputs are bitwise the serial
+    loop's.
     """
-    futures = []
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        try:
-            for chunk in chunks:
-                live = [f for f in futures if not f.done()]
-                if len(live) == workers:
-                    concurrent.futures.wait(live, return_when=concurrent.futures.FIRST_COMPLETED)
-                if any(f.done() and f.exception() for f in futures):
-                    break
-                futures.append(pool.submit(contextvars.copy_context().run, setup(chunk)))
-        finally:
-            # An earlier chunk's error replaces a later chunk's set-up error.
-            for f in futures:
-                f.result()
+    if BUDGET // param_count > 1:
+        return 0
+    blas = _openblas()
+    return _usable_cpus() if blas is not None and blas[0]() == 1 else 0
 
 
 def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoConfig,
@@ -620,12 +607,13 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
     shuffle stream). Clients of equal stored sample count train in lockstep
     as one stacked block, in chunks of at most max(1, BUDGET // P) clients
     (see :func:`lockstep_groups`), and client_data is called chunk by chunk,
-    in chunk order. One-client chunks train concurrently when
-    :func:`one_blas_thread` pins BLAS. Each row is bitwise the one its
-    client would get training alone. theta starts at the round-start global
-    parameters. Round-start snapshots (global parameters, the clients'
-    stored rows, previous deltas) stay frozen for all K steps. The store
-    is only read; :func:`apply_update` writes the clients' next rows.
+    in chunk order. One-client chunks train concurrently on
+    :func:`_pool_size` threads once :func:`one_blas_thread` pins BLAS.
+    Each row is bitwise the one its client would get training alone.
+    theta starts at the round-start global parameters. Round-start
+    snapshots (global parameters, the clients' stored rows, previous
+    deltas) stay frozen for all K steps. The store is only read;
+    :func:`apply_update` writes the clients' next rows.
     """
     ids = sorted(int(i) for i in ids)
     if not ids:
@@ -636,14 +624,10 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
     cap = max(1, BUDGET // out.theta.shape[1])
     chunks = lockstep_groups(ids, clients.n_samples, cap)
     setup = functools.partial(_chunk_round, clients, server, cfg, spec, out, client_data)
-    with one_blas_thread() as pinned:
+    with one_blas_thread():
         # Models too large to stack train one client per chunk, several at
         # once: one thread per usable CPU, each BLAS call on one thread.
-        if pinned and cap == 1 and len(chunks) > 1:
-            _train_concurrently(setup, chunks, min(_usable_cpus(), len(chunks)))
-        else:
-            for chunk in chunks:
-                setup(chunk)()
+        models._concurrently(setup, chunks, _pool_size(out.theta.shape[1]))
     return out
 
 
@@ -656,23 +640,48 @@ def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
     )
 
 
+def _chunk(update: RoundUpdate, server: ServerState, rows: slice, lr_t: float):
+    """(ids, theta, delta = theta - G, K * lr_t column) of the update's `rows`."""
+    ids, theta, k = (a[rows] for a in (update.ids, update.theta, update.k_steps))
+    return ids, theta, theta - server.global_params, k[:, None] * lr_t
+
+
 def _chunks(update: RoundUpdate, server: ServerState, cfg: AlgoConfig):
-    """(ids, theta, delta = theta - G, K * lr_t column) of max(1, BUDGET // P) clients at a
-    time, so that a consumer deriving rows holds no (C, P) block beside theta."""
+    """:func:`_chunk` of max(1, BUDGET // P) clients at a time, so that a consumer
+    deriving rows holds no (C, P) block beside theta."""
     cap, lr_t = max(1, BUDGET // update.theta.shape[1]), round_lr(cfg, server.round)
     for lo in range(0, len(update.ids), cap):
-        ids, theta, k = (a[lo : lo + cap] for a in (update.ids, update.theta, update.k_steps))
-        yield ids, theta, theta - server.global_params, k[:, None] * lr_t
+        yield _chunk(update, server, slice(lo, lo + cap), lr_t)
+
+
+def _map_chunks(fn, update: RoundUpdate, server: ServerState, cfg: AlgoConfig,
+                workers: int) -> list:
+    """[fn(*chunk) for chunk in _chunks(update, server, cfg)], on `workers` threads
+    (see :func:`models._concurrently`); each chunk is derived where fn runs."""
+    cap, lr_t = max(1, BUDGET // update.theta.shape[1]), round_lr(cfg, server.round)
+    return models._concurrently(
+        lambda lo: lambda: fn(*_chunk(update, server, slice(lo, lo + cap), lr_t)),
+        range(0, len(update.ids), cap), workers)
 
 
 def apply_update(clients: ClientStore, update: RoundUpdate, server: ServerState,
                  cfg: AlgoConfig) -> None:
     """Write every field's NEXT_ROWS into the store, from the round-start `server`
-    (not the aggregated one: scaffold's next control reads the old c)."""
-    for ids, _, delta, k_lr in _chunks(update, server, cfg):
+    (not the aggregated one: scaffold's next control reads the old c).
+
+    On the round's pool (:func:`_pool_size`) the new clients take their
+    slots here first, in ascending id order as the serial loop assigns
+    them; then each chunk derives and writes its own rows on a thread.
+    """
+    def write(ids, _, delta, k_lr):
         clients.write(ids, {f: NEXT_ROWS[f](functools.partial(clients.rows, f, ids), delta,
                                             k_lr, server)
                             for f in clients.fields})
+
+    workers = _pool_size(update.theta.shape[1])
+    if workers:
+        clients.write(update.ids, {})
+    _map_chunks(write, update, server, cfg, workers)
 
 
 def weighted_mean(rows, ws) -> np.ndarray:
@@ -760,8 +769,12 @@ def gradient_variance_diagnostic(update: RoundUpdate, server: ServerState, cfg: 
     n = len(update.ids)
     if n < 2:
         return None
-    chunks = functools.partial(_chunks, update, server, cfg)
     # A row fold from +0.0, then per-row sums: the bits of the stacked g.sum(axis=0) and axis=1.
-    mean = sum(row for *_, delta, k_lr in chunks() for row in _implied_grad(delta, k_lr)) / n
-    return float(np.mean(np.concatenate([np.square(_implied_grad(delta, k_lr) - mean).sum(axis=1)
-                                         for *_, delta, k_lr in chunks()])))
+    mean = sum(row for *_, delta, k_lr in _chunks(update, server, cfg)
+               for row in _implied_grad(delta, k_lr)) / n
+
+    def squares(ids, theta, delta, k_lr):
+        return np.square(_implied_grad(delta, k_lr) - mean).sum(axis=1)
+
+    workers = _pool_size(update.theta.shape[1])
+    return float(np.mean(np.concatenate(_map_chunks(squares, update, server, cfg, workers))))

@@ -10,7 +10,9 @@ cross-entropy in place, in the same flat layout as the parameters, for a
 stack of clients at once), the weight-decay gradient (`_decay_into`,
 added over the weight ranges of `_tiles`), the input scaling (`_as_float`:
 `uint8` pixels divided by 255 where a model reads them) and the input
-check that `loss_and_grad`, `accuracy` and `mean_loss` share.
+check that `loss_and_grad`, `accuracy` and `mean_loss` share. It also holds
+the thread pool runner (`_concurrently`) that evaluation and a round's
+one-client chunks share.
 
 Flat layout, per layer in order: the (fan_in x fan_out) weight matrix in
 row-major order, then the fan_out bias entries. A (C, P) block holds C
@@ -19,6 +21,10 @@ clients' parameters, one row each.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
+import functools
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -227,16 +233,71 @@ def _check_inputs(spec: ModelSpec, params, inputs, labels):
     return flat, x, y
 
 
-def _slices(x: np.ndarray):
-    """(lo, rows lo to lo + _CHUNK of x as float64) for each evaluation slice of x.
+def _concurrently(setup, items, workers: int) -> list:
+    """[setup(item)() for item in items], the calls run on up to `workers` threads.
 
-    uint8 pixels are scaled into one buffer that every slice reuses, so a
-    slice is valid until the next is drawn.
+    With `workers` 0, or fewer than two items, every call runs here, in
+    order. Else setup(item) runs on this thread, in item order, and only
+    while fewer than min(workers, len(items)) calls are in flight, so no
+    more items are held than the threads work on. Each call runs in a
+    copy of this thread's context, so the caller's np.errstate holds in
+    it. Once a call has failed no further item starts, and the error
+    raised is the first in item order, after every started call has
+    finished.
     """
-    buf = np.empty((min(_CHUNK, x.shape[0]), x.shape[1])) if x.dtype == np.uint8 else None
-    for lo in range(0, x.shape[0], _CHUNK):
-        part = x[lo : lo + _CHUNK]
-        yield lo, part if buf is None else _as_float(part, buf[: part.shape[0]])
+    if not workers or len(items) < 2:
+        return [setup(item)() for item in items]
+    workers = min(workers, len(items))
+    futures = []
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        try:
+            for item in items:
+                live = [f for f in futures if not f.done()]
+                if len(live) == workers:
+                    concurrent.futures.wait(live, return_when=concurrent.futures.FIRST_COMPLETED)
+                if any(f.done() and f.exception() for f in futures):
+                    break
+                futures.append(pool.submit(contextvars.copy_context().run, setup(item)))
+        finally:
+            # An earlier call's error replaces a later item's set-up error.
+            results = [f.result() for f in futures]
+    return results
+
+
+def _slice_parts(part, layers, x: np.ndarray, y: np.ndarray, workers: int) -> list:
+    """part(layers, xs, ys) for each evaluation slice of _CHUNK rows, in slice order.
+
+    xs holds the slice's rows as float64: uint8 pixels are scaled into
+    one buffer per thread, which every slice that thread evaluates
+    reuses. The slices run on `workers` threads (see :func:`_concurrently`);
+    with BLAS on one thread per call, each part has the serial bits.
+    """
+    held = threading.local()
+
+    def evaluate(lo):
+        xs = x[lo : lo + _CHUNK]
+        if xs.dtype == np.uint8:
+            if not hasattr(held, "buf"):
+                held.buf = np.empty((min(_CHUNK, x.shape[0]), x.shape[1]))
+            xs = _as_float(xs, held.buf[: xs.shape[0]])
+        return part(layers, xs, y[lo : lo + _CHUNK])
+
+    return _concurrently(lambda lo: functools.partial(evaluate, lo),
+                         range(0, x.shape[0], _CHUNK), workers)
+
+
+def _hits(layers, xs, ys) -> int:
+    """Correct top-1 predictions on one slice."""
+    _, logits = _forward(layers, xs)
+    return int((np.argmax(logits, axis=1) == ys).sum())
+
+
+def _cross_entropy(layers, xs, ys) -> float:
+    """Summed cross-entropy on one slice."""
+    _, z = _forward(layers, xs)
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return -float(logp[np.arange(ys.shape[0]), ys].sum())
 
 
 def loss_and_grad(spec: ModelSpec, params, inputs, labels):
@@ -251,28 +312,27 @@ def loss_and_grad(spec: ModelSpec, params, inputs, labels):
     return mean_loss(spec, flat, x, y), grad[0]
 
 
-def accuracy(spec: ModelSpec, params, inputs, labels) -> float:
-    """Top-1 accuracy; argmax ties resolve to the lowest class index."""
+def accuracy(spec: ModelSpec, params, inputs, labels, workers: int = 0) -> float:
+    """Top-1 accuracy; argmax ties resolve to the lowest class index.
+
+    `workers` threads evaluate the slices (see :func:`_slice_parts`); the
+    value does not depend on it.
+    """
     flat, x, y = _check_inputs(spec, params, inputs, labels)
-    layers = _split(spec, flat)
-    hits = 0
-    for lo, xs in _slices(x):
-        _, logits = _forward(layers, xs)
-        hits += int((np.argmax(logits, axis=1) == y[lo : lo + _CHUNK]).sum())
-    return hits / x.shape[0]
+    return sum(_slice_parts(_hits, _split(spec, flat), x, y, workers)) / x.shape[0]
 
 
-def mean_loss(spec: ModelSpec, params, inputs, labels) -> float:
-    """Mean cross-entropy plus 0.5 * weight_decay * |weights|^2 over a slice."""
+def mean_loss(spec: ModelSpec, params, inputs, labels, workers: int = 0) -> float:
+    """Mean cross-entropy plus 0.5 * weight_decay * |weights|^2 over a slice.
+
+    The slices' sums are folded in slice order, whichever of the
+    `workers` threads evaluated them (see :func:`_slice_parts`).
+    """
     flat, x, y = _check_inputs(spec, params, inputs, labels)
     layers = _split(spec, flat)
     total = 0.0
-    for lo, xs in _slices(x):
-        _, z = _forward(layers, xs)
-        z = z - z.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        yc = y[lo : lo + _CHUNK]
-        total += -float(logp[np.arange(yc.shape[0]), yc].sum())
+    for part in _slice_parts(_cross_entropy, layers, x, y, workers):
+        total += part
     loss = total / x.shape[0]
     if spec.weight_decay > 0.0:
         loss += 0.5 * spec.weight_decay * sum(float((w * w).sum()) for w, _ in layers)

@@ -10,6 +10,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from feddrift import engine, federation
+from feddrift import engine, federation, models
 from feddrift.data import FederatedDataset, PartitionPlan, SyntheticConfig
 from feddrift.engine import (
     CSV_HEADER,
@@ -1056,3 +1057,41 @@ class TestBenchmarkTracer:
         layers = tracer.layer_metrics(1)
         assert layers["federation.bytes_up"] == sum(r.bytes_up for r in records)
         assert layers["engine.client_state_mb"] > 0
+
+    def test_wrapped_functions_are_entered_on_the_calling_thread_of_a_pooled_round(self):
+        """The tracer's span stack is not thread-safe: a round that evaluates and
+        derives its rows on the pool still enters every wrapped name here."""
+        if federation._openblas() is None:
+            pytest.skip("this numpy bundles no OpenBLAS thread setter, so rounds run serially")
+        tracing = self._tracing()
+        entered, pooled = [], []
+
+        class ThreadTracer(tracing.Tracer):
+            def _open(self, name):
+                entered.append((name, threading.get_ident()))
+                return super()._open(name)
+
+        def on_pool(fn):
+            def call(*args):
+                pooled.append(threading.get_ident())
+                return fn(*args)
+            return call
+
+        spec = ModelSpec("mlp", 30, 10, hidden_dims=(1024,))  # P = 41,994 > BUDGET // 2
+        cfg = ExperimentConfig(
+            dataset=SyntheticConfig(n_clients=4, samples_per_client_mean=20, seed=0),
+            model=spec,
+            algo=AlgoConfig("feddc", lr=0.01, local_epochs=1, batch_size=10, alpha=0.01),
+            rounds=2,
+        )
+        with mock.patch.object(federation, "_usable_cpus", lambda: 2), \
+                mock.patch.object(models, "_CHUNK", 7), \
+                mock.patch.object(models, "_hits", on_pool(models._hits)), \
+                mock.patch.object(models, "_cross_entropy", on_pool(models._cross_entropy)):
+            ThreadTracer().trace(lambda: run_experiment(cfg), 1)
+        main = threading.get_ident()
+        assert {"models.eval_accuracy", "models.eval_loss", "federation.apply_update",
+                "federation.grad_variance", "federation.aggregate",
+                "vectors.weighted_mean"} <= {name for name, _ in entered}
+        assert {thread for _, thread in entered} == {main}
+        assert pooled and main not in pooled  # the evaluation slices ran on the pool

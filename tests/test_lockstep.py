@@ -8,8 +8,11 @@ one-client result, sign bits included. Each step applies its
 weight decay, correction terms and update in column tiles; every tiling
 must match one whole-width pass per term. Chunks of one client may
 train on a thread pool; the pool must give the serial loop's blocks,
-errors and warnings. uint8 pixels, scaled per batch and per evaluation
-slice, must train and evaluate bitwise as their float64 decode does.
+errors and warnings. The same rule puts evaluation slices and the
+chunks `apply_update` and the variance diagnostic derive on the pool,
+which must give the serial records, checkpoint bytes and first error.
+uint8 pixels, scaled per batch and per evaluation slice, must train and
+evaluate bitwise as their float64 decode does.
 """
 
 import contextlib
@@ -30,7 +33,13 @@ from hypothesis import strategies as st
 
 from feddrift import federation, models
 from feddrift.data import FederatedDataset, SyntheticConfig
-from feddrift.engine import ExperimentConfig, FederatedRun, run_experiment, write_records_csv
+from feddrift.engine import (
+    ExperimentConfig,
+    FederatedRun,
+    checkpoint_save,
+    run_experiment,
+    write_records_csv,
+)
 from feddrift.errors import DimensionError, NumericError, RunError
 from feddrift.federation import (
     ALGORITHMS,
@@ -344,7 +353,8 @@ def test_threaded_chunks_equal_the_serial_loop(algorithm, code, model, workers):
 
 
 def test_threaded_chunks_under_rapid_thread_switches():
-    """More threads than cores, switching every microsecond: no row is lost or mixed."""
+    """More threads than cores, switching every microsecond: no row, slot or
+    evaluation slice is lost or mixed, in training, apply_update or mean_loss."""
     sizes = [3 + i % 9 for i in range(16)]
     cfg, spec, server, store, data = _scenario("scaffold", "lelglp", "mlp", sizes, 2, 1, 1,
                                                True, 2)
@@ -352,17 +362,30 @@ def test_threaded_chunks_under_rapid_thread_switches():
     def client_data(i):
         return (*data[i], stream(2, "batch-shuffle", client=i, round_index=1))
 
+    def written(update):
+        """The slot map and rows of a store where clients 9 and 4 came first."""
+        fresh = ClientStore(store.n_samples, store.param_count, store.fields)
+        fresh.write([9, 4], {name: store.rows(name, [9, 4]) for name in store.fields})
+        federation.apply_update(fresh, update, server, cfg)
+        return fresh.slot.tobytes(), [getattr(fresh, name).tobytes() for name in fresh.fields]
+
+    x, y = np.concatenate([x for x, _ in data]), np.concatenate([y for _, y in data])
     workers = (os.cpu_count() or 1) + 1
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        with one_client_chunks(spec, workers, pool=False):
-            serial = run_local_rounds(store, range(16), server, cfg, client_data, spec)
-        with one_client_chunks(spec, workers):
-            threaded = run_local_rounds(store, range(16), server, cfg, client_data, spec)
+        for pool in (False, True):
+            with one_client_chunks(spec, workers, pool), federation.one_blas_thread(), \
+                    mock.patch.object(models, "_CHUNK", 7):
+                update = run_local_rounds(store, range(16), server, cfg, client_data, spec)
+                rows = written(update)
+                loss = models.mean_loss(spec, server.global_params, x, y, workers * pool)
+            if pool:
+                _same_round(update, serial, store, server, cfg)
+                assert rows == serial_rows and loss.hex() == serial_loss.hex()
+            serial, serial_rows, serial_loss = update, rows, loss
     finally:
         sys.setswitchinterval(interval)
-    _same_round(threaded, serial, store, server, cfg)
 
 
 def test_pixel_scaling_is_the_float_decode_bitwise():
@@ -559,3 +582,182 @@ def test_a_diverging_threaded_round_names_its_round_without_warnings():
     assert len(trained_on) == 4 and threading.get_ident() not in trained_on
     assert isinstance(info.value.__cause__, NumericError)
     assert [str(w.message) for w in seen] == []
+
+
+@contextlib.contextmanager
+def recording(owner, name, log, pause=0.0):
+    """owner.name, wrapped to append the thread of each call to `log`, then
+    sleep `pause` seconds, so that calls on other threads overlap it."""
+    fn = getattr(owner, name)
+
+    def recorded(*args):
+        log.append(threading.get_ident())
+        time.sleep(pause)
+        return fn(*args)
+
+    with mock.patch.object(owner, name, recorded):
+        yield log
+
+
+# Rows of an evaluation in slices of 7: a partial last slice, whole slices, one slice.
+EVAL_ROWS = {"partial-last-slice": 25, "whole-slices": 21, "one-slice": 5}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("rows", EVAL_ROWS.values(), ids=EVAL_ROWS.keys())
+@pytest.mark.parametrize("pixels", [True, False], ids=["uint8", "float64"])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_pooled_evaluation_equals_the_serial_one(workers, rows, pixels, weight_decay):
+    """accuracy and mean_loss over slices of 7 rows on `workers` threads: the serial bits."""
+    _blas()
+    spec = ModelSpec("mlp", 6, 4, hidden_dims=(7, 5), weight_decay=weight_decay)
+    theta = init_params(spec, stream(3, "testing"))
+    rng = stream(4, "testing")
+    x = (rng.integers(0, 256, (rows, spec.input_dim)).astype(np.uint8) if pixels
+         else rng.standard_normal((rows, spec.input_dim)))
+    y = rng.integers(0, spec.num_classes, rows)
+    main, slices = threading.get_ident(), -(-rows // 7)
+    # Each forward pass waits after its slice is scaled: a scaling buffer
+    # shared between threads would be overwritten meanwhile.
+    with federation.one_blas_thread(), mock.patch.object(models, "_CHUNK", 7), \
+            recording(models, "_forward", [], pause=0.002) as evaluated_on:
+        for fn in (models.accuracy, models.mean_loss):
+            want = fn(spec, theta, x, y)
+            assert evaluated_on == [main] * slices
+            evaluated_on.clear()
+            got = fn(spec, theta, x, y, workers)
+            assert got.hex() == want.hex(), fn.__name__
+            assert len(evaluated_on) == slices and len(set(evaluated_on)) <= workers
+            assert (main in evaluated_on) == (slices == 1)
+            evaluated_on.clear()
+
+
+def _pooled_run(algorithm, tmp_path, workers, pool=True):
+    """(records.csv lines without wall_ms, checkpoint bytes, threads of the pooled
+    work) of a 3-round MLP run on uint8 pixels with chunks of one client,
+    evaluated every round in slices of 7 rows, on `workers` usable CPUs; with
+    `pool` false, on the serial loop alone."""
+    spec = ModelSpec("mlp", 20, 5, hidden_dims=(9,), weight_decay=1e-3)
+    sizes = [9, 12, 9, 15, 6]
+    rng = stream(12, "testing")
+    n, n_test = sum(sizes), 17
+    x = rng.integers(0, 256, (n + n_test, spec.input_dim)).astype(np.uint8)
+    y = rng.integers(0, spec.num_classes, n + n_test)
+    starts = np.cumsum([0, *sizes])
+    ds = FederatedDataset(x[:n], y[:n], x[n:], y[n:],
+                          tuple(np.arange(a, b) for a, b in zip(starts, starts[1:])),
+                          spec.num_classes)
+    kw = {"alpha": 0.1} if algorithm in ("feddyn", "feddc") else {}
+    cfg = ExperimentConfig(
+        dataset=SyntheticConfig(input_dim=spec.input_dim, num_classes=spec.num_classes),
+        model=spec,
+        # 4 of 5 clients a round, so later rounds give clients their first slots.
+        algo=AlgoConfig(algorithm, lr=0.3, local_epochs=2, batch_size=4, participation=0.8,
+                        **kw),
+        rounds=3,
+        eval_every=1,
+    )
+    run = FederatedRun(cfg, ds)
+    pooled = []
+    write = ClientStore.write
+
+    def odd_ids_write_late(self, ids, blocks):
+        """A chunk of an odd client id writes after the chunks that follow it."""
+        if len(ids) == 1 and ids[0] % 2:
+            time.sleep(0.01)
+        write(self, ids, blocks)
+
+    with one_client_chunks(spec, workers, pool), mock.patch.object(models, "_CHUNK", 7), \
+            mock.patch.object(ClientStore, "write", odd_ids_write_late), \
+            recording(models, "_hits", pooled), recording(models, "_cross_entropy", pooled), \
+            recording(federation, "_chunk", []) as derived_on:
+        records, _ = run.run_to_completion()
+    path = tmp_path / f"records-{workers}-{pool}.csv"
+    write_records_csv(path, records, algorithm, ds.label, cfg.seed)
+    checkpoint_save(tmp_path / "ckpt", run.server, run.clients)
+    # The aggregate's folds and the variance's mean derive their chunks on this thread.
+    pooled += [t for t in derived_on if t != threading.get_ident()]
+    return ([line.rsplit(",", 1)[0] for line in path.read_text().splitlines()],
+            (tmp_path / "ckpt").read_bytes(), pooled)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_pooled_rounds_write_the_serial_records_and_checkpoint(algorithm, tmp_path):
+    """Evaluation, apply_update and the variance pass on 1 and 2 threads: the serial bytes."""
+    records, checkpoint, on_serial = _pooled_run(algorithm, tmp_path, 2, pool=False)
+    assert len(records) == 4 and set(on_serial) == {threading.get_ident()}
+    for workers in (1, 2):
+        got_records, got_checkpoint, pooled = _pooled_run(algorithm, tmp_path, workers)
+        assert got_records == records, workers
+        assert got_checkpoint == checkpoint, workers
+        # Per round: 3 test and 8 training slices, and 4 chunks in each of the
+        # store write and the variance's second pass.
+        assert len(pooled) == 3 * (3 + 8 + 2 * 4)
+        assert threading.get_ident() not in pooled
+
+
+def _failing(fails, started, finished):
+    """fn wrapped to fail as `fails` says: task -> the task it waits for, for
+    up to 10 s, before it raises (None: raise at once); others run fn."""
+    seen = {k: threading.Event() for k in fails}
+
+    def wrap(fn, task_of):
+        def call(*args):
+            k = task_of(*args)
+            started.append(k)
+            try:
+                if k in fails:
+                    seen[k].set()
+                    if fails[k] is not None:
+                        seen[fails[k]].wait(10)
+                    raise ValueError(f"task {k}")
+                return fn(*args)
+            finally:
+                finished.append(k)
+        return call
+
+    return wrap
+
+
+@pytest.mark.parametrize("fn", [models.accuracy, models.mean_loss], ids=lambda f: f.__name__)
+def test_the_first_error_in_slice_order_is_raised(fn):
+    """Slices 2 and 4 of 5 fail, slice 4 first: slice 2's error, once every
+    started slice is done."""
+    _blas()
+    spec = ModelSpec("mlp", 6, 4, hidden_dims=(5,))
+    theta = init_params(spec, stream(3, "testing"))
+    x = np.zeros((35, spec.input_dim))
+    x[:, 0] = np.arange(35)  # slice k starts at row 7k
+    y = np.zeros(35, dtype=np.int64)
+    started, finished = [], []
+    wrap = _failing({2: 4, 4: None}, started, finished)
+    failing_forward = wrap(models._forward, lambda layers, xs: int(xs[0, 0]) // 7)
+    threads = threading.active_count()
+    with federation.one_blas_thread(), mock.patch.object(models, "_CHUNK", 7), \
+            mock.patch.object(models, "_forward", failing_forward):
+        with pytest.raises(ValueError, match="task 2"):
+            fn(spec, theta, x, y, 2)
+    assert 4 in started and sorted(started) == sorted(finished)
+    assert threading.active_count() == threads  # no thread outlives the call
+
+
+def test_the_first_error_in_apply_update_chunk_order_is_raised():
+    """Chunks 2 and 4 of 5 fail their store write, chunk 4 first: chunk 2's error."""
+    cfg, spec, server, store, data = _scenario(
+        "feddc", "lelglp", "mlp", [5, 7, 12, 6, 8], 3, 1, 0, False, 5
+    )
+
+    def client_data(i):
+        return (*data[i], stream(5, "batch-shuffle", client=i))
+
+    started, finished = [], []
+    wrap = _failing({2: 4, 4: None}, started, finished)
+    failing_write = wrap(ClientStore.write, lambda self, ids, blocks: int(ids[0]))
+    threads = threading.active_count()
+    with one_client_chunks(spec, 2), federation.one_blas_thread():
+        update = run_local_rounds(store, range(5), server, cfg, client_data, spec)
+        with mock.patch.object(ClientStore, "write", failing_write):
+            with pytest.raises(ValueError, match="task 2"):
+                federation.apply_update(store, update, server, cfg)
+    assert 4 in started and sorted(started) == sorted(finished)
+    assert threading.active_count() == threads
