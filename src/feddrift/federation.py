@@ -54,18 +54,32 @@ __all__ = [
 ]
 
 
+def _from_stored(clients, name: str, ids, op) -> np.ndarray:
+    """The (len(ids), P) block whose row r is op(stored, out=row), with `stored` client
+    ids[r]'s row of field `name` read in place (:meth:`ClientStore.stored`)."""
+    block = np.empty((len(ids), clients.param_count))
+    for row, stored in zip(block, clients.stored(name, ids)):
+        op(stored, out=row)
+    return block
+
+
 def _control_gap(clients, ids, server, k_steps, lr_t):
-    return server.scaffold_c - clients.rows("scaffold_c", ids)
+    gap = functools.partial(np.subtract, server.scaffold_c)
+    return _from_stored(clients, "scaffold_c", ids, gap)
 
 
 def _grad_correction(clients, ids, server, k_steps, lr_t):
-    return (clients.rows("last_delta", ids) - server.global_delta) / (k_steps * lr_t)
+    extra = _from_stored(clients, "last_delta", ids,
+                         lambda last, out: np.subtract(last, server.global_delta, out=out))
+    extra /= k_steps * lr_t
+    return extra
 
 
 def _scaffold_controls(server, update, cfg, mean_up, global_delta):
     # c_i+ - c_i reconstructs from the upload: -c + the implied gradient
-    c_deltas = (row for *_, delta, k_lr in _chunks(update, server, cfg)
-                for row in -server.scaffold_c + _implied_grad(delta, k_lr))
+    neg_c = -server.scaffold_c
+    c_deltas = (np.add(neg_c, row, out=row) for *_, delta, k_lr in _chunks(update, server, cfg)
+                for row in _implied_grad(delta, k_lr, out=delta))
     mean_cd = weighted_mean(c_deltas, np.ones(len(update.ids)))
     return {"scaffold_c": server.scaffold_c + len(update.ids) / server.n_clients * mean_cd}
 
@@ -185,15 +199,17 @@ class AlgoConfig:
                 raise ParameterError(f"expected alpha >= 0 for feddc, got {self.alpha}", "alpha")
 
 
-# Client field -> its next rows from old() (a call that copies the clients'
-# stored rows, so a field whose next rows ignore them copies none), their
-# delta = theta - G and K * lr_t, and the round-start server. Its keys are
-# every field a ClientStore or a checkpoint may hold.
+# Client field -> the call that turns `old`, the clients' stored rows, into
+# their next rows in place, from their delta = theta - G, K * lr_t and the
+# round-start server: drift h + delta, last_delta delta, scaffold_c
+# (c_i - c) + implied gradient. apply_update passes each client's row of the
+# store itself, which reads +0.0 for a client written for the first time. Its
+# keys are every field a ClientStore or a checkpoint may hold.
 NEXT_ROWS = {
-    "drift": lambda old, delta, k_lr, server: old() + delta,
-    "last_delta": lambda old, delta, k_lr, server: delta,
-    "scaffold_c": lambda old, delta, k_lr, server:
-        (old() - server.scaffold_c) + _implied_grad(delta, k_lr),
+    "drift": lambda old, delta, k_lr, server: np.add(old, delta, out=old),
+    "last_delta": lambda old, delta, k_lr, server: np.copyto(old, delta),
+    "scaffold_c": lambda old, delta, k_lr, server: np.add(
+        np.subtract(old, server.scaffold_c, out=old), _implied_grad(delta, k_lr), out=old),
 }
 
 
@@ -221,9 +237,10 @@ class ClientStore:
     field is a view of the front of its own (n_clients, P) private
     anonymous mapping, advised for huge pages, whose pages cost memory
     only once written. A write of new clients views more of it, so rows
-    never move and each array holds exactly the written rows. Inactive
-    clients keep their rows stale. A store built with `slot` adopts that
-    saved map, with zeroed rows.
+    never move and each array holds exactly the written rows; a new
+    client's rows are still the mapping's zeros, +0.0, until written.
+    Inactive clients keep their rows stale. A store built with `slot`
+    adopts that saved map, with zeroed rows.
     """
 
     def __init__(self, n_samples, param_count: int, fields=(), slot=None):
@@ -259,11 +276,20 @@ class ClientStore:
         out[written] = arr[s[written]]
         return out
 
+    def stored(self, name: str, ids) -> list:
+        """Field `name`'s row of each client in `ids`, in order: a view of the
+        store, or 0.0 for a client never written, whose row reads +0.0."""
+        arr = getattr(self, name)
+        return [arr[s] if s < self.used else 0.0 for s in self.slot[ids].tolist()]
+
     def write(self, ids, blocks: dict) -> None:
         """Set the rows of clients `ids` to `blocks`, a field name -> (len(ids), P) map.
 
-        Clients written for the first time take the next slots, in
-        ascending id order; then each field is one indexed assignment.
+        A field may map instead to a call step(r, old), which turns `old`,
+        client ids[r]'s stored row (:meth:`stored`), into its next row in
+        place. Clients written for the first time take the next slots, in
+        ascending id order, so their rows read +0.0; then each field is
+        one indexed assignment or one step per client.
         """
         # A mask rather than np.unique, whose first call in a process adds
         # about 1.7 MB of resident memory.
@@ -277,7 +303,11 @@ class ClientStore:
             self._view(self.used + new.size)
         slots = self.slot[ids]
         for name, block in blocks.items():
-            getattr(self, name)[slots] = block
+            if callable(block):
+                for r, old in enumerate(self.stored(name, ids)):
+                    block(r, old)
+            else:
+                getattr(self, name)[slots] = block
 
 
 SERVER_VECTORS = ("global_params", "global_delta", "scaffold_c", "dyn_corrector")
@@ -345,17 +375,18 @@ def round_lr(cfg: AlgoConfig, round_index: int) -> float:
     return cfg.lr * cfg.lr_decay**round_index
 
 
-def _implied_grad(delta: np.ndarray, k_lr) -> np.ndarray:
+def _implied_grad(delta: np.ndarray, k_lr, out=None) -> np.ndarray:
     """The mean step direction of updates delta = theta - G: -delta / k_lr, with k_lr = K * lr_t."""
-    return delta / -k_lr  # -delta / k_lr, with no second block for -delta
+    return np.divide(delta, -k_lr, out=out)  # -delta / k_lr, with no second block for -delta
 
 
 def _correction_terms(clients: ClientStore, ids, server: ServerState,
                       cfg: AlgoConfig, k_steps: int, lr_t: float):
     """The RULES terms (pull, anchor, extra, has_extra) of clients `ids`.
 
-    anchor and extra are (len(ids), P) arrays, or None when the row, the
-    ablation or a zero coefficient turns the term off. A row of `extra`
+    anchor and extra are (len(ids), P) arrays, each built in one buffer
+    from the clients' stored rows read in place, or None when the row,
+    the ablation or a zero coefficient turns the term off. A row of `extra`
     that is exactly zero is off for its client alone; `has_extra` masks
     it out, and is None when every row is on. Terms that are off are
     skipped rather than added, so the remaining arithmetic is
@@ -367,8 +398,8 @@ def _correction_terms(clients: ClientStore, ids, server: ServerState,
     if rule.pull and "param_correction" in cfg.ablation and getattr(cfg, rule.pull) != 0.0:
         pull = getattr(cfg, rule.pull)
         # A broadcast view of G, not a (C, P) block, when nothing is subtracted.
-        anchor = (g - clients.rows("drift", ids) if "drift" in rule.fields
-                  else np.broadcast_to(g, (len(ids), g.size)))
+        anchor = (_from_stored(clients, "drift", ids, functools.partial(np.subtract, g))
+                  if "drift" in rule.fields else np.broadcast_to(g, (len(ids), g.size)))
     if rule.extra and "grad_correction" in cfg.ablation:
         extra = rule.extra(clients, ids, server, k_steps, lr_t)
         on = extra.any(axis=1)
@@ -434,14 +465,16 @@ def _local_sgd(theta, terms, inputs, labels, rngs, spec: ModelSpec,
                batch_size: int, epochs: int, lr_t: float):
     """The call running `epochs` epochs of SGD on each row of the (C, P) block `theta`, in place.
 
-    Its buffers are allocated here, so a chunk allocates them on the
-    thread that sets it up, whichever thread then calls it. Row c trains
-    on inputs[c] and labels[c] and shuffles them with rngs[c], one fresh
-    permutation per epoch, then steps through them in batches of
-    `batch_size`, the last of which may be partial. uint8 inputs are
-    pixels: the shuffled copy holds their bytes, and each batch is scaled
-    into one float buffer (see :func:`models._as_float`); float64 inputs
-    are read in place. `terms` are the
+    `theta` may be rows of a larger array, such as the round's
+    RoundUpdate.theta. The call's buffers (the gradient, the shuffled
+    data and a scratch tile) are allocated here, so a chunk allocates
+    them on the thread that sets it up, whichever thread then calls it.
+    Row c trains on inputs[c] and labels[c] and shuffles them with
+    rngs[c], one fresh permutation per epoch, then steps through them in
+    batches of `batch_size`, the last of which may be partial. uint8
+    inputs are pixels: the shuffled copy holds their bytes, and each
+    batch is scaled into one float buffer (see :func:`models._as_float`);
+    float64 inputs are read in place. `terms` are the
     (pull, anchor, extra, has_extra) of :func:`_correction_terms`.
     After the gradient kernel, a step adds weight decay and the terms
     and updates theta one column tile of at most BUDGET floats at a
@@ -509,9 +542,14 @@ def _chunk_round(clients: ClientStore, server: ServerState, cfg: AlgoConfig, spe
 
     client_data is called and every block the chunk needs is allocated
     here, so the returned call allocates nothing larger than a step's
-    activations. It reads only the chunk's own blocks and writes only
-    the chunk's rows of `out`, so the calls of several chunks may run
-    concurrently.
+    activations. The correction terms read the clients' stored rows in
+    place, one buffer per term (:func:`_correction_terms`). A chunk
+    whose clients hold consecutive rows of `out` (every one-client
+    chunk) trains in those rows of out.theta, set to G here; a lockstep
+    chunk whose rows are interleaved with another group's trains in its
+    own block, which its call then copies there. The call reads only the
+    chunk's own blocks and writes only the chunk's rows of `out`, so the
+    calls of several chunks may run concurrently.
     """
     inputs, labels, rngs = zip(*(client_data(i) for i in chunk))
     n = inputs[0].shape[0]
@@ -520,14 +558,18 @@ def _chunk_round(clients: ClientStore, server: ServerState, cfg: AlgoConfig, spe
     k = steps_per_round(n, cfg)
     lr_t = round_lr(cfg, server.round)
     terms = _correction_terms(clients, chunk, server, cfg, k, lr_t)
-    block = np.repeat(server.global_params[None], len(chunk), axis=0)
-    sgd = _local_sgd(block, terms, inputs, labels, rngs, spec,
-                     cfg.batch_size, cfg.local_epochs, lr_t)
     rows = np.searchsorted(out.ids, chunk)
+    lo, c = rows[0], len(chunk)
+    in_place = rows[-1] - lo == c - 1
+    theta = out.theta[lo : lo + c] if in_place else np.empty((c, out.theta.shape[1]))
+    theta[...] = server.global_params
+    sgd = _local_sgd(theta, terms, inputs, labels, rngs, spec,
+                     cfg.batch_size, cfg.local_epochs, lr_t)
 
     def train():
         sgd()
-        out.theta[rows] = block
+        if not in_place:
+            out.theta[rows] = theta
         out.n_samples[rows] = n
         out.k_steps[rows] = k
 
@@ -640,18 +682,23 @@ def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
     )
 
 
-def _chunk(update: RoundUpdate, server: ServerState, rows: slice, lr_t: float):
-    """(ids, theta, delta = theta - G, K * lr_t column) of the update's `rows`."""
+def _chunk(update: RoundUpdate, server: ServerState, rows: slice, lr_t: float, buf=None):
+    """(ids, theta, delta = theta - G, K * lr_t column) of the update's `rows`;
+    delta is derived into the front rows of `buf` if one is given."""
     ids, theta, k = (a[rows] for a in (update.ids, update.theta, update.k_steps))
-    return ids, theta, theta - server.global_params, k[:, None] * lr_t
+    delta = np.subtract(theta, server.global_params, out=None if buf is None else buf[: len(ids)])
+    return ids, theta, delta, k[:, None] * lr_t
 
 
 def _chunks(update: RoundUpdate, server: ServerState, cfg: AlgoConfig):
-    """:func:`_chunk` of max(1, BUDGET // P) clients at a time, so that a consumer
-    deriving rows holds no (C, P) block beside theta."""
+    """:func:`_chunk` of max(1, BUDGET // P) clients at a time, each delta derived
+    into one buffer that the next chunk overwrites: a consumer deriving rows
+    holds no (C, P) block beside theta and allocates none per chunk, but
+    must be done with a chunk's rows before it asks for the next."""
     cap, lr_t = max(1, BUDGET // update.theta.shape[1]), round_lr(cfg, server.round)
+    buf = np.empty((min(cap, len(update.ids)), update.theta.shape[1]))
     for lo in range(0, len(update.ids), cap):
-        yield _chunk(update, server, slice(lo, lo + cap), lr_t)
+        yield _chunk(update, server, slice(lo, lo + cap), lr_t, buf)
 
 
 def _map_chunks(fn, update: RoundUpdate, server: ServerState, cfg: AlgoConfig,
@@ -666,35 +713,35 @@ def _map_chunks(fn, update: RoundUpdate, server: ServerState, cfg: AlgoConfig,
 
 def apply_update(clients: ClientStore, update: RoundUpdate, server: ServerState,
                  cfg: AlgoConfig) -> None:
-    """Write every field's NEXT_ROWS into the store, from the round-start `server`
-    (not the aggregated one: scaffold's next control reads the old c).
+    """Write every field's NEXT_ROWS in place in the store's rows, from the round-start
+    `server` (not the aggregated one: scaffold's next control reads the old c).
 
-    On the round's pool (:func:`_pool_size`) the new clients take their
-    slots here first, in ascending id order as the serial loop assigns
-    them; then each chunk derives and writes its own rows on a thread.
+    The clients written for the first time take their slots here first,
+    in ascending id order, so their rows read +0.0 in place. Then each
+    chunk derives its delta = theta - G once and updates its clients'
+    rows of every field, on the round's pool (:func:`_pool_size`).
     """
     def write(ids, _, delta, k_lr):
-        clients.write(ids, {f: NEXT_ROWS[f](functools.partial(clients.rows, f, ids), delta,
-                                            k_lr, server)
+        clients.write(ids, {f: lambda r, old, f=f: NEXT_ROWS[f](old, delta[r], k_lr[r], server)
                             for f in clients.fields})
 
-    workers = _pool_size(update.theta.shape[1])
-    if workers:
-        clients.write(update.ids, {})
-    _map_chunks(write, update, server, cfg, workers)
+    clients.write(update.ids, {})
+    _map_chunks(write, update, server, cfg, _pool_size(update.theta.shape[1]))
 
 
 def weighted_mean(rows, ws) -> np.ndarray:
     """Weighted mean of `rows` (an iterable read once, such as a (C, P) block), bit-for-bit.
 
-    The value is sum_c (w_c / sum(ws)) * row_c, computed as a sequential
-    row-order fold of the w_c * row_c followed by one division by
-    sum(ws). Two exactness guarantees follow from this arrangement plus
-    an explicit short-circuit: bitwise-identical rows average to exactly
-    that row (returned as a copy), and scaling every weight by a power
-    of two leaves the output bits unchanged (every product and sum
-    scales exactly, barring overflow and underflow); other common
-    factors may change them.
+    Each row is read before the next is asked for, so a generator may
+    yield one buffer, overwritten with each row. The value is
+    sum_c (w_c / sum(ws)) * row_c, computed as a sequential row-order
+    fold of the w_c * row_c followed by one division by sum(ws). Two
+    exactness guarantees follow from this arrangement plus an explicit
+    short-circuit: bitwise-identical rows average to exactly that row
+    (returned as a copy), and scaling every weight by a power of two
+    leaves the output bits unchanged (every product and sum scales
+    exactly, barring overflow and underflow); other common factors may
+    change them.
     """
     warr = np.asarray(ws, dtype=np.float64)
     if warr.ndim != 1 or warr.size == 0:
@@ -711,14 +758,17 @@ def weighted_mean(rows, ws) -> np.ndarray:
         if count > warr.size or row.shape != (row.size,) or count > 1 and row.shape != base.shape:
             raise DimensionError(f"weighted_mean: row {count}/{warr.size} has shape {row.shape}")
         if count == 1:
-            base, acc, identical = row, warr[0] * row, True
+            # A copy, since the next row may overwrite this one.
+            base, acc, identical = row.copy(), warr[0] * row, True
+            scaled = np.empty_like(acc)
         else:
             identical = identical and not (row - base).any()
-            acc += warr[count - 1] * row
+            w = warr[count - 1]
+            acc += row if w == 1.0 else np.multiply(w, row, out=scaled)  # 1.0 * row is row
     if count != warr.size:
         raise DimensionError(f"weighted_mean: {count} rows for {warr.size} weights")
     if identical:
-        return base.copy()
+        return base
     acc /= total
     return acc
 
@@ -729,7 +779,8 @@ def server_aggregate(server: ServerState, update: RoundUpdate, cfg: AlgoConfig,
 
     The rows are folded in their ascending client-id order, so the
     order clients trained in cannot change the result. feddc's upload
-    theta + h_i+ reads h_i from `clients` before :func:`apply_update`.
+    theta + h_i+ reads h_i from `clients`, in place, before
+    :func:`apply_update` writes h_i+ there.
     """
     rule = RULES[cfg.algorithm]
     by_samples = cfg.aggregation_weighting == "by_samples"
@@ -741,8 +792,11 @@ def server_aggregate(server: ServerState, update: RoundUpdate, cfg: AlgoConfig,
     elif rule.upload == "theta":
         mean_up = weighted_mean(update.theta, ws)
     else:
-        mean_up = weighted_mean((row for ids, theta, delta, _ in chunks()
-                                 for row in theta + (clients.rows("drift", ids) + delta)), ws)
+        # theta + (h_i + delta), built in the chunk's delta buffer
+        mean_up = weighted_mean((np.add(th, np.add(h, row, out=row), out=row)
+                                 for ids, theta, delta, _ in chunks()
+                                 for th, h, row in zip(theta, clients.stored("drift", ids), delta)),
+                                ws)
     changed = rule.server(server, update, cfg, mean_up, global_delta) if rule.server else {}
     return replace(server, **{"global_params": mean_up, "global_delta": global_delta,
                               "round": server.round + 1, **changed})
@@ -770,11 +824,16 @@ def gradient_variance_diagnostic(update: RoundUpdate, server: ServerState, cfg: 
     if n < 2:
         return None
     # A row fold from +0.0, then per-row sums: the bits of the stacked g.sum(axis=0) and axis=1.
-    mean = sum(row for *_, delta, k_lr in _chunks(update, server, cfg)
-               for row in _implied_grad(delta, k_lr)) / n
+    mean = np.zeros(update.theta.shape[1])
+    for *_, delta, k_lr in _chunks(update, server, cfg):
+        for row in _implied_grad(delta, k_lr, out=delta):
+            mean += row
+    mean /= n
 
     def squares(ids, theta, delta, k_lr):
-        return np.square(_implied_grad(delta, k_lr) - mean).sum(axis=1)
+        g = _implied_grad(delta, k_lr, out=delta)
+        g -= mean
+        return np.square(g, out=g).sum(axis=1)
 
     workers = _pool_size(update.theta.shape[1])
     return float(np.mean(np.concatenate(_map_chunks(squares, update, server, cfg, workers))))

@@ -413,29 +413,43 @@ class TestDivergence:
         assert run.round == 0 and not run.records  # the run keeps its last good state
 
 
+def _mlp_round_run(algorithm):
+    """A run of twelve clients at full participation on an MLP of P = 41,994
+    parameters, more than BUDGET // 2, so each chunk holds one client."""
+    spec = ModelSpec("mlp", 30, 10, hidden_dims=(1024,))
+    kw = {"alpha": 0.01} if algorithm in ("feddyn", "feddc") else {}
+    return FederatedRun(ExperimentConfig(
+        dataset=SyntheticConfig(n_clients=12, samples_per_client_mean=20, seed=0),
+        model=spec,
+        algo=AlgoConfig(algorithm, lr=0.01, local_epochs=1, batch_size=10, **kw),
+        rounds=3,
+        eval_every=3,
+    ))
+
+
 class TestRoundMemory:
+    """What a pooled MLP round allocates, in (C, P) blocks and (1, P) rows.
+
+    The client store is an anonymous mapping, which tracemalloc does not
+    see. Measured here (numpy 2.4.6, three runs each): the second round
+    peaked at 1.45 to 1.47 blocks for fedavg and fedprox, 1.61 to 1.67
+    for feddyn and scaffold and 1.78 to 1.80 for feddc; 3.08 to 5.25 when
+    a round also kept its update, next drift and next control as blocks,
+    and 1.62 to 1.97 when each chunk's set-up copied its stored rows and
+    a block of G. A one-client feddc chunk's set-up now holds 4.05 rows
+    (its anchor, extra, gradient and one scratch tile as wide as P), and
+    held 5.05 with that block.
+    """
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_a_round_allocates_about_one_block_of_clients_by_parameters(self, algorithm):
         """A round keeps one (C, P) float64 block, theta, and derives every other row.
 
-        Twelve clients at full participation train an MLP of P = 41,994
-        parameters, more than BUDGET // 2, so each chunk holds one client,
-        on a pool of two threads. The client store is an anonymous mapping,
-        which tracemalloc does not see. The peak of the second round (which
-        does not evaluate) was 1.57 to 1.90 blocks here, and 3.08 to 5.25
-        when a round also kept its update, next drift and next control as
-        blocks (numpy 2.4.6).
+        The chunks train on a pool of two threads. The peak is the second
+        round's, which does not evaluate.
         """
-        spec = ModelSpec("mlp", 30, 10, hidden_dims=(1024,))
-        kw = {"alpha": 0.01} if algorithm in ("feddyn", "feddc") else {}
-        cfg = ExperimentConfig(
-            dataset=SyntheticConfig(n_clients=12, samples_per_client_mean=20, seed=0),
-            model=spec,
-            algo=AlgoConfig(algorithm, lr=0.01, local_epochs=1, batch_size=10, **kw),
-            rounds=3,
-            eval_every=3,
-        )
-        run = FederatedRun(cfg)
+        run = _mlp_round_run(algorithm)
+        spec = run.cfg.model
         with mock.patch.object(federation, "_usable_cpus", lambda: 2):
             run.run_round()
             tracemalloc.start()
@@ -447,6 +461,34 @@ class TestRoundMemory:
         assert run.records[-1].test_accuracy is None
         block = 12 * spec.param_count * 8
         assert peak < 2.5 * block, f"peak {peak / block:.2f} blocks"
+
+    def test_setting_up_a_feddc_chunk_reads_its_stored_rows_in_place(self):
+        """A one-client feddc chunk's set-up allocates its anchor, extra and
+        gradient, each one row built from the stored rows, and no block of G:
+        the chunk trains in its row of the round's theta."""
+        run = _mlp_round_run("feddc")
+        run.run_round()  # every client's drift and previous update are stored
+        spec, p = run.cfg.model, run.cfg.model.param_count
+        out = federation.RoundUpdate(np.arange(12), np.empty(12, dtype=np.int64),
+                                     np.empty(12, dtype=np.int64), np.empty((12, p)))
+
+        def client_data(i):
+            x, y = run.dataset.client_arrays(i)
+            return x, y, stream(0, "batch-shuffle", client=i, round_index=1)
+
+        tracemalloc.start()
+        try:
+            train = federation._chunk_round(run.clients, run.server, run.cfg.algo, spec, out,
+                                            client_data, [5])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row = p * 8
+        assert peak < 4.5 * row, f"peak {peak / row:.2f} rows"
+        assert out.theta[5].tobytes() == run.server.global_params.tobytes()
+        train()
+        assert (out.theta[5] != run.server.global_params).any()
+        assert out.k_steps[5] == steps_per_round(int(run.clients.n_samples[5]), run.cfg.algo)
 
 
 class TestResume:

@@ -534,6 +534,41 @@ class TestClientStore:
         assert held.tolist() == [[3.0, 3.0]]  # an earlier view still sees client 1's row
         assert store.drift.shape == (3, 2) and store.slot.tolist() == [1, 0, 2]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if RULES[a].fields])
+    def test_apply_update_writes_the_next_rows_in_place(self, algorithm, workers):
+        """Every field's NEXT_ROWS of rows() copies, bit for bit: for a written
+        client, a stored -0.0 row and two clients written for the first time
+        (whose rows read +0.0), chunk by chunk on a pool of 1 and 2 threads."""
+        p = 40
+        rng = np.random.default_rng(3)
+        cfg = AlgoConfig(algorithm, lr=0.3, alpha=0.1)
+        store = ClientStore([8] * 5, p, RULES[algorithm].fields)
+        store.write([0, 1, 3], {f: rng.standard_normal((3, p)) for f in store.fields})
+        store.write([1], {f: -0.0 for f in store.fields})
+        g = rng.standard_normal(p)
+        g[0] = 0.0
+        server = replace(randomize_server(ServerState.fresh(g, 5, 0), 3), round=2)
+        ids = np.array([0, 1, 2, 4])  # clients 2 and 4 are written for the first time
+        theta = rng.standard_normal((4, p))
+        theta[:, 0], theta[:, 1] = -0.0, g[1]  # delta -0.0 and +0.0
+        update = RoundUpdate(ids, np.full(4, 8), np.array([3, 1, 4, 2]), theta)
+        want = {f: store.rows(f, ids) for f in store.fields}
+        for f, old in want.items():
+            NEXT_ROWS[f](old, theta - g, update.k_steps[:, None] * round_lr(cfg, 2), server)
+        untouched = {f: store.rows(f, 3) for f in store.fields}
+        with federation.one_blas_thread(), \
+                mock.patch.object(federation, "BUDGET", p), \
+                mock.patch.object(federation, "_usable_cpus", lambda: workers):
+            apply_update(store, update, server, cfg)
+        assert store.slot.tolist() == [0, 1, 3, 2, 4]
+        for f in store.fields:
+            assert store.rows(f, ids).tobytes() == want[f].tobytes(), f
+            assert store.rows(f, 3).tobytes() == untouched[f].tobytes(), f
+        if "drift" in store.fields:
+            # h + delta is -0.0 + -0.0 for the stored -0.0 row, +0.0 + -0.0 for a new one.
+            assert np.signbit(store.rows("drift", [1, 2, 4])[:, 0]).tolist() == [True, False, False]
+
     @pytest.mark.parametrize(
         "slot",
         [[0, 0, 3], [0, 2, 3], [0, 4, 3], [-1, 0, 3], [1, 3, 3]],

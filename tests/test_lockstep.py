@@ -323,8 +323,9 @@ def one_client_chunks(spec, workers, pool=True):
 THREADED_SIZES = [5, 7, 12, 5, 1, 7, 12]  # unequal, and more clients than threads
 
 
-def _threaded_round(algorithm, code, model, workers, pool=True):
-    """(update, threads trained on, (store, server, cfg) it trained from)."""
+def _threaded_round(algorithm, code, model, workers, pool=True, lockstep=False):
+    """(update, threads trained on, (store, server, cfg) it trained from); with
+    `lockstep`, clients of equal size train as stacked chunks on this thread."""
     cfg, spec, server, store, data = _scenario(
         algorithm, code, model, THREADED_SIZES, 3, 2, 2, True, 11
     )
@@ -332,7 +333,8 @@ def _threaded_round(algorithm, code, model, workers, pool=True):
     def client_data(i):
         return (*data[i], stream(11, "batch-shuffle", client=i, round_index=2))
 
-    with one_client_chunks(spec, workers, pool) as trained_on:
+    chunks = contextlib.nullcontext([]) if lockstep else one_client_chunks(spec, workers, pool)
+    with chunks as trained_on:
         update = run_local_rounds(store, range(len(THREADED_SIZES)), server, cfg,
                                   client_data, spec)
     return update, trained_on, (store, server, cfg)
@@ -350,6 +352,10 @@ def test_threaded_chunks_equal_the_serial_loop(algorithm, code, model, workers):
     assert len(on_threads) == len(THREADED_SIZES) and main not in on_threads
     assert len(set(on_threads)) <= workers
     _same_round(threaded, serial, *state)
+    # Stacked chunks whose rows in theta are not consecutive train in their own blocks.
+    assert [0, 3] in lockstep_groups(range(len(THREADED_SIZES)), THREADED_SIZES, 7)
+    lockstep, _, _ = _threaded_round(algorithm, code, model, workers, lockstep=True)
+    _same_round(lockstep, serial, *state)
 
 
 def test_threaded_chunks_under_rapid_thread_switches():
