@@ -526,7 +526,9 @@ def _gradient_errors(spec: ModelSpec) -> dict:
     for name in ALGORITHMS:
         cfg = AlgoConfig(name, alpha=0.1, mu=0.1, lr=0.1, local_epochs=1, batch_size=batch // 2)
         clients = ClientStore([batch], dim, RULES[name].fields)
-        clients.write([0], {f: 0.1 * rng.standard_normal((1, dim)) for f in clients.fields})
+        slot = clients.admit([0])
+        for f in clients.fields:
+            getattr(clients, f)[slot] = 0.1 * rng.standard_normal((1, dim))
         args = (clients, 0, server, cfg, x, y, spec)
         oracle = finite_diff_grad(lambda v: local_objective(v, *args), theta, 1e-6)
         errors[f"{name} objective"] = max_relative_error(local_objective_grad(theta, *args), oracle)

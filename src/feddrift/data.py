@@ -139,21 +139,24 @@ class SyntheticConfig:
         return f"synthetic({self.gamma1:g};{self.gamma2:g})"
 
 
-def _client_label_model(cfg: SyntheticConfig, client: int):
-    """The (theta, b) pair labeling client's samples.
+def _label_core(cfg: SyntheticConfig):
+    """The unit-Gaussian core (theta, b) that every client's label model shares."""
+    base = stream(cfg.seed, "synthetic-model", client=0)
+    theta = base.standard_normal((cfg.num_classes, cfg.input_dim))
+    return theta, base.standard_normal(cfg.num_classes)
 
-    One unit-Gaussian core (theta, b) is drawn once and shared; each
-    client's pair is that core plus its own scalar mu_i ~ N(0, gamma1)
+
+def _client_label_model(cfg: SyntheticConfig, client: int, core):
+    """The (theta, b) pair labeling client's samples, from the dataset's :func:`_label_core`.
+
+    Each client's pair is that core plus its own scalar mu_i ~ N(0, gamma1)
     added to every entry, so entries are marginally N(mu_i, 1) and
     gamma1 == 0 makes all clients bitwise identical. A uniform shift of
     theta rows and b cancels inside argmax, so the labels themselves
     match the homogeneous setting; the dial moves the client models
     apart without making the pooled task unlearnable.
     """
-    c, d = cfg.num_classes, cfg.input_dim
-    base = stream(cfg.seed, "synthetic-model", client=0)
-    theta = base.standard_normal((c, d))
-    b = base.standard_normal(c)
+    theta, b = core
     if cfg.gamma1 > 0.0:
         personal = stream(cfg.seed, "synthetic-model", client=client + 1)
         mu = float(personal.standard_normal()) * math.sqrt(cfg.gamma1)
@@ -175,8 +178,9 @@ def generate_synthetic(cfg: SyntheticConfig) -> FederatedDataset:
 
     train_x, train_y, test_x, test_y, parts = [], [], [], [], []
     offset = 0
+    core = _label_core(cfg)
     for i in range(cfg.n_clients):
-        theta, b = _client_label_model(cfg, i)
+        theta, b = _client_label_model(cfg, i, core)
         shift = stream(cfg.seed, "synthetic-shift", client=i).standard_normal(d)
         shift *= math.sqrt(cfg.gamma2)
         x = shift + stream(cfg.seed, "synthetic-train", client=i).standard_normal((n_per, d))

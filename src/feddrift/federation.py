@@ -236,11 +236,11 @@ class ClientStore:
     client never written has slot n_clients and reads as +0.0. Each
     field is a view of the front of its own (n_clients, P) private
     anonymous mapping, advised for huge pages, whose pages cost memory
-    only once written. A write of new clients views more of it, so rows
-    never move and each array holds exactly the written rows; a new
-    client's rows are still the mapping's zeros, +0.0, until written.
-    Inactive clients keep their rows stale. A store built with `slot`
-    adopts that saved map, with zeroed rows.
+    only once written. Admitting new clients views more of it, so rows
+    never move and each array holds exactly the admitted rows; a new
+    client's rows are still the mapping's zeros, +0.0, until written in
+    place. Inactive clients keep their rows stale. A store built with
+    `slot` adopts that saved map, with zeroed rows.
     """
 
     def __init__(self, n_samples, param_count: int, fields=(), slot=None):
@@ -266,31 +266,15 @@ class ClientStore:
             rows = np.frombuffer(buf, count=used * self.param_count)
             setattr(self, name, rows.reshape(used, self.param_count))
 
-    def rows(self, name: str, ids) -> np.ndarray:
-        """A copy of field `name`'s rows of clients `ids`, in the order of `ids`."""
-        arr, s = getattr(self, name), self.slot[ids]
-        written = s < self.used
-        if written.all():
-            return arr.take(s, axis=0)  # a copy also for a scalar id, where arr[s] is a view
-        out = np.zeros(np.shape(s) + arr.shape[1:])
-        out[written] = arr[s[written]]
-        return out
-
     def stored(self, name: str, ids) -> list:
         """Field `name`'s row of each client in `ids`, in order: a view of the
         store, or 0.0 for a client never written, whose row reads +0.0."""
         arr = getattr(self, name)
         return [arr[s] if s < self.used else 0.0 for s in self.slot[ids].tolist()]
 
-    def write(self, ids, blocks: dict) -> None:
-        """Set the rows of clients `ids` to `blocks`, a field name -> (len(ids), P) map.
-
-        A field may map instead to a call step(r, old), which turns `old`,
-        client ids[r]'s stored row (:meth:`stored`), into its next row in
-        place. Clients written for the first time take the next slots, in
-        ascending id order, so their rows read +0.0; then each field is
-        one indexed assignment or one step per client.
-        """
+    def admit(self, ids) -> np.ndarray:
+        """The slots of clients `ids`, giving each client never written the next
+        slot, in ascending id order, so its rows read +0.0 in place."""
         # A mask rather than np.unique, whose first call in a process adds
         # about 1.7 MB of resident memory.
         n = self.slot.size
@@ -301,13 +285,7 @@ class ClientStore:
         if new.size:
             self.slot[new] = np.arange(self.used, self.used + new.size)
             self._view(self.used + new.size)
-        slots = self.slot[ids]
-        for name, block in blocks.items():
-            if callable(block):
-                for r, old in enumerate(self.stored(name, ids)):
-                    block(r, old)
-            else:
-                getattr(self, name)[slots] = block
+        return self.slot[ids]
 
 
 SERVER_VECTORS = ("global_params", "global_delta", "scaffold_c", "dyn_corrector")
@@ -716,16 +694,18 @@ def apply_update(clients: ClientStore, update: RoundUpdate, server: ServerState,
     """Write every field's NEXT_ROWS in place in the store's rows, from the round-start
     `server` (not the aggregated one: scaffold's next control reads the old c).
 
-    The clients written for the first time take their slots here first,
-    in ascending id order, so their rows read +0.0 in place. Then each
-    chunk derives its delta = theta - G once and updates its clients'
-    rows of every field, on the round's pool (:func:`_pool_size`).
+    The clients written for the first time are admitted here first, on
+    the calling thread, so their rows read +0.0 in place. Then each chunk
+    derives its delta = theta - G once and updates its clients' stored
+    rows of every field, on the round's pool (:func:`_pool_size`): a
+    worker only writes rows in place.
     """
     def write(ids, _, delta, k_lr):
-        clients.write(ids, {f: lambda r, old, f=f: NEXT_ROWS[f](old, delta[r], k_lr[r], server)
-                            for f in clients.fields})
+        for f in clients.fields:
+            for old, d, kl in zip(clients.stored(f, ids), delta, k_lr):
+                NEXT_ROWS[f](old, d, kl, server)
 
-    clients.write(update.ids, {})
+    clients.admit(update.ids)
     _map_chunks(write, update, server, cfg, _pool_size(update.theta.shape[1]))
 
 

@@ -16,6 +16,26 @@ def bits():
     return bits_equal
 
 
+def store_rows(store, name: str, ids) -> np.ndarray:
+    """A copy of field `name`'s rows of clients `ids` of a ClientStore, in the order of
+    `ids` (also for a single id); a client never written reads +0.0."""
+    arr, s = getattr(store, name), store.slot[ids]
+    written = s < store.used
+    if written.all():
+        return arr.take(s, axis=0)  # a copy also for a scalar id, where arr[s] is a view
+    out = np.zeros(np.shape(s) + arr.shape[1:])
+    out[written] = arr[s[written]]
+    return out
+
+
+def seed_rows(store, ids, blocks: dict) -> None:
+    """Admit clients `ids` to a ClientStore, then set their rows of each field to
+    `blocks`, a field name -> (len(ids), P) map (or anything that broadcasts)."""
+    slots = store.admit(ids)
+    for name, block in blocks.items():
+        getattr(store, name)[slots] = block
+
+
 def find_mnist_dir():
     """Directory holding the real IDX files, or None.
 

@@ -12,7 +12,7 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import bits_equal, find_mnist_dir, mnist_paths
+from conftest import bits_equal, find_mnist_dir, mnist_paths, seed_rows, store_rows
 from feddrift.data import PartitionPlan, SyntheticConfig, partition
 from feddrift.engine import (
     ExperimentConfig,
@@ -289,8 +289,8 @@ class TestCriterion5Properties:
         dim = spec.param_count
         clients = ClientStore([4], dim, RULES["feddc"].fields)
         theta = init + 0.05 * rng.standard_normal(dim)
-        clients.write([0], {"drift": 0.1 * rng.standard_normal(dim),
-                            "last_delta": 0.03 * rng.standard_normal(dim)})
+        seed_rows(clients, [0], {"drift": 0.1 * rng.standard_normal(dim),
+                                 "last_delta": 0.03 * rng.standard_normal(dim)})
         x = rng.standard_normal((4, spec.input_dim))
         y = (rng.random(4) * spec.num_classes).astype(np.int64)
         grad = local_objective_grad(theta, clients, 0, server, cfg, x, y, spec)
@@ -315,9 +315,9 @@ class TestCriterion5Properties:
         up = run_local_round(
             clients, 0, server, cfg, x, y, stream(52, "batch-shuffle"), spec
         )
-        before = clients.rows("drift", 0)
+        before = store_rows(clients, "drift", 0)
         apply_update(clients, up, server, cfg)
-        lhs = clients.rows("drift", 0) - before
+        lhs = store_rows(clients, "drift", 0) - before
         rhs = up.theta[0] - server.global_params
         assert bits_equal(lhs, rhs)
         print("ACCEPTANCE 5b: drift bookkeeping h+-h == theta+-global bitwise: PASS")
@@ -331,13 +331,13 @@ class TestCriterion5Properties:
         data = []
         clients = ClientStore([20] * 3, spec.param_count, RULES["feddc"].fields)
         for i in range(3):
-            clients.write([i], {"drift": 0.1 * rng.standard_normal(spec.param_count)})
+            seed_rows(clients, [i], {"drift": 0.1 * rng.standard_normal(spec.param_count)})
             x = rng.standard_normal((20, 30))
             y = (rng.random(20) * 5).astype(np.int64)
             data.append((x, y, stream(53, "batch-shuffle", client=i)))
         up = run_local_rounds(clients, [0, 1, 2], server, cfg, data.__getitem__, spec)
         new_server = server_aggregate(server, up, cfg, clients)
-        drift_plus = clients.rows("drift", [0, 1, 2]) + (up.theta - server.global_params)
+        drift_plus = store_rows(clients, "drift", [0, 1, 2]) + (up.theta - server.global_params)
         oracle = weighted_mean(up.theta + drift_plus, [1.0] * 3)
         assert bits_equal(new_server.global_params, oracle)
         print("ACCEPTANCE 5c: aggregation identity bitwise: PASS")

@@ -48,15 +48,15 @@ class TestSynthetic:
             assert y.min() >= 0 and y.max() < 5
 
     def test_homogeneous_shares_label_model(self):
-        from feddrift.data import _client_label_model
+        from feddrift.data import _client_label_model, _label_core
 
         cfg = SyntheticConfig(gamma1=0.0, gamma2=0.0, seed=2)
-        t0, b0 = _client_label_model(cfg, 0)
-        t7, b7 = _client_label_model(cfg, 7)
+        t0, b0 = _client_label_model(cfg, 0, _label_core(cfg))
+        t7, b7 = _client_label_model(cfg, 7, _label_core(cfg))
         assert np.array_equal(t0, t7) and np.array_equal(b0, b7)
         het = SyntheticConfig(gamma1=1.0, seed=2)
-        ta, _ = _client_label_model(het, 0)
-        tb, _ = _client_label_model(het, 7)
+        ta, _ = _client_label_model(het, 0, _label_core(het))
+        tb, _ = _client_label_model(het, 7, _label_core(het))
         assert not np.array_equal(ta, tb)
 
     def test_gamma1_shifts_cancel_in_labels(self):

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import seed_rows, store_rows
 from feddrift import engine, federation, models
 from feddrift.data import FederatedDataset, PartitionPlan, SyntheticConfig
 from feddrift.engine import (
@@ -213,7 +214,7 @@ class TestDeterminism:
         cfg = small_cfg("feddc", alpha=0.005, n_clients=8, participation=0.25, rounds=3)
         run = FederatedRun(cfg)
         run.run_round()
-        before = {f: run.clients.rows(f, range(8)) for f in run.clients.fields}
+        before = {f: store_rows(run.clients, f, range(8)) for f in run.clients.fields}
         run.run_round()
         from feddrift.federation import sample_active_set
         from feddrift.rng import stream
@@ -222,7 +223,7 @@ class TestDeterminism:
             8, 0.25, 1, stream(cfg.seed, "participation", round_index=1)
         )
         for f, old in before.items():
-            new = run.clients.rows(f, range(8))
+            new = store_rows(run.clients, f, range(8))
             for i in range(8):
                 assert np.array_equal(new[i], old[i]) == (i not in active), (f, i)
 
@@ -527,11 +528,11 @@ class TestResume:
         run = FederatedRun(cfg)
         run.run_round()
         ids = range(5)
-        untrained = [i for i in ids if not run.clients.rows("scaffold_c", i).any()]
+        untrained = [i for i in ids if not store_rows(run.clients, "scaffold_c", i).any()]
         assert len(untrained) == 2  # 3 of 5 clients trained
         # zero by value but not by bits: must load
-        run.clients.write([untrained[0]], {"scaffold_c": -0.0})
-        rows = run.clients.rows("scaffold_c", ids)
+        seed_rows(run.clients, [untrained[0]], {"scaffold_c": -0.0})
+        rows = store_rows(run.clients, "scaffold_c", ids)
         path = tmp_path / "ckpt.bin"
         checkpoint_save(path, run.server, run.clients)
         restored = checkpoint_restore(FederatedRun(cfg), path)
@@ -540,10 +541,10 @@ class TestResume:
         assert bits(server.scaffold_c, run.server.scaffold_c)
         assert server.round == run.server.round
         assert clients.fields == run.clients.fields == ("scaffold_c",)
-        assert clients.rows("scaffold_c", ids).tobytes() == rows.tobytes()
-        assert np.signbit(clients.rows("scaffold_c", untrained[0])).all()
-        assert not np.signbit(clients.rows("scaffold_c", untrained[1])).any()
-        assert clients.rows("scaffold_c", ids).any()
+        assert store_rows(clients, "scaffold_c", ids).tobytes() == rows.tobytes()
+        assert np.signbit(store_rows(clients, "scaffold_c", untrained[0])).all()
+        assert not np.signbit(store_rows(clients, "scaffold_c", untrained[1])).any()
+        assert store_rows(clients, "scaffold_c", ids).any()
         assert clients.slot.tolist() == run.clients.slot.tolist()
         assert np.array_equal(clients.n_samples, run.clients.n_samples)
 
@@ -665,7 +666,8 @@ class TestResume:
         for _ in range(rounds):
             run.run_round()
         if negative_zero_client is not None:  # zero by value but not by bits: must load
-            run.clients.write([negative_zero_client], {name: -0.0 for name in run.clients.fields})
+            seed_rows(run.clients, [negative_zero_client],
+                      {name: -0.0 for name in run.clients.fields})
         path = tmp_path_factory.mktemp("ckpt") / "ckpt.bin"
         checkpoint_save(path, run.server, run.clients)
         restored = checkpoint_restore(FederatedRun(cfg), path)
@@ -677,7 +679,7 @@ class TestResume:
         for name in run.clients.fields:
             assert getattr(restored.clients, name).tobytes() == getattr(run.clients, name).tobytes()
             if negative_zero_client is not None:
-                got = restored.clients.rows(name, negative_zero_client)
+                got = store_rows(restored.clients, name, negative_zero_client)
                 assert np.signbit(got).all() and not got.any()
 
     @pytest.mark.parametrize("corrupt", ["duplicate", "gap", "out-of-range", "negative",
@@ -741,7 +743,7 @@ class TestResume:
         cfg = small_cfg("scaffold", rounds=3, participation=0.6)
         first = FederatedRun(cfg)
         first.run_round()
-        untrained = [i for i in range(5) if not first.clients.rows("scaffold_c", i).any()]
+        untrained = [i for i in range(5) if not store_rows(first.clients, "scaffold_c", i).any()]
         assert untrained  # some clients sat out round 1
         path = tmp_path / "ckpt.bin"
         checkpoint_save(path, first.server, first.clients)
@@ -749,12 +751,13 @@ class TestResume:
         busy = FederatedRun(cfg)
         busy.run_round()
         busy.run_round()
-        assert all(busy.clients.rows("scaffold_c", i).any() for i in untrained)  # trained in round 2
+        # each of them trains in round 2
+        assert all(store_rows(busy.clients, "scaffold_c", i).any() for i in untrained)
         restored = checkpoint_restore(busy, path)
         assert restored.round == 1
-        got, want = (r.clients.rows("scaffold_c", range(5)) for r in (restored, first))
+        got, want = (store_rows(r.clients, "scaffold_c", range(5)) for r in (restored, first))
         assert got.tobytes() == want.tobytes()
-        assert not restored.clients.rows("scaffold_c", untrained).view(np.uint64).any()
+        assert not store_rows(restored.clients, "scaffold_c", untrained).view(np.uint64).any()
 
     def test_restore_drops_the_records_past_the_saved_round(self, tmp_path):
         cfg = small_cfg("scaffold", rounds=3, participation=0.6)
@@ -1137,3 +1140,29 @@ class TestBenchmarkTracer:
                 "vectors.weighted_mean"} <= {name for name, _ in entered}
         assert {thread for _, thread in entered} == {main}
         assert pooled and main not in pooled  # the evaluation slices ran on the pool
+
+
+class TestBenchmarkWorkloads:
+    """The benchmark drives the program through its public entry points: a
+    renamed or re-signed call breaks a workload's set-up or operation here."""
+
+    def _workloads(self, monkeypatch):
+        name = "perfbench_workloads"
+        if name not in sys.modules:
+            root = Path(__file__).resolve().parents[1] / "perfbench"
+            monkeypatch.syspath_prepend(str(root))  # workloads.py imports its siblings by name
+            spec = importlib.util.spec_from_file_location(name, root / "workloads.py")
+            sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[name])
+        return sys.modules[name]
+
+    @pytest.mark.parametrize("name", ["synth-feddc-full", "mnist-feddc-partial",
+                                      "sweep-synth-algos"])
+    def test_a_workload_sets_up_and_runs_without_errors(self, tmp_path, monkeypatch, name):
+        workloads = self._workloads(monkeypatch)
+        cls = workloads.WORKLOADS[name]
+        size = {"n_train": 1000, "n_test": 200} if cls is workloads.MnistFeddcPartial else {}
+        wl = cls(tmp_path, 0, reference=None, correct=False, **size)
+        wl.prepare()
+        assert wl.setup_once() > 0
+        assert wl.op().errors == []

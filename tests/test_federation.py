@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import seed_rows, store_rows
 from feddrift import federation
 from feddrift.data import SyntheticConfig
 from feddrift.engine import ExperimentConfig, run_experiment, write_records_csv
@@ -71,7 +72,7 @@ def randomize_client(clients, i, seed):
     rng = stream(seed, "testing", client=i + 1)
     dim = SPEC.param_count
     theta = rng.standard_normal(dim)
-    clients.write([i], {f: 0.1 * rng.standard_normal(dim) for f in clients.fields})
+    seed_rows(clients, [i], {f: 0.1 * rng.standard_normal(dim) for f in clients.fields})
     return theta
 
 
@@ -141,15 +142,15 @@ class TestLocalObjective:
         _, want = loss_and_grad(SPEC, theta, x, y)
         if "grad_correction" in cfg.ablation:
             k_lr = steps_per_round(8, cfg) * round_lr(cfg, server.round)
-            want += (clients.rows("last_delta", 0) - server.global_delta) / k_lr
+            want += (store_rows(clients, "last_delta", 0) - server.global_delta) / k_lr
         if "param_correction" in cfg.ablation:
-            want += cfg.alpha * (theta - (server.global_params - clients.rows("drift", 0)))
+            want += cfg.alpha * (theta - (server.global_params - store_rows(clients, "drift", 0)))
         assert bits(local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC), want)
 
     def test_param_correction_vanishes_at_anchor(self):
         cfg, server, clients = make_states("feddc", alpha=0.7)
-        clients.write([0], {"drift": stream(3, "testing").standard_normal(SPEC.param_count)})
-        theta = server.global_params - clients.rows("drift", 0)
+        seed_rows(clients, [0], {"drift": stream(3, "testing").standard_normal(SPEC.param_count)})
+        theta = server.global_params - store_rows(clients, "drift", 0)
         x, y = make_data(seed=3)
         with_pc = local_objective_grad(theta, clients, 0, server, cfg, x, y, SPEC)
         cfg_no_pc = AlgoConfig(
@@ -194,10 +195,10 @@ class TestRunLocalRound:
         cfg, server, clients = make_states("feddc", alpha=0.05, seed=21)
         rng = stream(21, "batch-shuffle", client=0, round_index=0)
         up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
-        before = clients.rows("drift", 0)
+        before = store_rows(clients, "drift", 0)
         apply_update(clients, up, server, cfg)
         # h starts at zero, so the literal subtraction form holds bitwise.
-        assert bits(clients.rows("drift", 0) - before, up.theta[0] - server.global_params)
+        assert bits(store_rows(clients, "drift", 0) - before, up.theta[0] - server.global_params)
 
     def test_drift_bookkeeping_relation_any_round(self, bits):
         x, y = make_data(seed=22)
@@ -205,11 +206,11 @@ class TestRunLocalRound:
         for t in range(3):
             rng = stream(22, "batch-shuffle", client=0, round_index=t)
             up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
-            h, delta = clients.rows("drift", 0), up.theta[0] - server.global_params
+            h, delta = store_rows(clients, "drift", 0), up.theta[0] - server.global_params
             next_server = server_aggregate(server, up, cfg, clients)  # reads h before the write
             apply_update(clients, up, server, cfg)
-            assert bits(clients.rows("drift", 0), h + delta)
-            assert bits(clients.rows("last_delta", 0), delta)
+            assert bits(store_rows(clients, "drift", 0), h + delta)
+            assert bits(store_rows(clients, "last_delta", 0), delta)
             assert bits(next_server.global_params, up.theta[0] + (h + delta))
             server = next_server
 
@@ -252,9 +253,9 @@ class TestRunLocalRound:
         k = int(up.k_steps[0])
         lr_t = round_lr(cfg, 0)
         delta = up.theta[0] - server.global_params
-        want = clients.rows("scaffold_c", 0) - server.scaffold_c - delta / (k * lr_t)
+        want = store_rows(clients, "scaffold_c", 0) - server.scaffold_c - delta / (k * lr_t)
         apply_update(clients, up, server, cfg)
-        assert bits(clients.rows("scaffold_c", 0), want)
+        assert bits(store_rows(clients, "scaffold_c", 0), want)
 
     def test_scaffold_identical_clients_agree_after_round_one(self, bits):
         x, y = make_data(n=10, seed=26)
@@ -268,7 +269,7 @@ class TestRunLocalRound:
         assert up.ids.tolist() == [0, 1, 2]
         new_server = server_aggregate(server, up, cfg, clients)
         apply_update(clients, up, server, cfg)
-        c_plus = clients.rows("scaffold_c", [0, 1, 2])
+        c_plus = store_rows(clients, "scaffold_c", [0, 1, 2])
         assert bits(c_plus[0], c_plus[1]) and bits(c_plus[1], c_plus[2])
         # Full participation from zero controls: server c equals every client's c+.
         assert np.array_equal(new_server.scaffold_c, c_plus[0])
@@ -322,7 +323,7 @@ class TestAggregate:
         assert up.ids.tolist() == [0, 1, 2]  # rows in ascending id order, whatever the input
         new_server = server_aggregate(server, up, cfg, clients)
         delta = up.theta - server.global_params
-        corrected = up.theta + (clients.rows("drift", up.ids) + delta)
+        corrected = up.theta + (store_rows(clients, "drift", up.ids) + delta)
         assert bits(new_server.global_params, weighted_mean(corrected, [1.0] * 3))
         assert bits(new_server.global_delta, weighted_mean(delta, [1.0] * 3))
         assert new_server.round == 1
@@ -331,7 +332,7 @@ class TestAggregate:
         cfg, server, clients = make_states("feddc", alpha=0.1, n_clients=1, seed=31)
         up = self._update(server, clients, cfg, seed=31)
         new_server = server_aggregate(server, up, cfg, clients)
-        h, delta = clients.rows("drift", 0), up.theta[0] - server.global_params
+        h, delta = store_rows(clients, "drift", 0), up.theta[0] - server.global_params
         assert bits(new_server.global_params, up.theta[0] + (h + delta))
 
     def test_feddc_zero_drift_matches_fedavg_aggregation(self):
@@ -341,7 +342,7 @@ class TestAggregate:
         avg_server = server_aggregate(server, up, cfg_avg, clients)
         # Aggregate the fedavg rows feddc-style with stored drifts h = -delta, so h+ = 0.
         dc_clients = ClientStore(clients.n_samples, SPEC.param_count, RULES["feddc"].fields)
-        dc_clients.write(up.ids, {"drift": -(up.theta - server.global_params)})
+        seed_rows(dc_clients, up.ids, {"drift": -(up.theta - server.global_params)})
         dc_server = server_aggregate(server, up, cfg_dc, dc_clients)
         assert np.array_equal(dc_server.global_params, avg_server.global_params)
 
@@ -502,8 +503,9 @@ class TestClientStore:
                 nxt["scaffold_c"] = (dense["scaffold_c"][ids] - server.scaffold_c) + delta / -k_lr
             for name in store.fields:
                 dense[name][ids] = nxt[name]
-                assert store.rows(name, everyone).tobytes() == dense[name].tobytes()
-                assert store.rows(name, ids[::-1]).tobytes() == dense[name][ids[::-1]].tobytes()
+                for order in (everyone, ids[::-1]):
+                    got = [np.broadcast_to(row, p) for row in store.stored(name, order)]
+                    assert np.array(got).tobytes() == dense[name][order].tobytes()
         # Slots follow first writes, and each field holds only the written rows.
         assert store.used == len(first_writes)
         assert store.slot[first_writes].tolist() == list(range(store.used))
@@ -511,41 +513,55 @@ class TestClientStore:
         for name in store.fields:
             assert getattr(store, name).shape == (store.used, p)
 
-    def test_rows_are_copies(self):
+    def test_stored_rows_are_views_of_the_store(self):
         store = ClientStore([8] * 3, 2, ("drift",))
-        store.write([1, 2], {"drift": 1.0})
-        for ids in (1, [1], [0, 1], 0):
-            store.rows("drift", ids)[...] = 7.0
-        assert store.rows("drift", [0, 1, 2]).tolist() == [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
+        store.admit([2, 1])
+        unwritten, one, two = store.stored("drift", [0, 1, 2])
+        one[...], two[...] = 1.0, 2.0
+        assert unwritten == 0.0 and type(unwritten) is float
+        assert store.drift.tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
     def test_an_unwritten_client_reads_as_positive_zeros(self):
         store = ClientStore([8] * 3, 2, ("drift",))
-        store.write([2], {"drift": -0.0})
-        assert store.rows("drift", [0, 1]).view(np.uint64).tolist() == [[0, 0], [0, 0]]
-        assert np.signbit(store.rows("drift", 2)).all()
+        assert store.admit([2]).tolist() == [0]
+        assert store.drift.view(np.uint64).tolist() == [[0, 0]]  # admitted, not yet written
+        store.drift[0] = -0.0
+        assert not np.signbit(store.stored("drift", [0, 1])).any()
+        assert np.signbit(store.stored("drift", [2])).all()
         assert store.slot.tolist() == [3, 3, 0]
 
     def test_rows_never_move_as_the_store_grows(self):
         store = ClientStore([8] * 3, 2, ("drift",))
-        store.write([1], {"drift": 1.0})
-        held = store.drift
-        store.write([0, 2], {"drift": 2.0})  # two new clients: every field views more rows
-        store.write([1], {"drift": 3.0})
+        store.admit([1])
+        held, (row,) = store.drift, store.stored("drift", [1])
+        assert store.admit([2, 0, 1]).tolist() == [2, 1, 0]  # every field views more rows
+        row[...] = 3.0
         assert held.tolist() == [[3.0, 3.0]]  # an earlier view still sees client 1's row
-        assert store.drift.shape == (3, 2) and store.slot.tolist() == [1, 0, 2]
+        assert store.drift.tolist() == [[3.0, 3.0], [0.0, 0.0], [0.0, 0.0]]
+        assert store.slot.tolist() == [1, 0, 2]
+
+    def test_admit_gives_new_clients_the_next_slots_in_ascending_id_order(self):
+        store = ClientStore([8] * 5, 2, ("drift", "last_delta"))
+        assert store.admit([3, 1, 3]).tolist() == [1, 0, 1]
+        views = store.drift, store.last_delta
+        assert store.admit(np.array([1])).tolist() == [0]
+        assert store.drift is views[0] and store.last_delta is views[1]  # no new client
+        assert store.admit([4, 0]).tolist() == [3, 2]
+        assert store.used == 4 and store.slot.tolist() == [2, 0, 5, 1, 3]
+        assert store.drift.shape == store.last_delta.shape == (4, 2)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if RULES[a].fields])
     def test_apply_update_writes_the_next_rows_in_place(self, algorithm, workers):
-        """Every field's NEXT_ROWS of rows() copies, bit for bit: for a written
+        """Every field's NEXT_ROWS of copies of the stored rows, bit for bit: for a written
         client, a stored -0.0 row and two clients written for the first time
         (whose rows read +0.0), chunk by chunk on a pool of 1 and 2 threads."""
         p = 40
         rng = np.random.default_rng(3)
         cfg = AlgoConfig(algorithm, lr=0.3, alpha=0.1)
         store = ClientStore([8] * 5, p, RULES[algorithm].fields)
-        store.write([0, 1, 3], {f: rng.standard_normal((3, p)) for f in store.fields})
-        store.write([1], {f: -0.0 for f in store.fields})
+        seed_rows(store, [0, 1, 3], {f: rng.standard_normal((3, p)) for f in store.fields})
+        seed_rows(store, [1], {f: -0.0 for f in store.fields})
         g = rng.standard_normal(p)
         g[0] = 0.0
         server = replace(randomize_server(ServerState.fresh(g, 5, 0), 3), round=2)
@@ -553,21 +569,22 @@ class TestClientStore:
         theta = rng.standard_normal((4, p))
         theta[:, 0], theta[:, 1] = -0.0, g[1]  # delta -0.0 and +0.0
         update = RoundUpdate(ids, np.full(4, 8), np.array([3, 1, 4, 2]), theta)
-        want = {f: store.rows(f, ids) for f in store.fields}
+        want = {f: store_rows(store, f, ids) for f in store.fields}
         for f, old in want.items():
             NEXT_ROWS[f](old, theta - g, update.k_steps[:, None] * round_lr(cfg, 2), server)
-        untouched = {f: store.rows(f, 3) for f in store.fields}
+        untouched = {f: store_rows(store, f, 3) for f in store.fields}
         with federation.one_blas_thread(), \
                 mock.patch.object(federation, "BUDGET", p), \
                 mock.patch.object(federation, "_usable_cpus", lambda: workers):
             apply_update(store, update, server, cfg)
         assert store.slot.tolist() == [0, 1, 3, 2, 4]
         for f in store.fields:
-            assert store.rows(f, ids).tobytes() == want[f].tobytes(), f
-            assert store.rows(f, 3).tobytes() == untouched[f].tobytes(), f
+            assert store_rows(store, f, ids).tobytes() == want[f].tobytes(), f
+            assert store_rows(store, f, 3).tobytes() == untouched[f].tobytes(), f
         if "drift" in store.fields:
             # h + delta is -0.0 + -0.0 for the stored -0.0 row, +0.0 + -0.0 for a new one.
-            assert np.signbit(store.rows("drift", [1, 2, 4])[:, 0]).tolist() == [True, False, False]
+            signs = np.signbit(store_rows(store, "drift", [1, 2, 4])[:, 0])
+            assert signs.tolist() == [True, False, False]
 
     @pytest.mark.parametrize(
         "slot",
@@ -582,7 +599,7 @@ class TestClientStore:
         store = ClientStore([8] * 3, 2, ("drift", "last_delta"), np.array([1, 3, 0]))
         assert store.used == 2
         assert store.drift.shape == store.last_delta.shape == (2, 2)
-        assert store.rows("drift", [0, 1, 2]).tolist() == [[0.0, 0.0]] * 3
+        assert store_rows(store, "drift", [0, 1, 2]).tolist() == [[0.0, 0.0]] * 3
 
     def test_a_feddc_run_builds_without_huge_pages(self, tmp_path, monkeypatch):
         """mmap.MADV_HUGEPAGE is a Linux-only constant: without it a feddc run's store

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import seed_rows, store_rows
 from feddrift import federation, models
 from feddrift.data import FederatedDataset, SyntheticConfig
 from feddrift.engine import (
@@ -72,7 +73,8 @@ def _next_rows(store, update, server, cfg):
     for name in store.fields:
         getattr(copy, name)[...] = getattr(store, name)
     federation.apply_update(copy, update, server, cfg)
-    return {name: [row.tobytes() for row in copy.rows(name, update.ids)] for name in copy.fields}
+    return {name: [row.tobytes() for row in store_rows(copy, name, update.ids)]
+            for name in copy.fields}
 
 
 def _same_round(got, want, store, server, cfg):
@@ -103,14 +105,14 @@ def _scenario(algorithm, code, model, sizes, batch_size, epochs, round_index,
         round=round_index,
     )
     store = ClientStore(sizes, p, RULES[algorithm].fields)
-    store.write(range(len(sizes)),
-                {name: 0.05 * rng.standard_normal((len(sizes), p)) for name in store.fields})
+    seed_rows(store, range(len(sizes)),
+              {name: 0.05 * rng.standard_normal((len(sizes), p)) for name in store.fields})
     if zero_extra:
         # Client 0's gradient-correction or control term is exactly zero.
         if "scaffold_c" in store.fields:
-            store.write([0], {"scaffold_c": server.scaffold_c})
+            seed_rows(store, [0], {"scaffold_c": server.scaffold_c})
         if "last_delta" in store.fields:
-            store.write([0], {"last_delta": server.global_delta})
+            seed_rows(store, [0], {"last_delta": server.global_delta})
     data = []
     for n in sizes:
         x = rng.standard_normal((n, spec.input_dim))
@@ -252,7 +254,7 @@ def test_a_zero_row_of_extra_keeps_negative_zero_gradients():
     grad, theta = np.full((2, p), -0.0), np.zeros((2, p))
     federation._add_terms(grad, theta, *terms, np.empty((2, p)))
     assert np.signbit(grad[0]).all() and not grad[0].any()
-    assert _bits(grad[1]) == _bits(server.scaffold_c - store.rows("scaffold_c", 1))
+    assert _bits(grad[1]) == _bits(server.scaffold_c - store_rows(store, "scaffold_c", 1))
 
 
 def test_lockstep_groups_by_size_in_id_order():
@@ -371,7 +373,7 @@ def test_threaded_chunks_under_rapid_thread_switches():
     def written(update):
         """The slot map and rows of a store where clients 9 and 4 came first."""
         fresh = ClientStore(store.n_samples, store.param_count, store.fields)
-        fresh.write([9, 4], {name: store.rows(name, [9, 4]) for name in store.fields})
+        seed_rows(fresh, [9, 4], {name: store_rows(store, name, [9, 4]) for name in store.fields})
         federation.apply_update(fresh, update, server, cfg)
         return fresh.slot.tobytes(), [getattr(fresh, name).tobytes() for name in fresh.fields]
 
@@ -392,6 +394,42 @@ def test_threaded_chunks_under_rapid_thread_switches():
             serial, serial_rows, serial_loss = update, rows, loss
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("algorithm", ["feddc", "scaffold"])
+def test_worker_threads_call_no_store_method_but_stored(algorithm):
+    """Two pooled rounds, which admit new clients and update written ones: a
+    worker thread only writes the rows that `stored` gives it in place, and
+    every call that can change `slot`, `used` or the field views runs here."""
+    spec = SPECS["mlp"]
+    kw = {"alpha": 0.05} if algorithm == "feddc" else {}
+    cfg = ExperimentConfig(
+        dataset=SyntheticConfig(n_clients=6, samples_per_client_mean=12,
+                                input_dim=spec.input_dim, num_classes=spec.num_classes),
+        model=spec, algo=AlgoConfig(algorithm, participation=0.5, batch_size=4, **kw), rounds=2,
+    )
+    run = FederatedRun(cfg)
+    calls = []
+
+    def recorded(name, method):
+        @functools.wraps(method)
+        def call(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return method(*args, **kwargs)
+
+        return call
+
+    methods = [(n, m) for n, m in vars(ClientStore).items()
+               if callable(m) and not n.startswith("__")]
+    with contextlib.ExitStack() as patches, one_client_chunks(spec, 2) as trained_on:
+        for name, method in methods:
+            patches.enter_context(mock.patch.object(ClientStore, name, recorded(name, method)))
+        run.run_round()
+        run.run_round()
+    main = threading.get_ident()
+    assert trained_on and main not in trained_on
+    assert {name for name, thread in calls if thread != main} == {"stored"}
+    assert run.clients.used > 3  # the second round admitted new clients
 
 
 def test_pixel_scaling_is_the_float_decode_bitwise():
@@ -665,16 +703,16 @@ def _pooled_run(algorithm, tmp_path, workers, pool=True):
     )
     run = FederatedRun(cfg, ds)
     pooled = []
-    write = ClientStore.write
+    stored = ClientStore.stored
 
-    def odd_ids_write_late(self, ids, blocks):
-        """A chunk of an odd client id writes after the chunks that follow it."""
+    def odd_ids_write_late(self, name, ids):
+        """A chunk of an odd client id writes its rows after the chunks that follow it."""
         if len(ids) == 1 and ids[0] % 2:
             time.sleep(0.01)
-        write(self, ids, blocks)
+        return stored(self, name, ids)
 
     with one_client_chunks(spec, workers, pool), mock.patch.object(models, "_CHUNK", 7), \
-            mock.patch.object(ClientStore, "write", odd_ids_write_late), \
+            mock.patch.object(ClientStore, "stored", odd_ids_write_late), \
             recording(models, "_hits", pooled), recording(models, "_cross_entropy", pooled), \
             recording(federation, "_chunk", []) as derived_on:
         records, _ = run.run_to_completion()
@@ -696,8 +734,8 @@ def test_pooled_rounds_write_the_serial_records_and_checkpoint(algorithm, tmp_pa
         got_records, got_checkpoint, pooled = _pooled_run(algorithm, tmp_path, workers)
         assert got_records == records, workers
         assert got_checkpoint == checkpoint, workers
-        # Per round: 3 test and 8 training slices, and 4 chunks in each of the
-        # store write and the variance's second pass.
+        # Per round: 3 test and 8 training slices, and 4 chunks in each of
+        # apply_update and the variance's second pass.
         assert len(pooled) == 3 * (3 + 8 + 2 * 4)
         assert threading.get_ident() not in pooled
 
@@ -748,7 +786,7 @@ def test_the_first_error_in_slice_order_is_raised(fn):
 
 
 def test_the_first_error_in_apply_update_chunk_order_is_raised():
-    """Chunks 2 and 4 of 5 fail their store write, chunk 4 first: chunk 2's error."""
+    """Chunks 2 and 4 of 5 fail as they read their stored rows, chunk 4 first: chunk 2's error."""
     cfg, spec, server, store, data = _scenario(
         "feddc", "lelglp", "mlp", [5, 7, 12, 6, 8], 3, 1, 0, False, 5
     )
@@ -758,11 +796,11 @@ def test_the_first_error_in_apply_update_chunk_order_is_raised():
 
     started, finished = [], []
     wrap = _failing({2: 4, 4: None}, started, finished)
-    failing_write = wrap(ClientStore.write, lambda self, ids, blocks: int(ids[0]))
+    failing_stored = wrap(ClientStore.stored, lambda self, name, ids: int(ids[0]))
     threads = threading.active_count()
     with one_client_chunks(spec, 2), federation.one_blas_thread():
         update = run_local_rounds(store, range(5), server, cfg, client_data, spec)
-        with mock.patch.object(ClientStore, "write", failing_write):
+        with mock.patch.object(ClientStore, "stored", failing_stored):
             with pytest.raises(ValueError, match="task 2"):
                 federation.apply_update(store, update, server, cfg)
     assert 4 in started and sorted(started) == sorted(finished)
