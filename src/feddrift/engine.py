@@ -255,24 +255,19 @@ class FederatedRun:
                                            stream(cfg.seed, "participation", round_index=t))
                 update = run_local_rounds(self.clients, active, server, cfg.algo, client_data,
                                           cfg.model)
-                grad_var = gradient_variance_diagnostic(update, server, cfg.algo)
+                grad_var = gradient_variance_diagnostic(update, server)
                 self.server = server_aggregate(server, update, cfg.algo, self.clients)
-                apply_update(self.clients, update, server, cfg.algo)
+                apply_update(self.clients, update, server)
+                workers = update.workers  # the round's pool, for evaluation too
                 del update  # theta is not held while the global model is evaluated
         except Exception as exc:
             raise RunError(f"round {t + 1}: {exc}") from exc
 
         vector_bytes = len(active) * BYTES_PER_PARAM * self.server.global_params.size
         rule = RULES[cfg.algo.algorithm]
-        rec = _record(
-            cfg,
-            self.server,
-            self.dataset,
-            start,
-            bytes_up=rule.up * vector_bytes,
-            bytes_down=rule.down * vector_bytes,
-            grad_variance=grad_var,
-        )
+        rec = _record(cfg, self.server, self.dataset, start, workers,
+                      bytes_up=rule.up * vector_bytes, bytes_down=rule.down * vector_bytes,
+                      grad_variance=grad_var)
         self.records.append(rec)
         return rec
 
@@ -290,17 +285,17 @@ class FederatedRun:
 
 
 def _record(cfg: ExperimentConfig, server: ServerState, ds: FederatedDataset, start: float,
-            bytes_up: int, bytes_down: int, grad_variance) -> RoundRecord:
+            workers: int, bytes_up: int, bytes_down: int, grad_variance) -> RoundRecord:
     """The record of the round `server` has just aggregated, begun at `start`.
 
     On the rounds the evaluation cadence names, and always on the last,
     it holds the global model's top-1 accuracy on the pooled test set
     and its loss over the training set, the union of the partitions,
-    each evaluated on the round's pool (`federation._pool_size`).
+    each evaluated on the round's pool of `workers` threads (RoundUpdate.workers).
     """
     test_acc = train_loss = None
     if server.round % cfg.eval_every == 0 or server.round == cfg.rounds:
-        params, workers = server.global_params, federation._pool_size(cfg.model.param_count)
+        params = server.global_params
         test_acc = models.accuracy(cfg.model, params, ds.test_inputs, ds.test_labels, workers)
         train_loss = models.mean_loss(cfg.model, params, ds.train_inputs, ds.train_labels,
                                       workers)

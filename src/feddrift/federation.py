@@ -78,7 +78,7 @@ def _grad_correction(clients, ids, server, k_steps, lr_t):
 def _scaffold_controls(server, update, cfg, mean_up, global_delta):
     # c_i+ - c_i reconstructs from the upload: -c + the implied gradient
     neg_c = -server.scaffold_c
-    c_deltas = (np.add(neg_c, row, out=row) for *_, delta, k_lr in _chunks(update, server, cfg)
+    c_deltas = (np.add(neg_c, row, out=row) for *_, delta, k_lr in _chunks(update, server)
                 for row in _implied_grad(delta, k_lr, out=delta))
     mean_cd = weighted_mean(c_deltas, np.ones(len(update.ids)))
     return {"scaffold_c": server.scaffold_c + len(update.ids) / server.n_clients * mean_cd}
@@ -130,10 +130,10 @@ _ABLATION_CODES = {
 
 BYTES_PER_PARAM = 8  # float64 on the wire
 
-# Floats per stacked (clients x parameters) block of lockstep training:
-# an active group trains in chunks of at most max(1, BUDGET // P) clients,
-# so small models train whole groups at once and large ones one by one.
-# A chunk of C clients applies each step's update in column tiles of at
+# Floats per stacked (clients x parameters) block: a round's plan cuts its
+# clients into chunks of at most max(1, BUDGET // P) (RoundUpdate.slices),
+# so small models train whole groups at once and large ones one by one. A
+# chunk of C clients applies each step's update in column tiles of at
 # most max(1, BUDGET // C) columns, which stay in cache.
 BUDGET = 1 << 16
 
@@ -328,17 +328,24 @@ class ServerState:
 
 @dataclass(frozen=True)
 class RoundUpdate:
-    """One round's client results, one row per client in ascending id order.
+    """One round's plan and client results, one row per client in ascending id order.
 
     `ids`, `n_samples` and `k_steps` are (C,) integer arrays, `theta` the
-    (C, P) trained parameters. Every other row (theta - G, the NEXT_ROWS,
-    feddc's upload) is derived from theta where used, by :func:`_chunks`.
+    (C, P) trained parameters. The plan, set once by :func:`run_local_rounds`
+    and read by every later call of the round: its `lr_t`, the row `slices`
+    of its chunks, max(1, BUDGET // P) rows each, and the pool's `workers`
+    (:func:`_pool_size`). Every other row (theta - G, the NEXT_ROWS,
+    feddc's upload) is derived from theta where used, a chunk of rows at a
+    time (:func:`_chunks`).
     """
 
     ids: np.ndarray
     n_samples: np.ndarray
     k_steps: np.ndarray
     theta: np.ndarray
+    lr_t: float
+    slices: list
+    workers: int
 
 
 def steps_per_round(n_samples: int, cfg: AlgoConfig) -> int:
@@ -534,15 +541,14 @@ def _chunk_round(clients: ClientStore, server: ServerState, cfg: AlgoConfig, spe
     if any(x.shape != inputs[0].shape for x in inputs) or any(y.shape != (n,) for y in labels):
         raise DimensionError(f"clients {chunk} need (n, d) inputs and (n,) labels of one size")
     k = steps_per_round(n, cfg)
-    lr_t = round_lr(cfg, server.round)
-    terms = _correction_terms(clients, chunk, server, cfg, k, lr_t)
+    terms = _correction_terms(clients, chunk, server, cfg, k, out.lr_t)
     rows = np.searchsorted(out.ids, chunk)
     lo, c = rows[0], len(chunk)
     in_place = rows[-1] - lo == c - 1
     theta = out.theta[lo : lo + c] if in_place else np.empty((c, out.theta.shape[1]))
     theta[...] = server.global_params
     sgd = _local_sgd(theta, terms, inputs, labels, rngs, spec,
-                     cfg.batch_size, cfg.local_epochs, lr_t)
+                     cfg.batch_size, cfg.local_epochs, out.lr_t)
 
     def train():
         sgd()
@@ -600,17 +606,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(param_count: int) -> int:
+def _pool_size(cap: int) -> int:
     """Threads for a round's pooled work: one per usable CPU where chunks hold one
-    client (P > BUDGET // 2) and OpenBLAS runs each call on one thread, as
-    :func:`one_blas_thread` sets it; else 0, the calling thread alone.
+    client (`cap` 1: P > BUDGET // 2) and OpenBLAS runs each call on one
+    thread, as :func:`one_blas_thread` sets it; else 0, the calling thread alone.
 
-    The one rule for every pool of a round: one-client chunks in training
-    and in the passes after it, and evaluation slices. Each task writes
-    only its own rows or result, so the outputs are bitwise the serial
-    loop's.
+    The one rule for every pool of a round, read once into its plan
+    (RoundUpdate.workers): one-client chunks in training and in the passes
+    after it, and evaluation slices. Each task writes only its own rows or
+    result, so the outputs are bitwise the serial loop's.
     """
-    if BUDGET // param_count > 1:
+    if cap > 1:
         return 0
     blas = _openblas()
     return _usable_cpus() if blas is not None and blas[0]() == 1 else 0
@@ -620,15 +626,15 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
                      client_data, spec: ModelSpec) -> RoundUpdate:
     """A local round, `local_epochs` epochs of SGD, for every client in `ids`.
 
-    Returns the round's RoundUpdate; a client of n samples takes
-    K = :func:`steps_per_round` steps.
+    Returns the round's RoundUpdate, with the plan every later call of the
+    round reads; a client of n samples takes K = :func:`steps_per_round` steps.
 
     client_data(i) gives client i's (inputs (n, input_dim), labels (n,),
     shuffle stream). Clients of equal stored sample count train in lockstep
-    as one stacked block, in chunks of at most max(1, BUDGET // P) clients
-    (see :func:`lockstep_groups`), and client_data is called chunk by chunk,
-    in chunk order. One-client chunks train concurrently on
-    :func:`_pool_size` threads once :func:`one_blas_thread` pins BLAS.
+    as one stacked block, in chunks of at most the plan's max(1, BUDGET // P)
+    clients (see :func:`lockstep_groups`), and client_data is called chunk by chunk, in
+    chunk order. One-client chunks train concurrently on `workers` threads,
+    counted once :func:`one_blas_thread` pins BLAS.
     Each row is bitwise the one its client would get training alone.
     theta starts at the round-start global parameters. Round-start
     snapshots (global parameters, the clients' stored rows, previous
@@ -638,16 +644,16 @@ def run_local_rounds(clients: ClientStore, ids, server: ServerState, cfg: AlgoCo
     ids = sorted(int(i) for i in ids)
     if not ids:
         raise DimensionError("a round needs at least one client")
-    out = RoundUpdate(np.array(ids), n_samples=np.empty(len(ids), dtype=np.int64),
-                      k_steps=np.empty(len(ids), dtype=np.int64),
-                      theta=np.empty((len(ids), server.global_params.size)))
-    cap = max(1, BUDGET // out.theta.shape[1])
-    chunks = lockstep_groups(ids, clients.n_samples, cap)
-    setup = functools.partial(_chunk_round, clients, server, cfg, spec, out, client_data)
+    c, p = len(ids), server.global_params.size
+    cap = max(1, BUDGET // p)
     with one_blas_thread():
         # Models too large to stack train one client per chunk, several at
         # once: one thread per usable CPU, each BLAS call on one thread.
-        models._concurrently(setup, chunks, _pool_size(out.theta.shape[1]))
+        out = RoundUpdate(np.array(ids), np.empty(c, dtype=np.int64), np.empty(c, dtype=np.int64),
+                          np.empty((c, p)), round_lr(cfg, server.round),
+                          [slice(lo, lo + cap) for lo in range(0, c, cap)], _pool_size(cap))
+        setup = functools.partial(_chunk_round, clients, server, cfg, spec, out, client_data)
+        models._concurrently(setup, lockstep_groups(ids, clients.n_samples, cap), out.workers)
     return out
 
 
@@ -660,44 +666,38 @@ def run_local_round(clients: ClientStore, client_id: int, server: ServerState,
     )
 
 
-def _chunk(update: RoundUpdate, server: ServerState, rows: slice, lr_t: float, buf=None):
+def _chunk(update: RoundUpdate, server: ServerState, rows: slice, buf=None):
     """(ids, theta, delta = theta - G, K * lr_t column) of the update's `rows`;
     delta is derived into the front rows of `buf` if one is given."""
     ids, theta, k = (a[rows] for a in (update.ids, update.theta, update.k_steps))
     delta = np.subtract(theta, server.global_params, out=None if buf is None else buf[: len(ids)])
-    return ids, theta, delta, k[:, None] * lr_t
+    return ids, theta, delta, k[:, None] * update.lr_t
 
 
-def _chunks(update: RoundUpdate, server: ServerState, cfg: AlgoConfig):
-    """:func:`_chunk` of max(1, BUDGET // P) clients at a time, each delta derived
-    into one buffer that the next chunk overwrites: a consumer deriving rows
-    holds no (C, P) block beside theta and allocates none per chunk, but
-    must be done with a chunk's rows before it asks for the next."""
-    cap, lr_t = max(1, BUDGET // update.theta.shape[1]), round_lr(cfg, server.round)
-    buf = np.empty((min(cap, len(update.ids)), update.theta.shape[1]))
-    for lo in range(0, len(update.ids), cap):
-        yield _chunk(update, server, slice(lo, lo + cap), lr_t, buf)
+def _chunks(update: RoundUpdate, server: ServerState):
+    """:func:`_chunk` of each of the update's row `slices`, each delta derived into one
+    buffer that the next chunk overwrites: a consumer holds no (C, P) block beside theta
+    and allocates none per chunk, but must be done with a chunk's rows before the next."""
+    buf = np.empty_like(update.theta[update.slices[0]])  # the largest chunk's rows
+    for rows in update.slices:
+        yield _chunk(update, server, rows, buf)
 
 
-def _map_chunks(fn, update: RoundUpdate, server: ServerState, cfg: AlgoConfig,
-                workers: int) -> list:
-    """[fn(*chunk) for chunk in _chunks(update, server, cfg)], on `workers` threads
-    (see :func:`models._concurrently`); each chunk is derived where fn runs."""
-    cap, lr_t = max(1, BUDGET // update.theta.shape[1]), round_lr(cfg, server.round)
-    return models._concurrently(
-        lambda lo: lambda: fn(*_chunk(update, server, slice(lo, lo + cap), lr_t)),
-        range(0, len(update.ids), cap), workers)
+def _map_chunks(fn, update: RoundUpdate, server: ServerState) -> list:
+    """[fn(*chunk) for chunk in _chunks(update, server)], on the round's `workers`
+    threads (see :func:`models._concurrently`); each chunk is derived where fn runs."""
+    return models._concurrently(lambda rows: lambda: fn(*_chunk(update, server, rows)),
+                                update.slices, update.workers)
 
 
-def apply_update(clients: ClientStore, update: RoundUpdate, server: ServerState,
-                 cfg: AlgoConfig) -> None:
+def apply_update(clients: ClientStore, update: RoundUpdate, server: ServerState) -> None:
     """Write every field's NEXT_ROWS in place in the store's rows, from the round-start
     `server` (not the aggregated one: scaffold's next control reads the old c).
 
     The clients written for the first time are admitted here first, on
     the calling thread, so their rows read +0.0 in place. Then each chunk
     derives its delta = theta - G once and updates its clients' stored
-    rows of every field, on the round's pool (:func:`_pool_size`): a
+    rows of every field, on the round's pool (RoundUpdate.workers): a
     worker only writes rows in place.
     """
     def write(ids, _, delta, k_lr):
@@ -706,7 +706,7 @@ def apply_update(clients: ClientStore, update: RoundUpdate, server: ServerState,
                 NEXT_ROWS[f](old, d, kl, server)
 
     clients.admit(update.ids)
-    _map_chunks(write, update, server, cfg, _pool_size(update.theta.shape[1]))
+    _map_chunks(write, update, server)
 
 
 def weighted_mean(rows, ws) -> np.ndarray:
@@ -765,7 +765,7 @@ def server_aggregate(server: ServerState, update: RoundUpdate, cfg: AlgoConfig,
     rule = RULES[cfg.algorithm]
     by_samples = cfg.aggregation_weighting == "by_samples"
     ws = update.n_samples.astype(np.float64) if by_samples else np.ones(len(update.ids))
-    chunks = functools.partial(_chunks, update, server, cfg)
+    chunks = functools.partial(_chunks, update, server)
     global_delta = weighted_mean((row for *_, delta, _ in chunks() for row in delta), ws)
     if rule.upload == "delta":
         mean_up = server.global_params + global_delta
@@ -792,7 +792,7 @@ def sample_active_set(n_clients: int, participation: float, round_index: int,
     return sorted(int(i) for i in rng.permutation(n_clients)[:count])
 
 
-def gradient_variance_diagnostic(update: RoundUpdate, server: ServerState, cfg: AlgoConfig):
+def gradient_variance_diagnostic(update: RoundUpdate, server: ServerState):
     """Empirical variance of implied local gradients, or None if < 2 rows.
 
     Each client's round update implies an average step direction
@@ -805,7 +805,7 @@ def gradient_variance_diagnostic(update: RoundUpdate, server: ServerState, cfg: 
         return None
     # A row fold from +0.0, then per-row sums: the bits of the stacked g.sum(axis=0) and axis=1.
     mean = np.zeros(update.theta.shape[1])
-    for *_, delta, k_lr in _chunks(update, server, cfg):
+    for *_, delta, k_lr in _chunks(update, server):
         for row in _implied_grad(delta, k_lr, out=delta):
             mean += row
     mean /= n
@@ -815,5 +815,4 @@ def gradient_variance_diagnostic(update: RoundUpdate, server: ServerState, cfg: 
         g -= mean
         return np.square(g, out=g).sum(axis=1)
 
-    workers = _pool_size(update.theta.shape[1])
-    return float(np.mean(np.concatenate(_map_chunks(squares, update, server, cfg, workers))))
+    return float(np.mean(np.concatenate(_map_chunks(squares, update, server))))

@@ -36,6 +36,18 @@ def seed_rows(store, ids, blocks: dict) -> None:
         getattr(store, name)[slots] = block
 
 
+def planned_update(ids, n_samples, k_steps, theta, lr_t, cap=None, workers=0):
+    """A RoundUpdate of these rows with the plan a round sets: `lr_t`, chunks of
+    `cap` rows (max(1, BUDGET // P) by default) and `workers` pool threads."""
+    from feddrift import federation
+
+    theta = np.asarray(theta, dtype=np.float64)
+    cap = cap or max(1, federation.BUDGET // theta.shape[1])
+    slices = [slice(lo, lo + cap) for lo in range(0, len(theta), cap)]
+    return federation.RoundUpdate(np.asarray(ids), np.asarray(n_samples), np.asarray(k_steps),
+                                  theta, lr_t, slices, workers)
+
+
 def find_mnist_dir():
     """Directory holding the real IDX files, or None.
 

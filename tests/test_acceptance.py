@@ -12,7 +12,14 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import bits_equal, find_mnist_dir, mnist_paths, seed_rows, store_rows
+from conftest import (
+    bits_equal,
+    find_mnist_dir,
+    mnist_paths,
+    planned_update,
+    seed_rows,
+    store_rows,
+)
 from feddrift.data import PartitionPlan, SyntheticConfig, partition
 from feddrift.engine import (
     ExperimentConfig,
@@ -28,12 +35,12 @@ from feddrift.federation import (
     RULES,
     AlgoConfig,
     ClientStore,
-    RoundUpdate,
     ServerState,
     ablation_from_code,
     apply_update,
     local_objective,
     local_objective_grad,
+    round_lr,
     run_local_round,
     run_local_rounds,
     server_aggregate,
@@ -316,7 +323,7 @@ class TestCriterion5Properties:
             clients, 0, server, cfg, x, y, stream(52, "batch-shuffle"), spec
         )
         before = store_rows(clients, "drift", 0)
-        apply_update(clients, up, server, cfg)
+        apply_update(clients, up, server)
         lhs = store_rows(clients, "drift", 0) - before
         rhs = up.theta[0] - server.global_params
         assert bits_equal(lhs, rhs)
@@ -354,9 +361,9 @@ class TestCriterion5Properties:
             init = init_params(LOGISTIC, stream(54, "global-init"))
             server = ServerState.fresh(init, 4, 54)
             clients = ClientStore([20] * 4, init.size, RULES[algo].fields)
-            up = RoundUpdate(
+            up = planned_update(
                 np.arange(4), np.full(4, 20), np.full(4, steps_per_round(20, cfg)),
-                np.tile(server.global_params, (4, 1)),
+                np.tile(server.global_params, (4, 1)), round_lr(cfg, server.round),
             )
             new_server = server_aggregate(server, up, cfg, clients)
             assert bits_equal(new_server.global_params, server.global_params), algo

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import seed_rows, store_rows
+from conftest import planned_update, seed_rows, store_rows
 from feddrift import engine, federation, models
 from feddrift.data import FederatedDataset, PartitionPlan, SyntheticConfig
 from feddrift.engine import (
@@ -320,7 +320,10 @@ class TestRunExperiments:
     def test_no_child_outlives_a_caller_stopped_by_a_signal(self, tmp_path, sig, whom):
         log = tmp_path / "log"
         script = f"""
+import faulthandler
 import os
+import signal
+faulthandler.register(signal.SIGUSR1, all_threads=True)  # a stack dump for a stuck caller
 from feddrift import engine, federation
 from feddrift.engine import ExperimentConfig
 from feddrift.data import SyntheticConfig
@@ -354,7 +357,13 @@ engine.run_experiments([cfg, cfg])
                 os.kill(caller.pid, getattr(signal, sig))
             else:
                 os.killpg(caller.pid, getattr(signal, sig))
-            caller.wait(timeout=30)
+            try:
+                caller.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                os.kill(caller.pid, signal.SIGUSR1)
+                time.sleep(1)
+                pytest.fail(f"the caller outlived {sig} by 30 s; its stderr, ending with "
+                            f"its threads' stacks:\n{(tmp_path / 'err').read_text()}")
             for _ in range(200):
                 stat = Path(f"/proc/{child}/stat")
                 if not stat.exists() or stat.read_text().split()[2] == "Z":
@@ -470,8 +479,9 @@ class TestRoundMemory:
         run = _mlp_round_run("feddc")
         run.run_round()  # every client's drift and previous update are stored
         spec, p = run.cfg.model, run.cfg.model.param_count
-        out = federation.RoundUpdate(np.arange(12), np.empty(12, dtype=np.int64),
-                                     np.empty(12, dtype=np.int64), np.empty((12, p)))
+        out = planned_update(np.arange(12), np.empty(12, dtype=np.int64),
+                             np.empty(12, dtype=np.int64), np.empty((12, p)),
+                             round_lr(run.cfg.algo, run.server.round))
 
         def client_data(i):
             x, y = run.dataset.client_arrays(i)
@@ -1099,6 +1109,13 @@ class TestBenchmarkTracer:
         assert {"engine.init", "engine.round", "federation.aggregate",
                 "federation.apply_update", "federation.grad_variance",
                 "vectors.weighted_mean", "models.eval_accuracy"} <= names
+        # Each round enters every wrapped name of its loop once: a name the loop
+        # stops calling leaves its layer metric at 0 instead of failing here.
+        wrapped = ["federation.aggregate", "federation.apply_update",
+                   "federation.grad_variance", "federation.sample"]
+        rounds = [i for i, span in enumerate(tracer.spans) if span.name == "engine.round"]
+        assert [sorted(s.name for s in tracer.spans if s.parent == r and s.name in wrapped)
+                for r in rounds] == [wrapped] * 2
         layers = tracer.layer_metrics(1)
         assert layers["federation.bytes_up"] == sum(r.bytes_up for r in records)
         assert layers["engine.client_state_mb"] > 0

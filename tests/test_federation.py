@@ -1,14 +1,12 @@
 import mmap
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seed_rows, store_rows
-from feddrift import federation
+from conftest import planned_update, seed_rows, store_rows
 from feddrift.data import SyntheticConfig
 from feddrift.engine import ExperimentConfig, run_experiment, write_records_csv
 from feddrift.errors import (
@@ -23,7 +21,6 @@ from feddrift.federation import (
     RULES,
     AlgoConfig,
     ClientStore,
-    RoundUpdate,
     ServerState,
     ablation_from_code,
     apply_update,
@@ -60,11 +57,12 @@ def make_states(algorithm="feddc", n_clients=3, seed=0, n_samples=8, **kw):
     return cfg, server, clients
 
 
-def block_update(theta, k_steps=1, n_samples=8):
-    """A RoundUpdate of clients 0..C-1 from (C, P) rows of theta."""
-    theta = np.array(theta, dtype=np.float64)
+def block_update(theta, k_steps=1, n_samples=8, cap=None):
+    """A RoundUpdate of clients 0..C-1 from (C, P) rows of theta, at round 0's lr_t of
+    the default lr, 0.1, in chunks of `cap` rows."""
     c = len(theta)
-    return RoundUpdate(np.arange(c), np.full(c, n_samples), np.full(c, k_steps), theta)
+    return planned_update(np.arange(c), np.full(c, n_samples), np.full(c, k_steps), theta,
+                          0.1, cap)
 
 
 def randomize_client(clients, i, seed):
@@ -196,7 +194,7 @@ class TestRunLocalRound:
         rng = stream(21, "batch-shuffle", client=0, round_index=0)
         up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
         before = store_rows(clients, "drift", 0)
-        apply_update(clients, up, server, cfg)
+        apply_update(clients, up, server)
         # h starts at zero, so the literal subtraction form holds bitwise.
         assert bits(store_rows(clients, "drift", 0) - before, up.theta[0] - server.global_params)
 
@@ -208,7 +206,7 @@ class TestRunLocalRound:
             up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
             h, delta = store_rows(clients, "drift", 0), up.theta[0] - server.global_params
             next_server = server_aggregate(server, up, cfg, clients)  # reads h before the write
-            apply_update(clients, up, server, cfg)
+            apply_update(clients, up, server)
             assert bits(store_rows(clients, "drift", 0), h + delta)
             assert bits(store_rows(clients, "last_delta", 0), delta)
             assert bits(next_server.global_params, up.theta[0] + (h + delta))
@@ -220,7 +218,7 @@ class TestRunLocalRound:
             cfg, server, clients = make_states(algo, seed=23)
             rng = stream(23, "batch-shuffle", client=0, round_index=0)
             up = run_local_round(clients, 0, server, cfg, x, y, rng, SPEC)
-            apply_update(clients, up, server, cfg)
+            apply_update(clients, up, server)
             assert "drift" not in clients.fields and not hasattr(clients, "drift")
 
     def test_deterministic(self, bits):
@@ -254,7 +252,7 @@ class TestRunLocalRound:
         lr_t = round_lr(cfg, 0)
         delta = up.theta[0] - server.global_params
         want = store_rows(clients, "scaffold_c", 0) - server.scaffold_c - delta / (k * lr_t)
-        apply_update(clients, up, server, cfg)
+        apply_update(clients, up, server)
         assert bits(store_rows(clients, "scaffold_c", 0), want)
 
     def test_scaffold_identical_clients_agree_after_round_one(self, bits):
@@ -268,7 +266,7 @@ class TestRunLocalRound:
         up = run_local_rounds(clients, [2, 0, 1], server, cfg, same_data, SPEC)
         assert up.ids.tolist() == [0, 1, 2]
         new_server = server_aggregate(server, up, cfg, clients)
-        apply_update(clients, up, server, cfg)
+        apply_update(clients, up, server)
         c_plus = store_rows(clients, "scaffold_c", [0, 1, 2])
         assert bits(c_plus[0], c_plus[1]) and bits(c_plus[1], c_plus[2])
         # Full participation from zero controls: server c equals every client's c+.
@@ -408,22 +406,20 @@ class TestSampling:
 
 
 class TestDiagnostics:
-    def _mk(self, deltas, k=4):
+    def _mk(self, deltas, k=4, cap=None):
         """A round whose deltas are `deltas`, bitwise: theta from G = 0 (theta - 0.0 == theta)."""
         deltas = np.array(deltas, dtype=np.float64)
         server = ServerState.fresh(np.zeros(deltas.shape[1]), len(deltas), 0)
-        return block_update(deltas, k_steps=k), server
+        return block_update(deltas, k_steps=k, cap=cap), server
 
     def test_identical_deltas_zero_variance(self):
-        cfg, _, _ = make_states("fedavg")
         up, server = self._mk([np.array([0.5, -0.5])] * 3)
-        assert gradient_variance_diagnostic(up, server, cfg) == 0.0
+        assert gradient_variance_diagnostic(up, server) == 0.0
 
     def test_opposite_deltas_hand_value(self):
-        cfg, _, _ = make_states("fedavg", lr=0.1)
         d = np.array([0.3, -0.4])
-        up, server = self._mk([d, -d], k=4)
-        got = gradient_variance_diagnostic(up, server, cfg)
+        up, server = self._mk([d, -d], k=4)  # at lr_t 0.1
+        got = gradient_variance_diagnostic(up, server)
         want = float(np.sum((d / (4 * 0.1)) ** 2))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -432,20 +428,19 @@ class TestDiagnostics:
         # n = 2, 9 and 130 reach numpy's plain, unrolled and blocked sums.
         cfg, _, _ = make_states("fedavg", lr=0.1)
         rng = stream(n, "testing")
-        up, server = self._mk(rng.standard_normal((n, 300)), k=3 + np.arange(n) % 4)
+        deltas = rng.standard_normal((n, 300))
+        up, server = self._mk(deltas, k=3 + np.arange(n) % 4)
         lr_t = round_lr(cfg, server.round)
         gs = np.stack([-up.theta[i] / (int(up.k_steps[i]) * lr_t) for i in range(n)])
         want = float(np.mean(np.sum((gs - gs.mean(axis=0)) ** 2, axis=1)))
-        before = up.theta.copy()
-        for cap in (1, 2, n):  # derived a chunk of max(1, BUDGET // P) rows at a time
-            with mock.patch.object(federation, "BUDGET", cap * 300):
-                assert gradient_variance_diagnostic(up, server, cfg).hex() == want.hex()
-        assert np.array_equal(up.theta, before)  # the update is only read
+        for cap in (1, 2, n):  # derived a chunk of `cap` rows at a time
+            up, server = self._mk(deltas, k=3 + np.arange(n) % 4, cap=cap)
+            assert gradient_variance_diagnostic(up, server).hex() == want.hex()
+            assert np.array_equal(up.theta, deltas)  # the update is only read
 
     def test_fewer_than_two_is_absent(self):
-        cfg, _, _ = make_states("fedavg")
         up, server = self._mk([np.array([1.0, 2.0])])
-        assert gradient_variance_diagnostic(up, server, cfg) is None
+        assert gradient_variance_diagnostic(up, server) is None
 
 
 class TestRules:
@@ -490,9 +485,9 @@ class TestClientStore:
                 return b
 
             server = ServerState(block(p), block(p), block(p), block(p), t, n_clients, seed)
-            update = RoundUpdate(ids, np.full(len(ids), 8), rng.integers(1, 5, len(ids)),
-                                 block(len(ids), p))
-            apply_update(store, update, server, cfg)
+            update = planned_update(ids, np.full(len(ids), 8), rng.integers(1, 5, len(ids)),
+                                    block(len(ids), p), round_lr(cfg, t))
+            apply_update(store, update, server)
             # Each field's next rows from the dense rows, as blocks of the update's clients.
             delta = update.theta - server.global_params
             nxt = {"last_delta": delta}
@@ -568,15 +563,13 @@ class TestClientStore:
         ids = np.array([0, 1, 2, 4])  # clients 2 and 4 are written for the first time
         theta = rng.standard_normal((4, p))
         theta[:, 0], theta[:, 1] = -0.0, g[1]  # delta -0.0 and +0.0
-        update = RoundUpdate(ids, np.full(4, 8), np.array([3, 1, 4, 2]), theta)
+        update = planned_update(ids, np.full(4, 8), np.array([3, 1, 4, 2]), theta,
+                                round_lr(cfg, 2), cap=1, workers=workers)
         want = {f: store_rows(store, f, ids) for f in store.fields}
         for f, old in want.items():
             NEXT_ROWS[f](old, theta - g, update.k_steps[:, None] * round_lr(cfg, 2), server)
         untouched = {f: store_rows(store, f, 3) for f in store.fields}
-        with federation.one_blas_thread(), \
-                mock.patch.object(federation, "BUDGET", p), \
-                mock.patch.object(federation, "_usable_cpus", lambda: workers):
-            apply_update(store, update, server, cfg)
+        apply_update(store, update, server)
         assert store.slot.tolist() == [0, 1, 3, 2, 4]
         for f in store.fields:
             assert store_rows(store, f, ids).tobytes() == want[f].tobytes(), f

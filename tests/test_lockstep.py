@@ -72,7 +72,7 @@ def _next_rows(store, update, server, cfg):
     copy = ClientStore(store.n_samples, store.param_count, store.fields, store.slot)
     for name in store.fields:
         getattr(copy, name)[...] = getattr(store, name)
-    federation.apply_update(copy, update, server, cfg)
+    federation.apply_update(copy, update, server)
     return {name: [row.tobytes() for row in store_rows(copy, name, update.ids)]
             for name in copy.fields}
 
@@ -374,7 +374,7 @@ def test_threaded_chunks_under_rapid_thread_switches():
         """The slot map and rows of a store where clients 9 and 4 came first."""
         fresh = ClientStore(store.n_samples, store.param_count, store.fields)
         seed_rows(fresh, [9, 4], {name: store_rows(store, name, [9, 4]) for name in store.fields})
-        federation.apply_update(fresh, update, server, cfg)
+        federation.apply_update(fresh, update, server)
         return fresh.slot.tobytes(), [getattr(fresh, name).tobytes() for name in fresh.fields]
 
     x, y = np.concatenate([x for x, _ in data]), np.concatenate([y for _, y in data])
@@ -430,6 +430,42 @@ def test_worker_threads_call_no_store_method_but_stored(algorithm):
     assert trained_on and main not in trained_on
     assert {name for name, thread in calls if thread != main} == {"stored"}
     assert run.clients.used > 3  # the second round admitted new clients
+
+
+@pytest.mark.parametrize("model", sorted(SPECS))
+def test_a_round_plans_once(model):
+    """A round reads the usable CPUs, sizes its pool and sets its lr_t once each,
+    in a pooled MLP round that evaluates and in a logistic one: training, the
+    aggregate, the variance pass, apply_update and evaluation read the plan."""
+    spec = SPECS[model]
+    cfg = ExperimentConfig(
+        dataset=SyntheticConfig(n_clients=6, samples_per_client_mean=12,
+                                input_dim=spec.input_dim, num_classes=spec.num_classes),
+        model=spec, algo=AlgoConfig("feddc", participation=0.5, batch_size=4, alpha=0.05),
+        rounds=2,
+    )
+    run = FederatedRun(cfg)
+    calls = dict.fromkeys(["_usable_cpus", "_pool_size", "round_lr"], 0)
+
+    def counted(name):
+        fn = getattr(federation, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return mock.patch.object(federation, name, call)
+
+    pool = one_client_chunks(spec, 2) if model == "mlp" else contextlib.nullcontext([])
+    with pool as trained_on, contextlib.ExitStack() as patches:
+        for name in calls:
+            patches.enter_context(counted(name))
+        for t in (1, 2):
+            assert run.run_round().test_accuracy is not None
+            assert calls["_pool_size"] == calls["round_lr"] == t
+            assert calls["_usable_cpus"] == (t if model == "mlp" else 0)
+    assert len(trained_on) == (6 if model == "mlp" else 0)  # 3 pooled chunks a round
+    assert threading.get_ident() not in trained_on
 
 
 def test_pixel_scaling_is_the_float_decode_bitwise():
@@ -802,6 +838,6 @@ def test_the_first_error_in_apply_update_chunk_order_is_raised():
         update = run_local_rounds(store, range(5), server, cfg, client_data, spec)
         with mock.patch.object(ClientStore, "stored", failing_stored):
             with pytest.raises(ValueError, match="task 2"):
-                federation.apply_update(store, update, server, cfg)
+                federation.apply_update(store, update, server)
     assert 4 in started and sorted(started) == sorted(finished)
     assert threading.active_count() == threads

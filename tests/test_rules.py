@@ -9,13 +9,12 @@ that `server_aggregate` and `apply_update` now derive a chunk at a time.
 """
 
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 from test_lockstep import ABLATION_CODES, SPECS, _scenario
 
-from conftest import seed_rows, store_rows
+from conftest import planned_update, seed_rows, store_rows
 from feddrift import federation
 from feddrift.errors import ParameterError
 from feddrift.federation import (
@@ -24,7 +23,6 @@ from feddrift.federation import (
     SERVER_VECTORS,
     AlgoConfig,
     ClientStore,
-    RoundUpdate,
     ServerState,
     round_lr,
     weighted_mean,
@@ -168,13 +166,19 @@ def _round(algorithm, weighting, n_active, seed=5):
     rows = 0.1 * rng.standard_normal((len(stored), p))
     rows[:, 2] = -0.0
     seed_rows(store, stored, {name: rows for name in store.fields})
-    update = RoundUpdate(ids=ids, n_samples=store.n_samples[ids],
-                         k_steps=rng.integers(1, 9, n_active), theta=theta)
+    update = planned_update(ids, store.n_samples[ids], rng.integers(1, 9, n_active), theta,
+                            round_lr(cfg, server.round))
     return cfg, server, store, update
 
 
-# The chunk of derived rows holds max(1, BUDGET // P) clients.
+# The chunk of derived rows holds max(1, BUDGET // P) clients: RoundUpdate.slices.
 CAPS = [1, 2, 64]
+
+
+def _capped(update, cap):
+    """`update` planned in chunks of `cap` rows."""
+    return planned_update(update.ids, update.n_samples, update.k_steps, update.theta,
+                          update.lr_t, cap)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -184,8 +188,7 @@ def test_server_step_matches_the_branches(algorithm, weighting, n_active):
     cfg, server, store, update = _round(algorithm, weighting, n_active)
     want = _branch_aggregate(server, update, cfg, store)
     for cap in CAPS:
-        with mock.patch.object(federation, "BUDGET", cap * update.theta.shape[1]):
-            got = federation.server_aggregate(server, update, cfg, store)
+        got = federation.server_aggregate(server, _capped(update, cap), cfg, store)
         for name in SERVER_VECTORS:
             assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (name, cap)
         assert (got.round, got.n_clients, got.rng_seed) == (
@@ -203,8 +206,7 @@ def test_next_rows_match_the_blocks(algorithm, n_active, cap):
     delta, drift_plus, c_plus, _ = _block_rows(store, server, update, cfg)
     blocks = {"drift": drift_plus, "last_delta": delta, "scaffold_c": c_plus}
     assert set(blocks) == set(federation.NEXT_ROWS)
-    with mock.patch.object(federation, "BUDGET", cap * update.theta.shape[1]):
-        federation.apply_update(store, update, server, cfg)
+    federation.apply_update(store, _capped(update, cap), server)
     assert (store.slot[update.ids] < store.used).all()
     for name in store.fields:
         want = before[name]
